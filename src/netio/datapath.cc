@@ -3,6 +3,7 @@
 #include <sys/epoll.h>
 
 #include <chrono>
+#include <span>
 #include <string>
 
 #include "common/check.h"
@@ -37,9 +38,12 @@ Datapath::Datapath(const Config& config, std::size_t shard,
       sock_(udpSocket(config.listen, /*reuseport=*/config.workers > 1,
                       config.rcvbuf)),
       resolver_(makePort(config), shard),
-      rx_bufs_(pipeline::kMaxBatch) {
+      receiver_(kRxMessages) {
   CLUERT_CHECK(sock_.valid())
       << "cannot bind UDP " << config.listen.toString();
+  // Without GRO (an old kernel) every message is one datagram; the receive
+  // below handles both.
+  enableGro(sock_.get());
   const auto bound = localAddr(sock_.get());
   CLUERT_CHECK(bound.has_value()) << "getsockname failed";
   data_addr_ = *bound;
@@ -123,7 +127,7 @@ void Datapath::drainStep(std::uint64_t deadline_ns) {
   // is dry (no loss for anything the socket took before the SIGTERM) or the
   // drain budget runs out, whichever is first.
   while (nowNs() < deadline_ns) {
-    if (processBatch() == 0) break;
+    if (receive() == 0) break;
   }
   loop_.stop();
 }
@@ -136,17 +140,26 @@ void Datapath::onReadable() {
   // Level-triggered: processing a bounded number of rounds per callback
   // keeps posted tasks and timers responsive under sustained load.
   for (int round = 0; round < 4; ++round) {
-    if (processBatch() < static_cast<int>(pipeline::kMaxBatch)) break;
+    if (receive() < static_cast<int>(kRxMessages)) break;
   }
 }
 
-int Datapath::processBatch() {
-  const int n = recvBatch(sock_.get(), rx_bufs_.data(),
-                          static_cast<int>(pipeline::kMaxBatch));
-  if (n <= 0) return 0;
+int Datapath::receive() {
+  const int msgs = receiver_.recv(sock_.get());
+  if (msgs <= 0) return 0;
   const std::uint64_t rx_ns = nowNs();
+  if (nobs_.enabled()) nobs_.rx_syscalls->inc();
+  std::array<std::span<const std::uint8_t>, pipeline::kMaxBatch> dgrams;
+  while (const std::size_t n = receiver_.next(dgrams.data(), dgrams.size())) {
+    forward({dgrams.data(), n}, rx_ns);
+  }
+  return msgs;
+}
+
+void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
+                       std::uint64_t rx_ns) {
   if (flight_ != nullptr) {
-    flight_->push(obs::FlightKind::kRxBatch, static_cast<std::uint64_t>(n));
+    flight_->push(obs::FlightKind::kRxBatch, dgrams.size());
   }
 
   // Decode pass: valid packets compact into the resolve arrays; the decode
@@ -161,8 +174,8 @@ int Datapath::processBatch() {
   std::size_t valid = 0;
   std::uint64_t rx_bytes = 0;
   bool any_traced = false;
-  for (int i = 0; i < n; ++i) {
-    const auto r = decode<A>({rx_bufs_[i].data.data(), rx_bufs_[i].len});
+  for (const std::span<const std::uint8_t> dgram : dgrams) {
+    const auto r = decode<A>(dgram);
     if (!r.ok()) {
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       if (nobs_.enabled()) nobs_.decode_errors->inc();
@@ -179,7 +192,7 @@ int Datapath::processBatch() {
     rx_src_counts_[r.packet.src_id < kMaxSrcLabel ? r.packet.src_id
                                                   : kMaxSrcLabel]
         .fetch_add(1, std::memory_order_relaxed);
-    rx_bytes += rx_bufs_[i].len;
+    rx_bytes += dgram.size();
     pkts[valid] = r.packet;
     if (!pkts[valid].trace.has_value() && config_.trace_sample != 0 &&
         (trace_tick_++ % config_.trace_sample) == 0) {
@@ -208,7 +221,7 @@ int Datapath::processBatch() {
     nobs_.rx_packets->inc(valid);
     nobs_.rx_bytes->inc(rx_bytes);
   }
-  if (valid == 0) return n;
+  if (valid == 0) return;
   const std::uint64_t decode_ns = any_traced ? nowNs() : rx_ns;
 
   // One pinned version for the whole batch; the optional differential
@@ -357,8 +370,10 @@ int Datapath::processBatch() {
   const std::uint64_t tx_ns = any_traced ? nowNs() : 0;
   std::size_t sent_ok = 0;
   if (n_out > 0) {
+    std::uint64_t syscalls = 0;
     const int sent = sendBatch(sock_.get(), out.data(),
-                               static_cast<int>(n_out));
+                               static_cast<int>(n_out), syscalls);
+    if (nobs_.enabled()) nobs_.tx_syscalls->inc(syscalls);
     const std::size_t ok = sent < 0 ? 0 : static_cast<std::size_t>(sent);
     sent_ok = ok;
     tx_.fetch_add(ok, std::memory_order_relaxed);
@@ -428,7 +443,6 @@ int Datapath::processBatch() {
       spans_.record(s);
     }
   }
-  return n;
 }
 
 }  // namespace cluert::netio

@@ -3,14 +3,20 @@
 // that arrives from the wire takes *exactly* the per-batch pin → bindVersion
 // → processBatch path the repo's experiments measure (DESIGN.md §9).
 //
-// Receive flow, per EPOLLIN: recvmmsg a batch (≤ kMaxBatch datagrams),
-// decode each through the wire codec (rejects counted, never fatal), pin
-// ONE table version for the whole batch, resolve, then for each packet:
+// Receive flow, per EPOLLIN: one recvmmsg of up to kRxMessages messages
+// into the GroReceiver's slabs. The socket has UDP_GRO on, so a message may
+// hold many datagrams of one sender's GSO run; the datagrams are walked in
+// place, in arrival order, in chunks of ≤ kMaxBatch. Each chunk is one
+// batch: decode each datagram through the wire codec (rejects counted,
+// never fatal), pin ONE table version for the whole batch, resolve, then
+// for each packet:
 //   no BMP            → drop, netio_no_route_total
 //   TTL ≤ 1           → drop, netio_ttl_expired_total
 //   peer for next hop → re-encode with THIS router's clue (the matched
 //                       prefix length — §2: the clue a router sends is its
-//                       own BMP information) and TTL-1, sendmmsg out
+//                       own BMP information) and TTL-1, then out through
+//                       one sendBatch per chunk (consecutive datagrams to
+//                       one peer leave as a GSO run)
 //   no peer           → netio_delivered_total: last clue-speaking hop
 //
 // With `oracle` on, every packet is double-checked inside the read guard
@@ -33,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -132,9 +139,16 @@ class Datapath {
   }
 
  private:
+  // Messages per receive: one recvmmsg fills at most this many slabs.
+  static constexpr std::size_t kRxMessages = pipeline::kMaxBatch;
+
   void onReadable();
-  // Processes one received batch end-to-end. Returns datagram count.
-  int processBatch();
+  // One receive round: one recvmmsg, then its datagrams in chunks of
+  // ≤ kMaxBatch through forward(). Returns the messages received.
+  int receive();
+  // Forwards one chunk end-to-end: decode, pin, resolve, encode, send.
+  void forward(std::span<const std::span<const std::uint8_t>> dgrams,
+               std::uint64_t rx_ns);
   void drainStep(std::uint64_t deadline_ns);
 
   obs::CounterCell* rxCellFor(std::uint16_t src_id);
@@ -157,8 +171,8 @@ class Datapath {
   std::map<NextHop, std::size_t> peer_index_;
   std::optional<std::size_t> default_index_;
 
-  // Receive/transmit scratch, sized once (kMaxBatch datagrams per round).
-  std::vector<DatagramBuf> rx_bufs_;
+  // Receive slabs and transmit scratch, sized once.
+  GroReceiver receiver_;
   std::array<std::array<std::uint8_t, kMaxDatagram>, pipeline::kMaxBatch>
       tx_bufs_;
 

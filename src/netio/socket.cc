@@ -1,10 +1,9 @@
-#define _GNU_SOURCE 1  // recvmmsg/sendmmsg (CMAKE_CXX_EXTENSIONS is OFF)
-
 #include "netio/socket.h"
 
 #include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
+#include <netinet/udp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -119,95 +118,181 @@ std::optional<SockAddr> localAddr(int fd) {
 }
 
 int recvBatch(int fd, DatagramBuf* bufs, int max) {
-#if defined(__linux__)
   // One mmsghdr per slot; all fixed-size, so the arrays live on the stack.
   constexpr int kChunk = 64;
   if (max > kChunk) max = kChunk;
   mmsghdr msgs[kChunk];
   iovec iovs[kChunk];
-  sockaddr_in froms[kChunk];
   ::memset(msgs, 0, sizeof(mmsghdr) * static_cast<std::size_t>(max));
   for (int i = 0; i < max; ++i) {
     iovs[i].iov_base = bufs[i].data.data();
     iovs[i].iov_len = bufs[i].data.size();
     msgs[i].msg_hdr.msg_iov = &iovs[i];
     msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &froms[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(froms[i]);
   }
   const int n = ::recvmmsg(fd, msgs, static_cast<unsigned>(max), 0, nullptr);
   if (n < 0) {
     return (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) ? 0
                                                                        : -1;
   }
-  for (int i = 0; i < n; ++i) {
-    bufs[i].len = msgs[i].msg_len;
-    bufs[i].from = SockAddr::fromSockaddrIn(froms[i]);
-  }
+  for (int i = 0; i < n; ++i) bufs[i].len = msgs[i].msg_len;
   return n;
-#else
-  int n = 0;
-  while (n < max) {
-    sockaddr_in from{};
-    socklen_t from_len = sizeof(from);
-    const ssize_t r = ::recvfrom(fd, bufs[n].data.data(), bufs[n].data.size(),
-                                 0, reinterpret_cast<sockaddr*>(&from),
-                                 &from_len);
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-      return n > 0 ? n : -1;
+}
+
+bool enableGro(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, SOL_UDP, UDP_GRO, &one, sizeof(one)) == 0;
+}
+
+GroReceiver::GroReceiver(std::size_t max_msgs)
+    : slabs_(std::make_unique_for_overwrite<std::uint8_t[]>(max_msgs *
+                                                            kSlabBytes)),
+      iovs_(max_msgs),
+      control_(max_msgs),
+      msgs_(max_msgs),
+      segment_(max_msgs) {
+  for (std::size_t i = 0; i < max_msgs; ++i) {
+    iovs_[i].iov_base = slabs_.get() + i * kSlabBytes;
+    iovs_[i].iov_len = kSlabBytes;
+    msgs_[i].msg_hdr.msg_iov = &iovs_[i];
+    msgs_[i].msg_hdr.msg_iovlen = 1;
+    msgs_[i].msg_hdr.msg_control = control_[i].bytes;
+  }
+}
+
+int GroReceiver::recv(int fd) {
+  got_ = msg_ = offset_ = 0;
+  // recvmmsg shrinks msg_controllen to what it wrote; give the room back.
+  for (std::size_t i = 0; i < msgs_.size(); ++i) {
+    msgs_[i].msg_hdr.msg_controllen = sizeof(control_[i].bytes);
+  }
+  const int n = ::recvmmsg(fd, msgs_.data(),
+                           static_cast<unsigned>(msgs_.size()), 0, nullptr);
+  if (n < 0) {
+    return (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) ? 0
+                                                                       : -1;
+  }
+  got_ = static_cast<std::size_t>(n);
+  for (std::size_t i = 0; i < got_; ++i) {
+    msghdr& h = msgs_[i].msg_hdr;
+    std::size_t segment = msgs_[i].msg_len;  // not coalesced: one datagram
+    for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr; c = CMSG_NXTHDR(&h, c)) {
+      if (c->cmsg_level != SOL_UDP || c->cmsg_type != UDP_GRO) continue;
+      int gso = 0;
+      ::memcpy(&gso, CMSG_DATA(c), sizeof(gso));
+      if (gso > 0) segment = static_cast<std::size_t>(gso);
     }
-    bufs[n].len = static_cast<std::size_t>(r);
-    bufs[n].from = SockAddr::fromSockaddrIn(from);
-    ++n;
+    segment_[i] = segment;
   }
   return n;
-#endif
+}
+
+std::size_t GroReceiver::next(std::span<const std::uint8_t>* out,
+                              std::size_t max) {
+  std::size_t k = 0;
+  while (k < max && msg_ < got_) {
+    const std::size_t len = msgs_[msg_].msg_len;
+    const std::size_t take = std::min(segment_[msg_], len - offset_);
+    out[k++] = {slabs_.get() + msg_ * kSlabBytes + offset_, take};
+    offset_ += take;
+    if (offset_ >= len) {
+      ++msg_;
+      offset_ = 0;
+    }
+  }
+  return k;
+}
+
+bool gsoSupported() {
+  static const bool supported = [] {
+    const Fd fd(::socket(AF_INET, SOCK_DGRAM, 0));
+    int segment = 0;
+    socklen_t len = sizeof(segment);
+    return fd.valid() && ::getsockopt(fd.get(), SOL_UDP, UDP_SEGMENT,
+                                      &segment, &len) == 0;
+  }();
+  return supported;
 }
 
 int sendBatch(int fd, const OutDatagram* out, int n) {
-#if defined(__linux__)
-  constexpr int kChunk = 64;
-  int sent_total = 0;
-  while (sent_total < n) {
-    const int chunk = std::min(n - sent_total, kChunk);
-    mmsghdr msgs[kChunk];
-    iovec iovs[kChunk];
-    sockaddr_in tos[kChunk];
-    ::memset(msgs, 0, sizeof(mmsghdr) * static_cast<std::size_t>(chunk));
-    for (int i = 0; i < chunk; ++i) {
-      const OutDatagram& d = out[sent_total + i];
-      iovs[i].iov_base = const_cast<std::uint8_t*>(d.data);
-      iovs[i].iov_len = d.len;
-      tos[i] = d.to.toSockaddrIn();
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-      msgs[i].msg_hdr.msg_name = &tos[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof(tos[i]);
-    }
-    const int sent = ::sendmmsg(fd, msgs, static_cast<unsigned>(chunk), 0);
-    if (sent < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        return sent_total;
+  std::uint64_t syscalls = 0;
+  return sendBatch(fd, out, n, syscalls);
+}
+
+int sendBatch(int fd, const OutDatagram* out, int n, std::uint64_t& syscalls) {
+  // Per syscall: up to kMsgs messages over up to kIovs datagrams, all on the
+  // stack (~22 KiB).
+  constexpr int kMsgs = 64;
+  constexpr int kIovs = 1024;
+  struct Control {
+    alignas(cmsghdr) std::uint8_t bytes[CMSG_SPACE(sizeof(std::uint16_t))];
+  };
+  mmsghdr msgs[kMsgs];
+  iovec iovs[kIovs];
+  sockaddr_in tos[kMsgs];
+  Control controls[kMsgs];
+  int ends[kMsgs];  // message m carries datagrams [previous end, ends[m])
+  const bool gso = gsoSupported();
+
+  int sent = 0;       // out[0, sent) accepted
+  int plain_end = 0;  // out[sent, plain_end) go one datagram per message
+  while (sent < n) {
+    int m = 0, iov = 0, at = sent;
+    for (; m < kMsgs && at < n && iov < kIovs; ++m) {
+      // The run out[at, end): one destination, equal non-zero lengths (GSO
+      // has no empty segment), the last possibly shorter, within both caps.
+      int end = at + 1;
+      if (gso && at >= plain_end && out[at].len > 0) {
+        const std::size_t segment = out[at].len;
+        std::size_t bytes = segment;
+        const int cap = std::min(kGsoMaxSegments, kIovs - iov);
+        while (end < n && end - at < cap && out[end].to == out[at].to &&
+               out[end].len > 0 && out[end].len <= segment &&
+               bytes + out[end].len <= kGsoMaxBytes) {
+          bytes += out[end].len;
+          if (out[end++].len < segment) break;  // a shorter datagram ends it
+        }
       }
-      return sent_total;
+      msghdr& h = msgs[m].msg_hdr;
+      h = {};
+      for (int d = at; d < end; ++d, ++iov) {
+        iovs[iov].iov_base = const_cast<std::uint8_t*>(out[d].data);
+        iovs[iov].iov_len = out[d].len;
+      }
+      h.msg_iov = &iovs[iov - (end - at)];
+      h.msg_iovlen = static_cast<std::size_t>(end - at);
+      tos[m] = out[at].to.toSockaddrIn();
+      h.msg_name = &tos[m];
+      h.msg_namelen = sizeof(tos[m]);
+      if (end - at > 1) {
+        h.msg_control = controls[m].bytes;
+        h.msg_controllen = sizeof(controls[m].bytes);
+        cmsghdr* c = CMSG_FIRSTHDR(&h);
+        c->cmsg_level = SOL_UDP;
+        c->cmsg_type = UDP_SEGMENT;
+        c->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+        const auto segment = static_cast<std::uint16_t>(out[at].len);
+        ::memcpy(CMSG_DATA(c), &segment, sizeof(segment));
+      }
+      ends[m] = end;
+      at = end;
     }
-    sent_total += sent;
-    if (sent < chunk) return sent_total;  // kernel backpressure: stop here
-  }
-  return sent_total;
-#else
-  int sent = 0;
-  for (int i = 0; i < n; ++i) {
-    const sockaddr_in to = out[i].to.toSockaddrIn();
-    const ssize_t r =
-        ::sendto(fd, out[i].data, out[i].len, 0,
-                 reinterpret_cast<const sockaddr*>(&to), sizeof(to));
-    if (r < 0) break;
-    ++sent;
+    ++syscalls;
+    const int r = ::sendmmsg(fd, msgs, static_cast<unsigned>(m), 0);
+    if (r > 0) {
+      // A short count drops the failing message's errno: the next round
+      // starts at that message and learns it.
+      sent = ends[r - 1];
+      continue;
+    }
+    const bool refused = errno == EINVAL || errno == EIO || errno == EMSGSIZE;
+    if (refused && ends[0] - sent > 1) {
+      plain_end = ends[0];  // the kernel refused GSO for this run
+      continue;
+    }
+    return sent;  // back-pressure (EAGAIN, ENOBUFS, ...) or a refused datagram
   }
   return sent;
-#endif
 }
 
 }  // namespace cluert::netio

@@ -142,6 +142,15 @@ NetioObs NetioObs::bind(MetricRegistry& reg, std::size_t shard,
                    "version",
                    extra)
            .shard(shard);
+  // Datagrams per syscall = rx_packets / rx_syscalls (tx alike): GRO and
+  // GSO keep both well above 1 under load.
+  o.rx_syscalls =
+      &reg.counter("netio_rx_syscalls_total",
+                   "Receive syscalls (recvmmsg) that returned data", extra)
+           .shard(shard);
+  o.tx_syscalls = &reg.counter("netio_tx_syscalls_total",
+                               "Send syscalls (sendmmsg) made", extra)
+                       .shard(shard);
   return o;
 }
 

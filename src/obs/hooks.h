@@ -100,6 +100,8 @@ struct NetioObs {
   CounterCell* ttl_expired = nullptr;
   CounterCell* send_errors = nullptr;
   CounterCell* oracle_mismatch = nullptr;  // port result != engine BMP
+  CounterCell* rx_syscalls = nullptr;  // receive calls that returned data
+  CounterCell* tx_syscalls = nullptr;  // send calls made
   std::size_t shard = 0;
 
   bool enabled() const { return rx_packets != nullptr; }

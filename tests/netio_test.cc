@@ -3,9 +3,12 @@
 // parsing, RouteUpdater::flush, and whole in-process Daemon topologies —
 // single-daemon echo, a two-daemon forwarding chain checked against the
 // sequential trie oracle, admin-plane golden output, config reload, and
-// graceful SIGTERM drain with counter conservation.
+// graceful SIGTERM drain with counter conservation — plus the batched I/O
+// underneath: GSO runs in sendBatch (caps, kernel refusals) and the
+// datapath's GRO receive.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -646,6 +649,296 @@ TEST(DaemonTest, SigtermMidStreamDrainsAcceptedPacketsAndExitsClean) {
   EXPECT_EQ(dp.rxPackets(),
             dp.txPackets() + dp.delivered() + dp.noRoute() +
                 dp.ttlExpired() + dp.sendErrors());
+  EXPECT_EQ(dp.oracleMismatches(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Batched I/O: GSO runs in sendBatch, the GRO receive (DESIGN.md §9.2)
+// ---------------------------------------------------------------------------
+
+// A batch whose datagrams carry their index in the first 4 bytes and an
+// index-derived fill after it, so a lost, split, spliced or reordered
+// datagram cannot compare equal.
+struct Batch {
+  std::vector<std::vector<std::uint8_t>> bufs;
+  std::vector<netio::OutDatagram> out;
+
+  void add(const SockAddr& to, std::size_t len, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto i = static_cast<std::uint32_t>(bufs.size());
+      std::vector<std::uint8_t> b(len);
+      for (std::size_t j = 0; j < len; ++j) {
+        b[j] = static_cast<std::uint8_t>(i * 131 + j * 7);
+      }
+      std::memcpy(b.data(), &i, std::min<std::size_t>(len, sizeof(i)));
+      push(std::move(b), to);
+    }
+  }
+  // out[] points into bufs[]: moving a vector keeps its heap buffer, so the
+  // views survive bufs growing.
+  void push(std::vector<std::uint8_t> b, const SockAddr& to) {
+    bufs.push_back(std::move(b));
+    out.push_back({bufs.back().data(), bufs.back().size(), to});
+  }
+};
+
+// Every run boundary sendBatch knows, in one call, opened by a lone
+// datagram.
+Batch mixedBatch(const SockAddr& a, const SockAddr& b) {
+  Batch batch;
+  batch.add(a, 40, 1);    // a lone datagram: a plain message
+  batch.add(a, 100, 5);   // a run to a...
+  batch.add(a, 120, 3);   // ...whose length changes mid-run
+  batch.add(b, 80, 4);    // a run to b...
+  batch.add(b, 50, 1);    // ...that ends in a shorter datagram
+  batch.add(a, 200, 150);  // past the 64-segment cap: 64 + 64 + 22
+  // Past the 65507-byte cap: 52 + 8 (53 × 1255 B is EMSGSIZE).
+  batch.add(b, netio::kMaxDatagram, 60);
+  batch.add(a, 30, 2);    // back to a
+  return batch;
+}
+
+// Receives everything `batch` sent to `to` on `sock` and requires each
+// datagram byte-identical and in the order it was sent.
+void expectArrivedInOrder(int sock, const SockAddr& to, const Batch& batch) {
+  std::vector<std::size_t> want;
+  for (std::size_t k = 0; k < batch.out.size(); ++k) {
+    if (batch.out[k].to == to) want.push_back(k);
+  }
+  const auto got = recvAll(sock, want.size());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& sent = batch.bufs[want[i]];
+    ASSERT_EQ(got[i].len, sent.size()) << "datagram " << want[i];
+    EXPECT_EQ(std::memcmp(got[i].data.data(), sent.data(), sent.size()), 0)
+        << "datagram " << want[i];
+  }
+}
+
+TEST(SendBatchTest, MixedRunsArriveByteIdenticalInOrder) {
+  SockAddr a_addr, b_addr;
+  netio::Fd a = testSink(&a_addr);
+  netio::Fd b = testSink(&b_addr);
+  netio::Fd tx = netio::udpSocket(SockAddr{kLoopback, 0});
+  const Batch batch = mixedBatch(a_addr, b_addr);
+  const int n = static_cast<int>(batch.out.size());
+
+  std::uint64_t syscalls = 0;
+  ASSERT_EQ(netio::sendBatch(tx.get(), batch.out.data(), n, syscalls), n);
+  // With GSO, 226 datagrams are 10 messages, all in one sendmmsg; the plain
+  // path needs one message per datagram, at most 64 per call.
+  if (netio::gsoSupported()) EXPECT_EQ(syscalls, 1u);
+  expectArrivedInOrder(a.get(), a_addr, batch);
+  expectArrivedInOrder(b.get(), b_addr, batch);
+}
+
+TEST(SendBatchTest, RefusedGsoRunsAreResentAsSingleDatagrams) {
+  SockAddr a_addr, b_addr;
+  netio::Fd a = testSink(&a_addr);
+  netio::Fd b = testSink(&b_addr);
+  netio::Fd tx = netio::udpSocket(SockAddr{kLoopback, 0});
+  // Without UDP checksums the kernel refuses every GSO message (EINVAL).
+  // The batch opens with a lone datagram, so the first refusal comes after
+  // a message was sent — where sendmmsg drops the errno.
+  const int one = 1;
+  ASSERT_EQ(::setsockopt(tx.get(), SOL_SOCKET, SO_NO_CHECK, &one, sizeof(one)),
+            0);
+  const Batch batch = mixedBatch(a_addr, b_addr);
+  const int n = static_cast<int>(batch.out.size());
+
+  std::uint64_t syscalls = 0;
+  ASSERT_EQ(netio::sendBatch(tx.get(), batch.out.data(), n, syscalls), n);
+  if (netio::gsoSupported()) EXPECT_GT(syscalls, 1u);  // the refusals cost
+  expectArrivedInOrder(a.get(), a_addr, batch);
+  expectArrivedInOrder(b.get(), b_addr, batch);
+}
+
+TEST(GroReceiverTest, WalksCoalescedMessagesInPlaceInChunks) {
+  if (!netio::gsoSupported()) GTEST_SKIP() << "kernel without UDP GSO";
+  netio::Fd rx = netio::udpSocket(SockAddr{kLoopback, 0}, false, 4 << 20);
+  ASSERT_TRUE(rx.valid());
+  ASSERT_TRUE(netio::enableGro(rx.get()));
+  const SockAddr rx_addr = *netio::localAddr(rx.get());
+  netio::Fd tx = netio::udpSocket(SockAddr{kLoopback, 0});
+  // 70 equal datagrams and a shorter one: two GSO messages, 64 and 6 + 1.
+  Batch batch;
+  batch.add(rx_addr, 50, 70);
+  batch.add(rx_addr, 20, 1);
+  const int n = static_cast<int>(batch.out.size());
+  ASSERT_EQ(netio::sendBatch(tx.get(), batch.out.data(), n), n);
+  ::usleep(20'000);  // both messages queued before the one receive
+
+  netio::GroReceiver receiver(8);
+  ASSERT_EQ(receiver.recv(rx.get()), 2);
+  // Chunks of 50 cut the first message, then cross into the second.
+  std::array<std::span<const std::uint8_t>, 50> chunk;
+  std::vector<std::size_t> chunk_sizes;
+  std::vector<std::span<const std::uint8_t>> got;
+  while (const std::size_t k = receiver.next(chunk.data(), chunk.size())) {
+    chunk_sizes.push_back(k);
+    got.insert(got.end(), chunk.begin(), chunk.begin() + k);
+  }
+  EXPECT_EQ(chunk_sizes, (std::vector<std::size_t>{50, 21}));
+  ASSERT_EQ(got.size(), batch.bufs.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), batch.bufs[i].size()) << "datagram " << i;
+    EXPECT_EQ(
+        std::memcmp(got[i].data(), batch.bufs[i].data(), got[i].size()), 0)
+        << "datagram " << i;
+  }
+  EXPECT_EQ(receiver.recv(rx.get()), 0);  // drained
+  EXPECT_EQ(receiver.next(chunk.data(), chunk.size()), 0u);
+}
+
+// One daemon for the GRO receive tests: 10/8 → 1 and 10.1/16 → 2, every
+// routed packet forwarded to a sink with this router's clue.
+struct GroRig {
+  SockAddr sink_addr;
+  netio::Fd sink;
+  netio::Fd tx = netio::udpSocket(SockAddr{kLoopback, 0});
+  std::unique_ptr<netio::Daemon> daemon;
+  Batch batch;  // what send() sends
+
+  GroRig() {
+    const std::string routes = tempPath("gro.routes");
+    writeFileOrDie(routes, "10.0.0.0/8 1\n10.1.0.0/16 2\n");
+    sink = testSink(&sink_addr);
+    netio::Config c = baseConfig(routes);
+    c.name = "gro";
+    c.router_id = 7;
+    c.default_peer = sink_addr;
+    c.rcvbuf = 4 << 20;
+    daemon = std::make_unique<netio::Daemon>(c);
+    daemon->start();
+  }
+
+  // Queues wire datagram `seq`: even ones to 10.1/16 (clue 16 back), odd
+  // ones to 10.2/16 (clue 8 back). The payload is the sequence number,
+  // padded to `payload_len`.
+  std::vector<std::uint8_t>& add(std::uint32_t seq,
+                                 std::size_t payload_len = 8) {
+    WirePacket<A> p;
+    p.dest = A((seq % 2 == 0 ? 0x0a010000u : 0x0a020000u) | (seq & 0xffff));
+    p.clue = core::ClueField::of(8);
+    p.ttl = 9;
+    p.src_id = 3;
+    std::vector<std::uint8_t> payload(payload_len, 0xee);
+    std::memcpy(payload.data(), &seq, sizeof(seq));
+    p.payload = {payload.data(), payload.size()};
+    std::vector<std::uint8_t> buf(netio::kMaxDatagram);
+    buf.resize(netio::encode(p, buf));
+    batch.push(std::move(buf), daemon->dataAddr());
+    return batch.bufs.back();
+  }
+
+  // One sendBatch of everything queued.
+  void send() {
+    const int n = static_cast<int>(batch.out.size());
+    ASSERT_EQ(netio::sendBatch(tx.get(), batch.out.data(), n), n);
+  }
+
+  std::uint64_t counter(const char* name) {
+    const auto snap = daemon->registry().snapshot();
+    const obs::MetricSample* s = snap.find(name, {{"shard", "0"}});
+    return s == nullptr ? 0 : s->counter_value;
+  }
+
+  // Requires the sink to get exactly `seqs`, in order, each re-stamped
+  // with this router's clue and id.
+  void expectForwarded(const std::vector<std::uint32_t>& seqs) {
+    const auto got = recvAll(sink.get(), seqs.size());
+    ASSERT_EQ(got.size(), seqs.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const auto r = netio::decode<A>({got[i].data.data(), got[i].len});
+      ASSERT_TRUE(r.ok()) << "datagram " << i;
+      std::uint32_t seq = 0;
+      std::memcpy(&seq, r.packet.payload.data(), sizeof(seq));
+      EXPECT_EQ(seq, seqs[i]);
+      ASSERT_TRUE(r.packet.clue.present);
+      EXPECT_EQ(r.packet.clue.length, seq % 2 == 0 ? 16 : 8) << "seq " << seq;
+      EXPECT_EQ(r.packet.src_id, 7);
+      EXPECT_EQ(r.packet.ttl, 8);
+    }
+  }
+};
+
+TEST(GroReceiveTest, CoalescedReceiveBeyondOneBatchForwardsInOrder) {
+  GroRig rig;
+  // Hold the datapath's loop while one sendBatch of 192 equal datagrams
+  // (three 64-segment GSO messages) lands, so one recvmmsg takes all three
+  // and the walk cuts them into three kMaxBatch chunks.
+  std::atomic<bool> held{false}, release{false};
+  rig.daemon->datapath(0).loop().post([&] {
+    held.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) ::usleep(100);
+  });
+  while (!held.load(std::memory_order_acquire)) ::usleep(100);
+  std::vector<std::uint32_t> seqs;
+  for (std::uint32_t seq = 0; seq < 192; ++seq) {
+    rig.add(seq);
+    seqs.push_back(seq);
+  }
+  rig.send();
+  ::usleep(20'000);  // all three messages queued before the loop reads
+  release.store(true, std::memory_order_release);
+
+  rig.expectForwarded(seqs);
+  rig.daemon->stop();
+  const auto& dp = rig.daemon->datapath(0);
+  EXPECT_EQ(dp.rxPackets(), 192u);
+  EXPECT_EQ(dp.txPackets(), 192u);
+  EXPECT_EQ(dp.decodeErrors(), 0u);
+  EXPECT_EQ(dp.oracleMismatches(), 0u);
+  if (netio::gsoSupported()) {
+    EXPECT_EQ(rig.counter("netio_rx_syscalls_total"), 1u);
+    std::vector<std::uint64_t> chunks;
+    for (const obs::FlightEvent& e : rig.daemon->flight().ring(0).snapshot()) {
+      if (e.kind == obs::FlightKind::kRxBatch) chunks.push_back(e.a);
+    }
+    EXPECT_EQ(chunks, (std::vector<std::uint64_t>{64, 64, 64}));
+  }
+}
+
+TEST(GroReceiveTest, BadMagicInsideBurstCostsOneDecodeError) {
+  GroRig rig;
+  // One GSO message of 64 equal-length datagrams; #20 has a bad magic.
+  std::vector<std::uint32_t> seqs;
+  for (std::uint32_t seq = 0; seq < 64; ++seq) {
+    auto& buf = rig.add(seq);
+    if (seq == 20) {
+      buf[0] ^= 0xff;
+    } else {
+      seqs.push_back(seq);
+    }
+  }
+  rig.send();
+
+  rig.expectForwarded(seqs);
+  rig.daemon->stop();
+  const auto& dp = rig.daemon->datapath(0);
+  EXPECT_EQ(dp.decodeErrors(), 1u);
+  EXPECT_EQ(dp.rxPackets(), 63u);
+  EXPECT_EQ(dp.txPackets(), 63u);
+  EXPECT_EQ(dp.oracleMismatches(), 0u);
+}
+
+TEST(GroReceiveTest, RunWithShorterLastDatagramDecodesEverySegment) {
+  GroRig rig;
+  // Nine datagrams with an 8-byte payload, then one with 4: one GSO
+  // message whose last segment is shorter than the rest.
+  std::vector<std::uint32_t> seqs;
+  for (std::uint32_t seq = 0; seq < 10; ++seq) {
+    rig.add(seq, seq < 9 ? 8 : 4);
+    seqs.push_back(seq);
+  }
+  rig.send();
+
+  rig.expectForwarded(seqs);
+  rig.daemon->stop();
+  const auto& dp = rig.daemon->datapath(0);
+  EXPECT_EQ(dp.decodeErrors(), 0u);
+  EXPECT_EQ(dp.rxPackets(), 10u);
+  EXPECT_EQ(dp.txPackets(), 10u);
   EXPECT_EQ(dp.oracleMismatches(), 0u);
 }
 

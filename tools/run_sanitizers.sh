@@ -38,7 +38,10 @@ cd "$(dirname "$0")/.."
 # multi-router harness (DESIGN.md §12): every (router, port) stack runs a
 # live RouteUpdater thread against resolver pins, and the RouteUpdater
 # ordering test races two producers into one publication queue.
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater"
+# Daemon/Wire/SendBatch/GroReceive cover the wire datapath (DESIGN.md §9):
+# ASan/UBSan check the GSO run building and the GRO slab walk's offset
+# arithmetic, TSan the daemon's datapath, updater and admin threads.
+DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"

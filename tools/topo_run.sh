@@ -12,6 +12,10 @@
 #   * zero oracle mismatches on every hop (/status);
 #   * per-hop case-1 lookups > 0 and live per-peer rx/tx counters
 #     (tools/metrics_diff.py --require-nonzero on the /metrics scrape);
+#   * every hop moved more than one datagram per receive call and per send
+#     call (netio_{rx,tx}_packets_total over netio_{rx,tx}_syscalls_total):
+#     a silent fall-back to one datagram per syscall — a failed GSO probe, a
+#     dropped control message — fails here instead of only running slower;
 #   * the merged /trace scrapes contain >=1 complete trace covering every
 #     hop with monotone timestamps and per-hop latency percentiles
 #     (tools/trace_merge.py --require-hops);
@@ -133,6 +137,28 @@ drain_all() {
   done
   PIDS=""
   [ "$rc_all" = 0 ] || fail "unclean shutdown"
+}
+# datagrams_per_syscall PROMFILE: prints rx and tx datagrams per syscall from
+# one /metrics scrape (summed across shards); fails unless both exceed 1.
+datagrams_per_syscall() {
+  python3 - "$1" <<'PYEOF'
+import re, sys
+line = re.compile(r'^netio_(rx|tx)_(packets|syscalls)_total(\{[^}]*\})?\s+(\S+)$')
+tot = {}
+for ln in open(sys.argv[1]):
+    m = line.match(ln.strip())
+    if m:
+        key = (m.group(1), m.group(2))
+        tot[key] = tot.get(key, 0.0) + float(m.group(4))
+bad, parts = False, []
+for d in ("rx", "tx"):
+    pkts, calls = tot.get((d, "packets"), 0.0), tot.get((d, "syscalls"), 0.0)
+    per = pkts / calls if calls else 0.0
+    parts.append(f"{d} {pkts:.0f}/{calls:.0f} = {per:.1f} datagrams/syscall")
+    bad = bad or not per > 1
+print(", ".join(parts))
+sys.exit(1 if bad else 0)
+PYEOF
 }
 # conservation EDGE...: each EDGE is "senderfile:peerLabel=receiverfile:srcLabel
 # =what" — sum the sender's tx{peer="peerLabel"} and the receiver's
@@ -268,6 +294,8 @@ for k in $(seq 1 "$HOPS"); do
     "$DIR/hop$k.prom" || fail "hop$k: per-peer rx counters dead"
   python3 "$METRICS_DIFF" --require-nonzero 'netio_peer_tx_packets_total' \
     "$DIR/hop$k.prom" || fail "hop$k: per-peer tx counters dead"
+  per_syscall=$(datagrams_per_syscall "$DIR/hop$k.prom") \
+    || fail "hop$k: batching not live ($per_syscall)"
   grep -q '"pinned_seq":\[' "$DIR/hop$k.status.json" \
     || fail "hop$k /status missing pinned_seq"
   grep -q '"peers_tx":\[' "$DIR/hop$k.status.json" \
@@ -277,7 +305,7 @@ for k in $(seq 1 "$HOPS"); do
   [ -n "$spans" ] && [ "$spans" -gt 0 ] \
     || fail "hop$k recorded no trace spans"
   rx=$(sed -n 's/.*"rx_packets":\([0-9]*\),.*/\1/p' "$DIR/hop$k.status.json")
-  echo "topo_run: hop$k ok (rx=$rx, spans=$spans)"
+  echo "topo_run: hop$k ok (rx=$rx, spans=$spans; $per_syscall)"
 done
 
 # 5. Distributed-tracing gate: drain every hop's /trace, merge the streams,

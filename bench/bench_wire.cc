@@ -136,7 +136,7 @@ void writeHistUs(bench::JsonWriter& w, std::string_view key,
 // router spent inside this hop, split the way the span model splits it.
 struct HopPhases {
   std::vector<std::uint64_t> decode;     // rx -> batch decoded
-  std::vector<std::uint64_t> lookup;     // solo pinned lookup
+  std::vector<std::uint64_t> lookup;     // the batch's pinned resolve
   std::vector<std::uint64_t> residence;  // rx -> tx (or lookup end)
   std::uint64_t dropped = 0;
 };

@@ -61,6 +61,7 @@ int main() {
   const auto inputs = netw.clueStream(0, dests);
 
   // --- R2's side: sequential baseline, then the pipeline. ----------------
+  bool failed = false;  // any mismatch below makes the exit status 1
   std::vector<NextHop> sequential(inputs.size(), kNoNextHop);
   mem::AccessCounter seq_acc;
   const auto t0 = std::chrono::steady_clock::now();
@@ -89,6 +90,7 @@ int main() {
     std::printf("%s  %s\n", pipeline::formatStats(stats).c_str(),
                 got == sequential ? "(matches sequential)"
                                   : "!! OUTPUT MISMATCH");
+    if (got != sequential) failed = true;
   }
 
   // --- The same 4-worker run, fully observed (src/obs/). -----------------
@@ -127,11 +129,12 @@ int main() {
     const auto* packets = snap.find("lookup_packets_total");
     const std::uint64_t packet_count =
         packets != nullptr ? packets->counter_value : 0;
+    const bool partitioned =
+        case_sum == packet_count && packet_count == kPackets;
     std::printf("}  sum=%llu %s\n",
                 static_cast<unsigned long long>(case_sum),
-                case_sum == packet_count && packet_count == kPackets
-                    ? "(= packet count)"
-                    : "!! CASE/PACKET MISMATCH");
+                partitioned ? "(= packet count)" : "!! CASE/PACKET MISMATCH");
+    if (!partitioned) failed = true;
 
     obs::writeFile("pipeline_metrics.prom", obs::toPrometheus(snap));
     obs::writeFile("pipeline_trace.json",
@@ -139,5 +142,5 @@ int main() {
                                       "pipeline_throughput"));
     std::printf("wrote pipeline_metrics.prom, pipeline_trace.json\n");
   }
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -7,7 +7,6 @@
 // the §3.3.1 clue enumeration for the indexing technique.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -193,20 +192,29 @@ class CluePort {
     bool used_fd = false;
     bool searched = false;
     // Observability classification (§3.1.2 case, Claim-1 attribution,
-    // continuation fallback). Filled on every path; reading it costs nothing
-    // when no obs sink is attached.
+    // continuation fallback). Filled on every path.
     obs::Outcome outcome = obs::Outcome::kNoClue;
     bool claim1_skip = false;
     bool search_failed = false;
+    // This lookup's share of `acc`, by region. Filled only while an
+    // observer is attached (attachObs); all-zero otherwise, so an
+    // unobserved resolve loop never snapshots the counter.
+    mem::LookupAccesses accesses{};
   };
 
   // The per-packet fast path (Figure 5). `dest` is the destination address,
   // `field` the clue bits from the header. All data-plane memory accesses
-  // are charged to `acc`.
+  // are charged to `acc`. Observed ports end in the same post-pass as
+  // processBatch.
   Result process(const A& dest, const ClueField& field,
                  mem::AccessCounter& acc) {
+    const bool observed = obs_.attached();
+    const std::uint64_t t0 = observed ? traceClock() : 0;
     Prepared p = prepare(dest, field);
-    return finish(p, dest, field, acc);
+    if (!observed) return finishResolve(p, dest, field, acc);
+    Result r = resolveCounted(p, dest, field, acc);
+    observe({&field, 1}, {&r, 1}, t0);
+    return r;
   }
 
   // Largest batch processBatch accepts in one call (the pipeline's
@@ -223,7 +231,9 @@ class CluePort {
   // i+1.. were being prepared — memory-level parallelism a packet-at-a-time
   // loop cannot express. The hash/cache work done in prepare is reused in
   // resolve, so batching adds no duplicated computation. This is the entry
-  // point the pipeline workers use.
+  // point the pipeline workers use. An observed port fills each Result's
+  // accesses and then runs one post-pass over the results (observe()), so
+  // observation never costs the batch its prefetch.
   void processBatch(std::span<const A> dests, std::span<const ClueField> fields,
                     std::span<Result> out, mem::AccessCounter& acc) {
     CLUERT_CHECK(dests.size() == fields.size() && dests.size() == out.size())
@@ -237,6 +247,8 @@ class CluePort {
                    out.subspan(half), acc);
       return;
     }
+    const bool observed = obs_.attached();
+    const std::uint64_t t0 = observed ? traceClock() : 0;
     const auto& engine = suite_->engine(options_.method);
     // One virtual query per batch, not one virtual no-op call per packet.
     const bool engine_prefetches = engine.prefetchCapable();
@@ -265,9 +277,16 @@ class CluePort {
       // to a full lookup (miss); warming the first trie step costs nothing.
       if (engine_prefetches) engine.prefetchLookup(dests[i]);
     }
-    for (std::size_t i = 0; i < dests.size(); ++i) {
-      out[i] = finish(prep[i], dests[i], fields[i], acc);
+    if (!observed) {
+      for (std::size_t i = 0; i < dests.size(); ++i) {
+        out[i] = finishResolve(prep[i], dests[i], fields[i], acc);
+      }
+      return;
     }
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      out[i] = resolveCounted(prep[i], dests[i], fields[i], acc);
+    }
+    observe(fields, out, t0);
   }
 
   // The clue-less path, for packets arriving without the option (§5.3
@@ -339,7 +358,7 @@ class CluePort {
 
  private:
   // Packet state carried from the prepare phase to the resolve phase. For a
-  // batch, prepares all run before any finish; for a single packet the two
+  // batch, prepares all run before any resolve; for a single packet the two
   // run back-to-back. Either way each packet hashes its clue and probes the
   // §3.5 cache exactly once.
   struct Prepared {
@@ -368,19 +387,6 @@ class CluePort {
       p.buckets = table.bucketCount();
     }
     return p;
-  }
-
-  // Resolve phase dispatch: the plain path when no obs sink is attached (one
-  // pointer test per packet — the entire cost of compiled-in-but-disabled
-  // observability), the instrumented wrapper otherwise.
-  Result finish(Prepared& p, const A& dest, const ClueField& field,
-                mem::AccessCounter& acc) {
-    const bool metrics = obs_.metricsEnabled();
-    // shouldSample() must tick once per lookup while tracing is armed so the
-    // 1-in-N pattern stays aligned with the packet stream.
-    const bool sampled = obs_.traceArmed() && obs_.tracer->shouldSample();
-    if (!metrics && !sampled) return finishResolve(p, dest, field, acc);
-    return finishObserved(p, dest, field, acc, metrics, sampled);
   }
 
   Result finishResolve(Prepared& p, const A& dest, const ClueField& field,
@@ -451,54 +457,70 @@ class CluePort {
     return r;
   }
 
-  // The instrumented resolve: counts the outcome family, observes the
-  // per-lookup access delta, and — on the sampled 1-in-N lookups of a trace
-  // build — snapshots the counter and the clock around the resolve to emit
-  // a full TraceEvent. Forced out of line: inlined into finish() its body
-  // (TraceEvent assembly, two AccessCounter copies) bloats the per-packet
-  // loop enough to cost ~20% on *unobserved* trace-compiled builds.
+  // finishResolve plus the lookup's per-region share of `acc`: the resolve
+  // step of an observed port.
+  Result resolveCounted(Prepared& p, const A& dest, const ClueField& field,
+                        mem::AccessCounter& acc) {
+    const mem::AccessCounter before = acc;
+    Result r = finishResolve(p, dest, field, acc);
+    r.accesses = mem::lookupDelta(acc, before);
+    return r;
+  }
+
+  // Start of a resolve call's window, read only while tracing is armed.
+  std::uint64_t traceClock() const {
+    return obs_.traceArmed() ? obs::Tracer::nowNs() : 0;
+  }
+
+  // The post-pass of an observed resolve call: feeds the bound metric cells
+  // from `results` and emits the 1-in-N sampled TraceEvents, each stamped
+  // with the call's window [t0, now]. Runs once per call, after the resolve
+  // loop; kept out of line so that loop stays as tight as an unobserved
+  // port's.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((noinline))
 #endif
-  Result finishObserved(Prepared& p, const A& dest, const ClueField& field,
-                        mem::AccessCounter& acc, bool metrics, bool sampled) {
-    mem::AccessCounter before;
-    std::uint64_t t0 = 0;
-    if (sampled) {
-      before = acc;
-      t0 = obs::Tracer::nowNs();
+  void observe(std::span<const ClueField> fields,
+               std::span<const Result> results, std::uint64_t t0) {
+    if (obs_.metricsEnabled()) {
+      std::array<std::uint64_t, obs::kOutcomeCount> cases{};
+      std::uint64_t claim1_skips = 0;
+      std::uint64_t search_failures = 0;
+      obs::HistogramCell& accesses = obs_.accesses->shard(obs_.shard);
+      for (const Result& r : results) {
+        ++cases[static_cast<std::size_t>(r.outcome)];
+        claim1_skips += r.claim1_skip ? 1 : 0;
+        search_failures += r.search_failed ? 1 : 0;
+        accesses.observe(mem::accessTotal(r.accesses));
+      }
+      obs_.packets->inc(results.size());
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        if (cases[c] != 0) obs_.cases[c]->inc(cases[c]);
+      }
+      if (claim1_skips != 0) obs_.claim1_skip->inc(claim1_skips);
+      if (search_failures != 0) obs_.search_failed->inc(search_failures);
     }
-    const std::uint64_t total_before = metrics ? acc.total() : 0;
-    Result r = finishResolve(p, dest, field, acc);
-    if (metrics) {
-      obs_.packets->inc();
-      obs_.cases[static_cast<std::size_t>(r.outcome)]->inc();
-      if (r.claim1_skip) obs_.claim1_skip->inc();
-      if (r.search_failed) obs_.search_failed->inc();
-      obs_.accesses->shard(obs_.shard).observe(acc.total() - total_before);
-    }
-    if (sampled) {
-      const std::uint64_t t1 = obs::Tracer::nowNs();
-      if (metrics) obs_.latency_ns->shard(obs_.shard).observe(t1 - t0);
+    if (!obs_.traceArmed()) return;
+    const auto dur = static_cast<std::uint32_t>(obs::Tracer::nowNs() - t0);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      // One tick per lookup keeps the 1-in-N pattern aligned with the
+      // packet stream.
+      if (!obs_.tracer->shouldSample()) continue;
+      const Result& r = results[i];
       obs::TraceEvent e;
       e.start_ns = t0;
-      e.dur_ns = static_cast<std::uint32_t>(t1 - t0);
+      e.dur_ns = dur;
       e.worker = obs_.tracer->worker();
-      e.clue_len =
-          p.clue ? static_cast<std::int16_t>(p.clue->length()) : -1;
+      e.clue_len = r.outcome == obs::Outcome::kNoClue
+                       ? std::int16_t{-1}
+                       : static_cast<std::int16_t>(fields[i].length);
       e.mode = static_cast<std::uint8_t>(options_.mode);
       e.outcome = r.outcome;
       e.claim1_skip = r.claim1_skip;
       e.search_failed = r.search_failed;
-      const mem::AccessCounter delta = acc - before;
-      delta.forEachNonZero([&](mem::Region region, std::uint64_t n) {
-        e.accesses[static_cast<std::size_t>(region)] =
-            static_cast<std::uint16_t>(
-                std::min<std::uint64_t>(n, 0xffff));
-      });
+      e.accesses = r.accesses;
       obs_.tracer->record(e);
     }
-    return r;
   }
 
   void learn(const PrefixT& clue, const ClueField& field) {

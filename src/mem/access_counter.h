@@ -124,6 +124,30 @@ class AccessCounter {
 #endif
 };
 
+// One lookup's accesses by region, each saturating at 0xffff (a single
+// lookup touches at most a few dozen nodes even in the Regular method): the
+// per-lookup record CluePort results, trace events and packet spans carry.
+using LookupAccesses = std::array<std::uint16_t, AccessCounter::kRegions>;
+
+// Per-region (after - before), saturated: costs one lookup by snapshotting
+// the counter around it.
+inline LookupAccesses lookupDelta(const AccessCounter& after,
+                                  const AccessCounter& before) {
+  LookupAccesses d;
+  for (std::size_t i = 0; i < AccessCounter::kRegions; ++i) {
+    const auto r = static_cast<Region>(i);
+    const std::uint64_t n = after.count(r) - before.count(r);
+    d[i] = static_cast<std::uint16_t>(n > 0xffff ? 0xffff : n);
+  }
+  return d;
+}
+
+inline std::uint32_t accessTotal(const LookupAccesses& a) {
+  std::uint32_t t = 0;
+  for (const auto n : a) t += n;
+  return t;
+}
+
 // Measures the accesses performed between construction and elapsed()/dtor.
 class ScopedTally {
  public:

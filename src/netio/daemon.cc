@@ -84,7 +84,7 @@ Daemon::Daemon(const Config& config, const Options& options)
     // listen port 0 the kernel picks once, and SO_REUSEPORT spreads flows.
     if (w > 0) shard_config.listen = datapaths_.front()->dataAddr();
     datapaths_.push_back(std::make_unique<Datapath>(shard_config, w, *tables_,
-                                                    &registry_));
+                                                    registry_));
   }
   for (std::size_t w = 0; w < datapaths_.size(); ++w) {
     flight_.ring(w).setWorker(static_cast<std::uint8_t>(w));
@@ -198,18 +198,22 @@ std::uint64_t Daemon::reload() {
 }
 
 AdminResponse Daemon::statusJson() {
-  std::uint64_t rx = 0, tx = 0, delivered = 0, decode_errors = 0,
-                no_route = 0, ttl_expired = 0, send_errors = 0, oracle = 0;
+  // Every counter below is a registry series summed over its shards — the
+  // same numbers /metrics exports.
+  const obs::MetricSnapshot snap = registry_.snapshot();
+  const auto sum = [&snap](std::string_view name) {
+    std::uint64_t n = 0;
+    for (const obs::MetricSample& s : snap.samples) {
+      if (s.desc.name == name) n += s.counter_value;
+    }
+    return n;
+  };
+  const auto value = [&snap](std::string_view name, const obs::Labels& l) {
+    const obs::MetricSample* s = snap.find(name, l);
+    return s == nullptr ? std::uint64_t{0} : s->counter_value;
+  };
   std::uint64_t spans_recorded = 0, spans_dropped = 0;
   for (const auto& dp : datapaths_) {
-    rx += dp->rxPackets();
-    tx += dp->txPackets();
-    delivered += dp->delivered();
-    decode_errors += dp->decodeErrors();
-    no_route += dp->noRoute();
-    ttl_expired += dp->ttlExpired();
-    send_errors += dp->sendErrors();
-    oracle += dp->oracleMismatches();
     spans_recorded += dp->spansRecorded();
     spans_dropped += dp->spansDropped();
   }
@@ -224,12 +228,14 @@ AdminResponse Daemon::statusJson() {
   js << "{\"name\":\"" << config_.name << "\",\"router_id\":"
      << config_.router_id << ",\"uptime_ms\":" << uptime
      << ",\"live_seq\":" << liveSeq() << ",\"workers\":" << datapaths_.size()
-     << ",\"rx_packets\":" << rx << ",\"tx_packets\":" << tx
-     << ",\"delivered\":" << delivered
-     << ",\"decode_errors\":" << decode_errors << ",\"no_route\":" << no_route
-     << ",\"ttl_expired\":" << ttl_expired
-     << ",\"send_errors\":" << send_errors
-     << ",\"oracle_mismatches\":" << oracle;
+     << ",\"rx_packets\":" << sum("netio_rx_packets_total")
+     << ",\"tx_packets\":" << sum("netio_tx_packets_total")
+     << ",\"delivered\":" << sum("netio_delivered_total")
+     << ",\"decode_errors\":" << sum("netio_decode_errors_total")
+     << ",\"no_route\":" << sum("netio_no_route_total")
+     << ",\"ttl_expired\":" << sum("netio_ttl_expired_total")
+     << ",\"send_errors\":" << sum("netio_send_errors_total")
+     << ",\"oracle_mismatches\":" << sum("netio_oracle_mismatch_total");
   // The table version each shard pinned for its latest batch — lets an
   // operator see a reload actually reach the data plane, per worker.
   js << ",\"pinned_seq\":[";
@@ -239,13 +245,14 @@ AdminResponse Daemon::statusJson() {
   }
   js << ']';
   // Per-peer counters: rx keyed by the upstream router id off the wire
-  // (nonzero cells only; id kMaxSrcLabel folds everything larger), tx by
-  // configured tx-target slot (peer.default last when present).
+  // (nonzero series only; id kMaxSrcLabel is the "other" series folding
+  // everything larger), tx by configured tx-target slot (peer.default last
+  // when present).
   js << ",\"peers_rx\":{";
   bool first = true;
   for (std::uint16_t s = 0; s <= Datapath::kMaxSrcLabel; ++s) {
-    std::uint64_t n = 0;
-    for (const auto& dp : datapaths_) n += dp->rxBySrc(s);
+    const std::uint64_t n = value("netio_peer_rx_packets_total",
+                                  {{"src", Datapath::srcLabel(s)}});
     if (n == 0) continue;
     if (!first) js << ',';
     first = false;
@@ -253,13 +260,11 @@ AdminResponse Daemon::statusJson() {
   }
   js << '}';
   js << ",\"peers_tx\":[";
-  const std::size_t peer_slots =
-      datapaths_.empty() ? 0 : datapaths_.front()->txPeerCount();
-  for (std::size_t p = 0; p < peer_slots; ++p) {
-    std::uint64_t n = 0;
-    for (const auto& dp : datapaths_) n += dp->txByPeer(p);
-    if (p > 0) js << ',';
-    js << n;
+  first = true;
+  for (const std::string& label : Datapath::txPeerLabels(config_)) {
+    if (!first) js << ',';
+    first = false;
+    js << value("netio_peer_tx_packets_total", {{"peer", label}});
   }
   js << ']';
   js << ",\"trace_sample\":" << config_.trace_sample

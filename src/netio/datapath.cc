@@ -32,12 +32,14 @@ std::unique_ptr<core::CluePort<ip::Ip4Addr>> makePort(const Config& c) {
 
 Datapath::Datapath(const Config& config, std::size_t shard,
                    rib::VersionedTables<A>& tables,
-                   obs::MetricRegistry* registry)
+                   obs::MetricRegistry& registry)
     : config_(config),
       shard_(shard),
       sock_(udpSocket(config.listen, /*reuseport=*/config.workers > 1,
                       config.rcvbuf)),
       resolver_(makePort(config), shard),
+      nobs_(obs::NetioObs::bind(registry, shard,
+                                {{"shard", std::to_string(shard)}})),
       receiver_(kRxMessages) {
   CLUERT_CHECK(sock_.valid())
       << "cannot bind UDP " << config.listen.toString();
@@ -48,54 +50,46 @@ Datapath::Datapath(const Config& config, std::size_t shard,
   CLUERT_CHECK(bound.has_value()) << "getsockname failed";
   data_addr_ = *bound;
   resolver_.bindVersions(&tables);
+  resolver_.port().attachObs(obs::LookupObs::bind(registry, shard_));
 
-  if (registry != nullptr) {
-    const obs::Labels shard_label = {{"shard", std::to_string(shard_)}};
-    nobs_ = obs::NetioObs::bind(*registry, shard_, shard_label);
-    resolver_.port().attachObs(obs::LookupObs::bind(*registry, shard_));
-    for (std::uint16_t s = 0; s <= kMaxSrcLabel; ++s) {
-      const std::string label =
-          s < kMaxSrcLabel ? std::to_string(s) : std::string("other");
-      rx_by_src_[s] =
-          &registry
-               ->counter("netio_peer_rx_packets_total",
-                         "Ingress datagrams by the wire header's source "
-                         "router id",
-                         {{"src", label}})
-               .shard(shard_);
-    }
-    auto bindTx = [&](const std::string& peer_label) {
-      return &registry
-                  ->counter("netio_peer_tx_packets_total",
-                            "Egress datagrams by next-hop peer",
-                            {{"peer", peer_label}})
-                  .shard(shard_);
-    };
-    for (const auto& [nh, addr] : config_.peers) {
-      peer_index_[nh] = tx_targets_.size();
-      tx_targets_.push_back(addr);
-      tx_by_peer_.push_back(bindTx(std::to_string(nh)));
-    }
-    if (config_.default_peer) {
-      default_index_ = tx_targets_.size();
-      tx_targets_.push_back(*config_.default_peer);
-      tx_by_peer_.push_back(bindTx("default"));
-    }
-  } else {
-    for (const auto& [nh, addr] : config_.peers) {
-      peer_index_[nh] = tx_targets_.size();
-      tx_targets_.push_back(addr);
-      tx_by_peer_.push_back(nullptr);
-    }
-    if (config_.default_peer) {
-      default_index_ = tx_targets_.size();
-      tx_targets_.push_back(*config_.default_peer);
-      tx_by_peer_.push_back(nullptr);
-    }
+  for (std::uint16_t s = 0; s <= kMaxSrcLabel; ++s) {
+    rx_by_src_[s] = &registry
+                         .counter("netio_peer_rx_packets_total",
+                                  "Ingress datagrams by the wire header's "
+                                  "source router id",
+                                  {{"src", srcLabel(s)}})
+                         .shard(shard_);
   }
-  tx_peer_counts_ = std::vector<std::atomic<std::uint64_t>>(tx_targets_.size());
+  for (const std::string& label : txPeerLabels(config_)) {
+    tx_by_peer_.push_back(&registry
+                               .counter("netio_peer_tx_packets_total",
+                                        "Egress datagrams by next-hop peer",
+                                        {{"peer", label}})
+                               .shard(shard_));
+  }
+  for (const auto& [nh, addr] : config_.peers) {
+    peer_index_[nh] = tx_targets_.size();
+    tx_targets_.push_back(addr);
+  }
+  if (config_.default_peer) {
+    default_index_ = tx_targets_.size();
+    tx_targets_.push_back(*config_.default_peer);
+  }
 
   loop_.add(sock_.get(), EPOLLIN, [this](std::uint32_t) { onReadable(); });
+}
+
+std::string Datapath::srcLabel(std::uint16_t src_id) {
+  return src_id < kMaxSrcLabel ? std::to_string(src_id) : "other";
+}
+
+std::vector<std::string> Datapath::txPeerLabels(const Config& config) {
+  std::vector<std::string> labels;
+  for (const auto& [nh, addr] : config.peers) {
+    labels.push_back(std::to_string(nh));
+  }
+  if (config.default_peer) labels.push_back("default");
+  return labels;
 }
 
 Datapath::~Datapath() { join(); }
@@ -132,8 +126,8 @@ void Datapath::drainStep(std::uint64_t deadline_ns) {
   loop_.stop();
 }
 
-obs::CounterCell* Datapath::rxCellFor(std::uint16_t src_id) {
-  return rx_by_src_[src_id < kMaxSrcLabel ? src_id : kMaxSrcLabel];
+obs::CounterCell& Datapath::rxCellFor(std::uint16_t src_id) {
+  return *rx_by_src_[src_id < kMaxSrcLabel ? src_id : kMaxSrcLabel];
 }
 
 void Datapath::onReadable() {
@@ -148,7 +142,7 @@ int Datapath::receive() {
   const int msgs = receiver_.recv(sock_.get());
   if (msgs <= 0) return 0;
   const std::uint64_t rx_ns = nowNs();
-  if (nobs_.enabled()) nobs_.rx_syscalls->inc();
+  nobs_.rx_syscalls->inc();
   std::array<std::span<const std::uint8_t>, pipeline::kMaxBatch> dgrams;
   while (const std::size_t n = receiver_.next(dgrams.data(), dgrams.size())) {
     forward({dgrams.data(), n}, rx_ns);
@@ -177,21 +171,14 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   for (const std::span<const std::uint8_t> dgram : dgrams) {
     const auto r = decode<A>(dgram);
     if (!r.ok()) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (nobs_.enabled()) nobs_.decode_errors->inc();
+      nobs_.decode_errors->inc();
       if (flight_ != nullptr) {
         flight_->push(obs::FlightKind::kDecodeReject,
                       static_cast<std::uint64_t>(r.error));
       }
       continue;
     }
-    if (nobs_.enabled()) {
-      auto* cell = rxCellFor(r.packet.src_id);
-      if (cell != nullptr) cell->inc();
-    }
-    rx_src_counts_[r.packet.src_id < kMaxSrcLabel ? r.packet.src_id
-                                                  : kMaxSrcLabel]
-        .fetch_add(1, std::memory_order_relaxed);
+    rxCellFor(r.packet.src_id).inc();
     rx_bytes += dgram.size();
     pkts[valid] = r.packet;
     if (!pkts[valid].trace.has_value() && config_.trace_sample != 0 &&
@@ -216,85 +203,34 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     clues[valid] = r.packet.clue;
     ++valid;
   }
-  rx_.fetch_add(valid, std::memory_order_relaxed);
-  if (nobs_.enabled()) {
-    nobs_.rx_packets->inc(valid);
-    nobs_.rx_bytes->inc(rx_bytes);
-  }
+  nobs_.rx_packets->inc(valid);
+  nobs_.rx_bytes->inc(rx_bytes);
   if (valid == 0) return;
+  // Decode ends where the lookup window opens; both are read only when a
+  // span will carry them.
   const std::uint64_t decode_ns = any_traced ? nowNs() : rx_ns;
 
   // One pinned version for the whole batch; the optional differential
   // oracle runs inside the guard so it reads the *same* version the port
-  // answered from.
-  const auto oracle_check = [&](const rib::TableVersion<A>* version) {
-    if (!config_.oracle || version == nullptr) return;
-    const auto& engine = version->suite->engine(version->method);
-    for (std::size_t i = 0; i < valid; ++i) {
-      const auto expect = engine.lookup(dests[i], oracle_acc_);
-      const auto& got = results[i].match;
-      const bool mismatch =
-          expect.has_value() != got.has_value() ||
-          (expect.has_value() &&
-           (expect->next_hop != got->next_hop ||
-            expect->prefix != got->prefix));
-      if (mismatch) {
-        oracle_mismatch_.fetch_add(1, std::memory_order_relaxed);
-        if (nobs_.enabled()) nobs_.oracle_mismatch->inc();
-      }
-    }
-  };
-
-  std::array<std::uint64_t, pipeline::kMaxBatch> lookup_t0;
-  std::array<std::uint64_t, pipeline::kMaxBatch> lookup_t1;
-  std::array<std::array<std::uint16_t, mem::AccessCounter::kRegions>,
-             pipeline::kMaxBatch>
-      deltas;
-  std::uint64_t seq = 0;
-  if (!any_traced) {
-    seq = resolver_.resolve({dests.data(), valid}, {clues.data(), valid},
-                            {results.data(), valid}, acc_, oracle_check);
-  } else {
-    // Segmented resolve at ONE pinned version: resolve() with empty spans
-    // pins and rebinds the port, then the callback runs every packet while
-    // the guard holds — untraced runs batched (prefetch path intact), each
-    // traced packet solo between two clock reads with a per-Region access
-    // snapshot around it.
-    seq = resolver_.resolve(
-        {}, {}, {}, acc_, [&](const rib::TableVersion<A>* version) {
-          auto& port = resolver_.port();
-          std::size_t seg = 0;
-          for (std::size_t i = 0; i <= valid; ++i) {
-            const bool traced = i < valid && pkts[i].trace.has_value();
-            if (i < valid && !traced) continue;
-            if (i > seg) {
-              port.processBatch({dests.data() + seg, i - seg},
-                                {clues.data() + seg, i - seg},
-                                {results.data() + seg, i - seg}, acc_);
-            }
-            if (i < valid) {
-              std::array<std::uint64_t, mem::AccessCounter::kRegions> before;
-              for (std::size_t reg = 0;
-                   reg < mem::AccessCounter::kRegions; ++reg) {
-                before[reg] = acc_.count(static_cast<mem::Region>(reg));
-              }
-              lookup_t0[i] = nowNs();
-              port.processBatch({dests.data() + i, 1}, {clues.data() + i, 1},
-                                {results.data() + i, 1}, acc_);
-              lookup_t1[i] = nowNs();
-              for (std::size_t reg = 0;
-                   reg < mem::AccessCounter::kRegions; ++reg) {
-                const std::uint64_t d =
-                    acc_.count(static_cast<mem::Region>(reg)) - before[reg];
-                deltas[i][reg] = static_cast<std::uint16_t>(
-                    d > 0xffff ? 0xffff : d);
-              }
-            }
-            seg = i + 1;
-          }
-          oracle_check(version);
-        });
-  }
+  // answered from. The lookup window closes before the oracle runs.
+  std::uint64_t lookup_end_ns = 0;
+  const std::uint64_t seq = resolver_.resolve(
+      {dests.data(), valid}, {clues.data(), valid}, {results.data(), valid},
+      acc_, [&](const rib::TableVersion<A>* version) {
+        if (any_traced) lookup_end_ns = nowNs();
+        if (!config_.oracle || version == nullptr) return;
+        const auto& engine = version->suite->engine(version->method);
+        for (std::size_t i = 0; i < valid; ++i) {
+          const auto expect = engine.lookup(dests[i], oracle_acc_);
+          const auto& got = results[i].match;
+          const bool mismatch =
+              expect.has_value() != got.has_value() ||
+              (expect.has_value() &&
+               (expect->next_hop != got->next_hop ||
+                expect->prefix != got->prefix));
+          if (mismatch) nobs_.oracle_mismatch->inc();
+        }
+      });
   pinned_seq_.store(seq, std::memory_order_relaxed);
 
   // Forwarding pass: re-encode toward peers, settle the drop taxonomy. A
@@ -309,8 +245,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   for (std::size_t i = 0; i < valid; ++i) {
     const auto& m = results[i].match;
     if (!m.has_value()) {
-      no_route_.fetch_add(1, std::memory_order_relaxed);
-      if (nobs_.enabled()) nobs_.no_route->inc();
+      nobs_.no_route->inc();
       verdicts[i] = obs::SpanVerdict::kNoRoute;
       ++no_route_batch;
       continue;
@@ -323,15 +258,13 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
       } else if (default_index_) {
         peer_idx = *default_index_;
       } else {
-        delivered_.fetch_add(1, std::memory_order_relaxed);
-        if (nobs_.enabled()) nobs_.delivered->inc();
+        nobs_.delivered->inc();
         verdicts[i] = obs::SpanVerdict::kDelivered;
         continue;
       }
     }
     if (pkts[i].ttl <= 1) {
-      ttl_expired_.fetch_add(1, std::memory_order_relaxed);
-      if (nobs_.enabled()) nobs_.ttl_expired->inc();
+      nobs_.ttl_expired->inc();
       verdicts[i] = obs::SpanVerdict::kTtlExpired;
       ++ttl_batch;
       continue;
@@ -350,8 +283,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     fwd.payload = pkts[i].payload;
     const std::size_t len = encode(fwd, tx_bufs_[n_out]);
     if (len == 0) {
-      send_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (nobs_.enabled()) nobs_.send_errors->inc();
+      nobs_.send_errors->inc();
       verdicts[i] = obs::SpanVerdict::kSendError;
       ++enc_err_batch;
       continue;
@@ -373,29 +305,17 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     std::uint64_t syscalls = 0;
     const int sent = sendBatch(sock_.get(), out.data(),
                                static_cast<int>(n_out), syscalls);
-    if (nobs_.enabled()) nobs_.tx_syscalls->inc(syscalls);
-    const std::size_t ok = sent < 0 ? 0 : static_cast<std::size_t>(sent);
-    sent_ok = ok;
-    tx_.fetch_add(ok, std::memory_order_relaxed);
-    const std::size_t dropped = n_out - ok;
-    if (dropped > 0) {
-      send_errors_.fetch_add(dropped, std::memory_order_relaxed);
-      // sendmmsg accepts a prefix: everything past `ok` never left.
-      for (std::size_t s = ok; s < n_out; ++s) {
-        verdicts[out_src[s]] = obs::SpanVerdict::kSendError;
-      }
+    nobs_.tx_syscalls->inc(syscalls);
+    sent_ok = sent < 0 ? 0 : static_cast<std::size_t>(sent);
+    nobs_.tx_packets->inc(sent_ok);
+    nobs_.tx_bytes->inc(tx_bytes);
+    for (std::size_t i = 0; i < sent_ok; ++i) {
+      tx_by_peer_[out_peer_idx[i]]->inc();
     }
-    for (std::size_t i = 0; i < ok; ++i) {
-      tx_peer_counts_[out_peer_idx[i]].fetch_add(1, std::memory_order_relaxed);
-    }
-    if (nobs_.enabled()) {
-      nobs_.tx_packets->inc(ok);
-      nobs_.tx_bytes->inc(tx_bytes);
-      if (dropped > 0) nobs_.send_errors->inc(dropped);
-      for (std::size_t i = 0; i < ok; ++i) {
-        auto* cell = tx_by_peer_[out_peer_idx[i]];
-        if (cell != nullptr) cell->inc();
-      }
+    // sendmmsg accepts a prefix: everything past `sent_ok` never left.
+    if (sent_ok < n_out) nobs_.send_errors->inc(n_out - sent_ok);
+    for (std::size_t s = sent_ok; s < n_out; ++s) {
+      verdicts[out_src[s]] = obs::SpanVerdict::kSendError;
     }
   }
   if (flight_ != nullptr) {
@@ -428,8 +348,8 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
       s.src_id = pkts[i].src_id;
       s.rx_ns = rx_ns;
       s.decode_ns = decode_ns;
-      s.lookup_start_ns = lookup_t0[i];
-      s.lookup_end_ns = lookup_t1[i];
+      s.lookup_start_ns = decode_ns;
+      s.lookup_end_ns = lookup_end_ns;
       s.verdict = verdicts[i];
       const bool went_out = verdicts[i] == obs::SpanVerdict::kForwarded;
       s.tx_ns = went_out ? tx_ns : 0;
@@ -439,7 +359,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
       s.outcome = results[i].outcome;
       s.claim1_skip = results[i].claim1_skip;
       s.search_failed = results[i].search_failed;
-      s.accesses = deltas[i];
+      s.accesses = results[i].accesses;
       spans_.record(s);
     }
   }

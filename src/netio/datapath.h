@@ -23,23 +23,28 @@
 // against the pinned version's plain engine — the wire-path equivalent of
 // the simulator's per-packet differential oracle.
 //
+// Every count lands in this shard's cells of the daemon's MetricRegistry
+// (obs::NetioObs, the per-peer series, the port's LookupObs) and nowhere
+// else: /metrics exports them, /status sums them over shards, and the
+// accessors below read this shard's cells.
+//
 // Distributed tracing (DESIGN.md §11): with trace_sample = N, every Nth
 // untraced ingress packet gets a wire trace context; already-traced packets
-// always propagate (hop+1 on re-encode). A batch containing traced packets
-// resolves in segments under ONE pinned version — untraced runs keep the
-// batched prefetch path, each traced packet resolves solo between two clock
-// reads with a per-Region access snapshot around it — and every traced
-// packet leaves a PacketSpan in the shard's SpanCollector for /trace.
-// Batches with no traced packet (and any batch when sampling is off) take
-// exactly the pre-trace resolve path. The always-on flight recorder rides
-// the same loop: batch arrivals, decode rejects and the drop taxonomy push
-// O(ns) events into this shard's lock-free FlightRing.
+// always propagate (hop+1 on re-encode). Traced or not, a batch resolves
+// through one PinnedResolver::resolve; the port is always observed, so each
+// Result carries its lookup's per-Region accesses, and every traced packet
+// leaves a PacketSpan — outcome, flags and accesses from its Result, the
+// lookup window bracketing the batch's resolve — in the shard's
+// SpanCollector for /trace. The always-on flight recorder rides the same
+// loop: batch arrivals, decode rejects and the drop taxonomy push O(ns)
+// events into this shard's lock-free FlightRing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,7 +74,7 @@ class Datapath {
   static constexpr std::uint16_t kMaxSrcLabel = 16;
 
   Datapath(const Config& config, std::size_t shard,
-           rib::VersionedTables<A>& tables, obs::MetricRegistry* registry);
+           rib::VersionedTables<A>& tables, obs::MetricRegistry& registry);
   ~Datapath();
 
   Datapath(const Datapath&) = delete;
@@ -99,44 +104,30 @@ class Datapath {
   std::uint64_t spansRecorded() const { return spans_.recorded(); }
   std::uint64_t spansDropped() const { return spans_.dropped(); }
 
-  // Totals mirrored into plain atomics for the /status JSON (the registry
-  // snapshot serves /metrics; these avoid re-parsing it).
-  std::uint64_t rxPackets() const { return rx_.load(std::memory_order_relaxed); }
-  std::uint64_t txPackets() const { return tx_.load(std::memory_order_relaxed); }
-  std::uint64_t delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t decodeErrors() const {
-    return decode_errors_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t noRoute() const {
-    return no_route_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t ttlExpired() const {
-    return ttl_expired_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sendErrors() const {
-    return send_errors_.load(std::memory_order_relaxed);
-  }
+  // This shard's totals: its cells of the registry's netio_* series.
+  std::uint64_t rxPackets() const { return nobs_.rx_packets->get(); }
+  std::uint64_t txPackets() const { return nobs_.tx_packets->get(); }
+  std::uint64_t delivered() const { return nobs_.delivered->get(); }
+  std::uint64_t decodeErrors() const { return nobs_.decode_errors->get(); }
+  std::uint64_t noRoute() const { return nobs_.no_route->get(); }
+  std::uint64_t ttlExpired() const { return nobs_.ttl_expired->get(); }
+  std::uint64_t sendErrors() const { return nobs_.send_errors->get(); }
   std::uint64_t oracleMismatches() const {
-    return oracle_mismatch_.load(std::memory_order_relaxed);
+    return nobs_.oracle_mismatch->get();
   }
 
   // The table version seq the last batch pinned (0 before any batch) — the
-  // /status "pinned_seq" field, mirrored like the counters above.
+  // /status "pinned_seq" field.
   std::uint64_t lastPinnedSeq() const {
     return pinned_seq_.load(std::memory_order_relaxed);
   }
 
-  // Per-peer mirrors for /status (same indexing as the registry cells:
-  // rx by source router id folded at kMaxSrcLabel, tx by tx-target slot).
-  std::uint64_t rxBySrc(std::size_t i) const {
-    return rx_src_counts_[i].load(std::memory_order_relaxed);
-  }
-  std::size_t txPeerCount() const { return tx_peer_counts_.size(); }
-  std::uint64_t txByPeer(std::size_t i) const {
-    return tx_peer_counts_[i].load(std::memory_order_relaxed);
-  }
+  // Label values of the per-peer series. netio_peer_rx_packets_total{src}:
+  // the wire header's source router id, ids ≥ kMaxSrcLabel folded into
+  // "other". netio_peer_tx_packets_total{peer}: one per tx-target slot, the
+  // configured peers in next-hop order, then "default".
+  static std::string srcLabel(std::uint16_t src_id);
+  static std::vector<std::string> txPeerLabels(const Config& config);
 
  private:
   // Messages per receive: one recvmmsg fills at most this many slabs.
@@ -151,7 +142,7 @@ class Datapath {
                std::uint64_t rx_ns);
   void drainStep(std::uint64_t deadline_ns);
 
-  obs::CounterCell* rxCellFor(std::uint16_t src_id);
+  obs::CounterCell& rxCellFor(std::uint16_t src_id);
 
   Config config_;
   std::size_t shard_;
@@ -178,12 +169,7 @@ class Datapath {
 
   std::thread thread_;
   std::atomic<bool> draining_{false};
-
-  std::atomic<std::uint64_t> rx_{0}, tx_{0}, delivered_{0}, decode_errors_{0},
-      no_route_{0}, ttl_expired_{0}, send_errors_{0}, oracle_mismatch_{0};
   std::atomic<std::uint64_t> pinned_seq_{0};
-  std::array<std::atomic<std::uint64_t>, kMaxSrcLabel + 1> rx_src_counts_{};
-  std::vector<std::atomic<std::uint64_t>> tx_peer_counts_;
 
   // Distributed tracing (owner-thread state; DESIGN.md §11). trace_tick_
   // counts untraced ingress packets so sampling is deterministic; ingress

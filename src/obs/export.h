@@ -32,10 +32,11 @@ std::string toJsonl(std::span<const TraceEvent> events);
 std::string spansToJsonl(std::span<const PacketSpan> spans,
                          const std::string& router);
 
-// chrome://tracing "JSON object format": {"traceEvents": [...]}. Spans
-// become complete ("X") events on tid = worker; sampled lookups become "X"
-// events one track down, with outcome/clue/access args; workers get
-// thread_name metadata. `process_name` labels the pid row in the UI.
+// chrome://tracing "JSON object format": {"traceEvents": [...]}. Batch
+// spans and sampled lookups both become complete ("X") events on tid =
+// worker — a lookup spans its resolve call's window, so it nests inside its
+// batch; lookups carry outcome/clue/access args. Workers get thread_name
+// metadata. `process_name` labels the pid row in the UI.
 std::string toChromeTrace(std::span<const TraceEvent> events,
                           std::span<const SpanEvent> spans,
                           const std::string& process_name = "cluert");

@@ -44,9 +44,6 @@ LookupObs LookupObs::bind(MetricRegistry& reg, std::size_t shard,
                               "Dependent memory accesses per lookup (the §6 "
                               "unit of cost)",
                               extra);
-  o.latency_ns = &reg.histogram(
-      "lookup_latency_ns", "Wall-clock nanoseconds per sampled lookup",
-      extra);
   return o;
 }
 

@@ -4,9 +4,8 @@
 // packet, so instrumented classes hold one of these bundles instead of a
 // MetricRegistry: bind() resolves the named instruments once on the control
 // plane and stores raw pointers to *this worker's* shard cells. A
-// default-constructed bundle is inert — every hook first tests one pointer,
-// which is the entire per-packet cost of having observability compiled in
-// but disabled.
+// default-constructed bundle is inert; CluePort tests it once per resolve
+// call, not per packet.
 //
 // Metric names are fixed here so every producer (CluePort, Worker, Router,
 // benches) feeds the same series and DESIGN.md can map them to the paper's
@@ -21,29 +20,29 @@
 
 namespace cluert::obs {
 
-// Per-worker view of the lookup-path metrics, fed by CluePort on every
-// packet it resolves.
+// Per-worker view of the lookup-path metrics, fed by CluePort's post-pass
+// over the results of each resolve call.
 struct LookupObs {
   CounterCell* packets = nullptr;
   // One cell per Outcome, indexed by static_cast<size_t>(Outcome): the
   // lookup_case_total{case=...} family. Summed over cases it equals
-  // lookup_packets_total — the invariant obs_test and the example check.
+  // lookup_packets_total — the invariant the CluePortObs tests and
+  // examples/pipeline_throughput check.
   std::array<CounterCell*, kOutcomeCount> cases{};
   CounterCell* claim1_skip = nullptr;
   CounterCell* search_failed = nullptr;
   Histogram* accesses = nullptr;     // per-lookup total access delta
-  Histogram* latency_ns = nullptr;   // sampled lookups only (trace builds)
   std::size_t shard = 0;
   Tracer* tracer = nullptr;  // optional; owned elsewhere (the worker)
 
   bool metricsEnabled() const { return packets != nullptr; }
 
-  // True when this lookup should also produce a TraceEvent. Folds to false
-  // at compile time when CLUERT_TRACE is off.
-  bool traceArmed() const {
-    if constexpr (!kTraceCompiled) return false;
-    return tracer != nullptr && tracer->enabled();
-  }
+  // True when lookups should also produce sampled TraceEvents.
+  bool traceArmed() const { return tracer != nullptr && tracer->enabled(); }
+
+  // True when anything observes the lookups: the port then records each
+  // lookup's accesses in its Result and runs the post-pass.
+  bool attached() const { return metricsEnabled() || traceArmed(); }
 
   // Resolves the instruments in `reg`, pinning this bundle to `shard`.
   // `extra` labels distinguish co-hosted producers (e.g. {"router", "2"});
@@ -85,10 +84,12 @@ struct ChurnObs {
 
 // Per-datapath-shard counters for the wire daemon (src/netio/): datagram
 // ingress/egress, the decode/drop taxonomy, and the differential-oracle
-// mismatch count. Per-peer breakouts (netio_peer_{rx,tx}_packets_total,
-// labelled by the wire header's source id on rx and by the configured
-// next-hop peer on tx) are bound by the datapath itself — the peer set is
-// config-dependent, so the bundle cannot fix it here.
+// mismatch count. They are the daemon's only copy of these totals: /metrics
+// exports them and /status sums them over shards. Per-peer breakouts
+// (netio_peer_{rx,tx}_packets_total, labelled by the wire header's source
+// id on rx and by the configured next-hop peer on tx) are bound by the
+// datapath itself — the peer set is config-dependent, so the bundle cannot
+// fix it here.
 struct NetioObs {
   CounterCell* rx_packets = nullptr;   // datagrams that decoded cleanly
   CounterCell* rx_bytes = nullptr;
@@ -103,8 +104,6 @@ struct NetioObs {
   CounterCell* rx_syscalls = nullptr;  // receive calls that returned data
   CounterCell* tx_syscalls = nullptr;  // send calls made
   std::size_t shard = 0;
-
-  bool enabled() const { return rx_packets != nullptr; }
 
   static NetioObs bind(MetricRegistry& reg, std::size_t shard,
                        const Labels& extra = {});

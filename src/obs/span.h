@@ -14,7 +14,6 @@
 // flight recorder (obs/flight.h), not this.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,8 +48,9 @@ struct PacketSpan {
   std::uint32_t dest = 0;       // IPv4 destination, host order
   std::uint16_t src_id = 0;     // upstream router id off the wire
 
-  // Phase timestamps, steady clock. rx/decode are batch-level (one recvmmsg
-  // round); the lookup pair brackets THIS packet's resolve.
+  // Phase timestamps, steady clock. rx is per receive (one recvmmsg), the
+  // rest per batch: decode ends where the lookup window opens, and the
+  // lookup pair brackets the batch's one resolve (pin + processBatch).
   std::uint64_t rx_ns = 0;
   std::uint64_t decode_ns = 0;
   std::uint64_t lookup_start_ns = 0;
@@ -62,14 +62,10 @@ struct PacketSpan {
   Outcome outcome = Outcome::kNoClue;
   bool claim1_skip = false;
   bool search_failed = false;
-  std::array<std::uint16_t, mem::AccessCounter::kRegions> accesses{};
+  mem::LookupAccesses accesses{};  // this packet's lookup, by region
   SpanVerdict verdict = SpanVerdict::kForwarded;
 
-  std::uint32_t accessTotal() const {
-    std::uint32_t t = 0;
-    for (const auto a : accesses) t += a;
-    return t;
-  }
+  std::uint32_t accessTotal() const { return mem::accessTotal(accesses); }
 };
 
 // Bounded hand-off ring between one datapath shard and the admin thread.

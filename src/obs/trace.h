@@ -4,21 +4,18 @@
 // clue length carried by the packet, the analysis level (Simple / Advance),
 // the §3.1.2 case outcome (1 / 2 / 3, plus miss and no-clue), whether
 // Claim 1 is what emptied the candidate set, the per-mem::Region access
-// deltas, and nanosecond timing. A Tracer belongs to one worker thread
-// (same single-mutator discipline as mem::AccessCounter); the pipeline
-// merges rings after join().
+// deltas, and the window of the resolve call that answered it. A Tracer
+// belongs to one worker thread (same single-mutator discipline as
+// mem::AccessCounter); the pipeline merges rings after join().
 //
-// Cost control, two layers:
-//  * compile time — the hot-path hooks test obs::kTraceCompiled, a constexpr
-//    driven by the CLUERT_TRACE CMake option (OFF for Release builds), so a
-//    release data plane carries no tracing code at all;
-//  * run time    — 1-in-N sampling. The sample pattern is deterministic:
-//    every sample_every-th call fires, phase-shifted per worker by a draw
-//    from Rng::forThread(seed, worker), so a run is reproducible and the
-//    shards don't sample in lockstep.
+// CluePort emits events from the post-pass it runs over each resolve call's
+// results, so tracing adds no code to the resolve loop itself. Cost control
+// is 1-in-N sampling. The sample pattern is deterministic: every
+// sample_every-th lookup fires, phase-shifted per worker by a draw from
+// Rng::forThread(seed, worker), so a run is reproducible and the shards
+// don't sample in lockstep.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -26,13 +23,7 @@
 #include "common/random.h"
 #include "mem/access_counter.h"
 
-#if !defined(CLUERT_TRACE_ENABLED)
-#define CLUERT_TRACE_ENABLED 1
-#endif
-
 namespace cluert::obs {
-
-inline constexpr bool kTraceCompiled = CLUERT_TRACE_ENABLED != 0;
 
 // How one lookup resolved, mapping §3.1.2's cases onto the data plane:
 //   kCase1 — clue vertex absent from the receiver's trie; FD answers.
@@ -47,7 +38,9 @@ inline constexpr std::size_t kOutcomeCount = 5;
 std::string_view outcomeName(Outcome o);
 
 struct TraceEvent {
-  std::uint64_t start_ns = 0;  // steady-clock, Tracer::nowNs()
+  // The resolve call's window (steady clock, Tracer::nowNs()): every lookup
+  // of one processBatch shares it.
+  std::uint64_t start_ns = 0;
   std::uint32_t dur_ns = 0;
   std::uint32_t worker = 0;
   std::int16_t clue_len = -1;  // -1: packet carried no clue
@@ -55,21 +48,14 @@ struct TraceEvent {
   Outcome outcome = Outcome::kNoClue;
   bool claim1_skip = false;    // case 2 by Claim-1 pruning, not a leaf
   bool search_failed = false;  // case-3 continuation fell back to FD
-  // Access deltas for this lookup, by region. uint16 is ample: a single
-  // lookup touches at most a few dozen nodes even in the Regular method.
-  std::array<std::uint16_t, mem::AccessCounter::kRegions> accesses{};
+  mem::LookupAccesses accesses{};  // this lookup's accesses by region
 
-  std::uint32_t accessTotal() const {
-    std::uint32_t t = 0;
-    for (const auto a : accesses) t += a;
-    return t;
-  }
+  std::uint32_t accessTotal() const { return mem::accessTotal(accesses); }
 };
 
 // A worker-timeline span: one batch resolved by one pipeline shard. Spans
-// are recorded whenever a tracer is attached (they cost two clock reads per
-// *batch*, not per packet, so they are not compile-gated) and feed the
-// chrome://tracing export.
+// are recorded whenever a tracer is attached (two clock reads per *batch*)
+// and feed the chrome://tracing export.
 struct SpanEvent {
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;

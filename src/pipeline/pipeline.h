@@ -82,9 +82,10 @@ struct PipelineOptions {
   // Observability (src/obs/). `registry` non-null: every shard binds its
   // per-worker metric cells (lookup_case_total, lookup_accesses, ...) and
   // run() publishes the merged region counters post-join. `trace.enabled`:
-  // each shard owns a Tracer — batch spans always, per-lookup events when
-  // the tree was built with CLUERT_TRACE. Both default off: an unobserved
-  // pipeline pays one pointer test per packet.
+  // each shard owns a Tracer recording batch spans and 1-in-N sampled
+  // per-lookup events. Either one makes each shard's port record per-lookup
+  // accesses and run its post-pass once per batch. Both default off: an
+  // unobserved pipeline pays one test per batch.
   obs::MetricRegistry* registry = nullptr;
   obs::TraceOptions trace;
 };
@@ -139,11 +140,6 @@ struct PipelineStats {
   // hook was compiled out (sanitizer build) and the zero is vacuous.
   std::uint64_t steady_allocs = 0;
   bool alloc_hook_active = false;
-
-  // Per-batch resolve nanoseconds across all shards (Summary::merge of the
-  // workers' summaries). Populated only when the run traced (the batch
-  // clock reads ride on the span instrumentation); empty otherwise.
-  Summary batch_ns;
 
   // Sum over shards of batches whose pinned table version differed from the
   // shard's previous batch — how often the data plane actually observed a
@@ -486,7 +482,6 @@ class Pipeline {
       s.searched += ps.searched;
       s.search_failed += ps.search_failed;
       s.worker_packets.add(static_cast<double>(w->packets()));
-      s.batch_ns.merge(w->batchNs());
       s.version_changes += w->versionChanges();
       s.steady_allocs += w->steadyAllocs();
     }

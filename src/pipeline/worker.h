@@ -17,7 +17,6 @@
 #include <thread>
 
 #include "common/random.h"
-#include "common/stats.h"
 #include "core/distributed_lookup.h"
 #include "mem/alloc_hook.h"
 #include "obs/hooks.h"
@@ -54,7 +53,9 @@ class Worker {
   // id) and, when `trace.enabled`, a Tracer whose sampling phase derives
   // from (seed, id) via Rng::forThread. Control-plane call, strictly before
   // run(). Either part may be absent: a null registry with tracing on still
-  // produces trace events; a registry with tracing off still counts.
+  // produces trace events; a registry with tracing off still counts. Either
+  // one attaches the port's LookupObs, so its batches end in the post-pass
+  // (CluePort::processBatch) that feeds both.
   void enableObs(obs::MetricRegistry* registry, const obs::TraceOptions& trace,
                  std::uint64_t seed) {
     if (trace.enabled) {
@@ -95,7 +96,6 @@ class Worker {
     batches_ = 0;
     steady_allocs_ = 0;
     resolver_.resetVersionChanges();
-    batch_ns_ = Summary{};
     port().resetStats();
   }
 
@@ -106,12 +106,6 @@ class Worker {
 
   // Post-join access to the shard's trace rings (null when tracing is off).
   const obs::Tracer* tracer() const { return tracer_.get(); }
-
-  // Per-batch resolve nanoseconds (filled only while a tracer is attached —
-  // the same clock reads feed the spans). Merged post-join by the pipeline
-  // via Summary::merge, which is what makes tail stats (p99 batch time)
-  // reportable across shards.
-  const Summary& batchNs() const { return batch_ns_; }
 
   // The worker thread body: pop batches until the ring is closed *and*
   // drained, resolve each through the batched CluePort path, and publish
@@ -161,8 +155,8 @@ class Worker {
   // the batch's SoA spans in place: no per-packet gather copy.
   void resolveBatch(PacketBatch<A>& batch, std::span<NextHop> out,
                     std::span<std::uint64_t> version_out) {
-    // Batch spans cost two clock reads per *batch* — cheap enough to gate at
-    // runtime rather than compile time (unlike the per-lookup events).
+    // Batch spans cost two clock reads per *batch*; the port's sampled
+    // per-lookup events share the resolve call's window.
     const bool spans = tracer_ != nullptr && tracer_->enabled();
     const std::uint64_t span_t0 = spans ? obs::Tracer::nowNs() : 0;
     const std::size_t n = batch.size();
@@ -186,7 +180,6 @@ class Worker {
       const std::uint64_t dur = obs::Tracer::nowNs() - span_t0;
       tracer_->span({span_t0, dur, static_cast<std::uint32_t>(id_),
                      static_cast<std::uint32_t>(n)});
-      batch_ns_.add(static_cast<double>(dur));
     }
     if (wobs_.enabled()) {
       wobs_.packets->inc(n);
@@ -231,7 +224,6 @@ class Worker {
   std::uint64_t steady_allocs_ = 0;
   std::unique_ptr<obs::Tracer> tracer_;  // owned here: single-writer ring
   obs::WorkerObs wobs_;
-  Summary batch_ns_;
   // Per-batch resolve results; a member (not a stack array) so the shard's
   // hot scratch lives inside its arena placement, cache-line aligned.
   alignas(64) std::array<typename PortT::Result, kMaxBatch> results_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/distributed_lookup.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace cluert::core {
@@ -351,6 +353,193 @@ TEST(CluePort, AdvanceNeverCostsMoreThanSimple) {
     advance.process(dest, field, a_acc);
   }
   EXPECT_LE(a_acc.total(), s_acc.total());
+}
+
+// --- Observation: the post-pass against the unobserved path ---------------
+
+struct ObsCase {
+  ClueMode mode;
+  bool learn;           // misses learn mid-batch; otherwise half precomputed
+  std::size_t cache;    // §3.5 cache entries (0: off)
+};
+
+// One stream through two ports built alike over separate suites: `plain`
+// unobserved, `seen` with a registry and a Tracer sampling every lookup.
+// Observing must not change one result, stat or access; what the post-pass
+// records must add up to what the counter saw.
+void expectObservedMatchesPlain(const ObsCase& c) {
+  SCOPED_TRACE(std::string(clueModeName(c.mode)) +
+               (c.learn ? " learning" : " precomputed") +
+               (c.cache != 0 ? " cached" : ""));
+  Rng rng(4711);
+  Pair pair = Pair::random(rng, 300);
+  LookupSuite<A> seen_suite(pair.receiver);
+  Port::Options opt = portOptions(Method::kPatricia, c.mode, c.learn);
+  opt.cache_entries = c.cache;
+  Port plain(*pair.suite, &pair.t1, opt);
+  Port seen(seen_suite, &pair.t1, opt);
+  if (!c.learn) {
+    std::vector<ip::Prefix4> clues;
+    for (std::size_t i = 0; i < pair.sender.size(); i += 2) {
+      clues.push_back(pair.sender[i].prefix);
+    }
+    plain.precompute(clues);
+    seen.precompute(clues);
+  }
+  obs::MetricRegistry registry;
+  obs::TraceOptions topt;
+  topt.enabled = true;
+  topt.sample_every = 1;
+  obs::Tracer tracer(topt, /*seed=*/9, /*worker=*/0);
+  seen.attachObs(obs::LookupObs::bind(registry, /*shard=*/0, &tracer));
+
+  // Genuine clues (the sender's BMP, as Advance requires), plus ~10%
+  // clue-less packets. Destinations cluster under the sender's 300
+  // prefixes, so clues repeat and learned entries get hit.
+  std::vector<A> dests;
+  std::vector<ClueField> fields;
+  mem::AccessCounter scratch;
+  while (dests.size() < 230) {
+    const auto dest = testutil::coveredAddress<A>(pair.sender, rng,
+                                                  testutil::randomAddr4);
+    const auto bmp = pair.t1.lookup(dest, scratch);
+    dests.push_back(dest);
+    fields.push_back(bmp && rng.uniform(0, 9) != 0
+                         ? ClueField::of(bmp->prefix.length())
+                         : ClueField::none());
+  }
+
+  // 150 packets in one processBatch (past kMaxProcessBatch, so it splits),
+  // 30 process() calls, then a 50-packet processBatch.
+  std::vector<Port::Result> want(dests.size()), got(dests.size());
+  mem::AccessCounter plain_acc, seen_acc;
+  const auto run = [&](Port& port, std::vector<Port::Result>& out,
+                       mem::AccessCounter& acc) {
+    const std::span<const A> d(dests);
+    const std::span<const ClueField> f(fields);
+    const std::span<Port::Result> o(out);
+    port.processBatch(d.first(150), f.first(150), o.first(150), acc);
+    for (std::size_t i = 150; i < 180; ++i) {
+      out[i] = port.process(dests[i], fields[i], acc);
+    }
+    port.processBatch(d.subspan(180), f.subspan(180), o.subspan(180), acc);
+  };
+  run(plain, want, plain_acc);
+  run(seen, got, seen_acc);
+
+  std::array<std::uint64_t, mem::AccessCounter::kRegions> summed{};
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_EQ(got[i].match, want[i].match);
+    EXPECT_EQ(got[i].outcome, want[i].outcome);
+    EXPECT_EQ(got[i].table_hit, want[i].table_hit);
+    EXPECT_EQ(got[i].used_fd, want[i].used_fd);
+    EXPECT_EQ(got[i].searched, want[i].searched);
+    EXPECT_EQ(got[i].claim1_skip, want[i].claim1_skip);
+    EXPECT_EQ(got[i].search_failed, want[i].search_failed);
+    EXPECT_EQ(mem::accessTotal(want[i].accesses), 0u)
+        << "an unobserved port must not fill accesses";
+    for (std::size_t r = 0; r < summed.size(); ++r) {
+      summed[r] += got[i].accesses[r];
+    }
+  }
+  const Port::Stats& ps = plain.stats();
+  const Port::Stats& ss = seen.stats();
+  EXPECT_EQ(ss.packets, ps.packets);
+  EXPECT_EQ(ss.no_clue, ps.no_clue);
+  EXPECT_EQ(ss.table_hits, ps.table_hits);
+  EXPECT_EQ(ss.table_misses, ps.table_misses);
+  EXPECT_EQ(ss.fd_direct, ps.fd_direct);
+  EXPECT_EQ(ss.searched, ps.searched);
+  EXPECT_EQ(ss.search_failed, ps.search_failed);
+  for (std::size_t r = 0; r < summed.size(); ++r) {
+    const auto region = static_cast<mem::Region>(r);
+    EXPECT_EQ(seen_acc.count(region), plain_acc.count(region))
+        << mem::regionName(region);
+    EXPECT_EQ(summed[r], seen_acc.count(region)) << mem::regionName(region);
+  }
+  // The stream reaches the paths under test.
+  EXPECT_GT(ps.no_clue, 0u);
+  EXPECT_GT(ps.table_hits, 0u);
+  EXPECT_GT(ps.table_misses, 0u);
+
+  const obs::MetricSnapshot snap = registry.snapshot();
+  const obs::MetricSample* packets = snap.find("lookup_packets_total");
+  ASSERT_NE(packets, nullptr);
+  EXPECT_EQ(packets->counter_value, dests.size());
+  std::uint64_t case_sum = 0;
+  for (std::size_t o = 0; o < obs::kOutcomeCount; ++o) {
+    const obs::MetricSample* s = snap.find(
+        "lookup_case_total",
+        {{"case", std::string(obs::outcomeName(static_cast<obs::Outcome>(o)))}});
+    ASSERT_NE(s, nullptr);
+    case_sum += s->counter_value;
+  }
+  EXPECT_EQ(case_sum, packets->counter_value);
+  const obs::MetricSample* hist = snap.find("lookup_accesses");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->hist.sum, seen_acc.total());
+  EXPECT_EQ(hist->hist.count, dests.size());
+
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  ASSERT_EQ(events.size(), dests.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].accesses, got[i].accesses) << "event " << i;
+    EXPECT_EQ(events[i].outcome, got[i].outcome) << "event " << i;
+  }
+}
+
+TEST(CluePortObs, AdvanceLearningMatchesUnobserved) {
+  expectObservedMatchesPlain({ClueMode::kAdvance, /*learn=*/true, 0});
+}
+
+TEST(CluePortObs, SimpleLearningMatchesUnobserved) {
+  expectObservedMatchesPlain({ClueMode::kSimple, /*learn=*/true, 0});
+}
+
+TEST(CluePortObs, AdvancePrecomputedCachedMatchesUnobserved) {
+  expectObservedMatchesPlain({ClueMode::kAdvance, /*learn=*/false, 64});
+}
+
+TEST(CluePortObs, SimplePrecomputedMatchesUnobserved) {
+  expectObservedMatchesPlain({ClueMode::kSimple, /*learn=*/false, 0});
+}
+
+// Sampled events carry the window of the resolve call that answered them:
+// every lookup of one processBatch shares it, and windows of successive
+// calls do not overlap.
+TEST(CluePortObs, TraceEventsShareTheirCallsWindow) {
+  Pair pair({{p4("10.1.0.0/16"), 1}, {p4("10.2.0.0/16"), 1}},
+            {{p4("10.1.0.0/16"), 2}, {p4("10.2.0.0/16"), 3}});
+  Port port(*pair.suite, &pair.t1,
+            portOptions(Method::kPatricia, ClueMode::kAdvance));
+  obs::TraceOptions topt;
+  topt.enabled = true;
+  topt.sample_every = 1;
+  obs::Tracer tracer(topt, 1, 0);
+  obs::LookupObs lo;
+  lo.tracer = &tracer;
+  port.attachObs(lo);
+  const std::vector<A> dests{a4("10.1.0.1"), a4("10.2.0.1"), a4("10.1.9.9")};
+  const std::vector<ClueField> fields{ClueField::of(16), ClueField::none(),
+                                      ClueField::of(16)};
+  std::vector<Port::Result> out(dests.size());
+  mem::AccessCounter acc;
+  port.processBatch(dests, fields, out, acc);
+  port.process(dests[0], fields[0], acc);
+  const auto ev = tracer.events();
+  ASSERT_EQ(ev.size(), 4u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(ev[i].start_ns, ev[0].start_ns);
+    EXPECT_EQ(ev[i].dur_ns, ev[0].dur_ns);
+  }
+  EXPECT_GE(ev[3].start_ns, ev[0].start_ns + ev[0].dur_ns);
+  EXPECT_EQ(ev[0].clue_len, 16);
+  EXPECT_EQ(ev[1].clue_len, -1);
+  EXPECT_EQ(ev[1].outcome, obs::Outcome::kNoClue);
+  EXPECT_EQ(ev[0].outcome, obs::Outcome::kMiss);
+  EXPECT_TRUE(out[2].table_hit);  // learned by packet 0, mid-batch
+  EXPECT_EQ(ev[2].outcome, out[2].outcome);
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 // datapath's GRO receive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "netio/config.h"
@@ -516,53 +519,180 @@ TEST(DaemonTest, TwoDaemonChainMatchesSequentialOracle) {
                 dp.ttlExpired() + dp.sendErrors());
 }
 
+// Sum of the /metrics sample lines of counter `name` whose label set
+// contains `label` (every line of the family when `label` is empty).
+std::uint64_t promSum(const std::string& prom, const std::string& name,
+                      const std::string& label = "") {
+  std::uint64_t sum = 0;
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t end = line.find_first_of("{ ");
+    if (line.compare(0, end, name) != 0 || end != name.size()) continue;
+    const std::size_t space = line.rfind(' ');
+    if (!label.empty() &&
+        line.substr(0, space).find(label) == std::string::npos) {
+      continue;
+    }
+    sum += std::stoull(line.substr(space + 1));
+  }
+  return sum;
+}
+
+// The unsigned number after "key": in a /status body.
+std::uint64_t statusField(const std::string& status, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = status.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  return at == std::string::npos ? 0
+                                 : std::stoull(status.substr(at + tag.size()));
+}
+
+// A /status per-peer field: peers_rx's {"src":n,...} as src → n, peers_tx's
+// [n,...] as slot → n.
+std::map<std::uint64_t, std::uint64_t> statusPeers(const std::string& status,
+                                                   const std::string& key) {
+  std::map<std::uint64_t, std::uint64_t> out;
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = status.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return out;
+  const std::size_t begin = at + tag.size();
+  const bool keyed = status[begin] == '{';
+  std::string body = status.substr(
+      begin + 1, status.find(keyed ? '}' : ']', begin) - begin - 1);
+  for (char& c : body) {
+    if (c == '"' || c == ':' || c == ',') c = ' ';
+  }
+  std::istringstream in(body);
+  for (std::uint64_t slot = 0, a = 0; in >> a; ++slot) {
+    std::uint64_t v = 0;
+    if (keyed && in >> v) {
+      out[a] = v;
+    } else {
+      out[slot] = a;
+    }
+  }
+  return out;
+}
+
 TEST(DaemonTest, AdminEndpointsServeMetricsAndStatus) {
   const std::string routes = tempPath("admin.routes");
-  writeFileOrDie(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n");
+  writeFileOrDie(routes, "10.0.0.0/8 1\n11.0.0.0/8 2\n");
+  SockAddr sink_addr;
+  netio::Fd sink = testSink(&sink_addr);
   netio::Config c = baseConfig(routes);
   c.name = "admin-test";
-  netio::Daemon daemon(c);  // no peer: everything routed is "delivered"
+  c.workers = 2;
+  c.peers[2] = sink_addr;  // next hop 1 has no peer: "delivered"
+  netio::Daemon daemon(c);
   daemon.start();
 
-  // Push one packet through so the counters are non-zero.
-  WirePacket<A> p;
-  p.dest = a4("10.9.9.9");
-  p.clue = core::ClueField::of(8);
-  std::uint8_t buf[netio::kMaxDatagram];
-  const std::size_t len = netio::encode(p, buf);
-  netio::Fd tx = netio::udpSocket(SockAddr{kLoopback, 0});
-  const netio::OutDatagram out{buf, len, daemon.dataAddr()};
-  ASSERT_EQ(netio::sendBatch(tx.get(), &out, 1), 1);
-  for (int i = 0; i < 5000 && daemon.datapath(0).rxPackets() == 0; ++i) {
-    ::usleep(1000);
+  // Eight sender sockets (SO_REUSEPORT spreads them over both shards), each
+  // sending one delivered, one forwarded and one unroutable packet; the
+  // first adds a TTL-expired packet and a datagram the codec rejects.
+  std::uint8_t bufs[5][netio::kMaxDatagram] = {};
+  const auto encodeTo = [&](std::size_t slot, const char* dest,
+                            std::uint16_t src_id, std::uint8_t ttl) {
+    WirePacket<A> p;
+    p.dest = a4(dest);
+    p.clue = core::ClueField::of(8);
+    p.src_id = src_id;
+    p.ttl = ttl;
+    return netio::encode(p, bufs[slot]);
+  };
+  std::vector<netio::Fd> senders;
+  for (int k = 0; k < 8; ++k) {
+    senders.push_back(netio::udpSocket(SockAddr{kLoopback, 0}));
+    std::vector<netio::OutDatagram> out = {
+        {bufs[0], encodeTo(0, "10.9.9.9", 3, 5), daemon.dataAddr()},
+        {bufs[1], encodeTo(1, "11.1.1.1", 20, 5), daemon.dataAddr()},
+        {bufs[2], encodeTo(2, "12.0.0.1", 3, 5), daemon.dataAddr()},
+    };
+    if (k == 0) {
+      out.push_back({bufs[3], encodeTo(3, "11.2.2.2", 5, 1),
+                     daemon.dataAddr()});
+      bufs[4][0] = 0xde;
+      out.push_back({bufs[4], 3, daemon.dataAddr()});
+    }
+    const int n = static_cast<int>(out.size());
+    ASSERT_EQ(netio::sendBatch(senders.back().get(), out.data(), n), n);
   }
-  ASSERT_EQ(daemon.datapath(0).rxPackets(), 1u);
+  const auto settled = [&] {
+    std::uint64_t rx = 0, rejected = 0, settled_rx = 0;
+    for (std::size_t w = 0; w < daemon.datapathCount(); ++w) {
+      const auto& dp = daemon.datapath(w);
+      rx += dp.rxPackets();
+      rejected += dp.decodeErrors();
+      settled_rx += dp.txPackets() + dp.delivered() + dp.noRoute() +
+                    dp.ttlExpired() + dp.sendErrors();
+    }
+    return rx == 25 && rejected == 1 && settled_rx == rx;
+  };
+  for (int i = 0; i < 5000 && !settled(); ++i) ::usleep(1000);
+  ASSERT_TRUE(settled());
+  EXPECT_EQ(recvAll(sink.get(), 8).size(), 8u);
 
   const std::string health = adminGet(daemon.adminAddr(), "/healthz");
   EXPECT_EQ(health, "ok\n");
 
   // Golden structural check of the Prometheus exposition: HELP/TYPE blocks
-  // and the live series this one packet must have produced.
+  // and the live series this traffic must have produced.
   const std::string prom = adminGet(daemon.adminAddr(), "/metrics");
   EXPECT_NE(prom.find("# TYPE netio_rx_packets_total counter"),
             std::string::npos);
-  EXPECT_NE(prom.find("netio_rx_packets_total{shard=\"0\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("netio_delivered_total{shard=\"0\"} 1"),
-            std::string::npos);
   EXPECT_NE(prom.find("# TYPE lookup_case_total counter"),
             std::string::npos);
-  EXPECT_NE(prom.find("netio_peer_rx_packets_total{src=\"0\"} 1"),
+  EXPECT_NE(prom.find("netio_peer_tx_packets_total{peer=\"2\"} 8"),
+            std::string::npos);
+  EXPECT_NE(prom.find("netio_peer_rx_packets_total{src=\"other\"} 8"),
             std::string::npos);
   EXPECT_NE(prom.find("rib_version_live_seq"), std::string::npos);
+  EXPECT_EQ(promSum(prom, "netio_rx_packets_total"), 25u);
+  EXPECT_EQ(promSum(prom, "netio_delivered_total"), 8u);
+  EXPECT_EQ(promSum(prom, "netio_tx_packets_total"), 8u);
+  EXPECT_EQ(promSum(prom, "netio_no_route_total"), 8u);
+  EXPECT_EQ(promSum(prom, "netio_ttl_expired_total"), 1u);
+  EXPECT_EQ(promSum(prom, "netio_decode_errors_total"), 1u);
 
+  // /status is the registry: every counter equals its /metrics series
+  // summed over the shards, the per-peer maps included.
   const std::string status = adminGet(daemon.adminAddr(), "/status");
   EXPECT_NE(status.find("\"name\":\"admin-test\""), std::string::npos);
-  EXPECT_NE(status.find("\"rx_packets\":1"), std::string::npos);
-  EXPECT_NE(status.find("\"delivered\":1"), std::string::npos);
   EXPECT_NE(status.find("\"live_seq\":1"), std::string::npos);
-  EXPECT_NE(status.find("\"oracle_mismatches\":0"), std::string::npos);
+  EXPECT_NE(status.find("\"oracle_mismatches\":0,"), std::string::npos);
+  EXPECT_NE(status.find("\"rx_packets\":25,"), std::string::npos);
   EXPECT_NE(status.find("\"draining\":false"), std::string::npos);
+  const std::pair<const char*, const char*> counters[] = {
+      {"rx_packets", "netio_rx_packets_total"},
+      {"tx_packets", "netio_tx_packets_total"},
+      {"delivered", "netio_delivered_total"},
+      {"decode_errors", "netio_decode_errors_total"},
+      {"no_route", "netio_no_route_total"},
+      {"ttl_expired", "netio_ttl_expired_total"},
+      {"send_errors", "netio_send_errors_total"},
+      {"oracle_mismatches", "netio_oracle_mismatch_total"},
+  };
+  for (const auto& [key, series] : counters) {
+    EXPECT_EQ(statusField(status, key), promSum(prom, series)) << key;
+  }
+  const auto peers_rx = statusPeers(status, "peers_rx");
+  const std::map<std::uint64_t, std::uint64_t> want_rx = {
+      {3, 16}, {5, 1}, {netio::Datapath::kMaxSrcLabel, 8}};
+  EXPECT_EQ(peers_rx, want_rx);
+  for (std::uint16_t src = 0; src <= netio::Datapath::kMaxSrcLabel; ++src) {
+    const std::string label =
+        "src=\"" + netio::Datapath::srcLabel(src) + "\"";
+    const auto it = peers_rx.find(src);
+    EXPECT_EQ(it == peers_rx.end() ? 0u : it->second,
+              promSum(prom, "netio_peer_rx_packets_total", label))
+        << label;
+  }
+  const auto peers_tx = statusPeers(status, "peers_tx");
+  ASSERT_EQ(peers_tx.size(), 1u);
+  EXPECT_EQ(peers_tx.at(0),
+            promSum(prom, "netio_peer_tx_packets_total", "peer=\"2\""));
+  EXPECT_EQ(peers_tx.at(0), 8u);
 
   EXPECT_EQ(adminGet(daemon.adminAddr(), "/nope"), "not found\n");
   daemon.stop();
@@ -1100,6 +1230,69 @@ TEST(TraceDaemonTest, SamplingDeterminismAndAdminDrain) {
   EXPECT_NE(status.find("\"flight_events\":"), std::string::npos);
   daemon.stop();
   EXPECT_EQ(daemon.datapath(0).oracleMismatches(), 0u);
+}
+
+// A traced batch resolves like any other: one sendBatch of 16 datagrams,
+// every one sampled, leaves 16 spans whose accesses are exactly what the
+// port's post-pass fed lookup_accesses, and the spans of one receive chunk
+// share that chunk's lookup window.
+TEST(TraceDaemonTest, TracedBatchSharesOneResolve) {
+  const std::string routes = tempPath("trace_batch.routes");
+  writeFileOrDie(routes,
+                 "10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.2.0/24 3\n"
+                 "10.2.0.0/16 4\n0.0.0.0/0 9\n");
+  netio::Config c = baseConfig(routes);  // oracle = 1
+  c.trace_sample = 1;
+  netio::Daemon daemon(c);  // no peer: routed packets are "delivered"
+  daemon.start();
+
+  constexpr std::size_t kPackets = 16;
+  const char* const dests[] = {"10.1.2.3", "10.1.9.9", "10.2.0.1",
+                               "10.200.0.1"};
+  std::uint8_t bufs[kPackets][netio::kMaxDatagram];
+  std::array<netio::OutDatagram, kPackets> out;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    WirePacket<A> p;
+    p.dest = a4(dests[i % 4]);
+    // Clue-less, /8 (case 3 continuations) and /16 clues.
+    p.clue = i % 3 == 0   ? core::ClueField::none()
+             : i % 3 == 1 ? core::ClueField::of(8)
+                          : core::ClueField::of(16);
+    out[i] = {bufs[i], netio::encode(p, bufs[i]), daemon.dataAddr()};
+  }
+  netio::Fd tx = netio::udpSocket(SockAddr{kLoopback, 0});
+  ASSERT_EQ(netio::sendBatch(tx.get(), out.data(), kPackets),
+            static_cast<int>(kPackets));
+  auto& dp = daemon.datapath(0);
+  for (int i = 0; i < 5000 && dp.spansRecorded() < kPackets; ++i) {
+    ::usleep(1000);
+  }
+  const auto spans = dp.drainSpans();
+  ASSERT_EQ(spans.size(), kPackets);
+
+  std::uint64_t span_accesses = 0;
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> window;
+  for (const obs::PacketSpan& s : spans) {
+    span_accesses += s.accessTotal();
+    EXPECT_GT(s.accessTotal(), 0u);
+    EXPECT_LE(s.rx_ns, s.decode_ns);
+    EXPECT_LE(s.decode_ns, s.lookup_start_ns);
+    EXPECT_LE(s.lookup_start_ns, s.lookup_end_ns);
+    // rx_ns is per receive; ≤ kMaxBatch datagrams make one chunk.
+    const auto [it, fresh] = window.try_emplace(
+        s.rx_ns, s.lookup_start_ns, s.lookup_end_ns);
+    if (!fresh) {
+      EXPECT_EQ(it->second.first, s.lookup_start_ns);
+      EXPECT_EQ(it->second.second, s.lookup_end_ns);
+    }
+  }
+  const obs::MetricSnapshot snap = daemon.registry().snapshot();
+  const obs::MetricSample* hist = snap.find("lookup_accesses");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->hist.count, kPackets);
+  EXPECT_EQ(hist->hist.sum, span_accesses);
+  daemon.stop();
+  EXPECT_EQ(dp.oracleMismatches(), 0u);
 }
 
 TEST(TraceDaemonTest, HopCountIncrementsAcrossChain) {

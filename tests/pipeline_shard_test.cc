@@ -265,7 +265,9 @@ TEST(PipelineShardTest, VersionSwapsKeepShardedRunsOracleExact) {
 // The zero-allocation contract on the real threaded sharded path: after
 // each shard's warm-up batch (and for the feeder, after thread spawn), the
 // steady-state window performs no heap allocation. Run twice — the second
-// run has no first-touch warm-up left anywhere.
+// run has no first-touch warm-up left anywhere. Checked unobserved and
+// fully observed (metric cells plus a tracer sampling every lookup: the
+// post-pass, the trace ring and the batch spans must not allocate either).
 TEST(PipelineShardTest, SteadyStateIsAllocationFree) {
   if (!mem::allocHookActive()) {
     GTEST_SKIP() << "counting alloc hook compiled out (sanitizer build)";
@@ -273,14 +275,32 @@ TEST(PipelineShardTest, SteadyStateIsAllocationFree) {
   ShardFixture fx;
   Rng rng(33);
   const auto inputs = fx.stream(rng, 20'000, 256, 0.0);
-  Pipeline4 pipe(*fx.suite, &fx.t1, fx.threadedOptions(2, 32));
   const auto clues = fx.sender.prefixes();
-  pipe.precompute(clues);
-  std::vector<NextHop> got(inputs.size(), kNoNextHop);
-  PipelineStats stats;
-  for (int run = 0; run < 2; ++run) stats = pipe.run(inputs, got);
-  EXPECT_TRUE(stats.alloc_hook_active);
-  EXPECT_EQ(stats.steady_allocs, 0u);
+  for (const bool observed : {false, true}) {
+    SCOPED_TRACE(observed ? "observed" : "unobserved");
+    obs::MetricRegistry registry;
+    PipelineOptions opt = fx.threadedOptions(2, 32);
+    if (observed) {
+      opt.registry = &registry;
+      opt.trace.enabled = true;
+      opt.trace.sample_every = 1;
+    }
+    Pipeline4 pipe(*fx.suite, &fx.t1, opt);
+    pipe.precompute(clues);
+    std::vector<NextHop> got(inputs.size(), kNoNextHop);
+    PipelineStats stats;
+    for (int run = 0; run < 2; ++run) stats = pipe.run(inputs, got);
+    EXPECT_TRUE(stats.alloc_hook_active);
+    EXPECT_EQ(stats.steady_allocs, 0u);
+    if (observed) {
+      // The observed run really counted and sampled.
+      EXPECT_FALSE(pipe.traceEvents().empty());
+      const obs::MetricSample* packets =
+          registry.snapshot().find("lookup_packets_total");
+      ASSERT_NE(packets, nullptr);
+      EXPECT_EQ(packets->counter_value, 2 * inputs.size());
+    }
+  }
 }
 
 // Oversubscribed worker requests are clamped to hardware_concurrency, and

@@ -21,7 +21,9 @@ cd "$(dirname "$0")/.."
 
 # Concurrent suites plus the invariant-check suites (Check*): the validators
 # walk every structure they were written against, which is exactly the
-# pointer-chasing ASan/UBSan should watch. Obs* covers the telemetry layer
+# pointer-chasing ASan/UBSan should watch. CluePort*/ClueTransparency cover
+# the resolve itself (tests/distributed_lookup_test.cc): prepare/resolve
+# over every method, learning mid-batch, and the observation post-pass. Obs* covers the telemetry layer
 # (src/obs/) — its sharded-counter test hammers one Counter from 8 threads,
 # which is the TSan proof that the relaxed-atomic cell design is race-free.
 # Versioned*/Churn* cover the epoch-versioned swap scheme
@@ -41,7 +43,7 @@ cd "$(dirname "$0")/.."
 # Daemon/Wire/SendBatch/GroReceive cover the wire datapath (DESIGN.md §9):
 # ASan/UBSan check the GSO run building and the GRO slab walk's offset
 # arithmetic, TSan the daemon's datapath, updater and admin threads.
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive"
+DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"

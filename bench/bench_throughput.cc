@@ -252,10 +252,11 @@ void runPipelineSweep() {
   // Observed re-runs (deliberately *outside* the timed sweep above, so the
   // perf trajectory in BENCH_throughput.json stays a measurement of the bare
   // data plane), both best-of-`reps` like the sweep rows:
-  //   (a) sampling only — tracers armed at 1-in-64, no registry. Against the
-  //       sweep's 4w/b32 row this isolates the trace-sampling overhead.
-  //   (b) full telemetry — registry + tracers; this run emits the Prometheus
-  //       snapshot and chrome://tracing file shipped as bench artifacts.
+  //   (a) sampling only — spans at 1-in-64 packets, no registry. Against the
+  //       sweep's 4w/b32 row this isolates the span-sampling overhead.
+  //   (b) full telemetry — registry + spans; this run emits the Prometheus
+  //       snapshot and the span JSONL shipped as bench artifacts (render
+  //       with tools/trace_merge.py --require-hops 1).
   {
     pipeline::PipelineOptions opt;
     opt.workers = 4;
@@ -294,15 +295,14 @@ void runPipelineSweep() {
       if (rep + 1 == reps) {
         obs::writeFile("BENCH_throughput_metrics.prom",
                        obs::toPrometheus(registry.snapshot()));
-        obs::writeFile(
-            "BENCH_throughput_trace.json",
-            obs::toChromeTrace(pipe.traceEvents(), pipe.traceSpans(),
-                               "bench_throughput 4w/b32"));
+        obs::writeFile("BENCH_throughput_spans.jsonl",
+                       obs::spansToJsonl(pipe.drainSpans(),
+                                         "bench_throughput_4w_b32"));
       }
     }
     std::printf(
-        "full telemetry (metrics + tracing): %.2f Mpps -> "
-        "BENCH_throughput_metrics.prom, BENCH_throughput_trace.json\n",
+        "full telemetry (metrics + spans): %.2f Mpps -> "
+        "BENCH_throughput_metrics.prom, BENCH_throughput_spans.jsonl\n",
         observed_pps / 1e6);
   }
 }

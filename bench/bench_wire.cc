@@ -23,13 +23,13 @@
 // git SHA, hostname, CPU count) including log2 latency histograms.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/clock.h"
 #include "netio/daemon.h"
 #include "obs/span.h"
 #include "rib/table_gen.h"
@@ -55,13 +55,6 @@ std::uint64_t minPps() {
     if (v > 0) return static_cast<std::uint64_t>(v);
   }
   return 100'000;
-}
-
-std::uint64_t nowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 void putU64(std::uint8_t* p, std::uint64_t v) {
@@ -249,11 +242,11 @@ int run(const Params& pp) {
   std::uint64_t sink_decode_errors = 0;
   std::thread sink_thread([&] {
     std::vector<netio::DatagramBuf> bufs(64);
-    std::uint64_t idle_since = nowNs();
+    std::uint64_t idle_since = steadyNs();
     for (;;) {
       const int n = netio::recvBatch(sink.get(), bufs.data(), 64);
       if (n <= 0) {
-        const std::uint64_t now = nowNs();
+        const std::uint64_t now = steadyNs();
         if (sender_done.load(std::memory_order_acquire) &&
             (received.load(std::memory_order_relaxed) >= pp.count ||
              now - idle_since > 500'000'000ull)) {
@@ -262,7 +255,7 @@ int run(const Params& pp) {
         std::this_thread::yield();
         continue;
       }
-      const std::uint64_t now = nowNs();
+      const std::uint64_t now = steadyNs();
       idle_since = now;
       last_rx_ns = now;
       for (int i = 0; i < n; ++i) {
@@ -294,14 +287,14 @@ int run(const Params& pp) {
   std::vector<std::vector<std::uint8_t>> burst(kBurst);
   std::vector<netio::OutDatagram> out(kBurst);
   const std::size_t payload_off = netio::headerBytes<A>();
-  const std::uint64_t t0 = nowNs();
+  const std::uint64_t t0 = steadyNs();
   std::uint64_t seq = 0;
   while (seq < pp.count) {
     const std::size_t n = std::min(kBurst, pp.count - seq);
     for (std::size_t i = 0; i < n; ++i) {
       burst[i] = pool[(seq + i) % pool.size()];
       putU64(burst[i].data() + payload_off, seq + i);
-      putU64(burst[i].data() + payload_off + 8, nowNs());
+      putU64(burst[i].data() + payload_off + 8, steadyNs());
       out[i] = {burst[i].data(), burst[i].size(), daemon.dataAddr()};
     }
     std::size_t done = 0;
@@ -321,7 +314,7 @@ int run(const Params& pp) {
 
   const std::uint64_t got = received.load(std::memory_order_relaxed);
   const double elapsed_s =
-      static_cast<double>((last_rx_ns ? last_rx_ns : nowNs()) - t0) / 1e9;
+      static_cast<double>((last_rx_ns ? last_rx_ns : steadyNs()) - t0) / 1e9;
   const double pps = elapsed_s > 0 ? static_cast<double>(got) / elapsed_s : 0;
   const double ratio =
       static_cast<double>(got) / static_cast<double>(pp.count);

@@ -95,11 +95,14 @@ int main() {
 
   // --- The same 4-worker run, fully observed (src/obs/). -----------------
   //
-  // Every shard binds its per-worker metric cells into one registry and owns
-  // a Tracer sampling 1 lookup in 64; the run then dumps a Prometheus text
-  // snapshot and a chrome://tracing file (load it at chrome://tracing or
-  // https://ui.perfetto.dev — one thread row per worker shard, batch spans
-  // in the "pipeline" category, sampled lookups in "lookup").
+  // Every shard binds its per-worker metric cells into one registry and
+  // samples 1 packet in 64 into a PacketSpan (case, Claim-1 skip, accesses,
+  // its batch's lookup window); the run then dumps a Prometheus text
+  // snapshot and the spans as JSONL. Render the spans with
+  //   python3 tools/trace_merge.py pipeline_spans.jsonl --out trace.json
+  // (each span is a one-hop trace, so --require-hops 1 counts them all
+  // complete) and load trace.json at chrome://tracing or
+  // https://ui.perfetto.dev — one thread row per worker shard.
   {
     pipeline::PipelineOptions opt;
     opt.workers = 4;
@@ -136,11 +139,13 @@ int main() {
                 partitioned ? "(= packet count)" : "!! CASE/PACKET MISMATCH");
     if (!partitioned) failed = true;
 
+    const auto spans = pipe->drainSpans();
     obs::writeFile("pipeline_metrics.prom", obs::toPrometheus(snap));
-    obs::writeFile("pipeline_trace.json",
-                   obs::toChromeTrace(pipe->traceEvents(), pipe->traceSpans(),
-                                      "pipeline_throughput"));
-    std::printf("wrote pipeline_metrics.prom, pipeline_trace.json\n");
+    obs::writeFile("pipeline_spans.jsonl",
+                   obs::spansToJsonl(spans, "pipeline_throughput"));
+    std::printf("wrote pipeline_metrics.prom, pipeline_spans.jsonl (%zu "
+                "spans)\n",
+                spans.size());
   }
   return failed ? 1 : 0;
 }

@@ -208,12 +208,10 @@ class CluePort {
   // processBatch.
   Result process(const A& dest, const ClueField& field,
                  mem::AccessCounter& acc) {
-    const bool observed = obs_.attached();
-    const std::uint64_t t0 = observed ? traceClock() : 0;
     Prepared p = prepare(dest, field);
-    if (!observed) return finishResolve(p, dest, field, acc);
+    if (!obs_.attached()) return finishResolve(p, dest, field, acc);
     Result r = resolveCounted(p, dest, field, acc);
-    observe({&field, 1}, {&r, 1}, t0);
+    observe({&r, 1});
     return r;
   }
 
@@ -248,7 +246,6 @@ class CluePort {
       return;
     }
     const bool observed = obs_.attached();
-    const std::uint64_t t0 = observed ? traceClock() : 0;
     const auto& engine = suite_->engine(options_.method);
     // One virtual query per batch, not one virtual no-op call per packet.
     const bool engine_prefetches = engine.prefetchCapable();
@@ -286,7 +283,7 @@ class CluePort {
     for (std::size_t i = 0; i < dests.size(); ++i) {
       out[i] = resolveCounted(prep[i], dests[i], fields[i], acc);
     }
-    observe(fields, out, t0);
+    observe(out);
   }
 
   // The clue-less path, for packets arriving without the option (§5.3
@@ -467,60 +464,31 @@ class CluePort {
     return r;
   }
 
-  // Start of a resolve call's window, read only while tracing is armed.
-  std::uint64_t traceClock() const {
-    return obs_.traceArmed() ? obs::Tracer::nowNs() : 0;
-  }
-
   // The post-pass of an observed resolve call: feeds the bound metric cells
-  // from `results` and emits the 1-in-N sampled TraceEvents, each stamped
-  // with the call's window [t0, now]. Runs once per call, after the resolve
-  // loop; kept out of line so that loop stays as tight as an unobserved
-  // port's.
+  // from `results` (spans are the caller's, built from the same Results).
+  // Runs once per call, after the resolve loop; kept out of line so that
+  // loop stays as tight as an unobserved port's.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((noinline))
 #endif
-  void observe(std::span<const ClueField> fields,
-               std::span<const Result> results, std::uint64_t t0) {
-    if (obs_.metricsEnabled()) {
-      std::array<std::uint64_t, obs::kOutcomeCount> cases{};
-      std::uint64_t claim1_skips = 0;
-      std::uint64_t search_failures = 0;
-      obs::HistogramCell& accesses = obs_.accesses->shard(obs_.shard);
-      for (const Result& r : results) {
-        ++cases[static_cast<std::size_t>(r.outcome)];
-        claim1_skips += r.claim1_skip ? 1 : 0;
-        search_failures += r.search_failed ? 1 : 0;
-        accesses.observe(mem::accessTotal(r.accesses));
-      }
-      obs_.packets->inc(results.size());
-      for (std::size_t c = 0; c < cases.size(); ++c) {
-        if (cases[c] != 0) obs_.cases[c]->inc(cases[c]);
-      }
-      if (claim1_skips != 0) obs_.claim1_skip->inc(claim1_skips);
-      if (search_failures != 0) obs_.search_failed->inc(search_failures);
+  void observe(std::span<const Result> results) {
+    if (!obs_.metricsEnabled()) return;
+    std::array<std::uint64_t, obs::kOutcomeCount> cases{};
+    std::uint64_t claim1_skips = 0;
+    std::uint64_t search_failures = 0;
+    obs::HistogramCell& accesses = obs_.accesses->shard(obs_.shard);
+    for (const Result& r : results) {
+      ++cases[static_cast<std::size_t>(r.outcome)];
+      claim1_skips += r.claim1_skip ? 1 : 0;
+      search_failures += r.search_failed ? 1 : 0;
+      accesses.observe(mem::accessTotal(r.accesses));
     }
-    if (!obs_.traceArmed()) return;
-    const auto dur = static_cast<std::uint32_t>(obs::Tracer::nowNs() - t0);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      // One tick per lookup keeps the 1-in-N pattern aligned with the
-      // packet stream.
-      if (!obs_.tracer->shouldSample()) continue;
-      const Result& r = results[i];
-      obs::TraceEvent e;
-      e.start_ns = t0;
-      e.dur_ns = dur;
-      e.worker = obs_.tracer->worker();
-      e.clue_len = r.outcome == obs::Outcome::kNoClue
-                       ? std::int16_t{-1}
-                       : static_cast<std::int16_t>(fields[i].length);
-      e.mode = static_cast<std::uint8_t>(options_.mode);
-      e.outcome = r.outcome;
-      e.claim1_skip = r.claim1_skip;
-      e.search_failed = r.search_failed;
-      e.accesses = r.accesses;
-      obs_.tracer->record(e);
+    obs_.packets->inc(results.size());
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      if (cases[c] != 0) obs_.cases[c]->inc(cases[c]);
     }
+    if (claim1_skips != 0) obs_.claim1_skip->inc(claim1_skips);
+    if (search_failures != 0) obs_.search_failed->inc(search_failures);
   }
 
   void learn(const PrefixT& clue, const ClueField& field) {

@@ -92,8 +92,8 @@ class AccessCounter {
   void mergeFrom(const AccessCounter& worker) { *this += worker; }
 
   // Visits every region with a non-zero count as (Region, count). The one
-  // loop exporters, trace events and reports need — written here once so
-  // they stop hand-rolling the enum iteration.
+  // loop exporters and reports need — written here once so they stop
+  // hand-rolling the enum iteration.
   template <typename Fn>
   void forEachNonZero(Fn&& fn) const {
     for (std::size_t i = 0; i < kRegions; ++i) {
@@ -126,7 +126,7 @@ class AccessCounter {
 
 // One lookup's accesses by region, each saturating at 0xffff (a single
 // lookup touches at most a few dozen nodes even in the Regular method): the
-// per-lookup record CluePort results, trace events and packet spans carry.
+// per-lookup record CluePort results and packet spans carry.
 using LookupAccesses = std::array<std::uint16_t, AccessCounter::kRegions>;
 
 // Per-region (after - before), saturated: costs one lookup by snapshotting

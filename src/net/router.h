@@ -114,8 +114,7 @@ class Router {
       // Routers run single-threaded in the simulator, so every port shares
       // shard 0; the {router=...} label keeps series distinct per router.
       port->attachObs(obs::LookupObs::bind(
-          *config_.registry, 0, nullptr,
-          {{"router", std::to_string(id_)}}));
+          *config_.registry, 0, {{"router", std::to_string(id_)}}));
     }
     ports_.emplace(neighbor, std::move(port));
   }

@@ -31,6 +31,18 @@ std::optional<lookup::Method> methodFromName(std::string_view s) {
   return std::nullopt;
 }
 
+// [A-Za-z0-9._-]+: the name is printed unescaped into the JSON bodies of
+// /status, /trace and /debug/flight.
+bool validName(std::string_view s) {
+  for (const char ch : s) {
+    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+                    (ch >= '0' && ch <= '9') || ch == '.' || ch == '_' ||
+                    ch == '-';
+    if (!ok) return false;
+  }
+  return !s.empty();
+}
+
 std::optional<lookup::ClueMode> modeFromName(std::string_view s) {
   if (s == "simple" || s == "Simple") return lookup::ClueMode::kSimple;
   if (s == "advance" || s == "Advance") return lookup::ClueMode::kAdvance;
@@ -67,6 +79,7 @@ std::optional<Config> parseConfig(std::string_view text, std::string* error) {
     if (key.empty() || val.empty()) return fail("empty key or value");
 
     if (key == "name") {
+      if (!validName(val)) return fail("name must match [A-Za-z0-9._-]+");
       c.name = std::string(val);
     } else if (key == "router_id") {
       std::uint64_t v = 0;

@@ -30,7 +30,7 @@
 namespace cluert::netio {
 
 struct Config {
-  std::string name = "cluertd";
+  std::string name = "cluertd";  // [A-Za-z0-9._-]+ (JSON-safe)
   std::uint16_t router_id = 0;
   SockAddr listen;            // UDP data plane (port 0 = kernel-assigned)
   SockAddr admin;             // TCP admin plane (port 0 = kernel-assigned)

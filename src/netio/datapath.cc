@@ -2,23 +2,16 @@
 
 #include <sys/epoll.h>
 
-#include <chrono>
 #include <span>
 #include <string>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "core/distributed_lookup.h"
 
 namespace cluert::netio {
 
 namespace {
-
-std::uint64_t nowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::unique_ptr<core::CluePort<ip::Ip4Addr>> makePort(const Config& c) {
   typename core::CluePort<ip::Ip4Addr>::Options o;
@@ -40,7 +33,8 @@ Datapath::Datapath(const Config& config, std::size_t shard,
       resolver_(makePort(config), shard),
       nobs_(obs::NetioObs::bind(registry, shard,
                                 {{"shard", std::to_string(shard)}})),
-      receiver_(kRxMessages) {
+      receiver_(kRxMessages),
+      sampler_(config.trace_sample, /*phase=*/0) {
   CLUERT_CHECK(sock_.valid())
       << "cannot bind UDP " << config.listen.toString();
   // Without GRO (an old kernel) every message is one datagram; the receive
@@ -111,7 +105,7 @@ void Datapath::requestDrain() {
   loop_.post([this] {
     if (flight_ != nullptr) flight_->push(obs::FlightKind::kDrain);
     const std::uint64_t deadline =
-        nowNs() + std::uint64_t{config_.drain_ms} * 1000000ULL;
+        steadyNs() + std::uint64_t{config_.drain_ms} * 1000000ULL;
     drainStep(deadline);
   });
 }
@@ -120,7 +114,7 @@ void Datapath::drainStep(std::uint64_t deadline_ns) {
   // Drain already-accepted datagrams: keep pulling until the kernel buffer
   // is dry (no loss for anything the socket took before the SIGTERM) or the
   // drain budget runs out, whichever is first.
-  while (nowNs() < deadline_ns) {
+  while (steadyNs() < deadline_ns) {
     if (receive() == 0) break;
   }
   loop_.stop();
@@ -141,7 +135,7 @@ void Datapath::onReadable() {
 int Datapath::receive() {
   const int msgs = receiver_.recv(sock_.get());
   if (msgs <= 0) return 0;
-  const std::uint64_t rx_ns = nowNs();
+  const std::uint64_t rx_ns = steadyNs();
   nobs_.rx_syscalls->inc();
   std::array<std::span<const std::uint8_t>, pipeline::kMaxBatch> dgrams;
   while (const std::size_t n = receiver_.next(dgrams.data(), dgrams.size())) {
@@ -159,8 +153,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   // Decode pass: valid packets compact into the resolve arrays; the decode
   // buffer stays alive (payload spans alias it) until the send below. An
   // untraced packet may pick up a fresh trace context here — the ingress
-  // 1-in-N sample (deterministic: every trace_sample-th untraced arrival
-  // per shard).
+  // 1-in-N sample (phase 0: untraced arrivals 0, N, 2N, … of this shard).
   std::array<WirePacket<A>, pipeline::kMaxBatch> pkts;
   std::array<A, pipeline::kMaxBatch> dests;
   std::array<core::ClueField, pipeline::kMaxBatch> clues;
@@ -181,18 +174,16 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     rxCellFor(r.packet.src_id).inc();
     rx_bytes += dgram.size();
     pkts[valid] = r.packet;
-    if (!pkts[valid].trace.has_value() && config_.trace_sample != 0 &&
-        (trace_tick_++ % config_.trace_sample) == 0) {
+    if (!pkts[valid].trace.has_value() && sampler_.sample()) {
       TraceContext tc;
       // (router_id, shard, sample ordinal) make the id unique across the
       // topology; the low word carries the origin timestamp for free.
       tc.id_hi = (std::uint64_t{config_.router_id} << 48) |
                  (std::uint64_t{static_cast<std::uint32_t>(shard_)} << 32) |
-                 (trace_count_ & 0xffffffffULL);
+                 ((sampler_.samples() - 1) & 0xffffffffULL);
       tc.id_lo = rx_ns;
       tc.hop = 0;
       tc.origin_ns = rx_ns;
-      ++trace_count_;
       pkts[valid].trace = tc;
       if (flight_ != nullptr) {
         flight_->push(obs::FlightKind::kTraceStart, tc.id_hi, tc.id_lo);
@@ -208,7 +199,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   if (valid == 0) return;
   // Decode ends where the lookup window opens; both are read only when a
   // span will carry them.
-  const std::uint64_t decode_ns = any_traced ? nowNs() : rx_ns;
+  const std::uint64_t decode_ns = any_traced ? steadyNs() : rx_ns;
 
   // One pinned version for the whole batch; the optional differential
   // oracle runs inside the guard so it reads the *same* version the port
@@ -217,7 +208,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   const std::uint64_t seq = resolver_.resolve(
       {dests.data(), valid}, {clues.data(), valid}, {results.data(), valid},
       acc_, [&](const rib::TableVersion<A>* version) {
-        if (any_traced) lookup_end_ns = nowNs();
+        if (any_traced) lookup_end_ns = steadyNs();
         if (!config_.oracle || version == nullptr) return;
         const auto& engine = version->suite->engine(version->method);
         for (std::size_t i = 0; i < valid; ++i) {
@@ -299,7 +290,7 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   // Stamped BEFORE the send syscall: the downstream hop's rx_ns is after
   // the datagram arrived, so pre-send stamping keeps tx(hop k) <= rx(hop
   // k+1) on a shared monotonic clock — post-send stamping would not.
-  const std::uint64_t tx_ns = any_traced ? nowNs() : 0;
+  const std::uint64_t tx_ns = any_traced ? steadyNs() : 0;
   std::size_t sent_ok = 0;
   if (n_out > 0) {
     std::uint64_t syscalls = 0;

@@ -171,11 +171,10 @@ class Datapath {
   std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> pinned_seq_{0};
 
-  // Distributed tracing (owner-thread state; DESIGN.md §11). trace_tick_
-  // counts untraced ingress packets so sampling is deterministic; ingress
-  // trace ids fold (router_id, shard, sample ordinal) into id_hi.
-  std::uint64_t trace_tick_ = 0;
-  std::uint64_t trace_count_ = 0;
+  // Distributed tracing (owner-thread state; DESIGN.md §11). The sampler
+  // ticks once per untraced ingress packet; ingress trace ids fold
+  // (router_id, shard, sample ordinal) into id_hi.
+  obs::SpanSampler sampler_;
   obs::SpanCollector spans_;
   obs::FlightRing* flight_ = nullptr;  // optional; owned by the daemon
 };

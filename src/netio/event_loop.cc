@@ -6,23 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
+#include "common/clock.h"
 
 namespace cluert::netio {
-
-namespace {
-
-std::uint64_t nowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 EventLoop::EventLoop(std::uint32_t tick_ms)
     : epoll_(::epoll_create1(0)),
@@ -119,17 +108,17 @@ void EventLoop::runPosted() {
 
 int EventLoop::timeoutMs() const {
   if (armed_timers_ == 0) return -1;
-  const std::uint64_t elapsed_ms = (nowNs() - last_tick_ns_) / 1000000;
+  const std::uint64_t elapsed_ms = (steadyNs() - last_tick_ns_) / 1000000;
   if (elapsed_ms >= tick_ms_) return 0;
   return static_cast<int>(tick_ms_ - elapsed_ms);
 }
 
 void EventLoop::advanceWheel() {
   if (armed_timers_ == 0) {
-    last_tick_ns_ = nowNs();
+    last_tick_ns_ = steadyNs();
     return;
   }
-  const std::uint64_t now = nowNs();
+  const std::uint64_t now = steadyNs();
   std::uint64_t elapsed_ticks = (now - last_tick_ns_) / (tick_ms_ * 1000000ULL);
   if (elapsed_ticks == 0) return;
   // A long stall (debugger, overloaded host) must still fire every timer
@@ -157,7 +146,7 @@ void EventLoop::advanceWheel() {
 void EventLoop::run() {
   running_ = true;
   stop_requested_ = false;
-  last_tick_ns_ = nowNs();
+  last_tick_ns_ = steadyNs();
   epoll_event events[64];
   while (!stop_requested_) {
     const int n =

@@ -1,11 +1,9 @@
 #include "obs/export.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 namespace cluert::obs {
 
@@ -70,22 +68,6 @@ std::string fmtDouble(double v) {
   return buf;
 }
 
-// Microseconds with nanosecond precision, the chrome-trace time unit.
-std::string fmtUs(std::uint64_t ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", ns / 1000,
-                static_cast<unsigned>(ns % 1000));
-  return buf;
-}
-
-std::uint64_t traceEpoch(std::span<const TraceEvent> events,
-                         std::span<const SpanEvent> spans) {
-  std::uint64_t epoch = ~std::uint64_t{0};
-  for (const auto& e : events) epoch = std::min(epoch, e.start_ns);
-  for (const auto& s : spans) epoch = std::min(epoch, s.start_ns);
-  return epoch == ~std::uint64_t{0} ? 0 : epoch;
-}
-
 }  // namespace
 
 std::string toPrometheus(const MetricSnapshot& snapshot) {
@@ -132,29 +114,6 @@ std::string toPrometheus(const MetricSnapshot& snapshot) {
   return out.str();
 }
 
-std::string toJsonl(std::span<const TraceEvent> events) {
-  std::ostringstream out;
-  for (const TraceEvent& e : events) {
-    out << "{\"start_ns\":" << e.start_ns << ",\"dur_ns\":" << e.dur_ns
-        << ",\"worker\":" << e.worker
-        << ",\"clue_len\":" << static_cast<int>(e.clue_len)
-        << ",\"mode\":" << static_cast<int>(e.mode) << ",\"outcome\":\""
-        << outcomeName(e.outcome) << "\",\"claim1_skip\":"
-        << (e.claim1_skip ? "true" : "false") << ",\"search_failed\":"
-        << (e.search_failed ? "true" : "false") << ",\"accesses\":{";
-    bool first = true;
-    for (std::size_t r = 0; r < e.accesses.size(); ++r) {
-      if (e.accesses[r] == 0) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << mem::regionName(static_cast<mem::Region>(r)) << "\":"
-          << e.accesses[r];
-    }
-    out << "},\"total_accesses\":" << e.accessTotal() << "}\n";
-  }
-  return out.str();
-}
-
 std::string spansToJsonl(std::span<const PacketSpan> spans,
                          const std::string& router) {
   std::ostringstream out;
@@ -190,61 +149,6 @@ std::string spansToJsonl(std::span<const PacketSpan> spans,
     }
     out << "},\"total_accesses\":" << s.accessTotal() << "}\n";
   }
-  return out.str();
-}
-
-std::string toChromeTrace(std::span<const TraceEvent> events,
-                          std::span<const SpanEvent> spans,
-                          const std::string& process_name) {
-  // Normalise to the earliest timestamp so the UI timeline starts at ~0.
-  const std::uint64_t epoch = traceEpoch(events, spans);
-
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  bool first = true;
-  const auto emit = [&](const std::string& line) {
-    if (!first) out << ",\n";
-    first = false;
-    out << line;
-  };
-
-  emit("{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-       "\"args\":{\"name\":\"" +
-       process_name + "\"}}");
-  std::vector<std::uint32_t> named_workers;
-  const auto nameWorker = [&](std::uint32_t w) {
-    for (const auto n : named_workers) {
-      if (n == w) return;
-    }
-    named_workers.push_back(w);
-    emit("{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(w) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":\"worker " +
-         std::to_string(w) + "\"}}");
-  };
-
-  for (const SpanEvent& s : spans) {
-    nameWorker(s.worker);
-    emit("{\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(s.worker) +
-         ",\"ts\":" + fmtUs(s.start_ns - epoch) +
-         ",\"dur\":" + fmtUs(s.dur_ns) + ",\"name\":\"batch\",\"cat\":\""
-         "pipeline\",\"args\":{\"packets\":" +
-         std::to_string(s.packets) + "}}");
-  }
-  for (const TraceEvent& e : events) {
-    nameWorker(e.worker);
-    emit("{\"ph\":\"X\",\"pid\":0,\"tid\":" + std::to_string(e.worker) +
-         ",\"ts\":" + fmtUs(e.start_ns - epoch) +
-         ",\"dur\":" + fmtUs(e.dur_ns) +
-         ",\"name\":\"lookup case " +
-         std::string(outcomeName(e.outcome)) + "\",\"cat\":\"lookup\","
-         "\"args\":{\"outcome\":\"" +
-         std::string(outcomeName(e.outcome)) +
-         "\",\"clue_len\":" + std::to_string(e.clue_len) +
-         ",\"accesses\":" + std::to_string(e.accessTotal()) +
-         ",\"claim1_skip\":" + (e.claim1_skip ? "true" : "false") +
-         ",\"search_failed\":" + (e.search_failed ? "true" : "false") + "}}");
-  }
-  out << "\n]}\n";
   return out.str();
 }
 

@@ -3,19 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
+
+#include "common/clock.h"
 
 namespace cluert::obs {
 
 namespace {
-
-std::uint64_t steadyNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::uint16_t packMeta(FlightKind kind, std::uint8_t worker) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(kind) |

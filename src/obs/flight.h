@@ -56,7 +56,7 @@ inline constexpr std::size_t kFlightKindCount = 12;
 std::string_view flightKindName(FlightKind k);
 
 struct FlightEvent {
-  std::uint64_t ns = 0;  // steady-clock, same timebase as Tracer::nowNs()
+  std::uint64_t ns = 0;  // steadyNs(), the timebase of every span
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   FlightKind kind = FlightKind::kNone;

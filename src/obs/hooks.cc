@@ -12,10 +12,9 @@ Labels withExtra(Labels base, const Labels& extra) {
 }  // namespace
 
 LookupObs LookupObs::bind(MetricRegistry& reg, std::size_t shard,
-                          Tracer* tracer, const Labels& extra) {
+                          const Labels& extra) {
   LookupObs o;
   o.shard = shard;
-  o.tracer = tracer;
   o.packets = &reg.counter("lookup_packets_total",
                            "Packets resolved by the clue-assisted fast path",
                            extra)

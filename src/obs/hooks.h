@@ -16,7 +16,7 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace cluert::obs {
 
@@ -33,22 +33,22 @@ struct LookupObs {
   CounterCell* search_failed = nullptr;
   Histogram* accesses = nullptr;     // per-lookup total access delta
   std::size_t shard = 0;
-  Tracer* tracer = nullptr;  // optional; owned elsewhere (the worker)
+  // Set by an owner that builds spans from the Results (pipeline::Worker
+  // sampling spans without a registry): the port fills each Result's
+  // accesses even though no metric cell is bound.
+  bool record_accesses = false;
 
   bool metricsEnabled() const { return packets != nullptr; }
 
-  // True when lookups should also produce sampled TraceEvents.
-  bool traceArmed() const { return tracer != nullptr && tracer->enabled(); }
-
   // True when anything observes the lookups: the port then records each
   // lookup's accesses in its Result and runs the post-pass.
-  bool attached() const { return metricsEnabled() || traceArmed(); }
+  bool attached() const { return metricsEnabled() || record_accesses; }
 
   // Resolves the instruments in `reg`, pinning this bundle to `shard`.
   // `extra` labels distinguish co-hosted producers (e.g. {"router", "2"});
   // the same labels must be used when reading the series back.
   static LookupObs bind(MetricRegistry& reg, std::size_t shard,
-                        Tracer* tracer = nullptr, const Labels& extra = {});
+                        const Labels& extra = {});
 };
 
 // Per-worker pipeline-level counters, fed by Worker once per batch.

@@ -1,6 +1,24 @@
 #include "obs/span.h"
 
+#include "common/random.h"
+
 namespace cluert::obs {
+
+std::string_view outcomeName(Outcome o) {
+  switch (o) {
+    case Outcome::kNoClue:
+      return "no_clue";
+    case Outcome::kMiss:
+      return "miss";
+    case Outcome::kCase1:
+      return "1";
+    case Outcome::kCase2:
+      return "2";
+    case Outcome::kCase3:
+      return "3";
+  }
+  return "unknown";
+}
 
 std::string_view spanVerdictName(SpanVerdict v) {
   switch (v) {
@@ -16,6 +34,13 @@ std::string_view spanVerdictName(SpanVerdict v) {
       return "send_error";
   }
   return "unknown";
+}
+
+std::uint64_t SpanSampler::shardPhase(std::uint32_t every, std::uint64_t seed,
+                                      std::uint64_t worker) {
+  if (every == 0) return 0;
+  Rng rng = Rng::forThread(seed, worker);
+  return rng.uniform(0, every - 1);
 }
 
 SpanCollector::SpanCollector(std::size_t capacity)

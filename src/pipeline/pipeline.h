@@ -51,10 +51,6 @@ struct PipelineOptions {
   std::size_t ring_batches = 64;
   // Base seed split per worker via Rng::forThread.
   std::uint64_t seed = 1;
-  // Deepest tier of the idle/full backoff escalation (spin -> yield ->
-  // sleep). Relevant when threads outnumber cores: shorter sleeps react
-  // faster, longer sleeps give the running thread longer bursts.
-  std::uint32_t backoff_sleep_us = 50;
   // Clamp `workers` to std::thread::hardware_concurrency(). Oversubscribing
   // cores never helps a run-to-completion data plane (the threads just trade
   // timeslices; BENCH_throughput's 8w rows were *slower* than 4w on a 4-core
@@ -82,12 +78,16 @@ struct PipelineOptions {
   // Observability (src/obs/). `registry` non-null: every shard binds its
   // per-worker metric cells (lookup_case_total, lookup_accesses, ...) and
   // run() publishes the merged region counters post-join. `trace.enabled`:
-  // each shard owns a Tracer recording batch spans and 1-in-N sampled
-  // per-lookup events. Either one makes each shard's port record per-lookup
-  // accesses and run its post-pass once per batch. Both default off: an
-  // unobserved pipeline pays one test per batch.
+  // every shard samples 1 in `trace.sample_every` of its packets (0: none)
+  // into obs::PacketSpans, built from its batches' Results and collected
+  // for drainSpans(). Either one makes each shard's port record per-lookup
+  // accesses in its Results. Both default off: an unobserved shard holds
+  // no sampler and pays a few tests per batch.
   obs::MetricRegistry* registry = nullptr;
-  obs::TraceOptions trace;
+  struct Trace {
+    bool enabled = false;
+    std::uint32_t sample_every = 64;
+  } trace;
 };
 
 // Aggregated view of one run(): the merged per-worker counters in the same
@@ -174,21 +174,8 @@ class Pipeline {
       : options_(sanitized(options)),
         requested_workers_(options.workers == 0 ? 1 : options.workers) {
     for (std::size_t w = 0; w < options_.workers; ++w) {
-      typename PortT::Options popt;
-      popt.method = options_.method;
-      popt.mode = options_.mode;
-      popt.learn = options_.learn;
-      popt.neighbor_index = options_.neighbor_index;
-      popt.expected_clues = options_.expected_clues;
-      popt.cache_entries = options_.cache_entries;
-      workers_.push_back(arena_.template create<WorkerT>(
-          w, options_.seed, options_.ring_batches,
-          std::make_unique<PortT>(suite, neighbor_trie, popt),
-          options_.backoff_sleep_us));
-      if (options_.registry != nullptr || options_.trace.enabled) {
-        workers_.back()->enableObs(options_.registry, options_.trace,
-                                   options_.seed);
-      }
+      addWorker(w, std::make_unique<PortT>(suite, neighbor_trie,
+                                           portOptions(options_.learn)));
     }
     open_.assign(workers_.size(), nullptr);
     announce();
@@ -206,21 +193,8 @@ class Pipeline {
     CLUERT_CHECK(options_.workers <= rib::VersionedTables<A>::kMaxEpochWorkers)
         << options_.workers << " workers exceed the epoch-slot array";
     for (std::size_t w = 0; w < options_.workers; ++w) {
-      typename PortT::Options popt;
-      popt.method = options_.method;
-      popt.mode = options_.mode;
-      popt.learn = false;
-      popt.neighbor_index = options_.neighbor_index;
-      popt.expected_clues = options_.expected_clues;
-      popt.cache_entries = options_.cache_entries;
-      workers_.push_back(arena_.template create<WorkerT>(
-          w, options_.seed, options_.ring_batches,
-          std::make_unique<PortT>(popt), options_.backoff_sleep_us));
-      workers_.back()->bindVersions(&versions);
-      if (options_.registry != nullptr || options_.trace.enabled) {
-        workers_.back()->enableObs(options_.registry, options_.trace,
-                                   options_.seed);
-      }
+      addWorker(w, std::make_unique<PortT>(portOptions(/*learn=*/false)))
+          .bindVersions(&versions);
     }
     open_.assign(workers_.size(), nullptr);
     announce();
@@ -283,38 +257,48 @@ class Pipeline {
     return s;
   }
 
-  // Merged trace rings of every shard, oldest-first per worker and sorted by
-  // start time overall. Meaningful after run() returned (the shards own
-  // their rings; post-join they are quiescent).
-  std::vector<obs::TraceEvent> traceEvents() const {
-    std::vector<obs::TraceEvent> out;
-    for (const auto& w : workers_) {
-      if (w->tracer() == nullptr) continue;
-      const auto ev = w->tracer()->events();
-      out.insert(out.end(), ev.begin(), ev.end());
+  // Drains every shard's sampled spans (PipelineOptions::trace), sorted by
+  // lookup start; each shard's spans keep their order. Call after run()
+  // returned. Export with obs::spansToJsonl and render with
+  // tools/trace_merge.py --require-hops 1.
+  std::vector<obs::PacketSpan> drainSpans() {
+    std::vector<obs::PacketSpan> out;
+    for (auto* w : workers_) {
+      const std::vector<obs::PacketSpan> spans = w->drainSpans();
+      out.insert(out.end(), spans.begin(), spans.end());
     }
-    std::sort(out.begin(), out.end(),
-              [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                return a.start_ns < b.start_ns;
-              });
-    return out;
-  }
-
-  std::vector<obs::SpanEvent> traceSpans() const {
-    std::vector<obs::SpanEvent> out;
-    for (const auto& w : workers_) {
-      if (w->tracer() == nullptr) continue;
-      const auto sp = w->tracer()->spans();
-      out.insert(out.end(), sp.begin(), sp.end());
-    }
-    std::sort(out.begin(), out.end(),
-              [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
-                return a.start_ns < b.start_ns;
-              });
+    std::stable_sort(out.begin(), out.end(),
+                     [](const obs::PacketSpan& a, const obs::PacketSpan& b) {
+                       return a.lookup_start_ns < b.lookup_start_ns;
+                     });
     return out;
   }
 
  private:
+  typename PortT::Options portOptions(bool learn) const {
+    typename PortT::Options popt;
+    popt.method = options_.method;
+    popt.mode = options_.mode;
+    popt.learn = learn;
+    popt.neighbor_index = options_.neighbor_index;
+    popt.expected_clues = options_.expected_clues;
+    popt.cache_entries = options_.cache_entries;
+    return popt;
+  }
+
+  // Places shard `w` in the arena and attaches its observability.
+  WorkerT& addWorker(std::size_t w, std::unique_ptr<PortT> port) {
+    WorkerT* worker = arena_.template create<WorkerT>(
+        w, options_.seed, options_.ring_batches, std::move(port));
+    workers_.push_back(worker);
+    const std::uint32_t span_every =
+        options_.trace.enabled ? options_.trace.sample_every : 0;
+    if (options_.registry != nullptr || span_every != 0) {
+      worker->enableObs(options_.registry, span_every, options_.seed);
+    }
+    return *worker;
+  }
+
   static PipelineOptions sanitized(PipelineOptions o) {
     if (o.workers == 0) o.workers = 1;
     if (o.batch_size == 0) o.batch_size = 1;
@@ -387,7 +371,7 @@ class Pipeline {
         auto& ring = workers_[shard]->ring();
         batch = ring.claim();
         for (std::uint64_t streak = 1; batch == nullptr; ++streak) {
-          feederBackoff(feeder_rng, streak, options_.backoff_sleep_us);
+          ringBackoff(feeder_rng, streak);
           batch = ring.claim();
         }
         batch->clear();
@@ -438,29 +422,6 @@ class Pipeline {
       }
     }
     return warmed ? mem::threadAllocs() - alloc_base : 0;
-  }
-
-  // Full-ring wait, escalating exactly like Worker::idleBackoff: jittered
-  // spin, then yield, then sleep. The sleep tier is what keeps an
-  // oversubscribed (workers >= cores) run efficient — a sleeping feeder
-  // gives each worker a full timeslice to drain its ring instead of
-  // trading the core back every few batches.
-  static void feederBackoff(Rng& rng, std::uint64_t streak,
-                            std::uint32_t sleep_us) {
-    if (streak < 4) {
-      const std::uint64_t spins = 32 + rng.uniform(0, 32);
-      for (std::uint64_t s = 0; s < spins; ++s) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-      }
-      return;
-    }
-    if (streak < 16 || sleep_us == 0) {
-      std::this_thread::yield();
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
   }
 
   PipelineStats aggregate(double seconds) const {

@@ -15,11 +15,15 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
+#include "common/clock.h"
 #include "common/random.h"
 #include "core/distributed_lookup.h"
 #include "mem/alloc_hook.h"
 #include "obs/hooks.h"
+#include "obs/span.h"
 #include "pipeline/packet_batch.h"
 #include "pipeline/pinned_resolver.h"
 #include "pipeline/spsc_ring.h"
@@ -27,19 +31,44 @@
 
 namespace cluert::pipeline {
 
+inline constexpr std::chrono::microseconds kBackoffSleep{50};
+
+// The wait step for a ring that is empty (a worker) or full (the feeder),
+// escalating with the streak of failed attempts: spin a short burst
+// jittered from the caller's own Rng stream (so threads don't hammer the
+// ring's cache lines in lockstep), then yield, and once the streak is long,
+// sleep kBackoffSleep. The sleep matters on a host with fewer cores than
+// threads: a yield-looping thread still burns whole timeslices, whereas a
+// sleeping one lets the other side fill or drain its rings in one long
+// burst instead of a few batches per context switch.
+inline void ringBackoff(Rng& rng, std::uint64_t streak) {
+  if (streak < 4) {
+    const std::uint64_t spins = 32 + rng.uniform(0, 32);
+    for (std::uint64_t s = 0; s < spins; ++s) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+    return;
+  }
+  if (streak < 16) {
+    std::this_thread::yield();
+    return;
+  }
+  std::this_thread::sleep_for(kBackoffSleep);
+}
+
 template <typename A>
 class Worker {
  public:
   using PortT = core::CluePort<A>;
 
   Worker(std::size_t id, std::uint64_t pipeline_seed,
-         std::size_t ring_capacity_batches, std::unique_ptr<PortT> port,
-         std::uint32_t backoff_sleep_us = 50)
+         std::size_t ring_capacity_batches, std::unique_ptr<PortT> port)
       : id_(id),
         rng_(Rng::forThread(pipeline_seed, id)),
         ring_(ring_capacity_batches),
-        resolver_(std::move(port), id),
-        backoff_sleep_us_(backoff_sleep_us) {}
+        resolver_(std::move(port), id) {}
 
   std::size_t id() const { return id_; }
   SpscRing<PacketBatch<A>>& ring() { return ring_; }
@@ -49,28 +78,27 @@ class Worker {
   std::uint64_t packets() const { return packets_; }
   std::uint64_t batches() const { return batches_; }
 
-  // Attaches this shard's observability: its metric cells (shard = worker
-  // id) and, when `trace.enabled`, a Tracer whose sampling phase derives
-  // from (seed, id) via Rng::forThread. Control-plane call, strictly before
-  // run(). Either part may be absent: a null registry with tracing on still
-  // produces trace events; a registry with tracing off still counts. Either
-  // one attaches the port's LookupObs, so its batches end in the post-pass
-  // (CluePort::processBatch) that feeds both.
-  void enableObs(obs::MetricRegistry* registry, const obs::TraceOptions& trace,
+  // Attaches this shard's observability (control-plane, strictly before
+  // run()): its metric cells (shard = worker id) when `registry` is set,
+  // and when `span_every` > 0 a SpanSampler firing on 1 in span_every
+  // packets — phased by (seed, id) via Rng::forThread — with the collector
+  // its spans go to. Either one attaches the port's LookupObs, so each
+  // Result carries its lookup's accesses and the port's post-pass feeds the
+  // metric cells. A shard given neither holds no sampler and no collector.
+  void enableObs(obs::MetricRegistry* registry, std::uint32_t span_every,
                  std::uint64_t seed) {
-    if (trace.enabled) {
-      tracer_ = std::make_unique<obs::Tracer>(
-          trace, seed, static_cast<std::uint32_t>(id_));
-    }
+    obs::LookupObs lo;
+    lo.shard = id_;
     if (registry != nullptr) {
       wobs_ = obs::WorkerObs::bind(*registry, id_);
-      port().attachObs(obs::LookupObs::bind(*registry, id_, tracer_.get()));
-    } else if (tracer_ != nullptr) {
-      obs::LookupObs lo;
-      lo.shard = id_;
-      lo.tracer = tracer_.get();
-      port().attachObs(lo);
+      lo = obs::LookupObs::bind(*registry, id_);
     }
+    if (span_every != 0) {
+      tracing_ = std::make_unique<Tracing>(
+          span_every, obs::SpanSampler::shardPhase(span_every, seed, id_));
+      lo.record_accesses = true;
+    }
+    port().attachObs(lo);
   }
 
   // Attaches the epoch-versioned table source (control-plane, before
@@ -104,8 +132,12 @@ class Worker {
   // processed at most one batch.
   std::uint64_t steadyAllocs() const { return steady_allocs_; }
 
-  // Post-join access to the shard's trace rings (null when tracing is off).
-  const obs::Tracer* tracer() const { return tracer_.get(); }
+  // The shard's sampled spans, oldest first (empty when it samples none).
+  // Call after run() returned.
+  std::vector<obs::PacketSpan> drainSpans() {
+    return tracing_ != nullptr ? tracing_->spans.drain()
+                               : std::vector<obs::PacketSpan>{};
+  }
 
   // The worker thread body: pop batches until the ring is closed *and*
   // drained, resolve each through the batched CluePort path, and publish
@@ -134,7 +166,7 @@ class Worker {
           batch = ring_.front();
           if (batch == nullptr) break;  // closed and drained: done
         } else {
-          idleBackoff(++idle_streak);
+          ringBackoff(rng_, ++idle_streak);
           continue;
         }
       }
@@ -155,10 +187,9 @@ class Worker {
   // the batch's SoA spans in place: no per-packet gather copy.
   void resolveBatch(PacketBatch<A>& batch, std::span<NextHop> out,
                     std::span<std::uint64_t> version_out) {
-    // Batch spans cost two clock reads per *batch*; the port's sampled
-    // per-lookup events share the resolve call's window.
-    const bool spans = tracer_ != nullptr && tracer_->enabled();
-    const std::uint64_t span_t0 = spans ? obs::Tracer::nowNs() : 0;
+    // A sampling shard reads the clock twice per *batch*: its spans share
+    // the window of the batch's one resolve.
+    const std::uint64_t start_ns = tracing_ != nullptr ? steadyNs() : 0;
     const std::size_t n = batch.size();
     const std::span<const std::uint32_t> seqs = batch.seqs();
     // Pin one version for the whole batch (PinnedResolver). The guard
@@ -176,11 +207,7 @@ class Worker {
         });
     packets_ += n;
     ++batches_;
-    if (spans) {
-      const std::uint64_t dur = obs::Tracer::nowNs() - span_t0;
-      tracer_->span({span_t0, dur, static_cast<std::uint32_t>(id_),
-                     static_cast<std::uint32_t>(n)});
-    }
+    if (tracing_ != nullptr) recordSpans(batch, start_ns, steadyNs());
     if (wobs_.enabled()) {
       wobs_.packets->inc(n);
       wobs_.batches->inc();
@@ -188,41 +215,63 @@ class Worker {
   }
 
  private:
-  // Empty-ring wait, escalating with the idle streak: spin a short,
-  // per-worker-jittered burst (the jitter — drawn from this worker's own Rng
-  // stream — decorrelates shards so they don't hammer the producer's cache
-  // lines in lockstep), then yield, and once the ring has stayed empty for
-  // many attempts, sleep. The sleep matters on a host with fewer cores than
-  // threads: a yield-looping worker still burns whole timeslices, whereas a
-  // sleeping one lets the feeder fill every ring in one long burst instead
-  // of a few batches per context switch.
-  void idleBackoff(std::uint64_t streak) {
-    if (streak < 4) {
-      const std::uint64_t spins = 32 + rng_.uniform(0, 32);
-      for (std::uint64_t s = 0; s < spins; ++s) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
+  // A sampling shard's span state; allocated only when it samples.
+  struct Tracing {
+    Tracing(std::uint32_t every, std::uint64_t phase)
+        : sampler(every, phase) {}
+    obs::SpanSampler sampler;
+    obs::SpanCollector spans;
+  };
+
+  // One span per sampled packet of the batch just resolved, from its
+  // Result: a one-hop trace with no rx or tx of its own, so rx, decode and
+  // lookup start are all the resolve's start. The trace id follows the
+  // datapath's scheme with router id 0: shard << 32 | sample ordinal, and
+  // the start time as the low word. Out of line, like CluePort's post-pass,
+  // so the resolve path stays as tight as an unsampled shard's.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline))
 #endif
+  void recordSpans(const PacketBatch<A>& batch, std::uint64_t start_ns,
+                   std::uint64_t end_ns) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!tracing_->sampler.sample()) continue;
+      const typename PortT::Result& r = results_[i];
+      const core::ClueField& clue = batch.clue(i);
+      obs::PacketSpan s;
+      s.trace_hi = (std::uint64_t{static_cast<std::uint32_t>(id_)} << 32) |
+                   ((tracing_->sampler.samples() - 1) & 0xffffffffULL);
+      s.trace_lo = start_ns;
+      s.origin_ns = start_ns;
+      s.worker = static_cast<std::uint32_t>(id_);
+      if constexpr (std::is_same_v<A, ip::Ip4Addr>) {
+        s.dest = batch.dest(i).value();
       }
-      return;
+      s.rx_ns = start_ns;
+      s.decode_ns = start_ns;
+      s.lookup_start_ns = start_ns;
+      s.lookup_end_ns = end_ns;
+      s.clue_len = clue.present ? static_cast<std::int16_t>(clue.length)
+                                : std::int16_t{-1};
+      s.outcome = r.outcome;
+      s.claim1_skip = r.claim1_skip;
+      s.search_failed = r.search_failed;
+      s.accesses = r.accesses;
+      s.verdict = r.match ? obs::SpanVerdict::kDelivered
+                          : obs::SpanVerdict::kNoRoute;
+      tracing_->spans.record(s);
     }
-    if (streak < 16 || backoff_sleep_us_ == 0) {
-      std::this_thread::yield();
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_sleep_us_));
   }
 
   std::size_t id_;
   Rng rng_;
   SpscRing<PacketBatch<A>> ring_;
   PinnedResolver<A> resolver_;
-  std::uint32_t backoff_sleep_us_ = 50;
   mem::AccessCounter acc_;
   std::uint64_t packets_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t steady_allocs_ = 0;
-  std::unique_ptr<obs::Tracer> tracer_;  // owned here: single-writer ring
+  std::unique_ptr<Tracing> tracing_;
   obs::WorkerObs wobs_;
   // Per-batch resolve results; a member (not a stack array) so the shard's
   // hot scratch lives inside its arena placement, cache-line aligned.

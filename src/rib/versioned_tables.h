@@ -49,11 +49,11 @@
 #include "check/report.h"
 #include "check/trie_check.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "core/clue_table.h"
 #include "core/distributed_lookup.h"
 #include "lookup/factory.h"
 #include "obs/hooks.h"
-#include "obs/trace.h"
 #include "rib/epoch.h"
 #include "rib/fib.h"
 #include "rib/fib_diff.h"
@@ -196,10 +196,10 @@ class VersionedTables {
   template <typename ApplyFn>
   std::uint64_t publishWith(ApplyFn&& apply) {
     TableVersion<A>& next = buf_[shadow_];
-    const std::uint64_t t0 = obs::Tracer::nowNs();
+    const std::uint64_t t0 = steadyNs();
     const bool full = apply(next);
     next.seq = ++seq_;
-    const std::uint64_t t1 = obs::Tracer::nowNs();
+    const std::uint64_t t1 = steadyNs();
 
     TableVersion<A>* retired = epoch_.exchangeLive(&next);
     shadow_ ^= 1;
@@ -208,7 +208,7 @@ class VersionedTables {
     if (options_.on_publish) options_.on_publish(next);
 
     epoch_.waitForReaders();
-    const std::uint64_t t2 = obs::Tracer::nowNs();
+    const std::uint64_t t2 = steadyNs();
 
     if (options_.validate_retired) {
       const check::Report report = validateVersion(*retired);

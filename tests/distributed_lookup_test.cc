@@ -2,7 +2,6 @@
 
 #include "core/distributed_lookup.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "test_util.h"
 
 namespace cluert::core {
@@ -364,7 +363,7 @@ struct ObsCase {
 };
 
 // One stream through two ports built alike over separate suites: `plain`
-// unobserved, `seen` with a registry and a Tracer sampling every lookup.
+// unobserved, `seen` with a registry.
 // Observing must not change one result, stat or access; what the post-pass
 // records must add up to what the counter saw.
 void expectObservedMatchesPlain(const ObsCase& c) {
@@ -387,11 +386,7 @@ void expectObservedMatchesPlain(const ObsCase& c) {
     seen.precompute(clues);
   }
   obs::MetricRegistry registry;
-  obs::TraceOptions topt;
-  topt.enabled = true;
-  topt.sample_every = 1;
-  obs::Tracer tracer(topt, /*seed=*/9, /*worker=*/0);
-  seen.attachObs(obs::LookupObs::bind(registry, /*shard=*/0, &tracer));
+  seen.attachObs(obs::LookupObs::bind(registry, /*shard=*/0));
 
   // Genuine clues (the sender's BMP, as Advance requires), plus ~10%
   // clue-less packets. Destinations cluster under the sender's 300
@@ -480,13 +475,6 @@ void expectObservedMatchesPlain(const ObsCase& c) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->hist.sum, seen_acc.total());
   EXPECT_EQ(hist->hist.count, dests.size());
-
-  const std::vector<obs::TraceEvent> events = tracer.events();
-  ASSERT_EQ(events.size(), dests.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].accesses, got[i].accesses) << "event " << i;
-    EXPECT_EQ(events[i].outcome, got[i].outcome) << "event " << i;
-  }
 }
 
 TEST(CluePortObs, AdvanceLearningMatchesUnobserved) {
@@ -503,43 +491,6 @@ TEST(CluePortObs, AdvancePrecomputedCachedMatchesUnobserved) {
 
 TEST(CluePortObs, SimplePrecomputedMatchesUnobserved) {
   expectObservedMatchesPlain({ClueMode::kSimple, /*learn=*/false, 0});
-}
-
-// Sampled events carry the window of the resolve call that answered them:
-// every lookup of one processBatch shares it, and windows of successive
-// calls do not overlap.
-TEST(CluePortObs, TraceEventsShareTheirCallsWindow) {
-  Pair pair({{p4("10.1.0.0/16"), 1}, {p4("10.2.0.0/16"), 1}},
-            {{p4("10.1.0.0/16"), 2}, {p4("10.2.0.0/16"), 3}});
-  Port port(*pair.suite, &pair.t1,
-            portOptions(Method::kPatricia, ClueMode::kAdvance));
-  obs::TraceOptions topt;
-  topt.enabled = true;
-  topt.sample_every = 1;
-  obs::Tracer tracer(topt, 1, 0);
-  obs::LookupObs lo;
-  lo.tracer = &tracer;
-  port.attachObs(lo);
-  const std::vector<A> dests{a4("10.1.0.1"), a4("10.2.0.1"), a4("10.1.9.9")};
-  const std::vector<ClueField> fields{ClueField::of(16), ClueField::none(),
-                                      ClueField::of(16)};
-  std::vector<Port::Result> out(dests.size());
-  mem::AccessCounter acc;
-  port.processBatch(dests, fields, out, acc);
-  port.process(dests[0], fields[0], acc);
-  const auto ev = tracer.events();
-  ASSERT_EQ(ev.size(), 4u);
-  for (std::size_t i = 1; i < 3; ++i) {
-    EXPECT_EQ(ev[i].start_ns, ev[0].start_ns);
-    EXPECT_EQ(ev[i].dur_ns, ev[0].dur_ns);
-  }
-  EXPECT_GE(ev[3].start_ns, ev[0].start_ns + ev[0].dur_ns);
-  EXPECT_EQ(ev[0].clue_len, 16);
-  EXPECT_EQ(ev[1].clue_len, -1);
-  EXPECT_EQ(ev[1].outcome, obs::Outcome::kNoClue);
-  EXPECT_EQ(ev[0].outcome, obs::Outcome::kMiss);
-  EXPECT_TRUE(out[2].table_hit);  // learned by packet 0, mid-batch
-  EXPECT_EQ(ev[2].outcome, out[2].outcome);
 }
 
 }  // namespace

@@ -248,6 +248,13 @@ TEST(ConfigTest, RejectsBadConfigs) {
   EXPECT_FALSE(netio::parseConfig("routes = r\nbogus_key = 1\n", &err));
   EXPECT_FALSE(netio::parseConfig("routes = r\nlisten = nope\n", &err));
   EXPECT_FALSE(netio::parseConfig("routes\n", &err));
+  // The name lands unescaped in JSON bodies: [A-Za-z0-9._-]+ only.
+  EXPECT_FALSE(netio::parseConfig("routes = r\nname = hop\"B\n", &err));
+  EXPECT_NE(err.find("name"), std::string::npos) << err;
+  EXPECT_FALSE(netio::parseConfig("routes = r\nname = a\\b\n", &err));
+  EXPECT_FALSE(netio::parseConfig("routes = r\nname = hop B\n", &err));
+  EXPECT_TRUE(netio::parseConfig("routes = r\nname = hop-B_2.x\n", &err))
+      << err;
 }
 
 // ---------------------------------------------------------------------------

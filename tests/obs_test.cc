@@ -1,6 +1,6 @@
 // Tests for the telemetry subsystem (src/obs/): instrument semantics and
-// sharding, deterministic trace sampling, and golden renderings of the
-// Prometheus / JSONL / chrome-trace exporters. Suite names start with Obs so
+// sharding, deterministic span sampling, and golden renderings of the
+// Prometheus and span-JSONL exporters. Suite names start with Obs so
 // tools/run_sanitizers.sh picks them up for the TSan pass — the sharded
 // counter test below is exactly the kind of code TSan exists for.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace cluert::obs {
 namespace {
@@ -127,18 +126,34 @@ TEST(ObsGauge, SetAndAdd) {
   EXPECT_EQ(g.value(), 1.5);
 }
 
-// --- trace sampling --------------------------------------------------------
+// --- span sampling ---------------------------------------------------------
 
 std::vector<std::size_t> samplePattern(std::uint64_t seed,
                                        std::uint32_t worker,
                                        std::uint32_t every, std::size_t calls) {
-  TraceOptions opt;
-  opt.enabled = true;
-  opt.sample_every = every;
-  Tracer t(opt, seed, worker);
+  SpanSampler sampler(every, SpanSampler::shardPhase(every, seed, worker));
   std::vector<std::size_t> fired;
   for (std::size_t i = 0; i < calls; ++i) {
-    if (t.shouldSample()) fired.push_back(i);
+    if (sampler.sample()) fired.push_back(i);
+  }
+  EXPECT_EQ(sampler.samples(), fired.size());
+  return fired;
+}
+
+// The pattern pipeline shards sampled lookups with before spans: a 1-based
+// tick counter firing at next = 1 + Rng::forThread(seed, worker)'s first
+// uniform draw in [0, every), then every `every` ticks. Returned 0-based.
+std::vector<std::size_t> perLookupPattern(std::uint64_t seed,
+                                          std::uint32_t worker,
+                                          std::uint32_t every,
+                                          std::size_t calls) {
+  Rng rng = Rng::forThread(seed, worker);
+  std::uint64_t next = 1 + rng.uniform(0, every - 1);
+  std::vector<std::size_t> fired;
+  for (std::uint64_t tick = 1; tick <= calls; ++tick) {
+    if (tick < next) continue;
+    next += every;
+    fired.push_back(static_cast<std::size_t>(tick - 1));
   }
   return fired;
 }
@@ -155,6 +170,15 @@ TEST(ObsSampling, DeterministicPerSeedAndWorker) {
     EXPECT_EQ(a[i] - a[i - 1], 8u);
   }
   EXPECT_NEAR(static_cast<double>(a.size()), 1000.0 / 8.0, 1.0);
+
+  // The shard phase fires on exactly the ticks per-lookup sampling did.
+  for (const std::uint32_t every : {1u, 8u, 64u}) {
+    for (std::uint32_t w = 0; w < 4; ++w) {
+      EXPECT_EQ(samplePattern(42, w, every, 1000),
+                perLookupPattern(42, w, every, 1000))
+          << "every " << every << " worker " << w;
+    }
+  }
 }
 
 TEST(ObsSampling, WorkersArePhaseShifted) {
@@ -174,28 +198,25 @@ TEST(ObsSampling, WorkersArePhaseShifted) {
   EXPECT_GT(distinct, 4u);
 }
 
-TEST(ObsSampling, DisabledTracerNeverSamples) {
-  Tracer t(TraceOptions{}, 1, 0);  // enabled defaults to false
-  EXPECT_FALSE(t.enabled());
-  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(t.shouldSample());
+// The datapath's ingress sampler: phase 0 fires at ticks 0, N, 2N, ...
+TEST(ObsSampling, PhaseZeroFiresAtMultiplesOfEvery) {
+  SpanSampler sampler(5, /*phase=*/0);
+  std::vector<std::size_t> fired;
+  for (std::size_t i = 0; i < 23; ++i) {
+    if (sampler.sample()) fired.push_back(i);
+  }
+  EXPECT_EQ(fired, (std::vector<std::size_t>{0, 5, 10, 15, 20}));
+  EXPECT_EQ(sampler.samples(), 5u);
+
+  SpanSampler every_one(1, 0);
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(every_one.sample());
 }
 
-TEST(ObsTracer, RingOverwritesOldestWhenFull) {
-  TraceOptions opt;
-  opt.enabled = true;
-  opt.event_capacity = 4;
-  Tracer t(opt, 1, 0);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    TraceEvent e;
-    e.start_ns = 100 + i;
-    t.record(e);
-  }
-  const auto ev = t.events();
-  ASSERT_EQ(ev.size(), 4u);
-  EXPECT_EQ(t.eventsDropped(), 2u);
-  for (std::size_t i = 0; i < ev.size(); ++i) {
-    EXPECT_EQ(ev[i].start_ns, 102 + i);  // oldest two gone, order preserved
-  }
+TEST(ObsSampling, EveryZeroNeverFires) {
+  SpanSampler sampler(0, /*phase=*/0);
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(sampler.sample());
+  EXPECT_EQ(sampler.samples(), 0u);
+  EXPECT_EQ(SpanSampler::shardPhase(0, 42, 3), 0u);
 }
 
 // --- exporters (golden) ----------------------------------------------------
@@ -235,65 +256,45 @@ TEST(ObsExport, PrometheusEscapesLabelValues) {
             std::string::npos);
 }
 
-TraceEvent sampleEvent() {
-  TraceEvent e;
-  e.start_ns = 1500;
-  e.dur_ns = 250;
-  e.worker = 1;
-  e.clue_len = 24;
-  e.mode = 1;
-  e.outcome = Outcome::kCase2;
-  e.claim1_skip = true;
-  e.accesses[static_cast<std::size_t>(mem::Region::kClueTable)] = 1;
-  e.accesses[static_cast<std::size_t>(mem::Region::kFibEntry)] = 1;
-  return e;
-}
-
+// The one-hop span a pipeline shard emits (pipeline::Worker): no rx or tx
+// of its own, so rx = decode = lookup start and tx 0; id = shard << 32 |
+// sample ordinal, start time as the low word; router "pipeline". The same
+// line is tools/trace_merge.py --self-test's one-hop fixture.
 TEST(ObsExport, JsonlGolden) {
-  const TraceEvent e = sampleEvent();
-  const std::string golden =
-      "{\"start_ns\":1500,\"dur_ns\":250,\"worker\":1,\"clue_len\":24,"
-      "\"mode\":1,\"outcome\":\"2\",\"claim1_skip\":true,"
-      "\"search_failed\":false,\"accesses\":{\"clue-table\":1,"
-      "\"fib-entry\":1},\"total_accesses\":2}\n";
-  EXPECT_EQ(toJsonl({&e, 1}), golden);
-}
-
-TEST(ObsExport, ChromeTraceGolden) {
-  const TraceEvent e = sampleEvent();
-  SpanEvent s;
-  s.start_ns = 1000;
-  s.dur_ns = 2000;
-  s.worker = 0;
-  s.packets = 32;
-
-  // Timestamps are epoch-normalised to the earliest event (1000ns here) and
-  // printed as microseconds with nanosecond precision.
-  const std::string golden =
-      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
-      "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"t\"}},\n"
-      "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\","
-      "\"args\":{\"name\":\"worker 0\"}},\n"
-      "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0.000,\"dur\":2.000,"
-      "\"name\":\"batch\",\"cat\":\"pipeline\",\"args\":{\"packets\":32}},\n"
-      "{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\","
-      "\"args\":{\"name\":\"worker 1\"}},\n"
-      "{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":0.500,\"dur\":0.250,"
-      "\"name\":\"lookup case 2\",\"cat\":\"lookup\",\"args\":{"
-      "\"outcome\":\"2\",\"clue_len\":24,\"accesses\":2,"
-      "\"claim1_skip\":true,\"search_failed\":false}}\n"
-      "]}\n";
-  EXPECT_EQ(toChromeTrace({&e, 1}, {&s, 1}, "t"), golden);
+  PacketSpan s;
+  s.trace_hi = (std::uint64_t{1} << 32) | 7;
+  s.trace_lo = 5000;
+  s.origin_ns = 5000;
+  s.worker = 1;
+  s.dest = 0x0a000001;  // 10.0.0.1
+  s.rx_ns = 5000;
+  s.decode_ns = 5000;
+  s.lookup_start_ns = 5000;
+  s.lookup_end_ns = 5400;
+  s.clue_len = 24;
+  s.outcome = Outcome::kCase3;
+  s.accesses[static_cast<std::size_t>(mem::Region::kClueTable)] = 1;
+  s.accesses[static_cast<std::size_t>(mem::Region::kTrieNode)] = 2;
+  s.verdict = SpanVerdict::kDelivered;
+  EXPECT_EQ(
+      spansToJsonl({&s, 1}, "pipeline"),
+      "{\"trace_id\":\"00000001000000070000000000001388\",\"hop\":0,"
+      "\"router\":\"pipeline\",\"router_id\":0,\"worker\":1,\"src_id\":0,"
+      "\"dest\":\"10.0.0.1\",\"origin_ns\":5000,\"rx_ns\":5000,"
+      "\"decode_ns\":5000,\"lookup_start_ns\":5000,\"lookup_end_ns\":5400,"
+      "\"tx_ns\":0,\"clue_len\":24,\"outcome\":\"3\","
+      "\"claim1_skip\":false,\"search_failed\":false,"
+      "\"verdict\":\"delivered\",\"accesses\":{\"clue-table\":1,"
+      "\"trie-node\":2},\"total_accesses\":3}\n");
 }
 
 // --- hooks -----------------------------------------------------------------
 
 TEST(ObsHooks, LookupObsBindsTheFullFamilySet) {
   MetricRegistry reg;
-  Tracer tracer(TraceOptions{}, 1, 0);
-  const LookupObs lo = LookupObs::bind(reg, /*shard=*/2, &tracer);
+  const LookupObs lo = LookupObs::bind(reg, /*shard=*/2);
   EXPECT_TRUE(lo.metricsEnabled());
+  EXPECT_TRUE(lo.attached());
   ASSERT_NE(lo.packets, nullptr);
   lo.packets->inc(5);
   lo.cases[static_cast<std::size_t>(Outcome::kCase3)]->inc(2);
@@ -310,9 +311,13 @@ TEST(ObsHooks, LookupObsBindsTheFullFamilySet) {
   ASSERT_NE(acc, nullptr);
   EXPECT_EQ(acc->hist.count, 1u);
 
-  const LookupObs off;
+  LookupObs off;
   EXPECT_FALSE(off.metricsEnabled());
-  EXPECT_FALSE(off.traceArmed());
+  EXPECT_FALSE(off.attached());
+  // A span-sampling owner without a registry still gets accesses.
+  off.record_accesses = true;
+  EXPECT_FALSE(off.metricsEnabled());
+  EXPECT_TRUE(off.attached());
 }
 
 TEST(ObsHooks, PublishAccessCounterMirrorsRegions) {

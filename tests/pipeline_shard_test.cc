@@ -2,14 +2,18 @@
 // tail flush of partial per-shard batches, sharded-vs-sequential equivalence
 // across traffic shapes (uniform, Zipf-skewed, single-flow), equivalence
 // under rib::VersionedTables version swaps, the zero-allocation steady-state
-// contract, the hardware-concurrency clamp reporting, and the serial-inline
-// fold. Suites are named PipelineShard* so tools/run_sanitizers.sh's
-// "Pipeline" filter gives them TSan coverage automatically.
+// contract, sampled spans against a sequential port, the hardware-concurrency
+// clamp reporting, and the serial-inline fold. Suites are named
+// PipelineShard* so tools/run_sanitizers.sh's "Pipeline" filter gives them
+// TSan coverage automatically.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mem/alloc_hook.h"
@@ -68,20 +72,26 @@ struct ShardFixture {
     return opt;
   }
 
-  std::vector<NextHop> sequential(std::span<const Pipeline4::Input> inputs) {
+  // A port configured like every shard of threadedOptions(), precomputed.
+  std::unique_ptr<core::CluePort<A>> sequentialPort() {
     typename core::CluePort<A>::Options popt;
     popt.method = lookup::Method::kPatricia;
     popt.mode = lookup::ClueMode::kAdvance;
     popt.learn = false;
     popt.expected_clues = sender.size() + 16;
-    core::CluePort<A> port(*suite, &t1, popt);
+    auto port = std::make_unique<core::CluePort<A>>(*suite, &t1, popt);
     const auto clues = sender.prefixes();
-    port.precompute(clues);
+    port->precompute(clues);
+    return port;
+  }
+
+  std::vector<NextHop> sequential(std::span<const Pipeline4::Input> inputs) {
+    const auto port = sequentialPort();
     mem::AccessCounter acc;
     std::vector<NextHop> hops;
     hops.reserve(inputs.size());
     for (const auto& in : inputs) {
-      const auto r = port.process(in.dest, in.clue, acc);
+      const auto r = port->process(in.dest, in.clue, acc);
       hops.push_back(r.match ? r.match->next_hop : kNoNextHop);
     }
     return hops;
@@ -266,8 +276,8 @@ TEST(PipelineShardTest, VersionSwapsKeepShardedRunsOracleExact) {
 // each shard's warm-up batch (and for the feeder, after thread spawn), the
 // steady-state window performs no heap allocation. Run twice — the second
 // run has no first-touch warm-up left anywhere. Checked unobserved and
-// fully observed (metric cells plus a tracer sampling every lookup: the
-// post-pass, the trace ring and the batch spans must not allocate either).
+// fully observed (metric cells plus a span for every packet: the post-pass,
+// the sampler and the span collector must not allocate either).
 TEST(PipelineShardTest, SteadyStateIsAllocationFree) {
   if (!mem::allocHookActive()) {
     GTEST_SKIP() << "counting alloc hook compiled out (sanitizer build)";
@@ -294,12 +304,111 @@ TEST(PipelineShardTest, SteadyStateIsAllocationFree) {
     EXPECT_EQ(stats.steady_allocs, 0u);
     if (observed) {
       // The observed run really counted and sampled.
-      EXPECT_FALSE(pipe.traceEvents().empty());
+      EXPECT_FALSE(pipe.drainSpans().empty());
       const obs::MetricSample* packets =
           registry.snapshot().find("lookup_packets_total");
       ASSERT_NE(packets, nullptr);
       EXPECT_EQ(packets->counter_value, 2 * inputs.size());
     }
+  }
+}
+
+// Spans without a registry: at sample_every = 1 every packet leaves one
+// span, built from its batch's Results — the worker turns on per-lookup
+// accesses itself. Each span must agree with a sequential CluePort::process
+// of the same packet (learning and the cache are off, so a packet's resolve
+// depends on nothing but the packet), and its lookup window must be its
+// batch's. Windows are keyed by (worker, lookup start): two shards may read
+// the same nanosecond, one shard's batches never do.
+TEST(PipelineShardTest, SpansOfEveryPacketMatchSequentialPort) {
+  ShardFixture fx;
+  Rng rng(55);
+  auto inputs = fx.stream(rng, 1'000, 256, 0.0);
+  for (std::size_t i = 0; i < inputs.size(); i += 4) {
+    inputs[i].clue = core::ClueField::none();
+  }
+
+  PipelineOptions opt = fx.threadedOptions(4, 32);
+  opt.trace.enabled = true;
+  opt.trace.sample_every = 1;
+  Pipeline4 pipe(*fx.suite, &fx.t1, opt);
+  const auto clues = fx.sender.prefixes();
+  pipe.precompute(clues);
+  std::vector<NextHop> got(inputs.size(), kNoNextHop);
+  const PipelineStats stats = pipe.run(inputs, got);
+  ASSERT_EQ(stats.packets, inputs.size());
+  const std::vector<obs::PacketSpan> spans = pipe.drainSpans();
+  ASSERT_EQ(spans.size(), inputs.size());
+  EXPECT_TRUE(pipe.drainSpans().empty());
+
+  // The reference: an unobserved port, accesses read off its counter.
+  // Packets with equal (dest, clue length) resolve alike, so the expected
+  // span is keyed by that pair, with a count of the packets carrying it.
+  const auto port = fx.sequentialPort();
+  std::map<std::pair<std::uint32_t, std::int16_t>,
+           std::pair<obs::PacketSpan, std::size_t>>
+      want;
+  mem::AccessCounter acc;
+  std::size_t no_clue = 0;
+  for (const auto& in : inputs) {
+    const mem::AccessCounter before = acc;
+    const auto r = port->process(in.dest, in.clue, acc);
+    obs::PacketSpan s;
+    s.dest = in.dest.value();
+    s.clue_len = in.clue.present ? static_cast<std::int16_t>(in.clue.length)
+                                 : std::int16_t{-1};
+    s.outcome = r.outcome;
+    s.claim1_skip = r.claim1_skip;
+    s.search_failed = r.search_failed;
+    s.accesses = mem::lookupDelta(acc, before);
+    s.verdict = r.match ? obs::SpanVerdict::kDelivered
+                        : obs::SpanVerdict::kNoRoute;
+    auto& entry = want[{s.dest, s.clue_len}];
+    entry.first = s;
+    ++entry.second;
+    no_clue += in.clue.present ? 0 : 1;
+  }
+  EXPECT_GT(no_clue, 0u);
+
+  std::uint64_t span_accesses = 0;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> ids;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> windows;
+  for (const obs::PacketSpan& s : spans) {
+    auto it = want.find({s.dest, s.clue_len});
+    ASSERT_NE(it, want.end()) << "span for a packet never sent";
+    ASSERT_GT(it->second.second, 0u) << "more spans than packets";
+    --it->second.second;
+    const obs::PacketSpan& w = it->second.first;
+    EXPECT_EQ(s.outcome, w.outcome);
+    EXPECT_EQ(s.claim1_skip, w.claim1_skip);
+    EXPECT_EQ(s.search_failed, w.search_failed);
+    EXPECT_EQ(s.accesses, w.accesses);
+    EXPECT_EQ(s.verdict, w.verdict);
+    span_accesses += s.accessTotal();
+
+    EXPECT_EQ(s.hop, 0);
+    EXPECT_EQ(s.rx_ns, s.lookup_start_ns);
+    EXPECT_EQ(s.decode_ns, s.lookup_start_ns);
+    EXPECT_LE(s.lookup_start_ns, s.lookup_end_ns);
+    EXPECT_EQ(s.tx_ns, 0u);
+    ids.insert({s.trace_hi, s.trace_lo});
+    const auto [win, fresh] =
+        windows.emplace(std::make_pair(s.worker, s.lookup_start_ns),
+                        s.lookup_end_ns);
+    if (!fresh) EXPECT_EQ(win->second, s.lookup_end_ns);
+  }
+  EXPECT_EQ(ids.size(), spans.size()) << "trace ids must be unique";
+  EXPECT_EQ(span_accesses, stats.accesses.total());
+  EXPECT_EQ(span_accesses, acc.total());
+  // One window per batch, and one shard's windows never overlap.
+  EXPECT_EQ(windows.size(), stats.batches);
+  for (auto it = windows.begin(); it != windows.end(); ++it) {
+    const auto next = std::next(it);
+    if (next == windows.end() || next->first.first != it->first.first) {
+      continue;
+    }
+    EXPECT_LE(it->second, next->first.second)
+        << "worker " << it->first.first << " windows overlap";
   }
 }
 

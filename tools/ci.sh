@@ -10,6 +10,8 @@
 #                           suites)
 #   4. metrics tooling      tools/metrics_diff.py --self-test (the Prometheus
 #                           snapshot comparator that gates perf regressions)
+#                           and tools/trace_merge.py --self-test (the one
+#                           chrome renderer of sampled spans)
 #   5. churn smoke          bench_churn --smoke: route updates published from
 #                           an updater thread while 4 workers forward, every
 #                           packet checked against a per-version oracle; then
@@ -44,7 +46,12 @@
 #                           absolute ceiling (--max: the baseline values sit
 #                           at/below --min-base, where a relative diff would
 #                           skip), and asserts the counting alloc hook was
-#                           actually compiled in.
+#                           actually compiled in. Then
+#                           examples/pipeline_throughput (exits 1 on an
+#                           output or case/packet mismatch) runs in a
+#                           temporary directory and trace_merge.py
+#                           --require-hops 1 merges the pipeline spans it
+#                           wrote.
 #  10. multi-router topology  the control-plane suite: sim_run replays the
 #                           topo4 corpus (RIP convergence transients caught
 #                           by the per-hop oracle, gate already rides 6 via
@@ -78,6 +85,7 @@ tools/run_sanitizers.sh
 
 echo "=== [4/10] metrics tooling self-test ==="
 python3 tools/metrics_diff.py --self-test
+python3 tools/trace_merge.py --self-test
 
 echo "=== [5/10] churn smoke (update-under-traffic oracle) ==="
 cmake --build build-ci -j"$(nproc)" --target bench_churn
@@ -148,6 +156,15 @@ python3 tools/metrics_diff.py \
   --require-nonzero 'throughput_smoke_alloc_hook_active' \
   bench/BENCH_throughput_smoke_baseline.prom \
   build-ci/BENCH_throughput_smoke.prom
+# The pipeline's sampled spans render through the same merge tool as the
+# daemons' /trace scrapes: every span is a complete one-hop trace.
+cmake --build build-ci -j"$(nproc)" --target pipeline_throughput
+EXAMPLE_BIN="$PWD/build-ci/examples/pipeline_throughput"
+EXAMPLE_DIR="$(mktemp -d)"
+(cd "$EXAMPLE_DIR" && "$EXAMPLE_BIN")
+python3 tools/trace_merge.py --require-hops 1 \
+  --out "$EXAMPLE_DIR/trace.json" "$EXAMPLE_DIR/pipeline_spans.jsonl"
+rm -rf "$EXAMPLE_DIR"
 
 echo "=== [10/10] multi-router topology (flap storm + daemon shapes) ==="
 # Corpus replay already covered the committed topo4 repros in gate 6; this

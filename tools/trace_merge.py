@@ -6,7 +6,11 @@ Each cluertd daemon serves its sampled PacketSpans as JSONL on GET /trace
 joins those per-router streams on the 128-bit trace_id and emits a
 chrome://tracing JSON with one process row per router (worker threads as
 tid rows) plus per-hop and end-to-end latency percentiles, so a three-hop
-topology's worth of scrapes becomes one inspectable picture.
+topology's worth of scrapes becomes one inspectable picture. It is the
+repo's one chrome renderer: the in-memory pipeline's spans
+(Pipeline::drainSpans, written by bench_throughput and
+examples/pipeline_throughput) are one-hop traces and merge with
+--require-hops 1.
 
 All timestamps are CLOCK_MONOTONIC nanoseconds. That clock is system-wide
 on Linux, so spans from daemons on the same host (the topo_run.sh loopback
@@ -249,6 +253,27 @@ def self_test():
     assert names == ['hopA', 'hopB', 'hopC'], names
     assert sum(1 for e in doc['traceEvents'] if e['ph'] == 's') == 2
     json.dumps(doc)  # must serialize
+
+    # A pipeline span (Pipeline::drainSpans) is a one-hop trace: no rx or
+    # tx of its own, so rx = decode = lookup_start and tx_ns 0. This is the
+    # exact line tests/obs_test.cc's ObsExport.JsonlGolden pins.
+    one_hop = ('{"trace_id":"00000001000000070000000000001388","hop":0,'
+               '"router":"pipeline","router_id":0,"worker":1,"src_id":0,'
+               '"dest":"10.0.0.1","origin_ns":5000,"rx_ns":5000,'
+               '"decode_ns":5000,"lookup_start_ns":5000,"lookup_end_ns":5400,'
+               '"tx_ns":0,"clue_len":24,"outcome":"3",'
+               '"claim1_skip":false,"search_failed":false,'
+               '"verdict":"delivered","accesses":{"clue-table":1,'
+               '"trie-node":2},"total_accesses":3}\n')
+    pipe = group_traces(load_spans([one_hop]))
+    assert is_complete(pipe['00000001000000070000000000001388'], 1)
+    pipe_stats = compute_stats(pipe, 1)
+    assert pipe_stats['traces_complete'] == 1, pipe_stats
+    assert pipe_stats['per_hop']['0']['p50_ns'] == 400  # lookup window
+    doc = to_chrome(pipe, pipe_stats)
+    assert [e['name'] for e in doc['traceEvents'] if e['ph'] == 'X'] == \
+        ['hop0 case=3 delivered', 'lookup'], doc
+    json.dumps(doc)
 
     assert percentile([1, 2, 3, 4], 50) == 2
     assert percentile([5], 99) == 5

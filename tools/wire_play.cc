@@ -35,7 +35,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/random.h"
 #include "mem/access_counter.h"
 #include "netio/socket.h"
@@ -55,15 +55,9 @@
 namespace {
 
 using cluert::Rng;
+using cluert::steadyNs;
 using cluert::ip::Ip4Addr;
 using A = Ip4Addr;
-
-std::uint64_t nowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct Args {
   std::vector<std::string> positional;
@@ -300,7 +294,7 @@ int cmdInject(const Args& args) {
       pps == 0 ? 0 : burst * 1000000000ULL / pps;
   std::array<std::uint8_t, 64 * cluert::netio::kMaxDatagram> bufs;
   std::uint64_t sent = 0;
-  std::uint64_t next_burst_ns = nowNs();
+  std::uint64_t next_burst_ns = steadyNs();
   while (sent < count) {
     const std::uint64_t n = std::min(burst, count - sent);
     std::array<cluert::netio::OutDatagram, 64> out;
@@ -308,7 +302,7 @@ int cmdInject(const Args& args) {
       const Draw& d = pool[(sent + i) % pool.size()];
       std::uint8_t payload[16];
       const std::uint64_t seq = sent + i;
-      const std::uint64_t t = nowNs();
+      const std::uint64_t t = steadyNs();
       std::memcpy(payload, &seq, 8);
       std::memcpy(payload + 8, &t, 8);
       cluert::netio::WirePacket<A> pkt;
@@ -335,7 +329,7 @@ int cmdInject(const Args& args) {
     sent += n;
     if (ns_per_burst > 0) {
       next_burst_ns += ns_per_burst;
-      const std::uint64_t now = nowNs();
+      const std::uint64_t now = steadyNs();
       if (next_burst_ns > now) {
         ::usleep(static_cast<unsigned>((next_burst_ns - now) / 1000));
       } else {
@@ -368,8 +362,8 @@ int cmdCollect(const Args& args) {
   std::vector<cluert::netio::DatagramBuf> bufs(64);
   std::uint64_t received = 0, decode_errors = 0, clue_present = 0;
   std::uint64_t latency_ns_sum = 0, latency_samples = 0;
-  const std::uint64_t deadline = nowNs() + timeout_ms * 1000000ULL;
-  while (received + decode_errors < expect && nowNs() < deadline) {
+  const std::uint64_t deadline = steadyNs() + timeout_ms * 1000000ULL;
+  while (received + decode_errors < expect && steadyNs() < deadline) {
     const int n = cluert::netio::recvBatch(sock.get(), bufs.data(), 64);
     if (n < 0) break;
     if (n == 0) {
@@ -388,7 +382,7 @@ int cmdCollect(const Args& args) {
       if (r.packet.payload.size() == 16) {
         std::uint64_t send_ns = 0;
         std::memcpy(&send_ns, r.packet.payload.data() + 8, 8);
-        const std::uint64_t now = nowNs();
+        const std::uint64_t now = steadyNs();
         if (now > send_ns) {
           latency_ns_sum += now - send_ns;
           ++latency_samples;

@@ -86,11 +86,13 @@ int main() {
     const auto new_receiver = sim.fib(5);
 
     const auto receiver_delta = rib::diff(receiver_fib, new_receiver);
-    rib::applyLocalDelta(receiver_delta, suite, port);
+    suite.applyRouteDelta(receiver_delta.removed, receiver_delta.upserts());
+    port.refreshLocal(receiver_delta);
     const std::size_t receiver_changes = receiver_delta.size();
 
     const auto sender_delta = rib::diff(sender_fib, new_sender);
-    rib::applyNeighborDelta(sender_delta, t1, port);
+    rib::applyDelta(t1, sender_delta);
+    port.refreshNeighbor(sender_delta);
     const std::size_t sender_changes = sender_delta.size();
 
     sender_fib = new_sender;

@@ -85,8 +85,10 @@ int main() {
   const auto new_receiver = sim.fib(3);
   const auto recv_delta = rib::diff(receiver_fib, new_receiver);
   const auto send_delta = rib::diff(sender_fib, new_sender);
-  rib::applyLocalDelta(recv_delta, suite, port);
-  rib::applyNeighborDelta(send_delta, t1, port);
+  suite.applyRouteDelta(recv_delta.removed, recv_delta.upserts());
+  port.refreshLocal(recv_delta);
+  rib::applyDelta(t1, send_delta);
+  port.refreshNeighbor(send_delta);
   sender_fib = new_sender;
   receiver_fib = new_receiver;
   std::printf(

@@ -13,7 +13,10 @@
 //                      does not
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,6 +25,26 @@
 #include "trie/binary_trie.h"
 
 namespace cluert::check {
+
+// Brute-force longest-prefix match over a flat entry list — the oracle every
+// lookup structure, clue mode and data-plane entry point is checked against
+// (the sim runner, the topology harness and the netio datapath at their
+// pinned versions; the tests directly). `A` is deduced from the address, so
+// a vector or a Fib's entries() both convert to the span.
+template <typename A>
+std::optional<trie::Match<A>> bruteForceBmp(
+    std::span<const trie::Match<std::type_identity_t<A>>> entries,
+    const A& address) {
+  const trie::Match<A>* best = nullptr;
+  for (const auto& e : entries) {
+    if (e.prefix.matches(address) &&
+        (best == nullptr || e.prefix.length() > best->prefix.length())) {
+      best = &e;
+    }
+  }
+  if (best == nullptr) return std::nullopt;
+  return *best;
+}
 
 template <typename A>
 Report validate(const rib::Fib<A>& fib) {

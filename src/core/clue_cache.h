@@ -5,11 +5,11 @@
 // a miss costs the normal probe plus a (free, off-path) fill.
 //
 // Staleness discipline: every slot is stamped with the generation it was
-// filled under. Route updates (CluePort::refreshRelated) and table-version
-// swaps (CluePort::bindVersion) bump the generation, which invalidates the
-// whole cache in O(1) — no slot walk on the update path, and a stale FD can
-// never be served across a swap because the stamp comparison happens on
-// every lookup.
+// filled under. Route updates (CluePort::refreshLocal/refreshNeighbor) and
+// table-version swaps (CluePort::bindVersion) bump the generation, which
+// invalidates the whole cache in O(1) — no slot walk on the update path, and
+// a stale FD can never be served across a swap because the stamp comparison
+// happens on every lookup.
 #pragma once
 
 #include <bit>

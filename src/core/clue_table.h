@@ -84,9 +84,8 @@ class HashClueTable {
       : slots_(bucketCountFor(expected)),
         tags_(bucketCountFor(expected) + lookup::kSwarLanes, 0) {}
 
-  // The slot a probe for `clue` starts at. Exposed so the batched pipeline
-  // can hash once, prefetch the slot, and later resume the probe from it
-  // (findFrom) without recomputing the hash.
+  // The slot a probe for `clue` starts at (what the src/check/ probe-chain
+  // validator measures displacement from).
   std::size_t homeSlot(const PrefixT& clue) const { return slotOf(clue); }
 
   // Home slot + SWAR tag from one hash evaluation — what the batched
@@ -103,7 +102,6 @@ class HashClueTable {
   // per packet across a batch before resolving any of them, which is where
   // the memory-level parallelism of a modern CPU comes from.
   void prefetchSlot(std::size_t slot) const { __builtin_prefetch(&slots_[slot]); }
-  void prefetch(const PrefixT& clue) const { prefetchSlot(slotOf(clue)); }
   // The tag word a probe from `slot` reads first; one byte per slot, so the
   // whole 8-slot window rides one line.
   void prefetchTags(std::size_t slot) const { __builtin_prefetch(&tags_[slot]); }
@@ -146,14 +144,6 @@ class HashClueTable {
       i = (i + lookup::kSwarLanes) & mask;
     }
     return nullptr;
-  }
-
-  // Legacy probe resumed from a home slot only (re-derives the tag).
-  const EntryT* findFrom(std::size_t home, const PrefixT& clue,
-                         mem::AccessCounter& acc) const {
-    return findFrom(ClueProbeHint{static_cast<std::uint32_t>(home),
-                                  lookup::swarTag(hashOf(clue))},
-                    clue, acc);
   }
 
   // Inserts or overwrites. Control-plane operation (learning §3.3.1 does the
@@ -301,6 +291,20 @@ class IndexedClueTable {
     return true;
   }
 
+  // §3.4 marking by clue. A scan, not a probe: slots are keyed by the
+  // sender's index, and a clue learned under a wrong index can sit in more
+  // than one of them.
+  bool setActive(const PrefixT& clue, bool active) {
+    bool found = false;
+    for (EntryT& e : slots_) {
+      if (e.valid && e.clue == clue) {
+        e.active = active;
+        found = true;
+      }
+    }
+    return found;
+  }
+
   void forEach(const std::function<void(const EntryT&)>& fn) const {
     for (const EntryT& e : slots_) {
       if (e.valid) fn(e);
@@ -314,7 +318,6 @@ class IndexedClueTable {
   }
 
   std::size_t capacity() const { return slots_.size(); }
-  std::size_t wireBytes() const { return slots_.size() * kClueEntryWireBytes; }
 
  private:
   std::vector<EntryT> slots_;

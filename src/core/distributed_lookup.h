@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 
 #include "core/clue.h"
@@ -19,6 +20,7 @@
 #include "core/clue_table.h"
 #include "lookup/factory.h"
 #include "obs/hooks.h"
+#include "rib/fib_diff.h"
 #include "common/check.h"
 
 namespace cluert::core {
@@ -75,6 +77,84 @@ ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
     e.cont = suite.engine(method).makeContinuation(clue, a.candidates);
   }
   return e;
+}
+
+// ---------------------------------------------------------------------------
+// How a clue table follows a FibDelta (§3.4) — the one refresh rule, run by
+// both owners of a clue table: CluePort::refreshLocal/refreshNeighbor and
+// rib::VersionedTables::applyLocal/applyNeighbor. Call it once what the
+// entries derive from reflects `d`: the suite (LookupSuite::applyRouteDelta)
+// for a local delta; the sender view `neighbor_trie`, and under Advance the
+// suite's Claim-1 annotation, for a neighbor delta.
+//
+//  * Entries related to a changed prefix are rebuilt; the §3.4 `active` bit
+//    survives the rebuild.
+//  * A local delta rebuilds the engines. Only kStride continuations anchor
+//    nodes that rebuild frees, so there every case-3 entry is rebuilt (a
+//    stale anchor is a use-after-free); the other methods' anchors survive,
+//    which keeps their refresh O(delta) — DESIGN.md §7.1 has the per-method
+//    argument.
+//  * A neighbor delta marks withdrawn clues inactive rather than removing
+//    them (probe chains stay intact) and installs fresh entries for announced
+//    ones (§3.3.2) — in a hash table only, as an indexed slot needs the
+//    sender's index. Only Advance entries read the sender's view (Claim 1),
+//    so only they are rebuilt for a withdraw or an announce; a sender-side
+//    reroute moves nothing.
+// ---------------------------------------------------------------------------
+
+// A clue entry depends on `changed` iff one is a prefix of the other: FDs
+// look up the clue's path, candidate sets look down its subtree.
+template <typename A>
+bool related(const ip::Prefix<A>& clue, const ip::Prefix<A>& changed) {
+  return clue.isPrefixOf(changed) || changed.isPrefixOf(clue);
+}
+
+enum class DeltaSide { kLocal, kNeighbor };
+
+template <typename A, typename TableT>
+void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
+                 const lookup::LookupSuite<A>& suite,
+                 const trie::BinaryTrie<A>* neighbor_trie,
+                 lookup::Method method, lookup::ClueMode mode) {
+  using PrefixT = ip::Prefix<A>;
+  const auto build = [&](const PrefixT& clue) {
+    return buildClueEntry(suite, neighbor_trie, method, mode, clue);
+  };
+  const bool local = side == DeltaSide::kLocal;
+  if (!local) {
+    for (const PrefixT& p : d.removed) table.setActive(p, false);
+    if constexpr (std::is_same_v<TableT, HashClueTable<A>>) {
+      for (const auto& e : d.added) {
+        if (ClueEntry<A>* slot = table.findMutable(e.prefix)) {
+          *slot = build(e.prefix);  // re-announce: fresh and active
+        } else {
+          table.insert(build(e.prefix));
+        }
+      }
+    }
+    if (mode != lookup::ClueMode::kAdvance) return;
+  }
+  const bool anchors_dangle = local && method == lookup::Method::kStride;
+  const auto touched = [&](const PrefixT& clue) {
+    for (const PrefixT& p : d.removed) {
+      if (related(clue, p)) return true;
+    }
+    for (const auto& e : d.added) {
+      if (related(clue, e.prefix)) return true;
+    }
+    if (!local) return false;
+    for (const auto& e : d.rerouted) {
+      if (related(clue, e.prefix)) return true;
+    }
+    return false;
+  };
+  table.forEachMutable([&](ClueEntry<A>& e) {
+    const bool dangling = anchors_dangle && e.kase == ClueCase::kSearch;
+    if (!dangling && !touched(e.clue)) return;
+    const bool was_active = e.active;
+    e = build(e.clue);
+    e.active = was_active;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -161,12 +241,7 @@ class CluePort {
     shared_hash_ = &clues;
     neighbor_trie_ = neighbor_trie;
     cache_.setVersion(seq);
-    bound_seq_ = seq;
   }
-
-  // The version currently bound (0 when the port runs unversioned).
-  std::uint64_t boundVersion() const { return bound_seq_; }
-  bool versionBound() const { return shared_hash_ != nullptr; }
 
   // Pre-processing construction (§3.3.2): install entries for every clue the
   // neighbor may send.
@@ -286,49 +361,22 @@ class CluePort {
     observe(out);
   }
 
-  // The clue-less path, for packets arriving without the option (§5.3
-  // heterogeneous networks) and for the Common baseline.
-  std::optional<MatchT> lookupNoClue(const A& dest,
-                                     mem::AccessCounter& acc) const {
-    return suite_->engine(options_.method).lookup(dest, acc);
+  // -- control plane: route updates (§3.4) ----------------------------------
+  //
+  // One call per FibDelta; both run followDelta, the rule
+  // rib::VersionedTables applies to its versions, on the hash and the
+  // indexed table, then clear the §3.5 cache.
+
+  // Call after LookupSuite::applyRouteDelta applied `d` to the receiver's
+  // suite this port was built on.
+  void refreshLocal(const rib::FibDelta<A>& d) {
+    refresh(d, DeltaSide::kLocal);
   }
 
-  // -- control plane: route updates and §3.4 marking ------------------------
-
-  // Call after a route for `changed` was inserted into or removed from the
-  // *receiver's* table (and LookupSuite::insertRoute/eraseRoute ran): every
-  // entry whose FD or candidate set can depend on `changed` — clues on its
-  // path and clues extending it — is recomputed in place.
-  void onLocalRouteChanged(const PrefixT& changed) {
-    refreshRelated(changed, /*engines_rebuilt=*/true);
-  }
-
-  // Call after the *sender's* table changed (Claim 1 consults it): affected
-  // entries are those whose clue is on the changed prefix's path, and the
-  // per-vertex Claim-1 booleans must be recomputed against the new view.
-  void onNeighborRouteChanged(const PrefixT& changed) {
-    CLUERT_CHECK(local_ != nullptr)
-        << "route-change notification on a version-bound port; updates flow "
-           "through VersionedTables instead";
-    if (options_.mode == lookup::ClueMode::kAdvance) {
-      local_->annotateNeighbor(options_.neighbor_index, *neighbor_trie_);
-    }
-    refreshRelated(changed, /*engines_rebuilt=*/false);
-  }
-
-  // §3.4: mark a clue out-of-use / back in use without removing it (probe
-  // chains stay intact). An inactive entry behaves as a miss.
-  bool invalidateClue(const PrefixT& clue) {
-    cache_.clear();
-    return hash_.setActive(clue, false);
-  }
-  bool reactivateClue(const PrefixT& clue) {
-    if (ClueEntry<A>* e = hash_.findMutable(clue)) {
-      *e = makeEntry(clue);  // recompute: the tables may have moved on
-      cache_.clear();
-      return true;
-    }
-    return false;
+  // Call after the owner applied `d` to the sender view this port was built
+  // with (Claim 1 consults it; under Advance the suite is re-annotated here).
+  void refreshNeighbor(const rib::FibDelta<A>& d) {
+    refresh(d, DeltaSide::kNeighbor);
   }
 
   const ClueCache<A>& cache() const { return cache_; }
@@ -344,7 +392,6 @@ class CluePort {
   // cells must outlive the port; a default-constructed bundle detaches.
   // Control-plane call — never invoke while the data plane is running.
   void attachObs(const obs::LookupObs& o) { obs_ = o; }
-  const obs::LookupObs& observability() const { return obs_; }
 
   // Exposed for tests: the control-plane construction of one entry
   // (procedure new-clue of Figure 5).
@@ -504,34 +551,20 @@ class CluePort {
     }
   }
 
-  // A clue entry depends on `changed` iff one is a prefix of the other (FDs
-  // look up the clue's path; candidate sets look down its subtree).
-  static bool related(const PrefixT& clue, const PrefixT& changed) {
-    return clue.isPrefixOf(changed) || changed.isPrefixOf(clue);
-  }
-
-  void refreshRelated(const PrefixT& changed, bool engines_rebuilt) {
-    cache_.clear();  // coarse but always safe
-    // Local changes rebuild the suite's engines. kStride continuations
-    // anchor nodes the old engine owned, so every case-3 entry must be
-    // rebuilt there — a stale anchor is a use-after-free. All other
-    // methods' anchors survive the rebuild (tries are patched in place,
-    // candidate tables are entry-owned), so related() suffices; see the
-    // same analysis in VersionedTables::applyLocal.
-    const bool anchors_dangle =
-        engines_rebuilt && options_.method == lookup::Method::kStride;
-    // makeEntry returns entries with active=true; a §3.4-marked entry must
-    // stay out of use across the refresh (invalidateClue would otherwise be
-    // silently undone by any nearby route update).
-    const auto refresh = [&](ClueEntry<A>& e) {
-      const bool dangling = anchors_dangle && e.kase == ClueCase::kSearch;
-      if (!dangling && !related(e.clue, changed)) return;
-      const bool was_active = e.active;
-      e = makeEntry(e.clue);
-      e.active = was_active;
-    };
-    hash_.forEachMutable(refresh);
-    indexed_.forEachMutable(refresh);
+  void refresh(const rib::FibDelta<A>& d, DeltaSide side) {
+    CLUERT_CHECK(local_ != nullptr)
+        << "route-change notification on a version-bound port; updates flow "
+           "through VersionedTables instead";
+    if (d.empty()) return;
+    if (side == DeltaSide::kNeighbor &&
+        options_.mode == lookup::ClueMode::kAdvance) {
+      local_->annotateNeighbor(options_.neighbor_index, *neighbor_trie_);
+    }
+    followDelta(hash_, d, side, *local_, neighbor_trie_, options_.method,
+                options_.mode);
+    followDelta(indexed_, d, side, *local_, neighbor_trie_, options_.method,
+                options_.mode);
+    cache_.clear();
   }
 
   Options options_;
@@ -545,7 +578,6 @@ class CluePort {
   // Non-null iff version-bound: the published (immutable) clue table the
   // data plane probes instead of hash_.
   const HashClueTable<A>* shared_hash_ = nullptr;
-  std::uint64_t bound_seq_ = 0;
   const trie::BinaryTrie<A>* neighbor_trie_ = nullptr;
   HashClueTable<A> hash_;
   IndexedClueTable<A> indexed_;

@@ -14,7 +14,6 @@
 #include "lookup/multiway_lookup.h"
 #include "lookup/patricia_lookup.h"
 #include "lookup/stride_trie_lookup.h"
-#include "obs/hooks.h"
 #include "common/check.h"
 
 namespace cluert::lookup {
@@ -85,47 +84,14 @@ class LookupSuite {
 
   // -- route updates (the dynamics behind §3.4) -----------------------------
   //
-  // The tries update incrementally; the snapshot-style engines (interval
-  // tables, length hashes) are rebuilt, and neighbor annotations are
-  // replayed. Engine *references* obtained via engine() before the update
-  // are invalidated — callers hold the suite and re-fetch (CluePort does).
-
-  // Publishes this suite's structural gauges (trie/Patricia node counts)
-  // into `reg` and keeps them fresh across route updates; also starts the
-  // lookup_suite_rebuilds_total counter, which tracks how often the
-  // snapshot-style engines were reconstructed (each rebuild is a §3.4-style
-  // control-plane cost spike worth seeing on a dashboard).
-  void exportMetrics(obs::MetricRegistry& reg, obs::Labels labels = {}) {
-    registry_ = &reg;
-    obs_labels_ = std::move(labels);
-    rebuilds_ = &reg.counter("lookup_suite_rebuilds_total",
-                             "Engine reconstructions after route updates",
-                             obs_labels_)
-                     .shard(0);
-    publishGauges();
-  }
-
-  void insertRoute(const PrefixT& prefix, NextHop next_hop) {
-    trie_.insert(prefix, next_hop);
-    patricia_.insert(prefix, next_hop);
-    refreshAfterChange();
-  }
-
-  bool eraseRoute(const PrefixT& prefix) {
-    const bool erased = trie_.erase(prefix);
-    patricia_.erase(prefix);
-    if (erased) refreshAfterChange();
-    return erased;
-  }
-
-  // Batched update: applies every removal and upsert to the tries, then
-  // reconstructs the snapshot-style engines ONCE. A FibDelta applied via
-  // insertRoute/eraseRoute pays one engine rebuild per route; under churn
-  // that per-route O(table) cost dominates, so the versioned-table builder
-  // and Router::applyRouteUpdate come through here. No-op on empty input.
+  // Applies every removal and upsert to the tries, which update
+  // incrementally, then reconstructs the snapshot-style engines (interval
+  // tables, length hashes) ONCE and replays the neighbor annotations. Engine
+  // *references* obtained via engine() before the update are invalidated —
+  // callers hold the suite and re-fetch (CluePort does). No-op on empty
+  // input.
   void applyRouteDelta(std::span<const PrefixT> removals,
                        std::span<const MatchT> upserts) {
-    if (removals.empty() && upserts.empty()) return;
     bool changed = false;
     for (const PrefixT& p : removals) {
       const bool erased = trie_.erase(p);
@@ -137,7 +103,11 @@ class LookupSuite {
       patricia_.insert(e.prefix, e.next_hop);
       changed = true;
     }
-    if (changed) refreshAfterChange();
+    if (!changed) return;
+    buildEngines();
+    for (const auto& [neighbor, trie_ptr] : annotations_) {
+      applyAnnotation(neighbor, *trie_ptr);
+    }
   }
 
  private:
@@ -184,37 +154,12 @@ class LookupSuite {
     });
   }
 
-  void refreshAfterChange() {
-    buildEngines();
-    for (const auto& [neighbor, trie_ptr] : annotations_) {
-      applyAnnotation(neighbor, *trie_ptr);
-    }
-    if (rebuilds_ != nullptr) {
-      rebuilds_->inc();
-      publishGauges();
-    }
-  }
-
-  void publishGauges() {
-    registry_
-        ->gauge("lookup_trie_nodes", "Binary-trie vertices in the suite",
-                obs_labels_)
-        .set(static_cast<double>(trie_.nodeCount()));
-    registry_
-        ->gauge("lookup_patricia_nodes", "Patricia vertices in the suite",
-                obs_labels_)
-        .set(static_cast<double>(patricia_.nodeCount()));
-  }
-
   SuiteOptions options_;
   trie::BinaryTrie<A> trie_;
   trie::PatriciaTrie<A> patricia_;
   std::unique_ptr<LookupEngine<A>> engines_[kMethodCount];
   std::vector<std::pair<NeighborIndex, const trie::BinaryTrie<A>*>>
       annotations_;
-  obs::MetricRegistry* registry_ = nullptr;  // exportMetrics() target
-  obs::Labels obs_labels_;
-  obs::CounterCell* rebuilds_ = nullptr;
 };
 
 }  // namespace cluert::lookup

@@ -15,7 +15,6 @@
 #include "net/packet.h"
 #include "obs/hooks.h"
 #include "rib/fib.h"
-#include "rib/fib_diff.h"
 #include "common/check.h"
 
 namespace cluert::net {
@@ -159,35 +158,6 @@ class Router {
       }
     } else if (!config_.relay_clue) {
       packet.clue = core::ClueField::none();
-    }
-    return d;
-  }
-
-  // Installs a reconverged FIB: a deterministic diff against the current
-  // table, ONE batched engine rebuild (LookupSuite::applyRouteDelta — not one
-  // per route), then a clue refresh on every port for each changed prefix,
-  // removals notified before adds so no transient port state widens a
-  // prefix. Returns the delta so callers can forward it (e.g. to a
-  // rib::RouteUpdater feeding an epoch-versioned data plane).
-  rib::FibDelta<A> applyRouteUpdate(const rib::Fib<A>& next) {
-    rib::FibDelta<A> d = rib::diff(fib_, next);
-    if (d.empty()) return d;
-    std::vector<MatchT> upserts;
-    upserts.reserve(d.added.size() + d.rerouted.size());
-    upserts.insert(upserts.end(), d.added.begin(), d.added.end());
-    upserts.insert(upserts.end(), d.rerouted.begin(), d.rerouted.end());
-    suite_.applyRouteDelta(d.removed, upserts);
-    for (auto& [neighbor, port] : ports_) {
-      for (const auto& p : d.removed) port->onLocalRouteChanged(p);
-      for (const auto& e : d.added) port->onLocalRouteChanged(e.prefix);
-      for (const auto& e : d.rerouted) port->onLocalRouteChanged(e.prefix);
-    }
-    fib_ = next;
-    if (config_.registry != nullptr) {
-      config_.registry
-          ->gauge("router_fib_entries", "Installed FIB entries",
-                  {{"router", std::to_string(id_)}})
-          .set(static_cast<double>(fib_.size()));
     }
     return d;
   }

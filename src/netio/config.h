@@ -42,7 +42,7 @@ struct Config {
   lookup::ClueMode mode = lookup::ClueMode::kSimple;
   std::size_t workers = 1;
   std::size_t cache_entries = 0;
-  bool oracle = false;        // per-packet differential engine check
+  bool oracle = false;        // per-packet brute-force BMP check
   std::uint32_t drain_ms = 500;  // shutdown: max time draining accepted work
   int rcvbuf = 1 << 20;
   std::string metrics_out;    // write a final .prom snapshot here on exit

@@ -5,6 +5,7 @@
 #include <span>
 #include <string>
 
+#include "check/fib_check.h"
 #include "common/check.h"
 #include "common/clock.h"
 #include "core/distributed_lookup.h"
@@ -210,9 +211,12 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
       acc_, [&](const rib::TableVersion<A>* version) {
         if (any_traced) lookup_end_ns = steadyNs();
         if (!config_.oracle || version == nullptr) return;
-        const auto& engine = version->suite->engine(version->method);
+        // Brute-force BMP over the pinned receiver table, not the engine
+        // whose continuation the port just ran: a defect shared by the
+        // common lookup and the continuation must not read as agreement.
         for (std::size_t i = 0; i < valid; ++i) {
-          const auto expect = engine.lookup(dests[i], oracle_acc_);
+          const auto expect =
+              check::bruteForceBmp(version->local.entries(), dests[i]);
           const auto& got = results[i].match;
           const bool mismatch =
               expect.has_value() != got.has_value() ||

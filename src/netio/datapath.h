@@ -20,8 +20,9 @@
 //   no peer           → netio_delivered_total: last clue-speaking hop
 //
 // With `oracle` on, every packet is double-checked inside the read guard
-// against the pinned version's plain engine — the wire-path equivalent of
-// the simulator's per-packet differential oracle.
+// against brute-force BMP over the pinned version's local table — the
+// wire-path equivalent of the simulator's per-packet differential oracle,
+// at O(routes) per packet.
 //
 // Every count lands in this shard's cells of the daemon's MetricRegistry
 // (obs::NetioObs, the per-peer series, the port's LookupObs) and nowhere
@@ -151,7 +152,6 @@ class Datapath {
   SockAddr data_addr_;
   pipeline::PinnedResolver<A> resolver_;
   mem::AccessCounter acc_;
-  mem::AccessCounter oracle_acc_;
   obs::NetioObs nobs_;
   // rx per source router id: [0, kMaxSrcLabel) exact + one "other".
   std::array<obs::CounterCell*, kMaxSrcLabel + 1> rx_by_src_{};

@@ -13,9 +13,10 @@
 //     actually observed a swap.
 //
 // The optional `under_guard` callback runs after the resolve while the pin
-// is still held — the hook the netio datapath's differential oracle uses to
-// compare every port result against a plain engine lookup *at the same
-// version* (an engine lookup after the guard dropped could race a swap).
+// is still held — the hook the netio datapath's and the topology harness's
+// differential oracles use to compare every port result against brute-force
+// BMP over the pinned version's local table (a check after the guard dropped
+// could race a swap).
 #pragma once
 
 #include <cstdint>
@@ -37,12 +38,10 @@ class PinnedResolver {
 
   PortT& port() { return *port_; }
   const PortT& port() const { return *port_; }
-  std::size_t workerId() const { return id_; }
 
   // Attaches the epoch-versioned table source (control-plane, before the
   // first resolve). Null detaches: the port must then be bound statically.
   void bindVersions(rib::VersionedTables<A>* versions) { versions_ = versions; }
-  bool versioned() const { return versions_ != nullptr; }
 
   std::uint64_t versionChanges() const { return version_changes_; }
   void resetVersionChanges() { version_changes_ = 0; }

@@ -215,7 +215,6 @@ class VersionedTables {
       CLUERT_CHECK(report.ok())
           << "retired version " << retired->seq
           << " failed validation:\n" << report.toString();
-      ++retired_validations_;
       if (churn_obs_.enabled()) churn_obs_.retired_validated->inc();
     }
     // Catch the retired buffer up: replaying the identical apply against the
@@ -259,18 +258,9 @@ class VersionedTables {
     // miss, and a miss routes correctly via the common lookup.
     v.clues = core::HashClueTable<A>(neighbor.size() + 16);
     for (const PrefixT& c : neighbor.prefixes()) {
-      v.clues.insert(buildEntry(v, c));
+      v.clues.insert(core::buildClueEntry<A>(*v.suite, &v.neighbor_trie,
+                                             v.method, v.mode, c));
     }
-  }
-
-  core::ClueEntry<A> buildEntry(const TableVersion<A>& v,
-                                const PrefixT& clue) const {
-    return core::buildClueEntry<A>(*v.suite, &v.neighbor_trie, v.method,
-                                   v.mode, clue);
-  }
-
-  static bool related(const PrefixT& clue, const PrefixT& changed) {
-    return clue.isPrefixOf(changed) || changed.isPrefixOf(clue);
   }
 
   bool wantsFullRebuild(const TableVersion<A>& v,
@@ -290,56 +280,16 @@ class VersionedTables {
       return true;
     }
     applyDelta(v.local, d);
-    std::vector<EntryT> upserts;
-    upserts.reserve(d.added.size() + d.rerouted.size());
-    upserts.insert(upserts.end(), d.added.begin(), d.added.end());
-    upserts.insert(upserts.end(), d.rerouted.begin(), d.rerouted.end());
-    // One engine rebuild for the whole batch (vs one per route through
-    // insertRoute/eraseRoute) — the point of the batched suite API.
-    v.suite->applyRouteDelta(d.removed, upserts);
-    // Refresh clue entries. Entries related to a changed prefix always need
-    // it (their FD or candidate set moved). Case-3 continuation anchors are
-    // method-dependent: kRegular/kPatricia anchor the *tries*, which the
-    // suite patches in place (a structural change at an anchor implies a
-    // related() prefix changed, so the first class already covers it);
-    // kBinary/kMultiway candidate tables are entry-owned shared_ptrs; kLogW
-    // stores only a length bound. Only kStride anchors nodes the engine
-    // rebuild frees — there, *every* case-3 entry must be rebuilt or the
-    // stale anchor is a use-after-free, which is exactly what the
-    // retired-version anchor validation would flag. Keeping the refresh
-    // related()-only for the other methods is what makes a publish
-    // O(delta), not O(clue table).
-    const bool anchors_dangle = v.method == lookup::Method::kStride;
-    v.clues.forEachMutable([&](core::ClueEntry<A>& e) {
-      bool needs = anchors_dangle && e.kase == core::ClueCase::kSearch;
-      if (!needs) {
-        for (const PrefixT& p : d.removed) {
-          if (related(e.clue, p)) {
-            needs = true;
-            break;
-          }
-        }
-      }
-      if (!needs) {
-        for (const EntryT& u : upserts) {
-          if (related(e.clue, u.prefix)) {
-            needs = true;
-            break;
-          }
-        }
-      }
-      if (needs) {
-        const bool was_active = e.active;  // preserve §3.4 marking
-        e = buildEntry(v, e.clue);
-        e.active = was_active;
-      }
-    });
+    // One engine rebuild for the whole batch, then the one refresh rule.
+    v.suite->applyRouteDelta(d.removed, d.upserts());
+    core::followDelta(v.clues, d, core::DeltaSide::kLocal, *v.suite,
+                      &v.neighbor_trie, v.method, v.mode);
     return false;
   }
 
-  // Sender-side apply: update the neighbor view, mark withdrawn clues
-  // inactive (§3.4 — removal would break open-addressing probe chains),
-  // install entries for announcements, and refresh what Claim 1 depended on.
+  // Sender-side apply: update the neighbor view (and, under Advance, the
+  // Claim-1 continue bits on the suite's tries — in place, so engine anchors
+  // stay valid), then the one refresh rule marks, installs and refreshes.
   bool applyNeighbor(TableVersion<A>& v, const FibDelta<A>& d) {
     if (wantsFullRebuild(v, d)) {
       Fib<A> neighbor = v.neighbor;
@@ -348,51 +298,12 @@ class VersionedTables {
       return true;
     }
     applyDelta(v.neighbor, d);
-    for (const PrefixT& p : d.removed) v.neighbor_trie.erase(p);
-    for (const EntryT& e : d.added) v.neighbor_trie.insert(e.prefix, e.next_hop);
-    for (const EntryT& e : d.rerouted) {
-      v.neighbor_trie.insert(e.prefix, e.next_hop);
-    }
+    applyDelta(v.neighbor_trie, d);
     if (v.mode == lookup::ClueMode::kAdvance) {
-      // Claim-1 continue bits are per-vertex state on the suite's tries;
-      // recompute them against the moved neighbor view. In-place: engine
-      // anchors stay valid (no engine rebuild happens here).
       v.suite->annotateNeighbor(v.neighbor_index, v.neighbor_trie);
     }
-    for (const PrefixT& p : d.removed) v.clues.setActive(p, false);
-    for (const EntryT& e : d.added) {
-      if (core::ClueEntry<A>* slot = v.clues.findMutable(e.prefix)) {
-        *slot = buildEntry(v, e.prefix);  // re-announce: fresh and active
-      } else {
-        v.clues.insert(buildEntry(v, e.prefix));
-      }
-    }
-    if (v.mode == lookup::ClueMode::kAdvance) {
-      // Claim-1 pruning consults the sender's subtree below each clue; any
-      // entry related to a changed prefix may prune differently now.
-      v.clues.forEachMutable([&](core::ClueEntry<A>& e) {
-        bool needs = false;
-        for (const PrefixT& p : d.removed) {
-          if (related(e.clue, p)) {
-            needs = true;
-            break;
-          }
-        }
-        if (!needs) {
-          for (const EntryT& u : d.added) {
-            if (related(e.clue, u.prefix)) {
-              needs = true;
-              break;
-            }
-          }
-        }
-        if (needs) {
-          const bool was_active = e.active;
-          e = buildEntry(v, e.clue);
-          e.active = was_active;
-        }
-      });
-    }
+    core::followDelta(v.clues, d, core::DeltaSide::kNeighbor, *v.suite,
+                      &v.neighbor_trie, v.method, v.mode);
     return false;
   }
 
@@ -403,7 +314,6 @@ class VersionedTables {
   std::uint64_t seq_ = 0;        // updater-owned sequence counter
   std::uint64_t swaps_ = 0;
   std::uint64_t full_rebuilds_ = 0;
-  std::uint64_t retired_validations_ = 0;
   obs::ChurnObs churn_obs_;
 };
 

@@ -96,22 +96,6 @@ std::string describe(const std::optional<trie::Match<A>>& m) {
   return m->prefix.toString() + "->" + std::to_string(m->next_hop);
 }
 
-// Brute-force longest-prefix match over a flat entry span — the reference
-// every engine/mode/organisation must agree with.
-template <typename A>
-std::optional<trie::Match<A>> bruteBmp(
-    std::span<const trie::Match<A>> entries, const A& address) {
-  const trie::Match<A>* best = nullptr;
-  for (const auto& e : entries) {
-    if (e.prefix.matches(address) &&
-        (best == nullptr || e.prefix.length() > best->prefix.length())) {
-      best = &e;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return *best;
-}
-
 // Expected oracle answer per packet index: walks the stream once, applying
 // local churn to a mirrored Fib at the scenario's publish points. Neighbor
 // churn never changes the receiver's BMPs.
@@ -129,7 +113,8 @@ std::vector<std::optional<trie::Match<A>>> oracleRow(const Scenario<A>& s) {
       }
       ++next_step;
     }
-    expected.push_back(bruteBmp<A>(recv.entries(), s.packets[i].dest));
+    expected.push_back(
+        check::bruteForceBmp(recv.entries(), s.packets[i].dest));
   }
   return expected;
 }
@@ -217,7 +202,6 @@ check::Report validateConfigState(const lookup::LookupSuite<A>& suite,
 
 template <typename A>
 RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
-  using MatchT = trie::Match<A>;
   RunResult result;
   result.generated_packets = s.packets.size();
   result.faults_injected = s.faultCount();
@@ -287,35 +271,11 @@ RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
         ++next_step;
         ++result.publishes;
         if (step.neighbor) {
-          for (const auto& p : step.delta.removed) t1.erase(p);
-          for (const auto& e : step.delta.added) {
-            t1.insert(e.prefix, e.next_hop);
-          }
-          for (const auto& e : step.delta.rerouted) {
-            t1.insert(e.prefix, e.next_hop);
-          }
-          if (advance) {
-            // Claim-1 annotations and related entries must track the
-            // sender's new view; Simple entries don't read t1 at all.
-            for (const auto& p : step.delta.removed) {
-              port.onNeighborRouteChanged(p);
-            }
-            for (const auto& e : step.delta.added) {
-              port.onNeighborRouteChanged(e.prefix);
-            }
-            for (const auto& e : step.delta.rerouted) {
-              port.onNeighborRouteChanged(e.prefix);
-            }
-          }
+          rib::applyDelta(t1, step.delta);
+          port.refreshNeighbor(step.delta);
         } else {
-          std::vector<MatchT> ups(step.delta.added);
-          ups.insert(ups.end(), step.delta.rerouted.begin(),
-                     step.delta.rerouted.end());
-          suite.applyRouteDelta(step.delta.removed, ups);
-          for (const auto& p : step.delta.removed) {
-            port.onLocalRouteChanged(p);
-          }
-          for (const auto& e : ups) port.onLocalRouteChanged(e.prefix);
+          suite.applyRouteDelta(step.delta.removed, step.delta.upserts());
+          port.refreshLocal(step.delta);
         }
         if (opt.validate_publishes) {
           result.check_report.merge(

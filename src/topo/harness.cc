@@ -4,12 +4,12 @@
 #include <memory>
 #include <sstream>
 
+#include "check/fib_check.h"
 #include "common/check.h"
 #include "core/clue.h"
 #include "core/distributed_lookup.h"
 #include "mem/access_counter.h"
 #include "pipeline/pinned_resolver.h"
-#include "rib/route_updater.h"
 #include "rib/versioned_tables.h"
 #include "sim/runner.h"
 
@@ -22,7 +22,7 @@ using Match4 = trie::Match<Addr4>;
 
 // One ingress port: router `owner`'s data plane for packets arriving from
 // static neighbor `nbr`. Owns the full epoch-versioned stack; `mirror_*`
-// are the control plane's view of what has been enqueued so far, diffed
+// are the control plane's view of what has been published so far, diffed
 // against the RIP state each tick to produce the next deltas.
 struct Stack {
   RouterId owner = 0;
@@ -30,7 +30,6 @@ struct Stack {
   Fib4 mirror_local;
   Fib4 mirror_view;
   std::unique_ptr<rib::VersionedTables4> tables;
-  std::unique_ptr<rib::RouteUpdater<Addr4>> updater;
   std::unique_ptr<pipeline::PinnedResolver<Addr4>> resolver;
 };
 
@@ -98,8 +97,6 @@ HarnessStats runTopoScenario(const TopoScenario& s,
       vopt.validate_retired = opt.validate_publishes;
       st->tables = std::make_unique<rib::VersionedTables4>(
           st->mirror_local, st->mirror_view, vopt);
-      st->updater =
-          std::make_unique<rib::RouteUpdater<Addr4>>(*st->tables);
       core::CluePort<Addr4>::Options popt;
       popt.method = s.method;
       popt.mode = s.mode;
@@ -113,9 +110,10 @@ HarnessStats runTopoScenario(const TopoScenario& s,
   }
 
   // Control plane -> data plane: diff this tick's RIP state against each
-  // stack's mirrors, enqueue through the updaters, flush so the tick's
+  // stack's mirrors and publish the deltas on this thread, so the tick's
   // packets resolve against fully published tables (the harness models
-  // convergence lag in the *protocol*, not in publication).
+  // convergence lag in the *protocol*, not in publication). Every resolver
+  // guard has dropped by now, so each publish's grace wait is empty.
   const auto publishTick = [&] {
     for (RouterId r = 0; r < topo.nodes; ++r) {
       if (stacks[r].empty()) continue;
@@ -123,21 +121,14 @@ HarnessStats runTopoScenario(const TopoScenario& s,
       const rib::FibDelta<Addr4> local_delta =
           rib::diff(stacks[r][0]->mirror_local, fib);
       for (auto& st : stacks[r]) {
-        if (!local_delta.empty()) {
-          st->updater->enqueueLocal(local_delta);
-          rib::applyDelta(st->mirror_local, local_delta);
-        }
+        st->tables->publishLocal(local_delta);
+        rib::applyDelta(st->mirror_local, local_delta);
         const Fib4 view = rip.clueViewOf(r, st->nbr);
         const rib::FibDelta<Addr4> view_delta =
             rib::diff(st->mirror_view, view);
-        if (!view_delta.empty()) {
-          st->updater->enqueueNeighbor(view_delta);
-          rib::applyDelta(st->mirror_view, view_delta);
-        }
+        st->tables->publishNeighbor(view_delta);
+        rib::applyDelta(st->mirror_view, view_delta);
       }
-    }
-    for (auto& node : stacks) {
-      for (auto& st : node) st->updater->flush();
     }
   };
 
@@ -194,7 +185,7 @@ HarnessStats runTopoScenario(const TopoScenario& s,
           }
         }
         const auto expected =
-            sim::detail::bruteBmp<Addr4>(v->local.entries(), pkt.dest);
+            check::bruteForceBmp(v->local.entries(), pkt.dest);
         const bool agree = expected == results[0].match;
         if (agree) return;
         if (sim::oracleStrict(cls, s.mode)) {
@@ -315,7 +306,6 @@ HarnessStats runTopoScenario(const TopoScenario& s,
 
   for (auto& node : stacks) {
     for (auto& st : node) {
-      st->updater->stop();
       stats.publishes += st->tables->swaps();
       stats.version_changes += st->resolver->versionChanges();
       if (opt.validate_publishes) {

@@ -2,8 +2,10 @@
 // TopoScenario with a full versioned data plane per router — every (router,
 // static-edge neighbor) port owns a rib::VersionedTables +
 // pipeline::PinnedResolver stack, the RIP control plane's per-tick FIB and
-// clue-view movements become FibDeltas fed through rib::RouteUpdater, and
-// packets hop router to router carrying the clue the previous hop stamped.
+// clue-view movements become FibDeltas published by
+// VersionedTables::publishLocal/publishNeighbor on the harness's one thread,
+// and packets hop router to router carrying the clue the previous hop
+// stamped.
 //
 // The oracle runs per hop, inside the resolver's under_guard while the pin
 // is held (the same rule the netio datapath follows — an unpinned check

@@ -129,8 +129,10 @@ TEST(ClueCache, ClearedOnRouteChange) {
   mem::AccessCounter acc;
   port.process(a4("10.1.2.3"), ClueField::of(8), acc);  // fill
   // Receiver learns a more-specific: the cached FD would now be stale.
-  suite.insertRoute(p4("10.1.0.0/16"), 9);
-  port.onLocalRouteChanged(p4("10.1.0.0/16"));
+  rib::FibDelta4 d;
+  d.added.push_back(MatchT{p4("10.1.0.0/16"), 9});
+  suite.applyRouteDelta(d.removed, d.upserts());
+  port.refreshLocal(d);
   mem::AccessCounter acc2;
   const auto r = port.process(a4("10.1.2.3"), ClueField::of(8), acc2);
   ASSERT_TRUE(r.match.has_value());
@@ -197,8 +199,10 @@ TEST(ClueCache, WithdrawnRouteNotServedFromCache) {
   ASSERT_TRUE(before.match.has_value());
   ASSERT_EQ(before.match->next_hop, 5u);  // cached now
 
-  ASSERT_TRUE(suite.eraseRoute(p4("10.1.0.0/16")));
-  port.onLocalRouteChanged(p4("10.1.0.0/16"));
+  rib::FibDelta4 d;
+  d.removed.push_back(p4("10.1.0.0/16"));
+  suite.applyRouteDelta(d.removed, d.upserts());
+  port.refreshLocal(d);
 
   mem::AccessCounter acc2;
   const auto after = port.process(a4("10.1.2.3"), ClueField::of(16), acc2);

@@ -189,7 +189,7 @@ TEST_P(ClueTransparencyTest, ResultEqualsReceiverBmp) {
                                   : ClueField::none();
       mem::AccessCounter acc;
       const auto r = port.process(dest, field, acc);
-      const auto expect = testutil::bruteForceBmp(pair.receiver, dest);
+      const auto expect = check::bruteForceBmp(pair.receiver, dest);
       ASSERT_EQ(expect.has_value(), r.match.has_value())
           << "dest " << dest.toString();
       if (expect) {
@@ -262,7 +262,7 @@ TEST(CluePort, SimpleIsRobustToTruncatedClues) {
         1, static_cast<std::uint64_t>(sender_bmp->prefix.length())));
     mem::AccessCounter acc;
     const auto r = port.process(dest, ClueField::of(cut), acc);
-    const auto expect = testutil::bruteForceBmp(pair.receiver, dest);
+    const auto expect = check::bruteForceBmp(pair.receiver, dest);
     ASSERT_EQ(expect.has_value(), r.match.has_value());
     if (expect) EXPECT_EQ(expect->prefix, r.match->prefix);
   }
@@ -281,7 +281,7 @@ TEST(CluePort, SimpleIsRobustToArbitraryPrefixClues) {
     const int len = static_cast<int>(rng.uniform(1, 32));
     mem::AccessCounter acc;
     const auto r = port.process(dest, ClueField::of(len), acc);
-    const auto expect = testutil::bruteForceBmp(pair.receiver, dest);
+    const auto expect = check::bruteForceBmp(pair.receiver, dest);
     ASSERT_EQ(expect.has_value(), r.match.has_value());
     if (expect) EXPECT_EQ(expect->prefix, r.match->prefix);
   }

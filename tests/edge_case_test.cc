@@ -44,7 +44,7 @@ class EdgeCaseTest
                              : ClueField::none();
       mem::AccessCounter acc;
       const auto r = port.process(dest, field, acc);
-      const auto expect = testutil::bruteForceBmp(pair.receiver, dest);
+      const auto expect = check::bruteForceBmp(pair.receiver, dest);
       ASSERT_EQ(expect.has_value(), r.match.has_value())
           << dest.toString() << " method "
           << lookup::methodName(method);

@@ -73,17 +73,21 @@ TEST(FibDiff, ApplyDeltasKeepCluePortTransparent) {
   Fib4 sender_fib{std::vector<Entry>(sender_entries)};
   port.precompute(sender_fib.prefixes());
 
-  // Evolve both tables, apply the deltas through the helpers.
+  // Evolve both tables, apply the deltas through the batched calls.
   Fib4 receiver_fib{std::vector<Entry>(receiver_entries)};
   const auto new_receiver_entries =
       testutil::neighborOf(receiver_entries, rng, 0.85, 15, 0.5);
   Fib4 new_receiver{std::vector<Entry>(new_receiver_entries)};
-  applyLocalDelta(diff(receiver_fib, new_receiver), suite, port);
+  const auto local_delta = diff(receiver_fib, new_receiver);
+  suite.applyRouteDelta(local_delta.removed, local_delta.upserts());
+  port.refreshLocal(local_delta);
 
   const auto new_sender_entries =
       testutil::neighborOf(sender_entries, rng, 0.9, 10, 0.5);
   Fib4 new_sender{std::vector<Entry>(new_sender_entries)};
-  applyNeighborDelta(diff(sender_fib, new_sender), t1, port);
+  const auto neighbor_delta = diff(sender_fib, new_sender);
+  applyDelta(t1, neighbor_delta);
+  port.refreshNeighbor(neighbor_delta);
 
   mem::AccessCounter scratch;
   for (int i = 0; i < 300; ++i) {
@@ -94,7 +98,7 @@ TEST(FibDiff, ApplyDeltasKeepCluePortTransparent) {
                            : core::ClueField::none();
     mem::AccessCounter acc;
     const auto r = port.process(dest, field, acc);
-    const auto expect = testutil::bruteForceBmp(new_receiver_entries, dest);
+    const auto expect = check::bruteForceBmp(new_receiver_entries, dest);
     ASSERT_EQ(expect.has_value(), r.match.has_value()) << dest.toString();
     if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
   }
@@ -157,90 +161,6 @@ TEST(FibDiff, ApplyDeltaRoundTripsOnPlainFib) {
   EXPECT_TRUE(nothing.empty());
   applyDelta(rebuilt, nothing);
   EXPECT_EQ(rebuilt.size(), next.size());
-}
-
-// Recording doubles for the ordering contract: removals must reach the suite
-// and port strictly before any add/reroute, so no transient state ever
-// widens a prefix.
-struct RecordingSuite {
-  std::vector<std::string> ops;
-  void eraseRoute(const ip::Prefix4& p) { ops.push_back("erase " + p.toString()); }
-  void insertRoute(const ip::Prefix4& p, NextHop) {
-    ops.push_back("insert " + p.toString());
-  }
-};
-struct RecordingPort {
-  std::vector<std::string> ops;
-  void onLocalRouteChanged(const ip::Prefix4& p) {
-    ops.push_back("notify " + p.toString());
-  }
-};
-
-TEST(FibDiff, ApplyLocalDeltaOrdersRemovalsBeforeAdds) {
-  FibDelta4 d;
-  d.removed.push_back(p4("10.1.0.0/16"));
-  d.added.push_back({p4("10.0.0.0/8"), 1});
-  d.rerouted.push_back({p4("30.0.0.0/8"), 2});
-  RecordingSuite suite;
-  RecordingPort port;
-  applyLocalDelta(d, suite, port);
-  ASSERT_EQ(suite.ops.size(), 3u);
-  EXPECT_EQ(suite.ops[0], "erase 10.1.0.0/16");
-  EXPECT_EQ(suite.ops[1], "insert 10.0.0.0/8");
-  EXPECT_EQ(suite.ops[2], "insert 30.0.0.0/8");
-  ASSERT_EQ(port.ops.size(), 3u);
-  EXPECT_EQ(port.ops[0], "notify 10.1.0.0/16");  // withdraw notified first
-
-  // Empty fast path: neither collaborator is touched.
-  RecordingSuite idle_suite;
-  RecordingPort idle_port;
-  applyLocalDelta(FibDelta4{}, idle_suite, idle_port);
-  EXPECT_TRUE(idle_suite.ops.empty());
-  EXPECT_TRUE(idle_port.ops.empty());
-}
-
-TEST(FibDiff, RouterApplyRouteUpdateMatchesFreshRouter) {
-  Rng rng(3007);
-  const auto old_entries = testutil::randomTable4(rng, 150);
-  const auto new_entries = testutil::neighborOf(old_entries, rng, 0.7, 30,
-                                                0.5);
-  const auto sender_entries = testutil::neighborOf(new_entries, rng, 0.8, 20,
-                                                   0.5);
-  trie::BinaryTrie<A> t1;
-  for (const auto& e : sender_entries) t1.insert(e.prefix, e.next_hop);
-
-  net::Router4::Config config;
-  config.method = lookup::Method::kPatricia;
-  config.mode = lookup::ClueMode::kSimple;
-  config.learn = false;
-  net::Router4 updated(0, Fib4{std::vector<Entry>(old_entries)}, config);
-  updated.connectFrom(1, &t1);
-  Fib4 next{std::vector<Entry>(new_entries)};
-  const auto d = updated.applyRouteUpdate(next);
-  EXPECT_FALSE(d.empty());
-  EXPECT_TRUE(updated.applyRouteUpdate(next).empty());  // idempotent
-
-  net::Router4 fresh(0, next, config);
-  fresh.connectFrom(1, &t1);
-  mem::AccessCounter scratch;
-  for (int i = 0; i < 300; ++i) {
-    const auto dest = testutil::coveredAddress<A>(new_entries, rng,
-                                                  testutil::randomAddr4);
-    const auto bmp = t1.lookup(dest, scratch);
-    const auto field = bmp ? core::ClueField::of(bmp->prefix.length())
-                           : core::ClueField::none();
-    net::Packet4 pa, pb;
-    pa.dest = pb.dest = dest;
-    pa.clue = pb.clue = field;
-    mem::AccessCounter acc;
-    const auto ra = updated.forward(pa, 1, acc);
-    const auto rb = fresh.forward(pb, 1, acc);
-    ASSERT_EQ(ra.match.has_value(), rb.match.has_value()) << dest.toString();
-    if (ra.match) {
-      ASSERT_EQ(ra.match->prefix, rb.match->prefix);
-      ASSERT_EQ(ra.match->next_hop, rb.match->next_hop);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ TEST(Ipv6Engines, AllMethodsAgreeWithBruteForce) {
   for (int i = 0; i < 300; ++i) {
     const auto dest =
         testutil::coveredAddress<A6>(table, rng, testutil::randomAddr6);
-    const auto expect = testutil::bruteForceBmp(table, dest);
+    const auto expect = check::bruteForceBmp(table, dest);
     for (const auto m : lookup::kAllMethods) {
       const auto got = suite.engine(m).lookup(dest, acc);
       ASSERT_EQ(expect.has_value(), got.has_value())

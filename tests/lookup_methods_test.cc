@@ -33,7 +33,7 @@ TEST_P(LookupMethodsTest, MatchesBruteForceOnRandomTables) {
     for (int i = 0; i < 500; ++i) {
       const auto dest = testutil::coveredAddress<A>(table, rng,
                                                     testutil::randomAddr4);
-      const auto expect = testutil::bruteForceBmp(table, dest);
+      const auto expect = check::bruteForceBmp(table, dest);
       const auto got = engine.lookup(dest, acc);
       ASSERT_EQ(expect.has_value(), got.has_value())
           << methodName(GetParam()) << " dest " << dest.toString();
@@ -87,7 +87,7 @@ TEST_P(LookupMethodsTest, ContinuationFindsLongerMatches) {
   for (int i = 0; i < 300; ++i) {
     const auto dest =
         testutil::coveredAddress<A>(table, rng, testutil::randomAddr4);
-    const auto bmp = testutil::bruteForceBmp(table, dest);
+    const auto bmp = check::bruteForceBmp(table, dest);
     if (!bmp) continue;
     const int cut = static_cast<int>(
         rng.uniform(0, static_cast<std::uint64_t>(bmp->prefix.length())));
@@ -107,7 +107,7 @@ TEST_P(LookupMethodsTest, ContinuationFindsLongerMatches) {
       // No strictly longer match exists for this destination. A method may
       // still report nothing or must at least not report a wrong prefix.
       if (got) {
-        EXPECT_EQ(testutil::bruteForceBmp(cands, dest)->prefix, got->prefix);
+        EXPECT_EQ(check::bruteForceBmp(cands, dest)->prefix, got->prefix);
       }
     }
     // Sanity: the reference trie agrees the clue vertex exists.

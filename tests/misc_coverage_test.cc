@@ -109,7 +109,7 @@ TEST(BitmapClueTableRegular, WorksWithBinaryTrieWalks) {
     if (!bmp) continue;
     mem::AccessCounter acc;
     const auto got = table.process(dest, bmp->prefix, 0, acc);
-    const auto expect = testutil::bruteForceBmp(receiver, dest);
+    const auto expect = check::bruteForceBmp(receiver, dest);
     ASSERT_EQ(expect.has_value(), got.has_value());
     if (expect) EXPECT_EQ(expect->prefix, got->prefix);
   }

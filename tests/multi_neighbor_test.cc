@@ -91,7 +91,7 @@ TEST(BitmapClueTable, MatchesPerPortResults) {
     mem::AccessCounter acc;
     const auto got = table.process(dest, bmp->prefix,
                                    static_cast<NeighborIndex>(j), acc);
-    const auto expect = testutil::bruteForceBmp(fx.receiver, dest);
+    const auto expect = check::bruteForceBmp(fx.receiver, dest);
     ASSERT_EQ(expect.has_value(), got.has_value());
     if (expect) EXPECT_EQ(expect->prefix, got->prefix);
   }
@@ -133,7 +133,7 @@ TEST(SubTableClueTable, MatchesReceiverBmp) {
     mem::AccessCounter acc;
     const auto got = table.process(dest, bmp->prefix,
                                    static_cast<NeighborIndex>(j), acc);
-    const auto expect = testutil::bruteForceBmp(fx.receiver, dest);
+    const auto expect = check::bruteForceBmp(fx.receiver, dest);
     ASSERT_EQ(expect.has_value(), got.has_value());
     if (expect) EXPECT_EQ(expect->prefix, got->prefix);
     EXPECT_GE(acc.total(), 1u);
@@ -152,7 +152,7 @@ TEST(SubTableClueTable, UnknownClueFallsBackToFullLookup) {
                                                 testutil::randomAddr4);
   mem::AccessCounter acc;
   const auto got = table.process(dest, ip::Prefix4(dest, 32), 0, acc);
-  const auto expect = testutil::bruteForceBmp(fx.receiver, dest);
+  const auto expect = check::bruteForceBmp(fx.receiver, dest);
   ASSERT_EQ(expect.has_value(), got.has_value());
   if (expect) EXPECT_EQ(expect->prefix, got->prefix);
 }

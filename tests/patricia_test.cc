@@ -199,7 +199,7 @@ TEST(Patricia, RandomizedLookupBelowAgainstBruteForce) {
   for (int i = 0; i < 400; ++i) {
     const auto dest = testutil::coveredAddress<ip::Ip4Addr>(
         entries, rng, testutil::randomAddr4);
-    const auto bmp = testutil::bruteForceBmp(entries, dest);
+    const auto bmp = check::bruteForceBmp(entries, dest);
     if (!bmp) continue;
     const int cut = static_cast<int>(
         rng.uniform(0, static_cast<std::uint64_t>(bmp->prefix.length())));

@@ -98,7 +98,7 @@ TEST_P(InvariantTest, ClueNeverChangesRoutingOnlyCost) {
       if (bmp1) ++clued_packets;
       mem::AccessCounter acc;
       const auto r = port.process(pkt.dest, field, acc);
-      const auto expect = testutil::bruteForceBmp(s.receiver, pkt.dest);
+      const auto expect = check::bruteForceBmp(s.receiver, pkt.dest);
       ASSERT_EQ(expect.has_value(), r.match.has_value())
           << "dest " << pkt.dest.toString();
       if (expect) {
@@ -179,7 +179,7 @@ TEST_P(InvariantTest, FdAnswersAreNeverWrong) {
           port.process(pkt.dest, ClueField::of(bmp1->prefix.length()), acc);
       if (!r.table_hit || !r.used_fd || r.searched) continue;
       ++fd_answers;
-      const auto expect = testutil::bruteForceBmp(s.receiver, pkt.dest);
+      const auto expect = check::bruteForceBmp(s.receiver, pkt.dest);
       ASSERT_EQ(expect.has_value(), r.match.has_value());
       if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
     }
@@ -212,7 +212,7 @@ TEST(InvariantIpv6, ClueTransparencyHolds) {
               bmp1 ? ClueField::of(bmp1->prefix.length()) : ClueField::none();
           mem::AccessCounter acc;
           const auto r = port.process(pkt.dest, field, acc);
-          const auto expect = testutil::bruteForceBmp(s.receiver, pkt.dest);
+          const auto expect = check::bruteForceBmp(s.receiver, pkt.dest);
           ASSERT_EQ(expect.has_value(), r.match.has_value())
               << methodName(m) << "/" << clueModeName(mode) << " dest "
               << pkt.dest.toString();

@@ -74,7 +74,7 @@ TEST_P(ConfigGridTest, TransparencyAcrossTableOrganisations) {
     }
     mem::AccessCounter acc;
     const auto r = port.process(dest, field, acc);
-    const auto expect = testutil::bruteForceBmp(receiver, dest);
+    const auto expect = check::bruteForceBmp(receiver, dest);
     ASSERT_EQ(expect.has_value(), r.match.has_value()) << dest.toString();
     if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
   }
@@ -109,7 +109,7 @@ TEST(CorruptedHeaders, SimpleReceiverNeverMisroutes) {
     }
     mem::AccessCounter acc;
     const auto r = port.process(dest, field, acc);
-    const auto expect = testutil::bruteForceBmp(receiver, dest);
+    const auto expect = check::bruteForceBmp(receiver, dest);
     ASSERT_EQ(expect.has_value(), r.match.has_value())
         << dest.toString() << " len " << int(field.length);
     if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
@@ -133,7 +133,7 @@ TEST(CorruptedHeaders, HashedSimpleReceiverSurvivesJunkLengths) {
     field.length = static_cast<std::uint8_t>(rng.uniform(0, 64));
     mem::AccessCounter acc;
     const auto r = port.process(dest, field, acc);
-    const auto expect = testutil::bruteForceBmp(receiver, dest);
+    const auto expect = check::bruteForceBmp(receiver, dest);
     ASSERT_EQ(expect.has_value(), r.match.has_value());
     if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
   }
@@ -171,7 +171,7 @@ TEST(CorruptedHeaders, Ipv6SimpleReceiverSurvivesBoundaryLengths) {
       }
       mem::AccessCounter acc;
       const auto r = port.process(dest, field, acc);
-      const auto expect = testutil::bruteForceBmp(receiver, dest);
+      const auto expect = check::bruteForceBmp(receiver, dest);
       ASSERT_EQ(expect.has_value(), r.match.has_value())
           << dest.toString() << " len " << int(len);
       if (expect) {
@@ -200,7 +200,7 @@ TEST(CorruptedHeaders, Ipv6JunkEncodingsNeverMisroute) {
   for (int i = 0; i < 16; ++i) {
     const auto dest = testutil::coveredAddress<A6>(receiver, rng,
                                                    testutil::randomAddr6);
-    const auto expect = testutil::bruteForceBmp(receiver, dest);
+    const auto expect = check::bruteForceBmp(receiver, dest);
     for (int len = 0; len <= 255; ++len) {
       ClueField field;
       field.present = true;

@@ -8,6 +8,7 @@
 #include "core/distributed_lookup.h"
 #include "rib/route_updater.h"
 #include "rib/versioned_tables.h"
+#include "sim/scenario.h"
 #include "test_util.h"
 
 namespace cluert {
@@ -111,12 +112,13 @@ TEST(SuiteUpdate, AllEnginesSeeInsertedAndErasedRoutes) {
   Rng rng(77);
   auto entries = testutil::randomTable4(rng, 200);
   LookupSuite<A> suite(entries);
-  // Insert a handful of routes, erase a handful, then check every engine
-  // against brute force.
+  // Insert a batch of routes, erase a batch, then check every engine against
+  // brute force.
   std::vector<MatchT> current = entries;
+  std::vector<MatchT> upserts;
   for (int i = 0; i < 10; ++i) {
     const auto fresh = ip::Prefix4(testutil::randomAddr4(rng), 20 + i);
-    suite.insertRoute(fresh, 1000 + i);
+    upserts.push_back(MatchT{fresh, static_cast<NextHop>(1000 + i)});
     bool replaced = false;
     for (auto& e : current) {
       if (e.prefix == fresh) {
@@ -124,22 +126,25 @@ TEST(SuiteUpdate, AllEnginesSeeInsertedAndErasedRoutes) {
         replaced = true;
       }
     }
-    if (!replaced) current.push_back(MatchT{fresh, static_cast<NextHop>(1000 + i)});
+    if (!replaced) current.push_back(upserts.back());
   }
+  suite.applyRouteDelta({}, upserts);
+  std::vector<ip::Prefix4> removals;
   for (int i = 0; i < 10; ++i) {
-    const auto& victim = current[static_cast<std::size_t>(i) * 7].prefix;
-    suite.eraseRoute(victim);
+    const auto victim = current[static_cast<std::size_t>(i) * 7].prefix;
+    removals.push_back(victim);
     current.erase(std::remove_if(current.begin(), current.end(),
                                  [&](const MatchT& e) {
                                    return e.prefix == victim;
                                  }),
                   current.end());
   }
+  suite.applyRouteDelta(removals, {});
   mem::AccessCounter acc;
   for (int i = 0; i < 400; ++i) {
     const auto dest = testutil::coveredAddress<A>(current, rng,
                                                   testutil::randomAddr4);
-    const auto expect = testutil::bruteForceBmp(current, dest);
+    const auto expect = check::bruteForceBmp(current, dest);
     for (const auto m : lookup::kAllMethods) {
       const auto got = suite.engine(m).lookup(dest, acc);
       ASSERT_EQ(expect.has_value(), got.has_value())
@@ -159,12 +164,14 @@ TEST(SuiteUpdate, AnnotationsAreReplayedAfterUpdates) {
   suite.annotateNeighbor(0, t1);
   // Adding a /24 under t1's /16 keeps Claim 1 intact at the /8 vertex (the
   // /16 still blocks the branch) — only if the annotation was replayed.
-  suite.insertRoute(p4("10.1.2.0/24"), 2);
+  const std::vector<MatchT> inside{MatchT{p4("10.1.2.0/24"), 2}};
+  suite.applyRouteDelta({}, inside);
   const auto* v = suite.binaryTrie().findVertex(p4("10.0.0.0/8"));
   ASSERT_NE(v, nullptr);
   EXPECT_FALSE(trie::BinaryTrie4::continueBit(v, 0));
   // Adding a /24 outside the /16 re-opens the search.
-  suite.insertRoute(p4("10.3.3.0/24"), 3);
+  const std::vector<MatchT> outside{MatchT{p4("10.3.3.0/24"), 3}};
+  suite.applyRouteDelta({}, outside);
   EXPECT_TRUE(trie::BinaryTrie4::continueBit(
       suite.binaryTrie().findVertex(p4("10.0.0.0/8")), 0));
 }
@@ -172,6 +179,18 @@ TEST(SuiteUpdate, AnnotationsAreReplayedAfterUpdates) {
 // ---------------------------------------------------------------------------
 // CluePort maintenance
 // ---------------------------------------------------------------------------
+
+rib::FibDelta4 withdraw(const ip::Prefix4& p) {
+  rib::FibDelta4 d;
+  d.removed.push_back(p);
+  return d;
+}
+
+rib::FibDelta4 announce(const ip::Prefix4& p, NextHop next_hop) {
+  rib::FibDelta4 d;
+  d.added.push_back(MatchT{p, next_hop});
+  return d;
+}
 
 struct UpdateFixture {
   std::vector<MatchT> sender;
@@ -196,6 +215,17 @@ struct UpdateFixture {
     port->precompute(clues);
   }
 
+  // The owner's side of each batched call: move the suite (or the sender
+  // view), then refresh the port.
+  void local(const rib::FibDelta4& d) {
+    suite->applyRouteDelta(d.removed, d.upserts());
+    port->refreshLocal(d);
+  }
+  void neighbor(const rib::FibDelta4& d) {
+    rib::applyDelta(t1, d);
+    port->refreshNeighbor(d);
+  }
+
   void checkTransparency(Rng& rng, int samples) {
     mem::AccessCounter scratch;
     for (int i = 0; i < samples; ++i) {
@@ -206,7 +236,7 @@ struct UpdateFixture {
                              : ClueField::none();
       mem::AccessCounter acc;
       const auto r = port->process(dest, field, acc);
-      const auto expect = testutil::bruteForceBmp(receiver, dest);
+      const auto expect = check::bruteForceBmp(receiver, dest);
       ASSERT_EQ(expect.has_value(), r.match.has_value())
           << dest.toString();
       if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
@@ -225,8 +255,7 @@ TEST(CluePortUpdate, LocalInsertIsReflectedAfterRefresh) {
     addr = addr.withBit(b, 1);
   }
   const ip::Prefix4 fresh(addr, parent.length() + 2);
-  fx.suite->insertRoute(fresh, 777);
-  fx.port->onLocalRouteChanged(fresh);
+  fx.local(announce(fresh, 777));
   bool replaced = false;
   for (auto& e : fx.receiver) {
     if (e.prefix == fresh) {
@@ -243,9 +272,7 @@ TEST(CluePortUpdate, LocalEraseIsReflectedAfterRefresh) {
   Rng rng(2);
   for (int round = 0; round < 8; ++round) {
     const std::size_t victim_i = rng.index(fx.receiver.size());
-    const auto victim = fx.receiver[victim_i].prefix;
-    fx.suite->eraseRoute(victim);
-    fx.port->onLocalRouteChanged(victim);
+    fx.local(withdraw(fx.receiver[victim_i].prefix));
     fx.receiver.erase(fx.receiver.begin() +
                       static_cast<std::ptrdiff_t>(victim_i));
     fx.checkTransparency(rng, 100);
@@ -260,9 +287,7 @@ TEST(CluePortUpdate, NeighborChangeIsReflectedAfterRefresh) {
   // *shape* (transparency holds regardless because the clue is genuine).
   for (int round = 0; round < 5; ++round) {
     const std::size_t victim_i = rng.index(fx.sender.size());
-    const auto victim = fx.sender[victim_i].prefix;
-    fx.t1.erase(victim);
-    fx.port->onNeighborRouteChanged(victim);
+    fx.neighbor(withdraw(fx.sender[victim_i].prefix));
     fx.sender.erase(fx.sender.begin() +
                     static_cast<std::ptrdiff_t>(victim_i));
     fx.checkTransparency(rng, 100);
@@ -278,15 +303,12 @@ TEST(CluePortUpdate, ChurnAcrossMethodsStaysTransparent) {
       // Alternate inserts and erases on the receiver.
       if (round % 2 == 0 && !fx.receiver.empty()) {
         const std::size_t i = rng.index(fx.receiver.size());
-        const auto victim = fx.receiver[i].prefix;
-        fx.suite->eraseRoute(victim);
-        fx.port->onLocalRouteChanged(victim);
+        fx.local(withdraw(fx.receiver[i].prefix));
         fx.receiver.erase(fx.receiver.begin() +
                           static_cast<std::ptrdiff_t>(i));
       } else {
         const ip::Prefix4 fresh(testutil::randomAddr4(rng), 22);
-        fx.suite->insertRoute(fresh, 555);
-        fx.port->onLocalRouteChanged(fresh);
+        fx.local(announce(fresh, 555));
         bool replaced = false;
         for (auto& e : fx.receiver) {
           if (e.prefix == fresh) {
@@ -303,11 +325,7 @@ TEST(CluePortUpdate, ChurnAcrossMethodsStaysTransparent) {
 
 TEST(CluePortUpdate, InactiveEntryBehavesAsMissThenRelearns) {
   UpdateFixture fx(9005);
-  // Find a clue that exists in the table.
   const auto clue = fx.sender.front().prefix;
-  ASSERT_TRUE(fx.port->invalidateClue(clue));
-  // A packet carrying the inactive clue takes the miss path (full lookup,
-  // still correct) and relearns the entry.
   Rng rng(5);
   ip::Ip4Addr dest = clue.addr();
   for (int b = clue.length(); b < 32; ++b) {
@@ -316,10 +334,17 @@ TEST(CluePortUpdate, InactiveEntryBehavesAsMissThenRelearns) {
   mem::AccessCounter scratch;
   const auto bmp = fx.t1.lookup(dest, scratch);
   if (!bmp || bmp->prefix != clue) GTEST_SKIP();  // extension captured it
+  // §3.4: the sender withdraws the clue; its entry stays, marked inactive.
+  fx.neighbor(withdraw(clue));
+  const auto* entry = fx.port->hashTable().find(clue, scratch);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->active);
+  // A packet still carrying the inactive clue takes the miss path (full
+  // lookup, still correct) and relearns the entry.
   mem::AccessCounter acc;
   const auto r = fx.port->process(dest, ClueField::of(clue.length()), acc);
   EXPECT_FALSE(r.table_hit);
-  const auto expect = testutil::bruteForceBmp(fx.receiver, dest);
+  const auto expect = check::bruteForceBmp(fx.receiver, dest);
   ASSERT_EQ(expect.has_value(), r.match.has_value());
   // Learned again: next packet hits.
   mem::AccessCounter acc2;
@@ -329,11 +354,102 @@ TEST(CluePortUpdate, InactiveEntryBehavesAsMissThenRelearns) {
 
 TEST(CluePortUpdate, ReactivateRecomputesEntry) {
   UpdateFixture fx(9006);
-  const auto clue = fx.sender.front().prefix;
-  ASSERT_TRUE(fx.port->invalidateClue(clue));
-  ASSERT_TRUE(fx.port->reactivateClue(clue));
+  const MatchT clue = fx.sender.front();
+  fx.neighbor(withdraw(clue.prefix));
+  // Re-announcing installs a fresh, active entry (§3.3.2).
+  fx.neighbor(announce(clue.prefix, clue.next_hop));
+  mem::AccessCounter scratch;
+  const auto* entry = fx.port->hashTable().find(clue.prefix, scratch);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->active);
   Rng rng(6);
   fx.checkTransparency(rng, 100);
+}
+
+// The one refresh rule, held to itself: a learn-off, precomputed CluePort
+// fed batched deltas must end every step entry-for-entry equal to the live
+// version of a VersionedTables fed the same deltas (the full-rebuild
+// fallback disabled, so both stay incremental; retired versions validated).
+// Both directions are compared, so a missed install or a leftover entry
+// fails as surely as a stale field.
+void expectSameEntries(const core::HashClueTable<A>& port,
+                       const core::HashClueTable<A>& versioned) {
+  mem::AccessCounter scratch;
+  const auto same = [&](const core::ClueEntry<A>& e,
+                        const core::HashClueTable<A>& other,
+                        const char* missing_from) {
+    const auto* o = other.find(e.clue, scratch);
+    ASSERT_NE(o, nullptr) << e.clue.toString() << " missing from "
+                          << missing_from;
+    EXPECT_EQ(e.active, o->active) << e.clue.toString();
+    EXPECT_EQ(e.ptr_empty, o->ptr_empty) << e.clue.toString();
+    EXPECT_EQ(e.kase, o->kase) << e.clue.toString();
+    EXPECT_EQ(e.claim1_pruned, o->claim1_pruned) << e.clue.toString();
+    ASSERT_EQ(e.fd.has_value(), o->fd.has_value()) << e.clue.toString();
+    if (e.fd) {
+      EXPECT_EQ(e.fd->prefix, o->fd->prefix) << e.clue.toString();
+      EXPECT_EQ(e.fd->next_hop, o->fd->next_hop) << e.clue.toString();
+    }
+  };
+  port.forEach([&](const auto& e) { same(e, versioned, "the version"); });
+  versioned.forEach([&](const auto& e) { same(e, port, "the port"); });
+}
+
+TEST(CluePortUpdate, FollowsDeltasEntryForEntryLikeVersionedTables) {
+  constexpr int kDeltas = 30;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    for (const Method method : lookup::kExtendedMethods) {
+      for (const ClueMode mode : {ClueMode::kSimple, ClueMode::kAdvance}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " " << lookup::methodName(method)
+                     << "/" << lookup::clueModeName(mode));
+        Rng rng(seed);
+        const auto sender = testutil::randomTable4(rng, 150);
+        const auto receiver = testutil::neighborOf(sender, rng, 0.8, 25, 0.5);
+        rib::Fib4 local{std::vector<MatchT>(receiver)};
+        rib::Fib4 neighbor{std::vector<MatchT>(sender)};
+
+        rib::VersionedTables4::Options vopt;
+        vopt.method = method;
+        vopt.mode = mode;
+        vopt.full_rebuild_fraction = 1e9;
+        vopt.validate_retired = true;
+        rib::VersionedTables4 tables(local, neighbor, vopt);
+
+        LookupSuite<A> suite(receiver);
+        trie::BinaryTrie<A> t1 = neighbor.buildTrie();
+        typename CluePort<A>::Options popt;
+        popt.method = method;
+        popt.mode = mode;
+        popt.learn = false;
+        popt.expected_clues = sender.size() + 16;
+        CluePort<A> port(suite, &t1, popt);
+        port.precompute(neighbor.prefixes());
+        expectSameEntries(port.hashTable(), tables.liveVersion().clues);
+
+        std::vector<MatchT> withdrawn_local;
+        std::vector<MatchT> withdrawn_neighbor;
+        for (int step = 0; step < kDeltas; ++step) {
+          if (rng.chance(0.5)) {
+            const auto d = sim::detail::drawDelta(rng, neighbor,
+                                                  withdrawn_neighbor, 4);
+            rib::applyDelta(t1, d);
+            port.refreshNeighbor(d);
+            tables.publishNeighbor(d);
+          } else {
+            const auto d =
+                sim::detail::drawDelta(rng, local, withdrawn_local, 4);
+            suite.applyRouteDelta(d.removed, d.upserts());
+            port.refreshLocal(d);
+            tables.publishLocal(d);
+          }
+          SCOPED_TRACE(testing::Message() << "after delta " << step);
+          expectSameEntries(port.hashTable(), tables.liveVersion().clues);
+          if (HasFatalFailure() || HasNonfatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ TEST(SegmentTable, FanoutsAgreeWithEachOtherAndBruteForce) {
   for (int i = 0; i < 500; ++i) {
     const auto dest = testutil::coveredAddress<ip::Ip4Addr>(
         table, rng, testutil::randomAddr4);
-    const auto expect = testutil::bruteForceBmp(table, dest);
+    const auto expect = check::bruteForceBmp(table, dest);
     for (unsigned fanout : {2u, 4u, 6u, 16u}) {
       const auto got = t.lookup(dest, fanout, mem::Region::kIntervalNode, acc);
       ASSERT_EQ(expect.has_value(), got.has_value()) << "fanout " << fanout;

@@ -213,7 +213,7 @@ TEST(SimDifferential, OracleRowTracksLocalChurnOnly) {
       }
     }
     const auto want =
-        sim::detail::bruteBmp<A>(recv.entries(), s.packets[i].dest);
+        check::bruteForceBmp(recv.entries(), s.packets[i].dest);
     EXPECT_EQ(row[i].has_value(), want.has_value()) << "packet " << i;
     if (row[i] && want) {
       EXPECT_EQ(row[i]->prefix, want->prefix) << "packet " << i;

@@ -69,7 +69,7 @@ TEST(StrideTrie, MatchesBruteForceOnRandomTables) {
     for (int i = 0; i < 500; ++i) {
       const auto dest =
           testutil::coveredAddress<A>(table, rng, testutil::randomAddr4);
-      const auto expect = testutil::bruteForceBmp(table, dest);
+      const auto expect = check::bruteForceBmp(table, dest);
       const auto got = engine.lookup(dest, acc);
       ASSERT_EQ(expect.has_value(), got.has_value()) << dest.toString();
       if (expect) {
@@ -132,7 +132,7 @@ TEST(StrideTrie, Ipv6LookupWorks) {
     const auto dest =
         testutil::coveredAddress<ip::Ip6Addr>(table, rng,
                                               testutil::randomAddr6);
-    const auto expect = testutil::bruteForceBmp(table, dest);
+    const auto expect = check::bruteForceBmp(table, dest);
     const auto got = engine.lookup(dest, acc);
     ASSERT_EQ(expect.has_value(), got.has_value());
     if (expect) EXPECT_EQ(expect->prefix, got->prefix);
@@ -150,7 +150,7 @@ TEST(StrideTrie, SuiteExposesItAsExtendedMethod) {
   for (int i = 0; i < 100; ++i) {
     const auto dest =
         testutil::coveredAddress<A>(table, rng, testutil::randomAddr4);
-    const auto expect = testutil::bruteForceBmp(table, dest);
+    const auto expect = check::bruteForceBmp(table, dest);
     const auto got = engine.lookup(dest, acc);
     ASSERT_EQ(expect.has_value(), got.has_value());
     if (expect) EXPECT_EQ(expect->prefix, got->prefix);

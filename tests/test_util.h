@@ -1,5 +1,5 @@
-// Shared helpers for the test suite: small random tables, a brute-force
-// reference BMP, and convenience builders.
+// Shared helpers for the test suite: small random tables and convenience
+// builders. The brute-force reference BMP is check::bruteForceBmp.
 #pragma once
 
 #include <optional>
@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "check/fib_check.h"
 #include "common/random.h"
 #include "ip/prefix.h"
 #include "rib/fib.h"
@@ -14,22 +15,6 @@
 #include "trie/binary_trie.h"
 
 namespace cluert::testutil {
-
-// Brute-force longest-prefix match over a flat entry list — the oracle every
-// lookup structure is checked against.
-template <typename A>
-std::optional<trie::Match<A>> bruteForceBmp(
-    const std::vector<trie::Match<A>>& entries, const A& address) {
-  const trie::Match<A>* best = nullptr;
-  for (const auto& e : entries) {
-    if (e.prefix.matches(address) &&
-        (best == nullptr || e.prefix.length() > best->prefix.length())) {
-      best = &e;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return *best;
-}
 
 // A small random IPv4 table with realistic shape.
 inline std::vector<trie::Match<ip::Ip4Addr>> randomTable4(Rng& rng,

@@ -106,7 +106,7 @@ TEST(Topo, RipConvergesOnLine) {
   // Hop metrics on a line are just the distance.
   EXPECT_EQ(rip.expectedMetric(3, p4("10.1.0.0/16")).value_or(-1), 3);
   const rib::Fib<Addr4> fib = rip.fibOf(3);
-  const auto m = sim::detail::bruteBmp<Addr4>(fib.entries(), a4("10.1.2.3"));
+  const auto m = check::bruteForceBmp(fib.entries(), a4("10.1.2.3"));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->next_hop, 2u);  // toward router 0
 }
@@ -121,7 +121,7 @@ TEST(Topo, RipReconvergesAfterFlap) {
   // Router 1 reaches 10.1/16 (originated at 0) directly.
   {
     const auto m =
-        sim::detail::bruteBmp<Addr4>(rip.fibOf(1).entries(), a4("10.1.9.9"));
+        check::bruteForceBmp(rip.fibOf(1).entries(), a4("10.1.9.9"));
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->next_hop, 0u);
   }
@@ -132,7 +132,7 @@ TEST(Topo, RipReconvergesAfterFlap) {
   // Now the long way round: 1 -> 2 -> 3 -> 4 -> 0.
   {
     const auto m =
-        sim::detail::bruteBmp<Addr4>(rip.fibOf(1).entries(), a4("10.1.9.9"));
+        check::bruteForceBmp(rip.fibOf(1).entries(), a4("10.1.9.9"));
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->next_hop, 2u);
   }

@@ -174,7 +174,7 @@ TEST(VersionedTables, IncrementalChurnMatchesFreshBuild) {
     const NextHop churned = resolveAt(vt, dest, clue);
     const NextHop rebuilt = resolveAt(fresh_vt, dest, clue);
     ASSERT_EQ(churned, rebuilt) << dest.toString();
-    const auto expect = testutil::bruteForceBmp(final_entries, dest);
+    const auto expect = check::bruteForceBmp(final_entries, dest);
     ASSERT_EQ(churned, expect ? expect->next_hop : kNoNextHop)
         << dest.toString();
   }
@@ -235,7 +235,7 @@ TEST(VersionedTables, AdvanceModeSurvivesChurn) {
     const NextHop got = resolveAt(vt, dest, core::ClueField::of(
                                                 bmp->prefix.length()),
                                   lookup::ClueMode::kAdvance);
-    const auto expect = testutil::bruteForceBmp(final_entries, dest);
+    const auto expect = check::bruteForceBmp(final_entries, dest);
     ASSERT_EQ(got, expect ? expect->next_hop : kNoNextHop) << dest.toString();
   }
   const auto report = check::validate(vt.liveVersion());

@@ -60,9 +60,14 @@
 #                           per-publish validation and zero-strict-mismatch
 #                           gating, metrics_diff.py --require-nonzero
 #                           asserts the storm actually forwarded, flapped,
-#                           and reconverged, and topo_run.sh drives the star
-#                           and ring daemon topologies with per-peer counter
-#                           conservation.
+#                           and reconverged, the full bench_topo run in a
+#                           temporary directory must reproduce the committed
+#                           BENCH_topo.json in every field but its
+#                           provenance (git_sha, hostname, cpus) — the
+#                           artifact has no timing fields, so any other
+#                           difference is a behaviour change — and
+#                           topo_run.sh drives the star and ring daemon
+#                           topologies with per-peer counter conservation.
 #
 # Exits nonzero on the first finding. This is what "CI green" means for this
 # repo; see README "Lint and sanitizer gates".
@@ -183,6 +188,28 @@ for series in topo_smoke_forwarded_hops topo_smoke_delivered \
     --max 'topo_smoke_strict_mismatches:0' \
     build-ci/BENCH_topo_smoke.prom
 done
+# The full flap storm is deterministic: regenerate BENCH_topo.json away from
+# the tree and require every non-provenance field to match the committed one.
+TOPO_BIN="$PWD/build-ci/bench/bench_topo"
+TOPO_DIR="$(mktemp -d)"
+(cd "$TOPO_DIR" && "$TOPO_BIN" >/dev/null)
+python3 - "$TOPO_DIR/BENCH_topo.json" BENCH_topo.json <<'EOF'
+import json
+import sys
+
+fresh, committed = (json.load(open(path)) for path in sys.argv[1:3])
+for doc in (fresh, committed):
+    for key in ("git_sha", "hostname", "cpus"):
+        doc.pop(key, None)
+if fresh != committed:
+    for key in sorted(set(fresh) | set(committed)):
+        if fresh.get(key) != committed.get(key):
+            print(f"BENCH_topo.json field {key!r} differs from the committed "
+                  "artifact", file=sys.stderr)
+    sys.exit(1)
+print("BENCH_topo.json: matches the committed artifact outside provenance")
+EOF
+rm -rf "$TOPO_DIR"
 # Daemon-level star and ring shapes: end-to-end delivery, zero oracle
 # mismatches, per-peer tx/rx counter conservation on every traffic-carrying
 # link (tools/topo_run_shapes.sh).

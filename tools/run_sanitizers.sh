@@ -36,10 +36,10 @@ cd "$(dirname "$0")/.."
 # protocol under TSan with scenario-driven deltas.
 # Flight/Span/Trace cover the tracing + flight-recorder layer (DESIGN.md
 # §11): FlightRecorder's concurrent reader/writer test is the TSan proof of
-# the single-writer release-publish ring. Topo*/RouteUpdater cover the
-# multi-router harness (DESIGN.md §12): every (router, port) stack runs a
-# live RouteUpdater thread against resolver pins, and the RouteUpdater
-# ordering test races two producers into one publication queue.
+# the single-writer release-publish ring. Topo* covers the multi-router
+# harness (DESIGN.md §12): every (router, port) stack publishes and pins
+# versions on the harness thread. RouteUpdater's ordering test races two
+# producers into one publication queue.
 # Daemon/Wire/SendBatch/GroReceive cover the wire datapath (DESIGN.md §9):
 # ASan/UBSan check the GSO run building and the GRO slab walk's offset
 # arithmetic, TSan the daemon's datapath, updater and admin threads.

@@ -22,6 +22,7 @@
 #include "lookup/engine.h"
 #include "lookup/swar_probe.h"
 #include "mem/access_counter.h"
+#include "mem/huge_pages.h"
 #include "common/check.h"
 
 namespace cluert::core {
@@ -31,7 +32,7 @@ namespace cluert::core {
 // computes this once in its prepare phase, prefetches the slot AND the tag
 // word, and resumes the probe from it in the resolve phase without hashing
 // again. `slot` is only meaningful for the bucketCount() it was computed
-// under (the caller re-derives on growth, see CluePort::finishResolve).
+// under (the caller re-derives on growth, see CluePort::probe).
 struct ClueProbeHint {
   std::uint32_t slot = 0;
   std::uint8_t tag = 0;
@@ -239,7 +240,7 @@ class HashClueTable {
   }
 
   bool grow() {
-    std::vector<EntryT> old = std::move(slots_);
+    mem::HugePageVector<EntryT> old = std::move(slots_);
     slots_.assign(old.size() * 2, EntryT{});
     tags_.assign(slots_.size() + lookup::kSwarLanes, 0);
     size_ = 0;
@@ -249,7 +250,9 @@ class HashClueTable {
     return true;
   }
 
-  std::vector<EntryT> slots_;
+  // On 2 MiB pages once it reaches 2 MiB (mem/huge_pages.h): at internet
+  // scale every probe would otherwise miss the TLB too.
+  mem::HugePageVector<EntryT> slots_;
   // One byte per slot (+ kSwarLanes mirrored), 0 = never used; see
   // lookup/swar_probe.h for the encoding.
   std::vector<std::uint8_t> tags_;
@@ -320,7 +323,7 @@ class IndexedClueTable {
   std::size_t capacity() const { return slots_.size(); }
 
  private:
-  std::vector<EntryT> slots_;
+  mem::HugePageVector<EntryT> slots_;  // as HashClueTable::slots_
 };
 
 }  // namespace cluert::core

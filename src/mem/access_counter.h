@@ -129,6 +129,11 @@ class AccessCounter {
 // per-lookup record CluePort results and packet spans carry.
 using LookupAccesses = std::array<std::uint16_t, AccessCounter::kRegions>;
 
+// One LookupAccesses element: `n` saturated at 0xffff.
+inline std::uint16_t saturatedAccesses(std::uint64_t n) {
+  return static_cast<std::uint16_t>(n > 0xffff ? 0xffff : n);
+}
+
 // Per-region (after - before), saturated: costs one lookup by snapshotting
 // the counter around it.
 inline LookupAccesses lookupDelta(const AccessCounter& after,
@@ -136,8 +141,7 @@ inline LookupAccesses lookupDelta(const AccessCounter& after,
   LookupAccesses d;
   for (std::size_t i = 0; i < AccessCounter::kRegions; ++i) {
     const auto r = static_cast<Region>(i);
-    const std::uint64_t n = after.count(r) - before.count(r);
-    d[i] = static_cast<std::uint16_t>(n > 0xffff ? 0xffff : n);
+    d[i] = saturatedAccesses(after.count(r) - before.count(r));
   }
   return d;
 }

@@ -5,10 +5,10 @@
 // *batch* — a small frame of packet descriptors that moves through the
 // pipeline as one unit, the same trick DPDK-style frameworks use. A batch is
 // also the window over which the lookup layer overlaps memory accesses
-// (CluePort::processBatch / LookupEngine::lookupBatch): with 32 packets in
-// hand, 32 clue-table lines can be in flight from DRAM at once, which is how
-// the paper's "one memory access per packet" turns into line-rate forwarding
-// on a general-purpose CPU.
+// (CluePort::processBatch and its LookupEngine::walkBatch): with 32 packets
+// in hand, 32 clue-table lines, and then 32 trie walks' next nodes, can be in
+// flight from DRAM at once, which is how the paper's "one memory access per
+// packet" turns into line-rate forwarding on a general-purpose CPU.
 //
 // Layout is structure-of-arrays: destinations, clues and stream positions
 // live in three separate cache-line-aligned arrays rather than interleaved
@@ -30,8 +30,8 @@
 namespace cluert::pipeline {
 
 // Hard upper bound on packets per batch (the pipeline's configurable
-// batch_size must be <= this). 64 keeps a frame around 2 KB and matches the
-// interleave window of BitTrieLookup::lookupBatch.
+// batch_size must be <= this). 64 keeps a frame around 2 KB and matches
+// CluePort::kMaxProcessBatch, the window its staged resolve interleaves.
 inline constexpr std::size_t kMaxBatch = 64;
 
 // The default — 32 packets is the sweet spot batching literature converges

@@ -123,20 +123,55 @@ class PatriciaTrie {
 
   const Node* root() const { return root_.get(); }
 
+  // One walk in progress: the node it visits next (nullptr once it ended),
+  // the best match so far and the clue length a match must exceed (-1 for a
+  // full lookup). lookup() and lookupBelow() are loops over step(); a batch
+  // of walks (lookup::PatriciaLookup::walkBatch) interleaves the same steps,
+  // so it visits the same nodes. Trivial on purpose: a batch keeps an
+  // uninitialised array of them.
+  struct Walker {
+    const Node* node;
+    const Node* best;
+    int above;
+  };
+
+  Walker startLookup() const { return Walker{root_.get(), nullptr, -1}; }
+
+  // The walk of lookupBelow(anchor, clue, ...); a null anchor is a walk that
+  // has already ended.
+  static Walker startBelow(const Node* anchor, const PrefixT& clue) {
+    return Walker{anchor, nullptr, clue.length()};
+  }
+
+  // Visits w.node — the one trie-node access the caller charges — and moves
+  // w.node to the next node on `address`'s path, or to nullptr when the walk
+  // ends: the skipped bits disagree, a full-length node, a missing child, or
+  // (`neighbor` set) a node whose Claim-1 boolean stops the search.
+  static void step(Walker& w, const A& address,
+                   std::optional<NeighborIndex> neighbor) {
+    const Node* node = w.node;
+    w.node = nullptr;
+    if (!node->prefix.matches(address)) return;  // skipped bits disagree
+    if (node->marked && node->prefix.length() > w.above) w.best = node;
+    if (neighbor && !continueBit(node, *neighbor)) return;
+    if (node->prefix.length() == A::kBits) return;
+    w.node = node->child[address.bit(node->prefix.length())].get();
+  }
+
+  static std::optional<MatchT> result(const Walker& w) {
+    if (w.best == nullptr) return std::nullopt;
+    return MatchT{w.best->prefix, w.best->next_hop};
+  }
+
   // Longest-prefix match; the classic Patricia walk. One access per node.
   std::optional<MatchT> lookup(const A& address,
                                mem::AccessCounter& acc) const {
-    const Node* node = root_.get();
-    const Node* best = nullptr;
-    while (node != nullptr) {
+    Walker w = startLookup();
+    while (w.node != nullptr) {
       acc.add(mem::Region::kTrieNode);
-      if (!node->prefix.matches(address)) break;  // skipped bits disagree
-      if (node->marked) best = node;
-      if (node->prefix.length() == A::kBits) break;
-      node = node->child[address.bit(node->prefix.length())].get();
+      step(w, address, std::nullopt);
     }
-    if (best == nullptr) return std::nullopt;
-    return MatchT{best->prefix, best->next_hop};
+    return result(w);
   }
 
   // The unique shallowest node whose prefix extends-or-equals `clue`
@@ -168,21 +203,12 @@ class PatriciaTrie {
                                     std::optional<NeighborIndex> neighbor,
                                     mem::AccessCounter& acc) const {
     CLUERT_DCHECK(anchor != nullptr) << "lookupBelow from a null anchor";
-    const Node* node = anchor;
-    const Node* best = nullptr;
-    while (true) {
+    Walker w = startBelow(anchor, clue);
+    while (w.node != nullptr) {
       acc.add(mem::Region::kTrieNode);
-      if (!node->prefix.matches(address)) break;
-      if (node->marked && node->prefix.length() > clue.length()) best = node;
-      if (neighbor && !continueBit(node, *neighbor)) break;
-      if (node->prefix.length() == A::kBits) break;
-      const Node* next =
-          node->child[address.bit(node->prefix.length())].get();
-      if (next == nullptr) break;
-      node = next;
+      step(w, address, neighbor);
     }
-    if (best == nullptr) return std::nullopt;
-    return MatchT{best->prefix, best->next_hop};
+    return result(w);
   }
 
   bool contains(const PrefixT& prefix) const {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iostream>
+#include <sstream>
+#include <string>
+
 #include "core/clue.h"
 #include "core/clue_table.h"
 #include "test_util.h"
@@ -245,6 +250,77 @@ TEST(HashClueTable, DenseTableStillResolvesThroughWrappedTagWords) {
   mem::AccessCounter acc;
   for (const auto& c : clues) {
     ASSERT_NE(t.find(c, acc), nullptr) << c.toString();
+  }
+}
+
+// The AnonHugePages line of the /proc/self/smaps mapping holding `p`.
+std::string anonHugePagesOf(const void* p) {
+  const auto at = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= at && at < hi;
+    } else if (inside && line.rfind("AnonHugePages:", 0) == 0) {
+      return line;
+    }
+  }
+  return "no AnonHugePages line";
+}
+
+// A table sized like the churn benchmark's (200k clues: 2^20 slots, over
+// 100 MiB, so its slots are mapped on huge pages outside sanitizer builds):
+// every slot starts value-initialized, and the entries survive a grow()
+// into a fresh mapping and a move of the table.
+TEST(HashClueTable, InternetScaleSlotsSurviveGrowAndMove) {
+  Table t(200'000);
+  ASSERT_EQ(t.bucketCount(), std::size_t{1} << 20);
+  for (std::size_t i = 0; i < t.bucketCount(); ++i) {
+    const Entry& e = t.slotAt(i);
+    ASSERT_FALSE(e.valid) << "slot " << i;
+    ASSERT_TRUE(e.active) << "slot " << i;
+    ASSERT_TRUE(e.ptr_empty) << "slot " << i;
+    ASSERT_FALSE(e.fd.has_value()) << "slot " << i;
+    ASSERT_EQ(e.clue, ip::Prefix4{}) << "slot " << i;
+    ASSERT_EQ(e.cont.patricia_anchor, nullptr) << "slot " << i;
+    ASSERT_EQ(e.cont.candidates, nullptr) << "slot " << i;
+  }
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(thp, mode);
+  if (!mode.empty() && mode.find("[never]") == std::string::npos) {
+    std::cout << "[ INFO     ] " << t.bucketCount() << " slots ("
+              << t.bucketCount() * sizeof(Entry) / (1 << 20)
+              << " MiB), THP " << mode << ": "
+              << anonHugePagesOf(&t.slotAt(0)) << "\n";
+  }
+
+  // Fill to the grow threshold (half the slots) and one past it.
+  const std::size_t n = t.bucketCount() / 2 + 1;
+  const auto clueOf = [](std::size_t i) {
+    return ip::Prefix4(A(static_cast<std::uint32_t>(i) << 8), 24);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(t.insert(entryFor(clueOf(i), static_cast<NextHop>(i))));
+  }
+  ASSERT_EQ(t.bucketCount(), std::size_t{1} << 21) << "the table never grew";
+  const Table moved = std::move(t);
+  EXPECT_EQ(moved.size(), n);
+  std::size_t valid = 0;
+  for (std::size_t i = 0; i < moved.bucketCount(); ++i) {
+    valid += moved.slotAt(i).valid ? 1 : 0;
+  }
+  EXPECT_EQ(valid, n);
+  mem::AccessCounter acc;
+  for (std::size_t i = 0; i < n; i += 997) {
+    const Entry* e = moved.find(clueOf(i), acc);
+    ASSERT_NE(e, nullptr) << "clue " << i;
+    EXPECT_EQ(e->fd->next_hop, static_cast<NextHop>(i));
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "check/fib_check.h"
 #include "core/distributed_lookup.h"
 #include "obs/metrics.h"
 #include "test_util.h"
@@ -491,6 +494,155 @@ TEST(CluePortObs, AdvancePrecomputedCachedMatchesUnobserved) {
 
 TEST(CluePortObs, SimplePrecomputedMatchesUnobserved) {
   expectObservedMatchesPlain({ClueMode::kSimple, /*learn=*/false, 0});
+}
+
+// --- Batch shape: one stream, any batch size, one answer -------------------
+
+// {method, mode, learning, indexed, §3.5 cache entries}.
+using ShapeParam = std::tuple<Method, ClueMode, bool, bool, std::size_t>;
+
+class CluePortBatchShape : public ::testing::TestWithParam<ShapeParam> {};
+
+std::string shapeParamName(const ::testing::TestParamInfo<ShapeParam>& info) {
+  const auto& [method, mode, learn, indexed, cache] = info.param;
+  std::string name(lookup::methodName(method));
+  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+  return name + "_" + std::string(clueModeName(mode)) +
+         (learn ? "_Learning" : "_Precomputed") +
+         (indexed ? "_Indexed" : "_Hash") + "_Cache" + std::to_string(cache);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, CluePortBatchShape,
+    ::testing::Combine(::testing::ValuesIn(lookup::kExtendedMethods),
+                       ::testing::Values(ClueMode::kSimple,
+                                         ClueMode::kAdvance),
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(std::size_t{0}, std::size_t{64})),
+    shapeParamName);
+
+// Whatever the batch shape, the staged resolve must leave the answer of a
+// packet-at-a-time port: the same Results (observed, so each carries its own
+// charges), Stats, cache Stats and per-region charges; and every match is
+// the receiver's brute-force BMP. A learning port starts from a 16-slot
+// table, so inserts grow it (reallocating every slot) mid-batch; an indexed
+// stream carries a stale index on one clue in eight, so learning overwrites
+// occupied slots mid-batch. A resolve whose queued walks kept a
+// pointer into a table across either write would read moved or freed
+// entries.
+TEST_P(CluePortBatchShape, EveryShapeGivesOneAnswer) {
+  const auto& [method, mode, learn, indexed, cache] = GetParam();
+  Rng rng(99);
+  Pair pair = Pair::random(rng, 400);
+  ClueIndexer<A> indexer;
+
+  // A stale index names the clue of one of the last few packets, so the
+  // slot it overwrites is likely one an earlier packet of the same batch
+  // is still walking from.
+  std::vector<A> dests;
+  std::vector<ClueField> fields;
+  std::vector<ip::Prefix4> recent;
+  mem::AccessCounter scratch;
+  while (dests.size() < 600) {
+    const auto dest = testutil::coveredAddress<A>(pair.sender, rng,
+                                                  testutil::randomAddr4);
+    const auto bmp = pair.t1.lookup(dest, scratch);
+    ClueField field;
+    if (bmp && bmp->prefix.length() > 0 && rng.uniform(0, 9) != 0) {
+      field = ClueField::of(bmp->prefix.length());
+      if (indexed) {
+        const bool stale = !recent.empty() && rng.uniform(0, 7) == 0;
+        field.index = indexer.indexOf(
+            stale ? recent[rng.index(recent.size())] : bmp->prefix);
+      }
+      recent.push_back(bmp->prefix);
+      if (recent.size() > 4) recent.erase(recent.begin());
+    }
+    dests.push_back(dest);
+    fields.push_back(field);
+  }
+  // A precomputed port knows every other sender clue, so it sees misses too.
+  std::vector<ip::Prefix4> clues;
+  for (std::size_t i = 0; i < pair.sender.size(); i += 2) {
+    clues.push_back(pair.sender[i].prefix);
+  }
+
+  struct Run {
+    std::vector<Port::Result> results;
+    Port::Stats stats;
+    ClueCache<A>::Stats cache;
+    mem::AccessCounter acc;
+  };
+  const auto run = [&](std::size_t shape) {
+    Port::Options opt = portOptions(method, mode, learn);
+    opt.indexed = indexed;
+    opt.indexed_capacity = 1024;
+    opt.cache_entries = cache;
+    opt.expected_clues = learn ? 4 : clues.size();
+    Port port(*pair.suite, &pair.t1, opt);
+    if (!learn && indexed) port.precomputeIndexed(clues, indexer);
+    if (!learn && !indexed) port.precompute(clues);
+    obs::MetricRegistry registry;
+    port.attachObs(obs::LookupObs::bind(registry, /*shard=*/0));
+    Run out;
+    out.results.resize(dests.size());
+    for (std::size_t i = 0; i < dests.size(); i += shape) {
+      const std::size_t n = std::min(shape, dests.size() - i);
+      if (n == 1) {
+        out.results[i] = port.process(dests[i], fields[i], out.acc);
+      } else {
+        port.processBatch({dests.data() + i, n}, {fields.data() + i, n},
+                          {out.results.data() + i, n}, out.acc);
+      }
+    }
+    out.stats = port.stats();
+    out.cache = port.cache().stats();
+    if (learn && !indexed) {
+      EXPECT_GT(port.hashTable().bucketCount(), 16u) << "the table never grew";
+    }
+    return out;
+  };
+
+  const Run base = run(1);
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    ASSERT_EQ(base.results[i].match,
+              check::bruteForceBmp(pair.receiver, dests[i]))
+        << "packet " << i << " dest " << dests[i].toString();
+  }
+  EXPECT_GT(base.stats.table_hits, 0u);
+  EXPECT_GT(base.stats.table_misses, 0u);
+  EXPECT_GT(base.stats.no_clue, 0u);
+
+  for (const std::size_t shape : {7, 32, 64, 150}) {
+    SCOPED_TRACE("batches of " + std::to_string(shape));
+    const Run got = run(shape);
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      const Port::Result& w = base.results[i];
+      const Port::Result& g = got.results[i];
+      ASSERT_EQ(g.match, w.match) << "packet " << i;
+      ASSERT_EQ(g.table_hit, w.table_hit) << "packet " << i;
+      ASSERT_EQ(g.used_fd, w.used_fd) << "packet " << i;
+      ASSERT_EQ(g.searched, w.searched) << "packet " << i;
+      ASSERT_EQ(g.outcome, w.outcome) << "packet " << i;
+      ASSERT_EQ(g.claim1_skip, w.claim1_skip) << "packet " << i;
+      ASSERT_EQ(g.search_failed, w.search_failed) << "packet " << i;
+      ASSERT_EQ(g.accesses, w.accesses) << "packet " << i;
+    }
+    EXPECT_EQ(got.stats.packets, base.stats.packets);
+    EXPECT_EQ(got.stats.no_clue, base.stats.no_clue);
+    EXPECT_EQ(got.stats.table_hits, base.stats.table_hits);
+    EXPECT_EQ(got.stats.table_misses, base.stats.table_misses);
+    EXPECT_EQ(got.stats.fd_direct, base.stats.fd_direct);
+    EXPECT_EQ(got.stats.searched, base.stats.searched);
+    EXPECT_EQ(got.stats.search_failed, base.stats.search_failed);
+    EXPECT_EQ(got.cache.hits, base.cache.hits);
+    EXPECT_EQ(got.cache.misses, base.cache.misses);
+    for (std::size_t r = 0; r < mem::AccessCounter::kRegions; ++r) {
+      const auto region = static_cast<mem::Region>(r);
+      EXPECT_EQ(got.acc.count(region), base.acc.count(region))
+          << mem::regionName(region);
+    }
+  }
 }
 
 }  // namespace

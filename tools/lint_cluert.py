@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint gates for cluert (ci.sh gate 8).
 
-Four rules, each encoding a concurrency/robustness contract that generic
+Five rules, each encoding a concurrency/robustness contract that generic
 tooling cannot check because it is a *project* convention (DESIGN.md §10):
 
   implicit-seq-cst   Every atomic operation must name its memory order.
@@ -26,6 +26,12 @@ tooling cannot check because it is a *project* convention (DESIGN.md §10):
                      arena code in src/mem/. A naked new/delete elsewhere
                      is either a leak risk or an ownership design smell.
 
+  raw-mmap           mmap/munmap/madvise/mremap only under src/mem/. Page
+                     mappings bypass operator new, so sanitizer redzones
+                     and the steady-state allocation counter cannot see
+                     them; the one mapping allocator (mem/huge_pages.h)
+                     falls back to operator new under the sanitizers.
+
 Suppression: append `// cluert-lint: allow(<rule>)` to the offending line.
 Exit status: 0 clean, 1 findings, 2 usage error. `--self-test` runs the
 rules against embedded positive/negative snippets and exits accordingly.
@@ -38,7 +44,13 @@ import pathlib
 import re
 import sys
 
-RULES = ("implicit-seq-cst", "live-access", "raw-assert", "raw-new-delete")
+RULES = (
+    "implicit-seq-cst",
+    "live-access",
+    "raw-assert",
+    "raw-new-delete",
+    "raw-mmap",
+)
 
 # Files allowed to touch the raw epoch live-pointer surface.
 LIVE_ACCESS_ALLOWED = (
@@ -47,8 +59,9 @@ LIVE_ACCESS_ALLOWED = (
     "src/mc/harnesses.h",
 )
 
-# Allocation code is allowed to allocate.
+# Allocation code is allowed to allocate, and to map pages.
 NEW_DELETE_ALLOWED_DIRS = ("src/mem/",)
+MMAP_ALLOWED_DIRS = ("src/mem/",)
 
 ATOMIC_METHODS = (
     "load",
@@ -149,6 +162,10 @@ ASSERT_RE = re.compile(r"(?<![a-zA-Z0-9_])assert\s*\(")
 NEW_RE = re.compile(r"(?<![a-zA-Z0-9_:.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![a-zA-Z0-9_:.])delete(\s*\[\s*\])?\b")
 
+# The page-mapping calls, free or `::`-qualified; member calls (`x.mmap(`,
+# `p->mmap(`) are someone else's API.
+MMAP_RE = re.compile(r"(?<![a-zA-Z0-9_.>])(mmap|mmap64|munmap|madvise|mremap)\s*\(")
+
 
 def line_of(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
@@ -243,6 +260,24 @@ def check_file(relpath: str, raw: str) -> list:
                         "unique_ptr, or the arena allocators",
                     )
                 )
+
+    # raw-mmap --------------------------------------------------------------
+    if not any(d in relpath for d in MMAP_ALLOWED_DIRS):
+        for m in MMAP_RE.finditer(text):
+            lineno = line_of(text, m.start())
+            ltxt = line_text(lines, lineno)
+            if suppressed(ltxt, "raw-mmap"):
+                continue
+            findings.append(
+                Finding(
+                    relpath,
+                    lineno,
+                    "raw-mmap",
+                    f"{m.group(1)}() outside src/mem/ — allocate through "
+                    "mem/huge_pages.h, which keeps sanitizer builds on "
+                    "operator new",
+                )
+            )
 
     return findings
 
@@ -372,6 +407,45 @@ SELF_TEST_CASES = [
         "new in string literal ok",
         'const char* s = "brand new delete this";',
         "src/x.h",
+        None,
+    ),
+    (
+        "raw mmap",
+        "void* f(std::size_t n) {\n"
+        "  return mmap(nullptr, n, PROT_READ, MAP_PRIVATE, -1, 0);\n}",
+        "src/core/clue_table.h",
+        "raw-mmap",
+    ),
+    (
+        "qualified madvise",
+        "void f(void* p, std::size_t n) { ::madvise(p, n, MADV_HUGEPAGE); }",
+        "src/netio/socket.cc",
+        "raw-mmap",
+    ),
+    (
+        "munmap and mremap",
+        "void f(void* p) {\n  munmap(p, 4096);\n"
+        "  p = mremap(p, 4096, 8192, 0);\n}",
+        "src/x.cc",
+        "raw-mmap",
+    ),
+    (
+        "mmap in mem ok",
+        "void* f() { return mmap(nullptr, 1, 0, 0, -1, 0); }",
+        "src/mem/huge_pages.cc",
+        None,
+    ),
+    (
+        "suppressed mmap",
+        "void* f() { return mmap(nullptr, 1, 0, 0, -1, 0); }"
+        "  // cluert-lint: allow(raw-mmap)",
+        "src/x.cc",
+        None,
+    ),
+    (
+        "member mmap and comment ok",
+        "// mmap() the ring here one day\nvoid f(R& r) { r.mmap(4); }",
+        "src/x.cc",
         None,
     ),
 ]

@@ -1,10 +1,12 @@
-// Experiment E13 — forwarding under route churn.
+// Forwarding under route churn (a systems benchmark beyond the paper's
+// exhibits; it has no E number in EXPERIMENTS.md).
 //
 // The update-under-traffic counterpart of bench_throughput: a RouteUpdater
 // thread publishes epoch-versioned table swaps (src/rib/versioned_tables.h)
 // while the 4-worker pipeline forwards, measuring
 //   (a) data-plane throughput under churn vs a no-churn baseline on the same
-//       versioned machinery (the acceptance bar: within 15%), and
+//       versioned machinery (the acceptance bar: within 15%), each the median
+//       of the same number of pipeline runs, and
 //   (b) control-plane update latency (enqueue -> published) percentiles.
 //
 // Fault-injection shape: bursty withdraw/re-announce on the receiver table
@@ -16,7 +18,6 @@
 // the version its batch pinned, incrementally after each run so no history
 // accumulates; any mismatch (or a run with zero observed swaps) exits
 // nonzero. Artifacts: BENCH_churn.json + BENCH_churn.prom.
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -93,8 +94,8 @@ rib::FibDelta4 makeDelta(Rng& rng, rib::Fib4& cur,
 }
 
 struct Churn {
-  double baseline_pps = 0.0;
-  double churn_pps = 0.0;
+  Summary baseline_pps;  // per run
+  Summary churn_pps;     // per run
   std::uint64_t publishes = 0;
   std::uint64_t swaps = 0;
   std::uint64_t full_rebuilds = 0;
@@ -203,24 +204,10 @@ int run(const Params& pp) {
   std::vector<NextHop> got(inputs.size(), kNoNextHop);
   std::vector<std::uint64_t> vgot(inputs.size(), 0);
 
-  // Phase 1 — no-churn baseline on the *same* versioned machinery (so the
-  // comparison isolates churn, not pin/bind overhead), median of 3: on a
-  // loaded or few-core host the scheduler makes best-of flatter runs look
-  // better than any churn-phase mean could.
-  double reps[3] = {0, 0, 0};
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto stats = pipe.run(inputs, got);
-    reps[rep] = stats.packetsPerSec();
-  }
-  std::sort(reps, reps + 3);
-  out.baseline_pps = reps[1];
-  std::printf("baseline (no churn): %.2f Mpps\n", out.baseline_pps / 1e6);
-
-  // Phase 2 — forwarding while the updater publishes bursty deltas.
+  // Phase 1 — forwarding while the updater publishes bursty deltas.
   rib::Fib4 cur_local = receiver;
   rib::Fib4 cur_neighbor = sender;
   std::vector<Entry> wd_local, wd_neighbor;
-  Summary run_pps;
   std::uint64_t churn_packets = 0;
   double churn_seconds = 0.0;
   {
@@ -253,7 +240,7 @@ int run(const Params& pp) {
       const auto stats = pipe.run(inputs, got, vgot);
       churn_packets += stats.packets;
       churn_seconds += stats.seconds;
-      run_pps.add(stats.packetsPerSec());
+      out.churn_pps.add(stats.packetsPerSec());
       out.version_changes += stats.version_changes;
       if (pp.smoke) {
         // Verify this run right away (the buffers are reused next run):
@@ -278,20 +265,34 @@ int run(const Params& pp) {
   }
   out.swaps = vt.swaps();
   out.full_rebuilds = vt.fullRebuilds();
-  // Median per-run throughput, against the median baseline: the aggregate
+
+  // Phase 2 — the no-churn baseline: as many runs as the churn phase made,
+  // on the *same* versioned machinery with the updater stopped, so the
+  // comparison isolates churn, not pin/bind overhead or sample size.
+  while (out.baseline_pps.count() < out.churn_pps.count()) {
+    out.baseline_pps.add(pipe.run(inputs, got).packetsPerSec());
+  }
+
+  // Median per-run throughput of each phase: the churn phase's aggregate
   // mean also lands in the JSON, but a few scheduler-starved runs shouldn't
   // define the headline ratio.
-  out.churn_pps = run_pps.percentile(50);
+  const double churn_pps = out.churn_pps.percentile(50);
+  const double baseline_pps = out.baseline_pps.percentile(50);
   const double churn_pps_mean =
       churn_seconds > 0 ? static_cast<double>(churn_packets) / churn_seconds
                         : 0.0;
-  const double ratio =
-      out.baseline_pps > 0 ? out.churn_pps / out.baseline_pps : 0.0;
+  const double ratio = baseline_pps > 0 ? churn_pps / baseline_pps : 0.0;
+  const auto printPhase = [](const char* label, const Summary& pps) {
+    std::printf("%s: %.2f Mpps [%.2f-%.2f] over %zu runs\n", label,
+                pps.percentile(50) / 1e6, pps.percentile(25) / 1e6,
+                pps.percentile(75) / 1e6, pps.count());
+  };
+  printPhase("under churn", out.churn_pps);
+  printPhase("baseline (no churn)", out.baseline_pps);
   std::printf(
-      "under churn: %.2f Mpps (%.1f%% of baseline) | %llu publishes, "
-      "%llu swaps (%llu full rebuilds), %llu swaps seen by workers\n",
-      out.churn_pps / 1e6, ratio * 100.0,
-      static_cast<unsigned long long>(out.publishes),
+      "churn/baseline %.1f%% | %llu publishes, %llu swaps (%llu full "
+      "rebuilds), %llu swaps seen by workers\n",
+      ratio * 100.0, static_cast<unsigned long long>(out.publishes),
       static_cast<unsigned long long>(out.swaps),
       static_cast<unsigned long long>(out.full_rebuilds),
       static_cast<unsigned long long>(out.version_changes));
@@ -316,8 +317,20 @@ int run(const Params& pp) {
   w.field("workers", static_cast<std::uint64_t>(pp.workers));
   w.field("batch", static_cast<std::uint64_t>(pp.batch));
   w.field("mode", "simple");
-  w.field("baseline_pps", out.baseline_pps);
-  w.field("churn_pps", out.churn_pps);
+  // Per-phase medians with their quartiles and run counts.
+  const auto phase = [&](std::string_view name, const Summary& pps) {
+    w.key(name);
+    w.beginObject();
+    w.field("runs", static_cast<std::uint64_t>(pps.count()));
+    w.field("p25", pps.percentile(25));
+    w.field("p50", pps.percentile(50));
+    w.field("p75", pps.percentile(75));
+    w.endObject();
+  };
+  w.field("baseline_pps", baseline_pps);
+  w.field("churn_pps", churn_pps);
+  phase("baseline_runs_pps", out.baseline_pps);
+  phase("churn_runs_pps", out.churn_pps);
   w.field("churn_pps_mean", churn_pps_mean);
   w.field("churn_over_baseline", ratio);
   w.field("publishes", out.publishes);

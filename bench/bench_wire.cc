@@ -1,4 +1,5 @@
-// Experiment E14 — the wire datapath: single-daemon loopback throughput.
+// The wire datapath: single-daemon loopback throughput (a systems benchmark
+// beyond the paper's exhibits; it has no E number in EXPERIMENTS.md).
 //
 // An in-process netio::Daemon forwards clue-tagged UDP datagrams from a
 // sender loop to a sink socket over loopback — the full cluertd receive

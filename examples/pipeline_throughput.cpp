@@ -1,13 +1,13 @@
 // Pipeline throughput: a two-router clue path driven through the batched
 // multi-worker data plane (src/pipeline/).
 //
-// Router R1 forwards a stream of packets toward router R2, attaching its
-// clue to each (the Network's send path policy). Instead of processing the
-// stream one packet at a time, R2 feeds it through a Pipeline: batches of 32
-// packets fan out over worker shards, each shard owning its own clue table
-// and access counters, with software prefetch interleaved across every batch
-// before any packet is resolved. The forwarding decisions are identical to
-// the sequential path — only the execution model changes.
+// Router R1 forwards a stream of packets toward router R2, stamping each
+// with the length of its best matching prefix as the clue. R2 resolves the
+// stream twice: sequentially, one packet at a time through one CluePort,
+// and through a Pipeline, where batches of 32 packets fan out over worker
+// shards that probe one shared, precomputed clue table and keep their own
+// access counters. The forwarding decisions are identical to the sequential
+// path — only the execution model changes.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build --target pipeline_throughput
@@ -16,8 +16,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "net/network.h"
 #include "obs/export.h"
+#include "pipeline/pipeline.h"
 #include "rib/table_gen.h"
 
 using namespace cluert;
@@ -30,47 +30,49 @@ int main() {
   rib::GenOptions<A> gopt;
   gopt.size = 10'000;
   gopt.histogram = rib::internetLengths1999();
-  auto r1_fib = rib::TableGen<A>::generate(rng, gopt);
+  const auto r1_fib = rib::TableGen<A>::generate(rng, gopt);
   rib::NeighborOptions<A> nopt;
   nopt.shared = 8'500;
   nopt.fresh = 400;
-  auto r2_fib = rib::TableGen<A>::deriveNeighbor(r1_fib, rng, nopt);
+  const auto r2_fib = rib::TableGen<A>::deriveNeighbor(r1_fib, rng, nopt);
+  // R2's view of R1's prefixes (Claim 1) and R2's own lookup suite.
+  const trie::BinaryTrie<A> t1 = r1_fib.buildTrie();
+  lookup::LookupSuite<A> suite(std::vector<trie::Match<A>>(
+      r2_fib.entries().begin(), r2_fib.entries().end()));
+  const auto clue_universe = r1_fib.prefixes();
 
-  net::Network4 netw;
-  net::Router4::Config cfg;  // defaults: clues enabled, Advance mode
-  netw.addRouter(0, std::move(r1_fib), cfg);
-  netw.addRouter(1, std::move(r2_fib), cfg);
-  netw.link(0, 1);
-
-  // --- A packet stream: random addresses biased under R1's prefixes. -----
+  // --- A packet stream: random addresses under R1's prefixes, each with the
+  // clue R1 attaches on the wire. --------------------------------------------
   const std::size_t kPackets = 200'000;
-  std::vector<A> dests;
-  dests.reserve(kPackets);
-  const auto& entries = netw.router(0).fib().entries();
+  std::vector<pipeline::Pipeline4::Input> inputs;
+  inputs.reserve(kPackets);
+  const auto& entries = r1_fib.entries();
+  mem::AccessCounter scratch;
   for (std::size_t i = 0; i < kPackets; ++i) {
     const auto& p = entries[rng.index(entries.size())].prefix;
     A d = p.addr();
     for (int b = p.length(); b < 32; ++b) {
       d = d.withBit(b, static_cast<unsigned>(rng.u32() & 1));
     }
-    dests.push_back(d);
+    const auto bmp = t1.lookup(d, scratch);
+    inputs.push_back({d, bmp ? core::ClueField::of(bmp->prefix.length())
+                             : core::ClueField::none()});
   }
 
-  // R1's side of the link: the same clue each packet would carry on the
-  // wire (attach policy, export filter, truncation).
-  const auto inputs = netw.clueStream(0, dests);
-
   // --- R2's side: sequential baseline, then the pipeline. ----------------
+  // Both precompute R1's clue universe (§3.3.2) under Patricia + Advance.
   bool failed = false;  // any mismatch below makes the exit status 1
+  core::CluePort<A>::Options popt;
+  popt.learn = false;
+  popt.expected_clues = clue_universe.size() + 16;
+  core::CluePort<A> port(suite, &t1, popt);
+  port.precompute(clue_universe);
   std::vector<NextHop> sequential(inputs.size(), kNoNextHop);
   mem::AccessCounter seq_acc;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    net::Packet4 packet;
-    packet.dest = inputs[i].dest;
-    packet.clue = inputs[i].clue;
-    const auto d = netw.router(1).forward(packet, 0, seq_acc);
-    sequential[i] = d.match ? d.match->next_hop : kNoNextHop;
+    const auto r = port.process(inputs[i].dest, inputs[i].clue, seq_acc);
+    sequential[i] = r.match ? r.match->next_hop : kNoNextHop;
   }
   const double seq_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -80,13 +82,18 @@ int main() {
               static_cast<double>(seq_acc.total()) /
                   static_cast<double>(kPackets));
 
-  for (const std::size_t workers : {1, 2, 4}) {
+  const auto pipeOptions = [&](std::size_t workers) {
     pipeline::PipelineOptions opt;
     opt.workers = workers;
     opt.batch_size = 32;
-    auto pipe = netw.makePipeline(1, 0, opt);
+    opt.expected_clues = clue_universe.size() + 16;
+    return opt;
+  };
+  for (const std::size_t workers : {1, 2, 4}) {
+    pipeline::Pipeline4 pipe(suite, &t1, pipeOptions(workers));
+    pipe.precompute(clue_universe);
     std::vector<NextHop> got(inputs.size(), kNoNextHop);
-    const auto stats = pipe->run(inputs, got);
+    const auto stats = pipe.run(inputs, got);
     std::printf("%s  %s\n", pipeline::formatStats(stats).c_str(),
                 got == sequential ? "(matches sequential)"
                                   : "!! OUTPUT MISMATCH");
@@ -104,16 +111,15 @@ int main() {
   // complete) and load trace.json at chrome://tracing or
   // https://ui.perfetto.dev — one thread row per worker shard.
   {
-    pipeline::PipelineOptions opt;
-    opt.workers = 4;
-    opt.batch_size = 32;
+    pipeline::PipelineOptions opt = pipeOptions(4);
     obs::MetricRegistry registry;
     opt.registry = &registry;
     opt.trace.enabled = true;
     opt.trace.sample_every = 64;
-    auto pipe = netw.makePipeline(1, 0, opt);
+    pipeline::Pipeline4 pipe(suite, &t1, opt);
+    pipe.precompute(clue_universe);
     std::vector<NextHop> got(inputs.size(), kNoNextHop);
-    const auto stats = pipe->run(inputs, got);
+    const auto stats = pipe.run(inputs, got);
 
     const auto snap = registry.snapshot();
     // The §3.1.2 case split must account for every packet: the five
@@ -139,7 +145,7 @@ int main() {
                 partitioned ? "(= packet count)" : "!! CASE/PACKET MISMATCH");
     if (!partitioned) failed = true;
 
-    const auto spans = pipe->drainSpans();
+    const auto spans = pipe.drainSpans();
     obs::writeFile("pipeline_metrics.prom", obs::toPrometheus(snap));
     obs::writeFile("pipeline_spans.jsonl",
                    obs::spansToJsonl(spans, "pipeline_throughput"));

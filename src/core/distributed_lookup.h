@@ -213,16 +213,14 @@ class CluePort {
     }
   }
 
-  // Unbound construction for the epoch-versioned data plane: the port owns
-  // only per-worker state (cache, stats, scratch) and borrows suite + clue
-  // table from a published TableVersion via bindVersion() — which MUST run
-  // before the first packet. No annotation happens here: versions arrive
-  // fully built (and must not be mutated).
+  // Unbound construction for a shared clue table: the port owns only
+  // per-worker state (cache, stats, scratch) and borrows suite + clue table
+  // via bindVersion() — which MUST run before the first packet — from a
+  // published TableVersion or the static pipeline's one table. No annotation
+  // happens here: the tables arrive fully built (and must not be mutated).
+  // Its own tables stay at their minimum size; it never fills them.
   explicit CluePort(const Options& options)
-      : options_(options),
-        hash_(options.expected_clues),
-        indexed_(options.indexed ? options.indexed_capacity : 0),
-        cache_(options.cache_entries) {
+      : options_(options), hash_(0), indexed_(0), cache_(options.cache_entries) {
     CLUERT_CHECK(options.mode != lookup::ClueMode::kCommon)
         << "CluePort models the clue-assisted modes; use the engine directly "
            "for Common lookups";
@@ -247,6 +245,7 @@ class CluePort {
   // Pre-processing construction (§3.3.2): install entries for every clue the
   // neighbor may send.
   void precompute(std::span<const PrefixT> clues) {
+    checkOwnsTables("precompute");
     for (const PrefixT& c : clues) {
       hash_.insert(makeEntry(c));
     }
@@ -255,6 +254,7 @@ class CluePort {
   // Indexed variant of precompute: the sender's enumeration fixes the slots.
   void precomputeIndexed(std::span<const PrefixT> clues,
                          ClueIndexer<A>& indexer) {
+    checkOwnsTables("precomputeIndexed");
     CLUERT_CHECK(options_.indexed)
         << "precomputeIndexed on a port built without the indexing technique";
     for (const PrefixT& c : clues) {
@@ -574,10 +574,16 @@ class CluePort {
     }
   }
 
-  void refresh(const rib::FibDelta<A>& d, DeltaSide side) {
+  // Control-plane writes need a port built on its own suite: an unbound
+  // port borrows tables that are immutable once bound.
+  void checkOwnsTables(const char* what) const {
     CLUERT_CHECK(local_ != nullptr)
-        << "route-change notification on a version-bound port; updates flow "
-           "through VersionedTables instead";
+        << what << " on an unbound port; its tables arrive through "
+           "bindVersion, built by their owner";
+  }
+
+  void refresh(const rib::FibDelta<A>& d, DeltaSide side) {
+    checkOwnsTables("route-change notification");
     if (d.empty()) return;
     if (side == DeltaSide::kNeighbor &&
         options_.mode == lookup::ClueMode::kAdvance) {
@@ -592,14 +598,14 @@ class CluePort {
 
   Options options_;
   // Control-plane suite this port may mutate (annotations, refreshes);
-  // nullptr for version-bound ports, whose updates flow through
-  // VersionedTables instead.
+  // nullptr for unbound ports, whose tables are built by their owner
+  // (VersionedTables, or the static Pipeline).
   lookup::LookupSuite<A>* local_ = nullptr;
   // The suite the data plane reads. Starts as local_, retargeted by
   // bindVersion() to the pinned TableVersion's suite.
   const lookup::LookupSuite<A>* suite_ = nullptr;
-  // Non-null iff version-bound: the published (immutable) clue table the
-  // data plane probes instead of hash_.
+  // Non-null once bound: the shared (immutable) clue table the data plane
+  // probes instead of hash_.
   const HashClueTable<A>* shared_hash_ = nullptr;
   const trie::BinaryTrie<A>* neighbor_trie_ = nullptr;
   HashClueTable<A> hash_;

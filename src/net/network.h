@@ -4,15 +4,12 @@
 // etc. — §5.3).
 #pragma once
 
-#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "net/router.h"
-#include "pipeline/pipeline.h"
 #include "rib/internet_gen.h"
 #include "common/check.h"
 
@@ -96,85 +93,11 @@ class Network {
     return result;
   }
 
-  // -- data-plane pipeline feeding ------------------------------------------
-  //
-  // send() forwards one packet at a time with a full per-hop trace — right
-  // for the paper's path experiments, far too slow for throughput work. The
-  // two methods below instead drive one *link* of the network (sender ->
-  // receiver) through the batched multi-worker pipeline: clueStream()
-  // produces exactly the (dest, clue) stream the sender would put on the
-  // wire, and makePipeline() builds a pipeline whose shards forward with the
-  // receiver's tables under the same semantics link() would give that port.
-
-  using PipelineInput = typename pipeline::Pipeline<A>::Input;
-
-  // The wire image of `dests` leaving `sender`: each destination paired with
-  // the clue the sender's forwarding pass attaches, honouring the sender's
-  // clue policy (participation, export filter, §5.3b truncation).
-  std::vector<PipelineInput> clueStream(RouterId sender,
-                                        std::span<const A> dests) const {
-    const RouterT& r = *routers_[sender];
-    const auto& cfg = r.config();
-    std::vector<PipelineInput> out;
-    out.reserve(dests.size());
-    mem::AccessCounter scratch;
-    for (const A& d : dests) {
-      PipelineInput in;
-      in.dest = d;
-      if (cfg.clue_enabled && cfg.attach_clue) {
-        if (const auto bmp = tries_[sender].lookup(d, scratch)) {
-          if (!cfg.clue_export_filter || cfg.clue_export_filter(bmp->prefix)) {
-            int len = bmp->prefix.length();
-            if (cfg.truncate_to > 0) len = std::min(len, cfg.truncate_to);
-            in.clue = core::ClueField::of(len);
-          }
-        }
-      }
-      out.push_back(in);
-    }
-    return out;
-  }
-
-  // Builds a pipeline forwarding at `receiver` for traffic arriving on the
-  // link from `sender`. Method/mode/degradation-to-Simple follow the same
-  // rules as link(); opt's worker/batch/ring knobs are honoured as given.
-  // When `precompute` is set (the default), every shard's clue table is
-  // preloaded with the sender's full clue universe (§3.3.2), the standard
-  // setup for learn-off throughput runs.
-  std::unique_ptr<pipeline::Pipeline<A>> makePipeline(
-      RouterId receiver, RouterId sender, pipeline::PipelineOptions opt,
-      bool precompute = true) {
-    RouterT& r = *routers_[receiver];
-    CLUERT_CHECK(r.config().clue_enabled)
-        << "pipeline shards are CluePorts; a clue-less receiver has none";
-    opt.method = r.config().method;
-    opt.mode = sendsGenuineClues(*routers_[sender])
-                   ? r.config().mode
-                   : lookup::ClueMode::kSimple;
-    opt.expected_clues = routers_[sender]->fib().size() + 16;
-    // Claim-1 annotations for link()-created ports count up from 0 on each
-    // receiver trie; pipeline ports count down from the top of the 64-bit
-    // budget so the two never collide.
-    CLUERT_CHECK(pipeline_neighbor_slots_.size() <= routers_.size())
-        << "pipeline slot bookkeeping outgrew the router set";
-    pipeline_neighbor_slots_.resize(routers_.size(), kMaxAnnotatedNeighbors);
-    opt.neighbor_index = --pipeline_neighbor_slots_[receiver];
-    auto p = std::make_unique<pipeline::Pipeline<A>>(r.suite(),
-                                                     &tries_[sender], opt);
-    if (precompute) {
-      const auto clues = routers_[sender]->fib().prefixes();
-      p->precompute(clues);
-    }
-    return p;
-  }
-
  private:
   std::vector<std::unique_ptr<RouterT>> routers_;
   // Prefix views handed to neighbors. A deque keeps element addresses stable
   // across addRouter calls, so link() may be interleaved with addRouter.
   std::deque<trie::BinaryTrie<A>> tries_;
-  // Next (descending) Claim-1 annotation slot per receiver; see makePipeline.
-  std::vector<NeighborIndex> pipeline_neighbor_slots_;
 };
 
 using Network4 = Network<ip::Ip4Addr>;

@@ -16,11 +16,12 @@
 // feeder keeps one open (claimed but unpublished) batch per shard and
 // publishes it when full; partial tails are flushed before the rings close.
 //
-// Every shard owns its CluePort / AccessCounter / Rng (see worker.h), which
-// makes the data plane share-nothing; run() merges the per-worker counters
-// and port stats into one PipelineStats via AccessCounter::mergeFrom once
-// the workers have joined. With learning off and the §3.5 cache off,
-// per-packet accounting is deterministic, so the merged totals equal a
+// Every shard owns its CluePort / AccessCounter / Rng (see worker.h); the
+// suite and clue table its port probes are shared and read-only while run()
+// is in flight, so no shard writes a word another reads. run() merges the
+// per-worker counters and port stats into one PipelineStats via
+// AccessCounter::mergeFrom once the workers have joined. With the §3.5 cache
+// off, per-packet accounting is deterministic, so the merged totals equal a
 // single-threaded run over the same stream — pipeline_test asserts exactly
 // that, and the equality is what lets all the paper's §6 access-count
 // results carry over unchanged to the parallel data plane.
@@ -67,7 +68,9 @@ struct PipelineOptions {
   // opt out.
   bool inline_serial = true;
 
-  // CluePort configuration, replicated per shard.
+  // CluePort configuration, replicated per shard. Every shard probes one
+  // shared, read-only clue table, so no shard learns: `learn` must stay
+  // false. `expected_clues` sizes the static pipeline's one table.
   lookup::Method method = lookup::Method::kPatricia;
   lookup::ClueMode mode = lookup::ClueMode::kAdvance;
   bool learn = false;
@@ -163,19 +166,28 @@ class Pipeline {
     core::ClueField clue;
   };
 
-  // Builds the shards. Control-plane work (port construction, the Advance
-  // neighbor annotation inside CluePort's ctor) runs here, on the calling
-  // thread, strictly before any worker thread exists. Shards are placed in
-  // the pipeline's arena, each on its own cache-line boundary — no worker's
-  // hot state shares a line with another's.
+  // Builds the shards over one clue table that precompute() fills. Control-
+  // plane work (the Advance neighbor annotation, port construction) runs
+  // here, on the calling thread, strictly before any worker thread exists.
+  // Each shard's unbound port is bound once to the suite and the shared
+  // table. Shards are placed in the pipeline's arena, each on its own
+  // cache-line boundary — no worker's hot state shares a line with
+  // another's.
   Pipeline(lookup::LookupSuite<A>& suite,
            const trie::BinaryTrie<A>* neighbor_trie,
            const PipelineOptions& options)
       : options_(sanitized(options)),
-        requested_workers_(options.workers == 0 ? 1 : options.workers) {
+        requested_workers_(options.workers == 0 ? 1 : options.workers),
+        suite_(&suite),
+        neighbor_trie_(neighbor_trie),
+        clues_(options_.expected_clues) {
+    if (options_.mode == lookup::ClueMode::kAdvance) {
+      CLUERT_CHECK(neighbor_trie != nullptr)
+          << "Advance requires the neighbor's prefix view (Claim 1)";
+      suite.annotateNeighbor(options_.neighbor_index, *neighbor_trie);
+    }
     for (std::size_t w = 0; w < options_.workers; ++w) {
-      addWorker(w, std::make_unique<PortT>(suite, neighbor_trie,
-                                           portOptions(options_.learn)));
+      addWorker(w).port().bindVersion(0, suite, clues_, neighbor_trie);
     }
     open_.assign(workers_.size(), nullptr);
     announce();
@@ -184,17 +196,16 @@ class Pipeline {
   // Epoch-versioned construction (the churn-safe data plane): every shard
   // gets an *unbound* port that borrows suite + clue table from the version
   // it pins per batch, so a control-plane RouteUpdater can publish while
-  // run() is in flight. Learning and precompute() don't apply — versions
-  // arrive fully built, and a version-bound port never mutates the shared
-  // table (a clue-table miss routes via the common lookup).
+  // run() is in flight. precompute() doesn't apply — versions arrive fully
+  // built (a clue-table miss routes via the common lookup).
   Pipeline(rib::VersionedTables<A>& versions, const PipelineOptions& options)
       : options_(sanitized(options)),
-        requested_workers_(options.workers == 0 ? 1 : options.workers) {
+        requested_workers_(options.workers == 0 ? 1 : options.workers),
+        clues_(0) {
     CLUERT_CHECK(options_.workers <= rib::VersionedTables<A>::kMaxEpochWorkers)
         << options_.workers << " workers exceed the epoch-slot array";
     for (std::size_t w = 0; w < options_.workers; ++w) {
-      addWorker(w, std::make_unique<PortT>(portOptions(/*learn=*/false)))
-          .bindVersions(&versions);
+      addWorker(w).bindVersions(&versions);
     }
     open_.assign(workers_.size(), nullptr);
     announce();
@@ -203,10 +214,15 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
   WorkerT& worker(std::size_t w) { return *workers_[w]; }
 
-  // Installs the clue universe into every shard's table (§3.3.2
-  // pre-processing) — the usual setup when running with learn = false.
+  // Installs the clue universe into the shards' one table (§3.3.2
+  // pre-processing). Control-plane: never while run() is in flight.
   void precompute(std::span<const PrefixT> clues) {
-    for (auto& w : workers_) w->port().precompute(clues);
+    CLUERT_CHECK(suite_ != nullptr)
+        << "precompute on a versioned pipeline; its versions arrive built";
+    for (const PrefixT& c : clues) {
+      clues_.insert(core::buildClueEntry(*suite_, neighbor_trie_,
+                                         options_.method, options_.mode, c));
+    }
   }
 
   // Drives the whole input stream through the pipeline; out[i] receives the
@@ -275,21 +291,18 @@ class Pipeline {
   }
 
  private:
-  typename PortT::Options portOptions(bool learn) const {
+  // Places shard `w`, with an unbound port, in the arena and attaches its
+  // observability.
+  WorkerT& addWorker(std::size_t w) {
     typename PortT::Options popt;
     popt.method = options_.method;
     popt.mode = options_.mode;
-    popt.learn = learn;
+    popt.learn = false;
     popt.neighbor_index = options_.neighbor_index;
-    popt.expected_clues = options_.expected_clues;
     popt.cache_entries = options_.cache_entries;
-    return popt;
-  }
-
-  // Places shard `w` in the arena and attaches its observability.
-  WorkerT& addWorker(std::size_t w, std::unique_ptr<PortT> port) {
     WorkerT* worker = arena_.template create<WorkerT>(
-        w, options_.seed, options_.ring_batches, std::move(port));
+        w, options_.seed, options_.ring_batches,
+        std::make_unique<PortT>(popt));
     workers_.push_back(worker);
     const std::uint32_t span_every =
         options_.trace.enabled ? options_.trace.sample_every : 0;
@@ -300,6 +313,8 @@ class Pipeline {
   }
 
   static PipelineOptions sanitized(PipelineOptions o) {
+    CLUERT_CHECK(!o.learn)
+        << "pipeline shards share one read-only clue table and cannot learn";
     if (o.workers == 0) o.workers = 1;
     if (o.batch_size == 0) o.batch_size = 1;
     if (o.batch_size > kMaxBatch) o.batch_size = kMaxBatch;
@@ -451,6 +466,12 @@ class Pipeline {
 
   PipelineOptions options_;
   std::size_t requested_workers_ = 0;
+  // The static pipeline's suite, sender view and one clue table (null, null
+  // and empty for a versioned pipeline). Declared before arena_ so the table
+  // outlives the shards whose ports point at it.
+  const lookup::LookupSuite<A>* suite_ = nullptr;
+  const trie::BinaryTrie<A>* neighbor_trie_ = nullptr;
+  core::HashClueTable<A> clues_;
   // Shard placement: each Worker starts on its own cache-line boundary in
   // the arena (destroyed LIFO with it). The vector holds non-owning
   // pointers.

@@ -1,12 +1,13 @@
 // One pipeline worker shard: a run-to-completion forwarding loop.
 //
 // Each worker owns the complete per-thread state a shard needs — its own
-// CluePort (clue table, learning, §3.5 cache), its own mem::AccessCounter
-// (merged after join, never shared), and its own Rng stream split off the
-// pipeline seed via Rng::forThread — so the data plane runs without a single
-// lock or shared mutable word between shards. The only cross-thread traffic
-// is the SPSC ring of PacketBatches in, and writes to disjoint `out[seq]`
-// slots (each sequence number is routed to exactly one worker).
+// CluePort (§3.5 cache, stats, stage scratch; the suite and clue table it
+// probes are shared and read-only), its own mem::AccessCounter (merged after
+// join, never shared), and its own Rng stream split off the pipeline seed via
+// Rng::forThread — so the data plane runs without a single lock or shared
+// mutable word between shards. The only cross-thread traffic is the SPSC
+// ring of PacketBatches in, and writes to disjoint `out[seq]` slots (each
+// sequence number is routed to exactly one worker).
 #pragma once
 
 #include <array>

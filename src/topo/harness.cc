@@ -100,7 +100,6 @@ HarnessStats runTopoScenario(const TopoScenario& s,
       core::CluePort<Addr4>::Options popt;
       popt.method = s.method;
       popt.mode = s.mode;
-      popt.expected_clues = 1 << 8;
       popt.cache_entries = opt.cache_entries;
       st->resolver = std::make_unique<pipeline::PinnedResolver<Addr4>>(
           std::make_unique<core::CluePort<Addr4>>(popt), /*worker_id=*/0);

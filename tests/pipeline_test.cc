@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "lookup/factory.h"
-#include "net/network.h"
 #include "pipeline/pipeline.h"
 #include "test_util.h"
 
@@ -353,53 +352,32 @@ TEST(PipelineTest, StatsAggregateAcrossWorkers) {
   EXPECT_FALSE(pipeline::formatStats(stats).empty());
 }
 
-TEST(PipelineTest, NetworkFeedingMatchesSendPath) {
-  // Two-router network; drive the 0 -> 1 link through the pipeline and
-  // check each next hop equals what hop-by-hop Network::send computes at
-  // router 1 for the same arriving packet.
-  Rng rng(11);
-  rib::GenOptions<A> gopt;
-  gopt.size = 2'000;
-  gopt.histogram = rib::internetLengths1999();
-  auto fib0 = rib::TableGen<A>::generate(rng, gopt);
-  rib::NeighborOptions<A> nopt;
-  nopt.shared = 1'700;
-  nopt.fresh = 100;
-  auto fib1 = rib::TableGen<A>::deriveNeighbor(fib0, rng, nopt);
+TEST(PipelineTest, ShardsShareOnePrecomputedClueTable) {
+  // The static pipeline precomputes one clue table that every shard's port
+  // probes; the ports' own tables stay at their minimum size, however large
+  // the clue universe the pipeline was sized for.
+  PipelineFixture fx(20'000, 17);
+  mem::AccessCounter seq_acc;
+  const auto expect = fx.sequentialBaseline(seq_acc);
 
-  net::Network4 netw;
-  net::Router4::Config cfg;
-  netw.addRouter(0, std::move(fib0), cfg);
-  netw.addRouter(1, std::move(fib1), cfg);
-  netw.link(0, 1);
+  auto opt = fx.baseOptions();
+  opt.workers = 4;
+  opt.expected_clues = 20'000;
+  pipeline::Pipeline4 pipe(*fx.suite, &fx.t1, opt);
+  const auto clues = fx.sender.prefixes();
+  pipe.precompute(clues);
+  std::vector<NextHop> got(fx.inputs.size(), kNoNextHop);
+  const auto stats = pipe.run(fx.inputs, got);
+  EXPECT_EQ(stats.packets, fx.inputs.size());
+  EXPECT_EQ(got, expect);
+  EXPECT_GT(stats.table_hits, stats.packets / 2);  // the shared table served
 
-  std::vector<A> dests;
-  const auto entries = netw.router(0).fib().entries();
-  for (int i = 0; i < 2'000; ++i) {
-    const auto& p = entries[rng.index(entries.size())].prefix;
-    A d = p.addr();
-    for (int b = p.length(); b < 32; ++b) {
-      d = d.withBit(b, static_cast<unsigned>(rng.u32() & 1));
-    }
-    dests.push_back(d);
-  }
-
-  const auto inputs = netw.clueStream(0, dests);
-  ASSERT_EQ(inputs.size(), dests.size());
-  pipeline::PipelineOptions opt;
-  opt.workers = 2;
-  auto pipe = netw.makePipeline(1, 0, opt);
-  std::vector<NextHop> got(inputs.size(), kNoNextHop);
-  pipe->run(inputs, got);
-
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    net::Packet4 packet;
-    packet.dest = dests[i];
-    packet.clue = inputs[i].clue;
-    mem::AccessCounter acc;
-    const auto d = netw.router(1).forward(packet, 0, acc);
-    const NextHop expect = d.match ? d.match->next_hop : kNoNextHop;
-    ASSERT_EQ(got[i], expect) << "packet " << i;
+  const std::size_t min_buckets = core::HashClueTable<A>(0).bucketCount();
+  for (std::size_t w = 0; w < 4; ++w) {
+    const auto& port = pipe.worker(w).port();
+    EXPECT_EQ(port.hashTable().bucketCount(), min_buckets) << "shard " << w;
+    EXPECT_EQ(port.hashTable().size(), 0u) << "shard " << w;
+    EXPECT_EQ(port.indexedTable().capacity(), 0u) << "shard " << w;
   }
 }
 

@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <set>
 
+#include "core/distributed_lookup.h"
 #include "sim/corpus.h"
 #include "sim/runner.h"
 #include "topo/harness.h"
 #include "topo/rip.h"
 #include "topo/scenario.h"
 #include "topo/topology.h"
+#include "test_util.h"
 
 namespace cluert::topo {
 namespace {
@@ -184,6 +186,86 @@ TEST(Topo, RipClueViewLagsAndPoisonKeepsPrefixes) {
   rip.withdraw(0, p4("10.1.0.0/16"));
   for (int t = 0; t < rip.options().convergenceBound(); ++t) rip.tick();
   EXPECT_FALSE(rip.clueViewOf(2, 1).contains(p4("10.1.0.0/16")));
+}
+
+// Ticks until the routes converge and `r`'s clue view of `nbr` holds
+// exactly nbr's prefixes (converged() checks routes, not views); false
+// past the convergence bound.
+bool settle(RipNetwork& rip, RouterId r, RouterId nbr) {
+  for (int t = 0; t <= rip.options().convergenceBound(); ++t) {
+    if (rip.converged() &&
+        rip.clueViewOf(r, nbr).prefixes() == rip.fibOf(nbr).prefixes()) {
+      return true;
+    }
+    rip.tick();
+  }
+  return false;
+}
+
+// §3.3.2: the receiver builds and updates its clue table from "the
+// information they exchange in the routing algorithm". Router 4's suite
+// follows fibOf(4), its clue table and Claim-1 view follow clueViewOf(4, 3),
+// and a remote link failure reaches the port as two FibDeltas.
+TEST(Topo, RipFibsDriveTheClueMachinery) {
+  using MatchT = trie::Match<Addr4>;
+  RipNetwork rip(buildTopology(Shape::kRing, 8, 0), fastRip());
+  Rng rng(7);
+  for (RouterId r = 0; r < 8; ++r) {
+    for (int k = 0; k < 6; ++k) {
+      rip.originate(r, Prefix4(Addr4(rng.u32()),
+                               static_cast<int>(rng.uniform(12, 24))));
+    }
+  }
+  ASSERT_TRUE(settle(rip, 4, 3));
+
+  // Routers 3 (sender) and 4 (receiver) are adjacent.
+  rib::Fib<Addr4> receiver_fib = rip.fibOf(4);
+  rib::Fib<Addr4> view = rip.clueViewOf(4, 3);
+  trie::BinaryTrie<Addr4> t1 = view.buildTrie();
+  lookup::LookupSuite<Addr4> suite(std::vector<MatchT>(
+      receiver_fib.entries().begin(), receiver_fib.entries().end()));
+  core::CluePort<Addr4>::Options opt;
+  opt.method = lookup::Method::kPatricia;
+  opt.mode = lookup::ClueMode::kAdvance;
+  core::CluePort<Addr4> port(suite, &t1, opt);
+  port.precompute(view.prefixes());
+
+  // Packets under the sender's prefixes (and some uniform noise), each
+  // carrying the sender's BMP as its clue.
+  const auto check = [&] {
+    const rib::Fib<Addr4> sender_fib = rip.fibOf(3);
+    const std::vector<MatchT> sender_entries(sender_fib.entries().begin(),
+                                             sender_fib.entries().end());
+    const trie::BinaryTrie<Addr4> sender_trie = sender_fib.buildTrie();
+    mem::AccessCounter scratch;
+    for (int i = 0; i < 200; ++i) {
+      const Addr4 dest = testutil::coveredAddress<Addr4>(
+          sender_entries, rng, testutil::randomAddr4);
+      const auto bmp = sender_trie.lookup(dest, scratch);
+      const auto field = bmp ? core::ClueField::of(bmp->prefix.length())
+                             : core::ClueField::none();
+      mem::AccessCounter acc;
+      const auto r = port.process(dest, field, acc);
+      const auto expect = check::bruteForceBmp(receiver_fib.entries(), dest);
+      ASSERT_EQ(expect.has_value(), r.match.has_value());
+      if (expect) ASSERT_EQ(expect->prefix, r.match->prefix);
+    }
+  };
+  check();
+
+  // A remote link fails; RIP reconverges; both sides' deltas follow.
+  rip.setLink(6, 7, false);
+  ASSERT_TRUE(settle(rip, 4, 3));
+  const rib::Fib<Addr4> new_receiver = rip.fibOf(4);
+  const auto local_delta = rib::diff(receiver_fib, new_receiver);
+  EXPECT_FALSE(local_delta.empty());
+  suite.applyRouteDelta(local_delta.removed, local_delta.upserts());
+  port.refreshLocal(local_delta);
+  const auto neighbor_delta = rib::diff(view, rip.clueViewOf(4, 3));
+  rib::applyDelta(t1, neighbor_delta);
+  port.refreshNeighbor(neighbor_delta);
+  receiver_fib = new_receiver;
+  check();
 }
 
 // A hand-built scenario covering originations, a flap, a withdraw, and

@@ -68,6 +68,11 @@
 #                           difference is a behaviour change — and
 #                           topo_run.sh drives the star and ring daemon
 #                           topologies with per-peer counter conservation.
+#                           Last, bench_convergence (E16: a receiver's clue
+#                           table following RIP's own updates through three
+#                           link failures and a withdrawal) exits 1 if any
+#                           stage reads above 1.05 accesses/packet or an
+#                           event takes more than convergenceBound() ticks.
 #
 # Exits nonzero on the first finding. This is what "CI green" means for this
 # repo; see README "Lint and sanitizer gates".
@@ -171,7 +176,7 @@ python3 tools/trace_merge.py --require-hops 1 \
   --out "$EXAMPLE_DIR/trace.json" "$EXAMPLE_DIR/pipeline_spans.jsonl"
 rm -rf "$EXAMPLE_DIR"
 
-echo "=== [10/10] multi-router topology (flap storm + daemon shapes) ==="
+echo "=== [10/10] multi-router topology (flap storm + daemon shapes + E16) ==="
 # Corpus replay already covered the committed topo4 repros in gate 6; this
 # gate adds the flap-storm smoke (5-node ring, per-publish validation, zero
 # strict mismatches enforced by the binary's own exit code) and liveness
@@ -215,5 +220,10 @@ rm -rf "$TOPO_DIR"
 # link (tools/topo_run_shapes.sh).
 BUILD_DIR=build-ci tools/topo_run.sh --topology star --count 3000 --size 2000
 BUILD_DIR=build-ci tools/topo_run.sh --topology ring --count 3000 --size 2000
+# E16 on the same RIP: the receiver's clue table follows the sender's view
+# from RIP's updates; the binary's exit code gates accesses/packet and the
+# per-event convergence bound.
+cmake --build build-ci -j"$(nproc)" --target bench_convergence
+./build-ci/bench/bench_convergence
 
 echo "ci.sh: all gates green"

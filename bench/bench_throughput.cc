@@ -174,12 +174,6 @@ void runPipelineSweep() {
       pipeline::PipelineOptions opt;
       opt.workers = workers;
       opt.batch_size = batch;
-      // Ring depth 32 batches (~45 KiB of staged slots per worker): deep
-      // enough that a descheduled worker doesn't stall the producer, shallow
-      // enough that every staged batch is still cache-resident when the
-      // consumer reaches it. Measured best for the batched configurations on
-      // this host; the same depth is used for every configuration.
-      opt.ring_batches = 32;
       opt.method = lookup::Method::kPatricia;
       opt.mode = lookup::ClueMode::kAdvance;
       opt.learn = false;
@@ -261,7 +255,6 @@ void runPipelineSweep() {
     pipeline::PipelineOptions opt;
     opt.workers = 4;
     opt.batch_size = 32;
-    opt.ring_batches = 32;
     opt.method = lookup::Method::kPatricia;
     opt.mode = lookup::ClueMode::kAdvance;
     opt.learn = false;
@@ -312,10 +305,11 @@ void runPipelineSweep() {
 // ---------------------------------------------------------------------------
 //
 // A fixed, deterministic workload (100k packets over the §6 destination
-// sample) through the *threaded* sharded pipeline at 2 workers / batch 32.
-// The hardware clamp and the serial-inline fold are disabled so the shape —
-// and therefore the accesses-per-packet and shard-imbalance series — is
-// identical on every host, 1-core CI boxes included. Untraced and
+// sample) through the sharded pipeline at 2 workers / batch 32: the calling
+// thread resolves the first 50k packets and one spawned thread the rest.
+// The hardware clamp is disabled so the shape — and therefore the
+// accesses-per-packet and shard-imbalance series — is identical on every
+// host, 1-core CI boxes included. Untraced and
 // unobserved: the steady-state window must be allocation-free, and tracing
 // deliberately allocates (Summary::add).
 //
@@ -354,9 +348,7 @@ int runSmoke() {
   pipeline::PipelineOptions opt;
   opt.workers = 2;
   opt.batch_size = 32;
-  opt.ring_batches = 32;
   opt.clamp_to_hardware = false;  // host-independent shape, see above
-  opt.inline_serial = false;
   opt.method = lookup::Method::kPatricia;
   opt.mode = lookup::ClueMode::kAdvance;
   opt.learn = false;
@@ -364,8 +356,8 @@ int runSmoke() {
   pipeline::Pipeline4 pipe(*wb.suite, &wb.t1, opt);
   pipe.precompute(clue_universe);
 
-  // Two runs through one pipeline: the second also covers ring reopen and
-  // counter reset on reuse, and is the one the gate reads.
+  // Two runs through one pipeline: the second also covers the counter reset
+  // on reuse, and is the one the gate reads.
   std::vector<NextHop> got(inputs.size(), kNoNextHop);
   pipeline::PipelineStats stats;
   bool matches = true;

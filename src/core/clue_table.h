@@ -12,6 +12,7 @@
 //                       because the stored clue is still verified.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -83,7 +84,9 @@ class HashClueTable {
   // feasible" since the table changes rarely).
   explicit HashClueTable(std::size_t expected)
       : slots_(bucketCountFor(expected)),
-        tags_(bucketCountFor(expected) + lookup::kSwarLanes, 0) {}
+        tags_(bucketCountFor(expected) + lookup::kSwarLanes, 0) {
+    keys_.reserve(expected);
+  }
 
   // The slot a probe for `clue` starts at (what the src/check/ probe-chain
   // validator measures displacement from).
@@ -155,23 +158,11 @@ class HashClueTable {
     if (size_ * 2 >= slots_.size()) {
       if (!grow()) return false;
     }
-    const std::size_t h = hashOf(entry.clue);
-    std::size_t i = h & (slots_.size() - 1);
-    for (std::size_t n = 0; n < slots_.size(); ++n) {
-      EntryT& e = slots_[i];
-      if (!e.valid) {
-        e = std::move(entry);
-        writeTag(i, lookup::swarTag(h));
-        ++size_;
-        return true;
-      }
-      if (e.clue == entry.clue) {
-        e = std::move(entry);
-        return true;
-      }
-      i = (i + 1) % slots_.size();
-    }
-    return false;
+    const PrefixT clue = entry.clue;
+    const std::size_t before = size_;
+    if (!place(std::move(entry))) return false;
+    if (size_ != before) keys_.push_back(clue);
+    return true;
   }
 
   // Control-plane access to an entry (no accesses charged); nullptr on miss.
@@ -216,6 +207,30 @@ class HashClueTable {
     }
   }
 
+  // Visits each entry related to `p` — one is a prefix of the other —
+  // once, in O(p.length() + related entries · log size) rather than a scan
+  // of every slot: ancestors-or-self by one findMutable per length from 0
+  // to p.length(), strict descendants from the sorted key index, which
+  // holds them as the run [(p.addr(), p.length() + 1), p.rangeHigh()].
+  // Inactive entries are visited too: they are still valid slots.
+  template <typename Fn>
+  void forEachRelated(const PrefixT& p, Fn&& fn) {
+    for (int len = 0; len <= p.length(); ++len) {
+      if (EntryT* e = findMutable(p.truncated(len))) fn(*e);
+    }
+    if (p.length() == PrefixT::kBits) return;
+    mergeKeys();
+    const A high = p.rangeHigh();
+    for (auto it = std::lower_bound(keys_.begin(), keys_.end(),
+                                    PrefixT(p.addr(), p.length() + 1));
+         it != keys_.end() && it->addr() <= high; ++it) {
+      EntryT* e = findMutable(*it);
+      CLUERT_DCHECK(e != nullptr) << "indexed key " << it->toString()
+                                  << " left the table";
+      fn(*e);
+    }
+  }
+
  private:
   static std::size_t bucketCountFor(std::size_t expected) {
     std::size_t n = 16;
@@ -239,15 +254,50 @@ class HashClueTable {
     if (i < lookup::kSwarLanes) tags_[slots_.size() + i] = tag;
   }
 
+  // Stores `entry` in its probe chain: a fresh slot (size_ grows) or the
+  // one already holding its clue. Does not grow the table and does not
+  // touch the key index. False when the table is full.
+  bool place(EntryT entry) {
+    const std::size_t h = hashOf(entry.clue);
+    std::size_t i = h & (slots_.size() - 1);
+    for (std::size_t n = 0; n < slots_.size(); ++n) {
+      EntryT& e = slots_[i];
+      if (!e.valid) {
+        e = std::move(entry);
+        writeTag(i, lookup::swarTag(h));
+        ++size_;
+        return true;
+      }
+      if (e.clue == entry.clue) {
+        e = std::move(entry);
+        return true;
+      }
+      i = (i + 1) % slots_.size();
+    }
+    return false;
+  }
+
+  // Rehashes every entry into twice the slots. The keys are already in the
+  // index, so they are placed, not inserted.
   bool grow() {
     mem::HugePageVector<EntryT> old = std::move(slots_);
     slots_.assign(old.size() * 2, EntryT{});
     tags_.assign(slots_.size() + lookup::kSwarLanes, 0);
     size_ = 0;
     for (EntryT& e : old) {
-      if (e.valid && !insert(std::move(e))) return false;
+      if (e.valid && !place(std::move(e))) return false;
     }
     return true;
+  }
+
+  // Sorts the keys appended since the last lookup and merges them into the
+  // sorted run ahead of them.
+  void mergeKeys() {
+    if (sorted_ == keys_.size()) return;
+    const auto mid = keys_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+    std::sort(mid, keys_.end());
+    std::inplace_merge(keys_.begin(), mid, keys_.end());
+    sorted_ = keys_.size();
   }
 
   // On 2 MiB pages once it reaches 2 MiB (mem/huge_pages.h): at internet
@@ -257,6 +307,11 @@ class HashClueTable {
   // lookup/swar_probe.h for the encoding.
   std::vector<std::uint8_t> tags_;
   std::size_t size_ = 0;
+  // Every key the table has held, for forEachRelated: keys never leave a
+  // hash table (§3.4 marks them inactive instead), so the index only grows.
+  // keys_[0, sorted_) is in Prefix order; insert appends past it.
+  std::vector<PrefixT> keys_;
+  std::size_t sorted_ = 0;
 };
 
 // ---------------------------------------------------------------------------

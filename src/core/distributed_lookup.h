@@ -14,6 +14,7 @@
 #include <span>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "core/clue.h"
 #include "core/clue_analyzer.h"
@@ -88,13 +89,14 @@ ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
 // for a local delta; the sender view `neighbor_trie`, and under Advance the
 // suite's Claim-1 annotation, for a neighbor delta.
 //
-//  * Entries related to a changed prefix are rebuilt; the §3.4 `active` bit
-//    survives the rebuild.
+//  * Entries related to a changed prefix are rebuilt, each once; the §3.4
+//    `active` bit survives the rebuild. A hash table finds them through its
+//    key index (HashClueTable::forEachRelated), so the refresh costs
+//    O(delta), not a scan of every slot.
 //  * A local delta rebuilds the engines. Only kStride continuations anchor
 //    nodes that rebuild frees, so there every case-3 entry is rebuilt (a
-//    stale anchor is a use-after-free); the other methods' anchors survive,
-//    which keeps their refresh O(delta) — DESIGN.md §7.1 has the per-method
-//    argument.
+//    stale anchor is a use-after-free) by a scan; the other methods'
+//    anchors survive — DESIGN.md §7.1 has the per-method argument.
 //  * A neighbor delta marks withdrawn clues inactive rather than removing
 //    them (probe chains stay intact) and installs fresh entries for announced
 //    ones (§3.3.2) — in a hash table only, as an indexed slot needs the
@@ -136,6 +138,32 @@ void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
     if (mode != lookup::ClueMode::kAdvance) return;
   }
   const bool anchors_dangle = local && method == lookup::Method::kStride;
+  const auto rebuild = [&](ClueEntry<A>& e) {
+    const bool was_active = e.active;
+    e = build(e.clue);
+    e.active = was_active;
+  };
+  if constexpr (std::is_same_v<TableT, HashClueTable<A>>) {
+    if (!anchors_dangle) {
+      // O(delta): collect the entries related to each changed prefix from
+      // the table's key index, then rebuild each once.
+      std::vector<ClueEntry<A>*> hits;
+      const auto collect = [&](const PrefixT& p) {
+        table.forEachRelated(p, [&](ClueEntry<A>& e) { hits.push_back(&e); });
+      };
+      for (const PrefixT& p : d.removed) collect(p);
+      for (const auto& e : d.added) collect(e.prefix);
+      if (local) {
+        for (const auto& e : d.rerouted) collect(e.prefix);
+      }
+      std::sort(hits.begin(), hits.end());
+      hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+      for (ClueEntry<A>* e : hits) rebuild(*e);
+      return;
+    }
+  }
+  // A scan: every case-3 anchor dangles after a kStride local delta, and an
+  // IndexedClueTable holds at most 65,536 slots.
   const auto touched = [&](const PrefixT& clue) {
     for (const PrefixT& p : d.removed) {
       if (related(clue, p)) return true;
@@ -151,10 +179,7 @@ void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
   };
   table.forEachMutable([&](ClueEntry<A>& e) {
     const bool dangling = anchors_dangle && e.kase == ClueCase::kSearch;
-    if (!dangling && !touched(e.clue)) return;
-    const bool was_active = e.active;
-    e = build(e.clue);
-    e.active = was_active;
+    if (dangling || touched(e.clue)) rebuild(e);
   });
 }
 

@@ -12,8 +12,8 @@
 //
 // Layout is structure-of-arrays: destinations, clues and stream positions
 // live in three separate cache-line-aligned arrays rather than interleaved
-// per-packet structs. The worker hands dests()/clues() spans STRAIGHT to
-// CluePort::processBatch — no per-packet gather copy on the hot path — and
+// per-packet structs. A worker gathers its slice of the input into one batch
+// and hands dests()/clues() spans STRAIGHT to CluePort::processBatch, and
 // the prepare loop streams through densely packed same-typed values instead
 // of striding over padded slots.
 #pragma once
@@ -39,10 +39,10 @@ inline constexpr std::size_t kMaxBatch = 64;
 // not to blow per-worker latency or L1 residency.
 inline constexpr std::size_t kDefaultBatch = 32;
 
-// A fixed-capacity inline frame of packets in SoA layout. Value-semantic so
-// it can ride an SPSC ring by move/copy, but copying transfers only the
-// *occupied* prefix of each array — a batch of 1 costs one element's copy
-// per array, not kMaxBatch.
+// A fixed-capacity inline frame of packets in SoA layout. Value-semantic (it
+// can ride an SpscRing by move/copy, as perfbench's feeder replay does), but
+// copying transfers only the *occupied* prefix of each array — a batch of 1
+// costs one element's copy per array, not kMaxBatch.
 //
 // Stream positions are 32-bit: a single run() streams at most 2^32 packets,
 // which Pipeline::run checks at the rim. Half the seq footprint per slot is
@@ -77,7 +77,7 @@ class alignas(64) PacketBatch {
   void clear() { size_ = 0; }
 
   // The occupied prefixes, in the exact span types CluePort::processBatch
-  // consumes — the worker resolves the ring slot in place.
+  // consumes — the worker resolves the batch in place.
   std::span<const A> dests() const { return {dests_.data(), size_}; }
   std::span<const core::ClueField> clues() const {
     return {clues_.data(), size_};

@@ -1,9 +1,9 @@
 // The per-batch resolve step shared by every data plane that runs behind
 // rib::VersionedTables — the in-process pipeline Worker (worker.h) and the
 // netio datapath (src/netio/datapath.h), which feeds batches from UDP
-// sockets instead of SPSC rings.
+// sockets instead of slices of an input array.
 //
-// Contract (identical to what Worker::run has always done):
+// Contract (what Worker::resolveBatch does for every batch):
 //   * pin ONE table version for the whole batch (ReadGuard held across the
 //     resolve), so a batch never observes a half-applied delta;
 //   * rebind the port to that version's suite/clue-table/neighbor-trie —

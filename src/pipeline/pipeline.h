@@ -1,30 +1,28 @@
 // The batched multi-worker forwarding pipeline.
 //
-// Topology: one feeder (the calling thread) fans PacketBatches out over N
-// worker shards through fixed-capacity SPSC rings; workers run to
-// completion (lookup resolved on the shard that popped the batch — no
-// further hand-off) and publish next hops into the caller's output array.
-// When a ring is full the feeder spins-then-yields until the shard drains —
-// bounded backpressure, so memory use is capped at N * ring_capacity
-// batches no matter how fast the source is.
+// Topology: run() splits the input into `workers` contiguous slices,
+// [N·w/W, N·(w+1)/W), and every shard resolves its own slice to completion:
+// the calling thread is shard 0 and W−1 spawned threads are the rest. A
+// shard gathers batch_size packets at a time from its slice into its own
+// PacketBatch and publishes next hops into its own contiguous run of the
+// caller's output array; shards share at most the line at a slice edge.
+// `workers` counts every thread that resolves, the caller included.
 //
-// Dispatch is RSS-style flow-hash sharding: shard = hash(dest) mapped onto
-// [0, N), so every packet of a flow lands on the same worker. That keeps
-// each shard's working set core-private — its §3.5 ClueCache entries and
-// hot clue-table lines are never bounced between cores by packets of the
-// same flow landing elsewhere, which is what round-robin dispatch did. The
-// feeder keeps one open (claimed but unpublished) batch per shard and
-// publishes it when full; partial tails are flushed before the rings close.
+// There is no flow affinity: packets of one flow may land on several shards.
+// The shared clue table is read-only, so every core may hold a copy of its
+// lines; only a §3.5 cache (per shard) would prefer flow-hashed dispatch,
+// and DESIGN.md §4 measures what that was worth.
 //
-// Every shard owns its CluePort / AccessCounter / Rng (see worker.h); the
-// suite and clue table its port probes are shared and read-only while run()
-// is in flight, so no shard writes a word another reads. run() merges the
-// per-worker counters and port stats into one PipelineStats via
-// AccessCounter::mergeFrom once the workers have joined. With the §3.5 cache
-// off, per-packet accounting is deterministic, so the merged totals equal a
-// single-threaded run over the same stream — pipeline_test asserts exactly
-// that, and the equality is what lets all the paper's §6 access-count
-// results carry over unchanged to the parallel data plane.
+// Every shard owns its CluePort / AccessCounter / PacketBatch (see
+// worker.h); the suite and clue table its port probes are shared and
+// read-only while run() is in flight, so no shard writes a word another
+// reads. run() merges the per-worker counters and port stats into one
+// PipelineStats via AccessCounter::mergeFrom once the workers have joined.
+// With the §3.5 cache off, per-packet accounting is deterministic, so the
+// merged totals equal a single-threaded run over the same stream —
+// pipeline_test asserts exactly that, and the equality is what lets all the
+// paper's §6 access-count results carry over unchanged to the parallel data
+// plane.
 #pragma once
 
 #include <algorithm>
@@ -40,17 +38,21 @@
 #include "common/stats.h"
 #include "mem/alloc_hook.h"
 #include "mem/arena.h"
+#include "pipeline/packet_batch.h"
+#include "pipeline/spsc_ring.h"  // not on run()'s path; see spsc_ring.h
 #include "pipeline/worker.h"
 #include "common/check.h"
 
 namespace cluert::pipeline {
 
 struct PipelineOptions {
+  // Resolving threads, the caller included: run() spawns workers − 1.
   std::size_t workers = 4;
   std::size_t batch_size = kDefaultBatch;  // clamped to [1, kMaxBatch]
-  // Per-worker ring capacity in batches; the backpressure bound.
+  // Unread: no ring is left between threads. Kept because perfbench, which
+  // replays the old feeder over SpscRings, still sets it.
   std::size_t ring_batches = 64;
-  // Base seed split per worker via Rng::forThread.
+  // Base seed of the shards' span-sampler phases (Rng::forThread).
   std::uint64_t seed = 1;
   // Clamp `workers` to std::thread::hardware_concurrency(). Oversubscribing
   // cores never helps a run-to-completion data plane (the threads just trade
@@ -60,13 +62,6 @@ struct PipelineOptions {
   // Tests that deliberately oversubscribe to widen sanitizer interleavings
   // opt out.
   bool clamp_to_hardware = true;
-  // When the pipeline degenerates to a single worker (after clamping, or by
-  // request), resolve batches inline on the calling thread instead of
-  // ping-ponging one core between a feeder and one worker thread through a
-  // ring. Identical results and stats; DPDK calls this run-to-completion on
-  // one lcore. Tests that specifically exercise the threaded 1-worker path
-  // opt out.
-  bool inline_serial = true;
 
   // CluePort configuration, replicated per shard. Every shard probes one
   // shared, read-only clue table, so no shard learns: `learn` must stay
@@ -124,23 +119,22 @@ struct PipelineStats {
   std::uint64_t searched = 0;
   std::uint64_t search_failed = 0;
 
-  // Per-shard packet counts — min/max/mean expose feeder imbalance.
+  // Per-shard packet counts (min/max/mean).
   Summary worker_packets;
 
   // max/mean of the per-shard packet counts: 1.0 is a perfectly balanced
-  // run, 2.0 means the hottest shard carried twice its fair share. Under
-  // flow-hash dispatch this is a property of the traffic (a single elephant
-  // flow pins one shard), so benches report it instead of pretending
-  // round-robin balance.
+  // run, 2.0 means the hottest shard carried twice its fair share. Slices
+  // differ by at most one packet, so this reads 1.0 up to rounding whatever
+  // the traffic.
   double shardImbalance() const {
     const double m = worker_packets.mean();
     return m > 0 ? worker_packets.max() / m : 0.0;
   }
 
-  // Heap allocations inside the steady-state window (feeder loop after the
-  // workers spawned + each shard's loop after its warm-up batch). The hot
-  // path's contract is ZERO; `alloc_hook_active` false means the counting
-  // hook was compiled out (sanitizer build) and the zero is vacuous.
+  // Heap allocations inside the steady-state window (each shard's loop
+  // after its warm-up batch). The hot path's contract is ZERO;
+  // `alloc_hook_active` false means the counting hook was compiled out
+  // (sanitizer build) and the zero is vacuous.
   std::uint64_t steady_allocs = 0;
   bool alloc_hook_active = false;
 
@@ -159,12 +153,7 @@ class Pipeline {
   using WorkerT = Worker<A>;
   using PortT = core::CluePort<A>;
   using PrefixT = ip::Prefix<A>;
-
-  // A packet as the upstream link presents it: destination + clue option.
-  struct Input {
-    A dest{};
-    core::ClueField clue;
-  };
+  using Input = typename WorkerT::Input;
 
   // Builds the shards over one clue table that precompute() fills. Control-
   // plane work (the Advance neighbor annotation, port construction) runs
@@ -189,7 +178,6 @@ class Pipeline {
     for (std::size_t w = 0; w < options_.workers; ++w) {
       addWorker(w).port().bindVersion(0, suite, clues_, neighbor_trie);
     }
-    open_.assign(workers_.size(), nullptr);
     announce();
   }
 
@@ -207,7 +195,6 @@ class Pipeline {
     for (std::size_t w = 0; w < options_.workers; ++w) {
       addWorker(w).bindVersions(&versions);
     }
-    open_.assign(workers_.size(), nullptr);
     announce();
   }
 
@@ -226,8 +213,9 @@ class Pipeline {
   }
 
   // Drives the whole input stream through the pipeline; out[i] receives the
-  // next hop chosen for in[i] (kNoNextHop: no route). Blocking: spawns the
-  // worker threads, feeds, closes the rings, joins, aggregates.
+  // next hop chosen for in[i] (kNoNextHop: no route). Blocking: spawns
+  // shards 1..W−1, resolves slice 0 on the calling thread, joins,
+  // aggregates.
   PipelineStats run(std::span<const Input> in, std::span<NextHop> out) {
     return run(in, out, {});
   }
@@ -246,25 +234,25 @@ class Pipeline {
                  std::size_t{std::numeric_limits<std::uint32_t>::max()})
         << in.size() << " packets overflow the 32-bit batch seq";
     const auto t0 = std::chrono::steady_clock::now();
-    // The pipeline is reusable: reopen the rings the previous run() closed
-    // and zero the per-run counters, both while every shard is quiescent
-    // (workers joined last run; none spawned yet). Stats therefore describe
-    // THIS run, and a mid-stream worker can never mistake the previous
-    // run's close() for its own end-of-stream — that race silently dropped
-    // whole batches on reused pipelines.
-    for (auto* w : workers_) {
-      w->ring().reopen();
-      w->resetRunCounters();
-    }
-    std::uint64_t feeder_steady = 0;
-    if (workers_.size() == 1 && options_.inline_serial) {
-      feeder_steady = runInline(in, out, version_out);
-    } else {
-      feeder_steady = runThreaded(in, out, version_out);
-    }
+    // The pipeline is reusable: zero the per-run counters while every shard
+    // is quiescent (joined last run, none started yet), so stats describe
+    // THIS run.
+    for (auto* w : workers_) w->resetRunCounters();
+    const std::size_t n = workers_.size();
+    const auto runShard = [this, in, out, version_out, n](std::size_t w) {
+      const std::size_t first = in.size() * w / n;
+      const std::size_t last = in.size() * (w + 1) / n;
+      workers_[w]->run(in.subspan(first, last - first), first,
+                       options_.batch_size, out, version_out);
+    };
+    // jthreads: should the caller's shard throw, unwinding joins the rest.
+    std::vector<std::jthread> threads;
+    threads.reserve(n - 1);
+    for (std::size_t w = 1; w < n; ++w) threads.emplace_back(runShard, w);
+    runShard(0);
+    for (auto& t : threads) t.join();
     const auto t1 = std::chrono::steady_clock::now();
     PipelineStats s = aggregate(std::chrono::duration<double>(t1 - t0).count());
-    s.steady_allocs += feeder_steady;
     // Region totals are merged per run (the workers' counters are quiescent
     // now); the per-packet families were already fed live by the shards.
     if (options_.registry != nullptr) {
@@ -300,9 +288,8 @@ class Pipeline {
     popt.learn = false;
     popt.neighbor_index = options_.neighbor_index;
     popt.cache_entries = options_.cache_entries;
-    WorkerT* worker = arena_.template create<WorkerT>(
-        w, options_.seed, options_.ring_batches,
-        std::make_unique<PortT>(popt));
+    WorkerT* worker =
+        arena_.template create<WorkerT>(w, std::make_unique<PortT>(popt));
     workers_.push_back(worker);
     const std::uint32_t span_every =
         options_.trace.enabled ? options_.trace.sample_every : 0;
@@ -318,7 +305,6 @@ class Pipeline {
     if (o.workers == 0) o.workers = 1;
     if (o.batch_size == 0) o.batch_size = 1;
     if (o.batch_size > kMaxBatch) o.batch_size = kMaxBatch;
-    if (o.ring_batches < 2) o.ring_batches = 2;
     if (o.clamp_to_hardware) {
       const auto hc =
           static_cast<std::size_t>(std::thread::hardware_concurrency());
@@ -350,93 +336,6 @@ class Pipeline {
         ->gauge("pipeline_workers_clamped",
                 "Requested-minus-actual workers after the hardware clamp")
         .set(static_cast<double>(requested_workers_ - options_.workers));
-  }
-
-  // RSS-style dispatch: every packet of a flow (destination) maps to the
-  // same shard. The multiply-shift maps the low 32 hash bits onto [0, n)
-  // without a divide (Lemire's fastrange).
-  static std::size_t flowShard(const A& dest, std::size_t n) {
-    const auto h = static_cast<std::uint64_t>(std::hash<A>{}(dest));
-    return static_cast<std::size_t>(
-        ((h & 0xffffffffu) * static_cast<std::uint64_t>(n)) >> 32);
-  }
-
-  // The threaded fan-out. Returns the feeder's steady-window allocation
-  // count (snapshot taken after the worker threads spawned, so thread
-  // bring-up is warm-up; the feed loop itself must not allocate).
-  std::uint64_t runThreaded(std::span<const Input> in, std::span<NextHop> out,
-                            std::span<std::uint64_t> version_out) {
-    std::vector<std::thread> threads;
-    threads.reserve(workers_.size());
-    for (auto* w : workers_) {
-      threads.emplace_back([w, out, version_out] { w->run(out, version_out); });
-    }
-
-    const std::uint64_t alloc_base = mem::threadAllocs();
-    // Feed: flow-hash the destination to its shard, append to the shard's
-    // open batch (claimed in the ring on first use — zero staging copy),
-    // publish when full. A full ring means the shard is the bottleneck;
-    // back off with escalation.
-    Rng feeder_rng = Rng::forThread(options_.seed, ~std::uint64_t{0});
-    const std::size_t n_shards = workers_.size();
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::size_t shard = flowShard(in[i].dest, n_shards);
-      PacketBatch<A>* batch = open_[shard];
-      if (batch == nullptr) {
-        auto& ring = workers_[shard]->ring();
-        batch = ring.claim();
-        for (std::uint64_t streak = 1; batch == nullptr; ++streak) {
-          ringBackoff(feeder_rng, streak);
-          batch = ring.claim();
-        }
-        batch->clear();
-        open_[shard] = batch;
-      }
-      batch->push(in[i].dest, in[i].clue, static_cast<std::uint32_t>(i));
-      if (batch->size() == options_.batch_size) {
-        workers_[shard]->ring().publish();
-        open_[shard] = nullptr;
-      }
-    }
-    // Tail flush: under flow-hash dispatch every shard can be left holding
-    // a partial batch (the stream length is never a multiple of
-    // workers x batch for all shards at once). Publish them before the
-    // close(), or those packets would be silently dropped.
-    for (std::size_t shard = 0; shard < n_shards; ++shard) {
-      if (open_[shard] == nullptr) continue;
-      workers_[shard]->ring().publish();
-      open_[shard] = nullptr;
-    }
-    for (auto* w : workers_) w->ring().close();
-    const std::uint64_t feeder_steady = mem::threadAllocs() - alloc_base;
-    for (auto& t : threads) t.join();
-    return feeder_steady;
-  }
-
-  // The serial-inline path: one worker, resolved on the calling thread.
-  // Same shard machinery (version pinning, stats, obs) — minus the ring
-  // hand-off and the feeder/worker context-switch ping-pong that made a
-  // 1-worker pipeline ~35% slower than the sequential loop on one core.
-  // Returns the steady-window allocation count (first batch = warm-up).
-  std::uint64_t runInline(std::span<const Input> in, std::span<NextHop> out,
-                          std::span<std::uint64_t> version_out) {
-    WorkerT& w = *workers_[0];
-    std::uint64_t alloc_base = 0;
-    bool warmed = false;
-    for (std::size_t i = 0; i < in.size();) {
-      scratch_batch_.clear();
-      const std::size_t end = std::min(i + options_.batch_size, in.size());
-      for (; i < end; ++i) {
-        scratch_batch_.push(in[i].dest, in[i].clue,
-                            static_cast<std::uint32_t>(i));
-      }
-      w.resolveBatch(scratch_batch_, out, version_out);
-      if (!warmed) {
-        warmed = true;
-        alloc_base = mem::threadAllocs();
-      }
-    }
-    return warmed ? mem::threadAllocs() - alloc_base : 0;
   }
 
   PipelineStats aggregate(double seconds) const {
@@ -477,11 +376,6 @@ class Pipeline {
   // pointers.
   mem::Arena arena_;
   std::vector<WorkerT*> workers_;
-  // Per-shard open (claimed, unpublished) batch of the in-flight feed loop;
-  // sized once at construction so run() never allocates it.
-  std::vector<PacketBatch<A>*> open_;
-  // Batch the serial-inline path fills on the calling thread.
-  PacketBatch<A> scratch_batch_;
 };
 
 using Pipeline4 = Pipeline<ip::Ip4Addr>;

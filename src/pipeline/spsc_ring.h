@@ -1,5 +1,8 @@
-// Fixed-capacity single-producer / single-consumer ring queue — the link
-// between the pipeline's feeder thread and each worker shard.
+// Fixed-capacity single-producer / single-consumer ring queue. No
+// production path uses it: pipeline shards resolve slices of the input and
+// hand nothing between threads. It stays because perfbench replays the old
+// feeder's batch assembly and handoff over it, and because the model
+// checker (src/mc/harnesses.h) checks its orderings.
 //
 // Classic Lamport ring with the two standard refinements:
 //  * acquire/release atomics only (no CAS, no locks — wait-free on both
@@ -53,8 +56,7 @@ class SpscRing {
   // -- producer side --------------------------------------------------------
 
   // Non-blocking enqueue; false when the ring is full (backpressure — the
-  // caller decides how to wait; Pipeline spins-then-yields, bounded by the
-  // consumer making progress).
+  // caller decides how to wait).
   bool tryPush(T&& value) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - cached_head_ == slots_.size()) {
@@ -92,10 +94,9 @@ class SpscRing {
   // means drained.
   void close() { closed_.store(true, std::memory_order_release); }
 
-  // Reverts close() so the same ring can carry another stream (Pipeline
-  // reuses its shards across run() calls). Only valid while both sides are
-  // quiescent — after the consumer drained and joined, before the next
-  // producer/consumer pair starts.
+  // Reverts close() so the same ring can carry another stream. Only valid
+  // while both sides are quiescent — after the consumer drained and joined,
+  // before the next producer/consumer pair starts.
   //
   // The relaxed store is deliberate and *checked*: it does not pair with the
   // closed() acquire readers, so a consumer running concurrently with
@@ -103,9 +104,9 @@ class SpscRing {
   // model checker exhibits exactly that lost-item schedule when the
   // quiescence contract is broken (Mc.RingReopenContract\* in
   // tests/mc_test.cc; promoting this store to release does NOT fix it,
-  // because coherence still allows the stale read). Under the contract the
-  // pipeline actually maintains — workers joined before reopen(), new
-  // workers spawned after — the join/spawn edges give every new consumer
+  // because coherence still allows the stale read). Under the contract —
+  // consumers joined before reopen(), new consumers spawned after — the
+  // join/spawn edges give every new consumer
   // happens-before to this store, and the checker passes the
   // contract-respecting harness exhaustively. DESIGN.md §10 has the full
   // argument and the regression schedules.

@@ -1,78 +1,49 @@
-// One pipeline worker shard: a run-to-completion forwarding loop.
+// One pipeline worker shard: a run-to-completion resolve over one slice of
+// the input.
 //
 // Each worker owns the complete per-thread state a shard needs — its own
 // CluePort (§3.5 cache, stats, stage scratch; the suite and clue table it
 // probes are shared and read-only), its own mem::AccessCounter (merged after
-// join, never shared), and its own Rng stream split off the pipeline seed via
-// Rng::forThread — so the data plane runs without a single lock or shared
-// mutable word between shards. The only cross-thread traffic is the SPSC
-// ring of PacketBatches in, and writes to disjoint `out[seq]` slots (each
-// sequence number is routed to exactly one worker).
+// join, never shared) and its own PacketBatch — so the data plane runs
+// without a single lock or shared mutable word between shards. The only
+// cross-thread traffic is reads of the shared input and writes to the
+// shard's own contiguous run of `out[]` slots.
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/random.h"
 #include "core/distributed_lookup.h"
 #include "mem/alloc_hook.h"
 #include "obs/hooks.h"
 #include "obs/span.h"
 #include "pipeline/packet_batch.h"
 #include "pipeline/pinned_resolver.h"
-#include "pipeline/spsc_ring.h"
 #include "rib/versioned_tables.h"
 
 namespace cluert::pipeline {
-
-inline constexpr std::chrono::microseconds kBackoffSleep{50};
-
-// The wait step for a ring that is empty (a worker) or full (the feeder),
-// escalating with the streak of failed attempts: spin a short burst
-// jittered from the caller's own Rng stream (so threads don't hammer the
-// ring's cache lines in lockstep), then yield, and once the streak is long,
-// sleep kBackoffSleep. The sleep matters on a host with fewer cores than
-// threads: a yield-looping thread still burns whole timeslices, whereas a
-// sleeping one lets the other side fill or drain its rings in one long
-// burst instead of a few batches per context switch.
-inline void ringBackoff(Rng& rng, std::uint64_t streak) {
-  if (streak < 4) {
-    const std::uint64_t spins = 32 + rng.uniform(0, 32);
-    for (std::uint64_t s = 0; s < spins; ++s) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    return;
-  }
-  if (streak < 16) {
-    std::this_thread::yield();
-    return;
-  }
-  std::this_thread::sleep_for(kBackoffSleep);
-}
 
 template <typename A>
 class Worker {
  public:
   using PortT = core::CluePort<A>;
 
-  Worker(std::size_t id, std::uint64_t pipeline_seed,
-         std::size_t ring_capacity_batches, std::unique_ptr<PortT> port)
-      : id_(id),
-        rng_(Rng::forThread(pipeline_seed, id)),
-        ring_(ring_capacity_batches),
-        resolver_(std::move(port), id) {}
+  // A packet as the upstream link presents it: destination + clue option.
+  struct Input {
+    A dest{};
+    core::ClueField clue;
+  };
+
+  Worker(std::size_t id, std::unique_ptr<PortT> port)
+      : id_(id), resolver_(std::move(port), id) {}
 
   std::size_t id() const { return id_; }
-  SpscRing<PacketBatch<A>>& ring() { return ring_; }
   PortT& port() { return resolver_.port(); }
   const PortT& port() const { return resolver_.port(); }
   const mem::AccessCounter& accesses() const { return acc_; }
@@ -116,7 +87,7 @@ class Worker {
   std::uint64_t versionChanges() const { return resolver_.versionChanges(); }
 
   // Zeroes the per-run counters so a reused shard reports this run only
-  // (Pipeline::run calls it before spawning the thread). The resolver's
+  // (Pipeline::run calls it before any shard starts). The resolver's
   // last-seen sequence is deliberately kept: a version swap that happened
   // *between* runs still counts as a change on the next run's first batch.
   void resetRunCounters() {
@@ -140,17 +111,17 @@ class Worker {
                                : std::vector<obs::PacketSpan>{};
   }
 
-  // The worker thread body: pop batches until the ring is closed *and*
-  // drained, resolve each through the batched CluePort path, and publish
-  // every packet's next hop to out[seq]. `out` is sized to the full input
-  // stream; distinct workers write distinct slots, and the pipeline's join()
-  // makes the writes visible to the caller.
-  // `version_out`, when non-empty, receives the sequence number of the
-  // version each packet was resolved against (0 for unversioned runs) —
-  // the churn oracle compares out[seq] against a quiescent lookup at
+  // The shard body: gathers `batch_size` packets at a time from `slice`
+  // into the shard's own batch and resolves each. `slice` starts at stream
+  // position `first`, so packet k of it writes out[first + k]; `out` is
+  // sized to the full input stream, and the slices of distinct shards never
+  // overlap. `version_out`, when non-empty, receives the sequence number of
+  // the version each packet was resolved against (0 for unversioned runs)
+  // — the churn oracle compares out[seq] against a quiescent lookup at
   // version_out[seq].
-  void run(std::span<NextHop> out, std::span<std::uint64_t> version_out = {}) {
-    std::uint64_t idle_streak = 0;
+  void run(std::span<const Input> slice, std::size_t first,
+           std::size_t batch_size, std::span<NextHop> out,
+           std::span<std::uint64_t> version_out) {
     // Zero-allocation steady state: the first batch is warm-up (lazy
     // per-thread init, first-touch faults), everything after it must not
     // allocate. Snapshot the thread-local alloc counter after that batch
@@ -158,22 +129,14 @@ class Worker {
     // PipelineStats::steady_allocs, which the ci throughput gate pins at 0.
     bool warmed = false;
     std::uint64_t alloc_base = 0;
-    for (;;) {
-      // Zero-copy consume: resolve the batch in place in the ring slot, then
-      // hand the slot back. The producer cannot touch it before release().
-      PacketBatch<A>* batch = ring_.front();
-      if (batch == nullptr) {
-        if (ring_.closed()) {
-          batch = ring_.front();
-          if (batch == nullptr) break;  // closed and drained: done
-        } else {
-          ringBackoff(rng_, ++idle_streak);
-          continue;
-        }
+    for (std::size_t i = 0; i < slice.size();) {
+      batch_.clear();
+      const std::size_t end = std::min(i + batch_size, slice.size());
+      for (; i < end; ++i) {
+        batch_.push(slice[i].dest, slice[i].clue,
+                    static_cast<std::uint32_t>(first + i));
       }
-      idle_streak = 0;
-      resolveBatch(*batch, out, version_out);
-      ring_.release();
+      resolveBatch(batch_, out, version_out);
       if (!warmed) {
         warmed = true;
         alloc_base = mem::threadAllocs();
@@ -182,10 +145,8 @@ class Worker {
     if (warmed) steady_allocs_ = mem::threadAllocs() - alloc_base;
   }
 
-  // Resolves one batch and publishes its next hops — the body of the worker
-  // loop, also called directly (on the feeder thread) by the pipeline's
-  // serial-inline path when the pipeline degenerates to one worker. Reads
-  // the batch's SoA spans in place: no per-packet gather copy.
+  // Resolves one batch and publishes its next hops to out[seq]. Reads the
+  // batch's SoA spans in place: no per-packet gather copy.
   void resolveBatch(PacketBatch<A>& batch, std::span<NextHop> out,
                     std::span<std::uint64_t> version_out) {
     // A sampling shard reads the clock twice per *batch*: its spans share
@@ -265,8 +226,6 @@ class Worker {
   }
 
   std::size_t id_;
-  Rng rng_;
-  SpscRing<PacketBatch<A>> ring_;
   PinnedResolver<A> resolver_;
   mem::AccessCounter acc_;
   std::uint64_t packets_ = 0;
@@ -274,8 +233,10 @@ class Worker {
   std::uint64_t steady_allocs_ = 0;
   std::unique_ptr<Tracing> tracing_;
   obs::WorkerObs wobs_;
-  // Per-batch resolve results; a member (not a stack array) so the shard's
-  // hot scratch lives inside its arena placement, cache-line aligned.
+  // The batch run() gathers into and its resolve results; members (not
+  // stack arrays) so the shard's hot scratch lives inside its arena
+  // placement, cache-line aligned.
+  PacketBatch<A> batch_;
   alignas(64) std::array<typename PortT::Result, kMaxBatch> results_;
 };
 

@@ -139,7 +139,6 @@ TEST(ChurnPipeline, OracleHoldsAcrossAThousandSwaps) {
   // Keep 4 real worker threads even on a small host: the whole point is
   // racing the updater against a genuinely concurrent data plane.
   popt.clamp_to_hardware = false;
-  popt.inline_serial = false;
   popt.batch_size = 32;
   popt.mode = lookup::ClueMode::kSimple;
   popt.cache_entries = 64;  // exercise §3.5 cache invalidation across swaps
@@ -229,7 +228,6 @@ TEST(ChurnPipeline, AdvanceModeWithStaticSender) {
   // Keep 4 real worker threads even on a small host: the whole point is
   // racing the updater against a genuinely concurrent data plane.
   popt.clamp_to_hardware = false;
-  popt.inline_serial = false;
   popt.batch_size = 32;
   popt.mode = lookup::ClueMode::kAdvance;
   popt.seed = 11;
@@ -278,7 +276,6 @@ TEST(ChurnPipeline, QuiescentVersionedMatchesUnversioned) {
   // Keep 4 real worker threads even on a small host: the whole point is
   // racing the updater against a genuinely concurrent data plane.
   popt.clamp_to_hardware = false;
-  popt.inline_serial = false;
   popt.batch_size = 32;
   popt.mode = lookup::ClueMode::kSimple;
   popt.learn = false;

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/clue.h"
 #include "core/clue_table.h"
+#include "core/distributed_lookup.h"
 #include "test_util.h"
 
 namespace cluert::core {
@@ -110,6 +113,54 @@ TEST(HashClueTable, ForEachVisitsAllValid) {
 TEST(HashClueTable, WireBytesTracksBuckets) {
   Table t(100);
   EXPECT_EQ(t.wireBytes(), t.bucketCount() * kClueEntryWireBytes);
+}
+
+// forEachRelated answers from the key index what a scan of every slot with
+// related() answers. Clue sets cut from a few base addresses (so keys nest),
+// with /0 and /32 keys, inactive entries, overwrites and several grows, and
+// lookups between inserts so the index merges an unsorted tail: every query
+// visits exactly the entries the scan finds, each once.
+TEST(HashClueTable, ForEachRelatedMatchesAScan) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Table t(4);
+    const std::size_t initial_buckets = t.bucketCount();
+    std::vector<A> bases;
+    for (int b = 0; b < 6; ++b) bases.push_back(A(rng.u32()));
+    const auto randomPrefix = [&] {
+      const A addr = rng.chance(0.2) ? A(rng.u32())
+                                     : bases[rng.index(bases.size())];
+      return ip::Prefix4(addr, static_cast<int>(rng.uniform(0, 32)));
+    };
+    const auto expectMatchesScan = [&](const ip::Prefix4& p) {
+      std::vector<const Entry*> want;
+      t.forEachMutable([&](Entry& e) {
+        if (related(e.clue, p)) want.push_back(&e);
+      });
+      std::vector<const Entry*> got;
+      t.forEachRelated(p, [&](Entry& e) { got.push_back(&e); });
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+          << p.toString() << ": an entry visited twice";
+      EXPECT_EQ(got, want) << p.toString();
+    };
+
+    ASSERT_TRUE(t.insert(entryFor(ip::Prefix4(), 0)));
+    ASSERT_TRUE(t.insert(entryFor(ip::Prefix4(bases[0], 32), 1)));
+    for (int i = 0; i < 400; ++i) {
+      const ip::Prefix4 p = randomPrefix();
+      ASSERT_TRUE(t.insert(entryFor(p, static_cast<NextHop>(i))));
+      if (rng.chance(0.2)) t.setActive(p, false);
+      if (i % 37 == 0) expectMatchesScan(randomPrefix());
+    }
+    EXPECT_GE(t.bucketCount(), 4 * initial_buckets) << "fewer than two grows";
+    for (int q = 0; q < 300; ++q) expectMatchesScan(randomPrefix());
+    expectMatchesScan(ip::Prefix4());
+    expectMatchesScan(ip::Prefix4(bases[0], 32));
+    expectMatchesScan(ip::Prefix4(A(rng.u32()), 32));
+  }
 }
 
 // ---------------------------------------------------------------------------

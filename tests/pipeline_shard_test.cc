@@ -1,11 +1,11 @@
-// Regression tests for the flow-hash sharded dispatch layer (src/pipeline/):
-// tail flush of partial per-shard batches, sharded-vs-sequential equivalence
-// across traffic shapes (uniform, Zipf-skewed, single-flow), equivalence
-// under rib::VersionedTables version swaps, the zero-allocation steady-state
-// contract, sampled spans against a sequential port, the hardware-concurrency
-// clamp reporting, and the serial-inline fold. Suites are named
-// PipelineShard* so tools/run_sanitizers.sh's "Pipeline" filter gives them
-// TSan coverage automatically.
+// Regression tests for the pipeline's slice sharding (src/pipeline/): each
+// shard resolving exactly its contiguous slice, partial tail batches,
+// sharded-vs-sequential equivalence across traffic shapes (uniform,
+// Zipf-skewed, single-flow), equivalence under rib::VersionedTables version
+// swaps, the zero-allocation steady-state contract, sampled spans against a
+// sequential port, and the hardware-concurrency clamp reporting. Suites are
+// named PipelineShard* so tools/run_sanitizers.sh's "Pipeline" filter gives
+// them TSan coverage automatically.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -54,10 +54,8 @@ struct ShardFixture {
                       : core::ClueField::none()};
   }
 
-  // These tests exercise the *threaded* sharded data plane deliberately —
-  // real rings, real tail flush, real cross-thread hand-off — even on a
-  // small CI host where the hardware clamp would fold everything to one
-  // inline shard.
+  // These tests run the shard count they ask for — real concurrent shards
+  // — even on a small CI host where the hardware clamp would cut it.
   PipelineOptions threadedOptions(std::size_t workers,
                                   std::size_t batch) const {
     PipelineOptions opt;
@@ -68,7 +66,6 @@ struct ShardFixture {
     opt.learn = false;
     opt.expected_clues = sender.size() + 16;
     opt.clamp_to_hardware = false;
-    opt.inline_serial = false;
     return opt;
   }
 
@@ -100,8 +97,7 @@ struct ShardFixture {
   // A stream of `n` packets over a pool of covered destinations. skew = 0:
   // uniform over the pool. skew > 0: Zipf-ish, pool index drawn as
   // pool_size * u^(1+skew) — a handful of elephant flows carry most of the
-  // traffic, which under flow-hash dispatch concentrates whole flows (not
-  // fractions of them) onto single shards.
+  // traffic.
   std::vector<Pipeline4::Input> stream(Rng& rng, std::size_t n,
                                        std::size_t pool_size, double skew) {
     std::vector<Pipeline4::Input> pool;
@@ -143,12 +139,10 @@ void expectSameHops(const std::vector<NextHop>& got,
   EXPECT_EQ(mismatches, 0u);
 }
 
-// The tail-flush regression: under flow-hash dispatch every shard can be
-// left holding a partial open batch when the stream ends (997 is not a
-// multiple of anything in a 3-worker, batch-32 pipeline). Before the flush
-// existed those packets were silently dropped at close(). The second run
-// re-checks the same property through the ring reopen path on a reused
-// pipeline.
+// Partial tail batches: 997 packets over 3 shards are slices of 332, 332
+// and 333 packets, and each ends on a partial batch of 32. Every packet of
+// every tail must be resolved. The second run re-checks the same property
+// on a reused pipeline, whose counters reset between runs.
 TEST(PipelineShardTest, TailBatchesFlushedOnRunCompletion) {
   ShardFixture fx;
   Rng rng(11);
@@ -165,6 +159,50 @@ TEST(PipelineShardTest, TailBatchesFlushedOnRunCompletion) {
     EXPECT_EQ(stats.packets, inputs.size()) << "run " << run;
     expectSameHops(got, expect);
   }
+}
+
+// Each shard resolves exactly its contiguous slice of the stream, positions
+// [N·w/W, N·(w+1)/W). 1,000 packets with distinct destinations over 3
+// shards, a span for every packet: each span's worker must be the slice
+// that holds its destination's stream position.
+TEST(PipelineShardTest, EachShardResolvesItsContiguousSlice) {
+  ShardFixture fx;
+  Rng rng(66);
+  constexpr std::size_t kPackets = 1'000;
+  constexpr std::size_t kShards = 3;
+  std::vector<Pipeline4::Input> inputs;
+  std::map<std::uint32_t, std::size_t> position;  // dest -> stream position
+  while (inputs.size() < kPackets) {
+    const A d = testutil::coveredAddress<A>(fx.sender_entries, rng,
+                                            testutil::randomAddr4);
+    if (!position.emplace(d.value(), inputs.size()).second) continue;
+    inputs.push_back(fx.packet(d));
+  }
+
+  PipelineOptions opt = fx.threadedOptions(kShards, 32);
+  opt.trace.enabled = true;
+  opt.trace.sample_every = 1;
+  Pipeline4 pipe(*fx.suite, &fx.t1, opt);
+  const auto clues = fx.sender.prefixes();
+  pipe.precompute(clues);
+  std::vector<NextHop> got(inputs.size(), kNoNextHop);
+  const PipelineStats stats = pipe.run(inputs, got);
+  ASSERT_EQ(stats.packets, kPackets);
+  expectSameHops(got, fx.sequential(inputs));
+
+  const std::vector<obs::PacketSpan> spans = pipe.drainSpans();
+  ASSERT_EQ(spans.size(), kPackets);
+  std::vector<std::size_t> per_shard(kShards, 0);
+  for (const obs::PacketSpan& s : spans) {
+    const auto it = position.find(s.dest);
+    ASSERT_NE(it, position.end()) << "span for a packet never sent";
+    std::size_t slice = 0;
+    while (kPackets * (slice + 1) / kShards <= it->second) ++slice;
+    EXPECT_EQ(s.worker, slice) << "packet " << it->second;
+    ASSERT_LT(s.worker, kShards);
+    ++per_shard[s.worker];
+  }
+  EXPECT_EQ(per_shard, (std::vector<std::size_t>{333, 333, 334}));
 }
 
 TEST(PipelineShardTest, UniformZipfAndSingleFlowTrafficMatchSequential) {
@@ -191,11 +229,11 @@ TEST(PipelineShardTest, UniformZipfAndSingleFlowTrafficMatchSequential) {
     EXPECT_EQ(stats.packets, inputs.size());
     expectSameHops(got, expect);
     if (shape.pool == 1) {
-      // Flow affinity: a single flow is pinned to exactly one shard, so the
-      // hottest shard carried everything (imbalance = worker count).
-      EXPECT_EQ(stats.worker_packets.max(),
-                static_cast<double>(inputs.size()));
-      EXPECT_DOUBLE_EQ(stats.shardImbalance(), 4.0);
+      // No flow affinity: a single flow is split like any other stream,
+      // 5,000 packets to each of the 4 shards.
+      EXPECT_EQ(stats.worker_packets.min(), 5'000.0);
+      EXPECT_EQ(stats.worker_packets.max(), 5'000.0);
+      EXPECT_DOUBLE_EQ(stats.shardImbalance(), 1.0);
     }
   }
 }
@@ -237,7 +275,6 @@ TEST(PipelineShardTest, VersionSwapsKeepShardedRunsOracleExact) {
   popt.batch_size = 32;
   popt.mode = lookup::ClueMode::kSimple;
   popt.clamp_to_hardware = false;
-  popt.inline_serial = false;
   Pipeline4 pipe(vt, popt);
 
   rib::Fib4 cur = local;
@@ -272,8 +309,8 @@ TEST(PipelineShardTest, VersionSwapsKeepShardedRunsOracleExact) {
   }
 }
 
-// The zero-allocation contract on the real threaded sharded path: after
-// each shard's warm-up batch (and for the feeder, after thread spawn), the
+// The zero-allocation contract on the sharded path: after each shard's
+// warm-up batch, the caller's shard and the spawned one alike, the
 // steady-state window performs no heap allocation. Run twice — the second
 // run has no first-touch warm-up left anywhere. Checked unobserved and
 // fully observed (metric cells plus a span for every packet: the post-pass,
@@ -430,7 +467,6 @@ TEST(PipelineShardTest, HardwareClampReportsRequestedAndActual) {
   obs::MetricRegistry registry;
   PipelineOptions opt = fx.threadedOptions(64, 16);
   opt.clamp_to_hardware = true;  // the behaviour under test
-  opt.inline_serial = true;      // defaults, as a bench caller would run
   opt.registry = &registry;
   Pipeline4 pipe(*fx.suite, &fx.t1, opt);
   const auto clues = fx.sender.prefixes();
@@ -449,36 +485,6 @@ TEST(PipelineShardTest, HardwareClampReportsRequestedAndActual) {
   const auto* workers = snap.find("pipeline_workers");
   ASSERT_NE(workers, nullptr);
   EXPECT_EQ(workers->gauge_value, static_cast<double>(hc));
-}
-
-// The serial-inline fold must be invisible in results and accounting: a
-// 1-worker pipeline resolved on the calling thread produces the same hops,
-// packet count and per-region access totals as the threaded 1-worker run.
-TEST(PipelineShardTest, InlineSerialFoldMatchesThreadedSingleWorker) {
-  ShardFixture fx;
-  Rng rng(55);
-  const auto inputs = fx.stream(rng, 10'000, 256, 0.0);
-  const auto clues = fx.sender.prefixes();
-
-  PipelineOptions threaded = fx.threadedOptions(1, 32);
-  PipelineOptions inline_opt = threaded;
-  inline_opt.inline_serial = true;
-
-  Pipeline4 tpipe(*fx.suite, &fx.t1, threaded);
-  tpipe.precompute(clues);
-  std::vector<NextHop> tgot(inputs.size(), kNoNextHop);
-  const auto tstats = tpipe.run(inputs, tgot);
-
-  Pipeline4 ipipe(*fx.suite, &fx.t1, inline_opt);
-  ipipe.precompute(clues);
-  std::vector<NextHop> igot(inputs.size(), kNoNextHop);
-  const auto istats = ipipe.run(inputs, igot);
-
-  expectSameHops(igot, tgot);
-  EXPECT_EQ(istats.packets, tstats.packets);
-  EXPECT_EQ(istats.batches, tstats.batches);
-  EXPECT_EQ(istats.table_hits, tstats.table_hits);
-  EXPECT_EQ(istats.accesses.total(), tstats.accesses.total());
 }
 
 }  // namespace

@@ -239,11 +239,9 @@ struct PipelineFixture {
     opt.mode = lookup::ClueMode::kAdvance;
     opt.learn = false;
     opt.expected_clues = sender.size() + 16;
-    // These tests exercise the *threaded* data plane deliberately — real
-    // rings, real cross-thread hand-off — even on a small CI host where the
-    // hardware clamp would fold everything to one inline shard.
+    // These tests run the shard count they ask for — real concurrent shards
+    // — even on a small CI host where the hardware clamp would cut it.
     opt.clamp_to_hardware = false;
-    opt.inline_serial = false;
     return opt;
   }
 
@@ -313,7 +311,6 @@ TEST(PipelineTest, OddWorkerAndBatchShapesStayEquivalent) {
     auto opt = fx.baseOptions();
     opt.workers = s.workers;
     opt.batch_size = s.batch;
-    opt.ring_batches = 8;  // small ring: exercise backpressure
     pipeline::Pipeline4 pipe(*fx.suite, &fx.t1, opt);
     pipe.precompute(clues);
     std::vector<NextHop> got(fx.inputs.size(), kNoNextHop);
@@ -343,12 +340,9 @@ TEST(PipelineTest, StatsAggregateAcrossWorkers) {
   EXPECT_GT(stats.table_hits, stats.packets / 2);  // clues mostly resolve
   EXPECT_GT(stats.seconds, 0.0);
   EXPECT_GT(stats.packetsPerSec(), 0.0);
-  // Flow-hash dispatch: balance is statistical, not round-robin-exact. With
-  // thousands of distinct flows spread over 4 shards the hottest shard stays
-  // well under 1.5x its fair share, and every shard sees traffic.
+  // Contiguous slices: shard sizes differ by at most one packet.
   EXPECT_EQ(stats.worker_packets.count(), 4u);
-  EXPECT_GT(stats.worker_packets.min(), 0.0);
-  EXPECT_LT(stats.shardImbalance(), 1.5);
+  EXPECT_LE(stats.worker_packets.max() - stats.worker_packets.min(), 1.0);
   EXPECT_FALSE(pipeline::formatStats(stats).empty());
 }
 

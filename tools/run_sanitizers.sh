@@ -3,8 +3,8 @@
 # test slice under it. Generalizes the original TSan driver to the full
 # matrix:
 #
-#   thread     data races in src/pipeline/ (SPSC rings, shard-owned
-#              CluePorts, counter merges)
+#   thread     data races in src/pipeline/ (shard-owned output slices and
+#              CluePorts, counter merges) and in the SPSC ring tests
 #   address    heap/stack misuse anywhere the validators or the data plane
 #              chase pointers (trie vertices, Patricia anchors, clue-table
 #              probe chains)

@@ -1,7 +1,9 @@
 // Experiment E6 — reproduces the §3.5 space analysis: "pessimistically about
 // 60,000 entries ... about 500K-600K byte", plus the Advance observation
 // that fewer than 10% of entries need the Ptr field, and the SDRAM
-// cache-line packing (two entries per 32-byte line).
+// cache-line packing (two entries per 32-byte line). A second table sets the
+// implementation beside the model: sizeof(ClueEntry) and the slot bytes of
+// the hash table an Advance port over Patricia builds for each pair.
 #include "bench_util.h"
 
 int main() {
@@ -38,6 +40,42 @@ int main() {
                 100.0 * static_cast<double>(need_ptr) /
                     static_cast<double>(clues.size()),
                 bytes, static_cast<double>(bytes) / 1024.0);
+  }
+
+  std::printf(
+      "\nImplementation beside the model: every slot of the built hash table\n"
+      "holds one %zu-byte ClueEntry (the model: %zu bytes per clue)\n\n",
+      sizeof(core::ClueEntry<bench::A>), core::kClueEntryWireBytes);
+  std::printf("%-10s %-10s %9s %12s %10s %9s %12s %10s\n", "Sender",
+              "Receiver", "Clues", "ModelBytes", "EntryBytes", "Slots",
+              "SlotBytes", "xModel");
+  for (const auto& pair : rib::paperPairs()) {
+    const auto& sender = set.byName(pair.sender);
+    const auto& receiver = set.byName(pair.receiver);
+    const auto t1 = sender.buildTrie();
+    lookup::SuiteOptions sopt;
+    sopt.methods = lookup::methodBit(lookup::Method::kPatricia);
+    const auto entries = receiver.entries();
+    lookup::LookupSuite<bench::A> suite(
+        std::vector<trie::Match<bench::A>>(entries.begin(), entries.end()),
+        sopt);
+    suite.annotateNeighbor(0, t1);
+    const auto clues = sender.prefixes();
+    core::HashClueTable<bench::A> table(clues.size());
+    for (const auto& c : clues) {
+      table.insert(core::buildClueEntry(suite, &t1, lookup::Method::kPatricia,
+                                        lookup::ClueMode::kAdvance, c,
+                                        &table.candidates()));
+    }
+    const std::size_t model = clues.size() * core::kClueEntryWireBytes;
+    const std::size_t slot_bytes =
+        table.bucketCount() * sizeof(core::ClueEntry<bench::A>);
+    std::printf("%-10s %-10s %9zu %12zu %10zu %9zu %12zu %9.1fx\n",
+                std::string(pair.sender).c_str(),
+                std::string(pair.receiver).c_str(), clues.size(), model,
+                sizeof(core::ClueEntry<bench::A>), table.bucketCount(),
+                slot_bytes,
+                static_cast<double>(slot_bytes) / static_cast<double>(model));
   }
 
   std::printf(

@@ -15,13 +15,19 @@
 //                            direction)
 //   ptr-not-empty            Ptr is non-empty although no longer match can
 //                            exist (Claim 1 holds) — the wasteful direction
-//   cont-clue-mismatch       the continuation was built for another clue
 //   dangling-trie-anchor     Ptr names a binary-trie vertex that is not the
-//                            clue's vertex in t2
+//                            clue's vertex in t2 (Regular)
 //   dangling-patricia-anchor Ptr names a Patricia node that is not
-//                            descendAnchor(clue)
+//                            descendAnchor(clue) (Patricia)
+//   dangling-stride-anchor   Ptr names another multibit-trie node or depth
+//                            than the clue determines (Stride)
+//   logw-window-mismatch     the stored longest candidate length differs
+//                            from the recomputed C1 set's (LogW)
 //   dangling-ptr             Ptr is non-empty but carries no continuation
-//                            state at all (no anchor, no candidate set)
+//                            state at all (no anchor, no length window)
+//   released-candidate-set   the candidate set is not a live set of the
+//                            table's store: released by an overwrite (its
+//                            storage may be reused) or another table's
 //   candidate-count-mismatch stored |P| differs from the recomputed C1 set
 //   candidate-set (merged)   the per-clue segment table disagrees with the
 //                            recomputed C1 candidate set (see
@@ -32,6 +38,9 @@
 //                            silently miss (§3.4 is why entries are marked
 //                            inactive instead of removed)
 //   size-mismatch            (hash table only) stored size != valid slots
+//
+// The Ptr checks read the continuation the way the engine that built it
+// does, so they need that engine; without one, only dangling-ptr applies.
 #pragma once
 
 #include <optional>
@@ -42,6 +51,7 @@
 #include "check/segment_check.h"
 #include "core/clue_analyzer.h"
 #include "core/clue_table.h"
+#include "lookup/engine.h"
 #include "trie/binary_trie.h"
 #include "trie/patricia_trie.h"
 
@@ -55,14 +65,14 @@ std::string describeMatch(const std::optional<trie::Match<A>>& m) {
   return m->prefix.toString() + "->" + std::to_string(m->next_hop);
 }
 
-// Validates one entry against the freshly recomputed analysis. `patricia`
-// may be null when the router has no Patricia structure to check anchors
-// against.
+// Validates one entry against the freshly recomputed analysis. `engine`
+// (may be null) built the entry's continuation, into `store`.
 template <typename A>
 void checkClueEntry(const core::ClueEntry<A>& e,
                     const trie::BinaryTrie<A>& t2,
                     const trie::BinaryTrie<A>* t1,
-                    const trie::PatriciaTrie<A>* patricia, Report& report) {
+                    const lookup::LookupEngine<A>* engine,
+                    const lookup::CandidateStore<A>& store, Report& report) {
   const std::string clue = e.clue.toString();
   const core::ClueAnalyzer<A> analyzer(t2, t1);
   const core::ClueAnalysis<A> a = t1 != nullptr
@@ -70,10 +80,10 @@ void checkClueEntry(const core::ClueEntry<A>& e,
                                       : analyzer.analyzeSimple(e.clue);
 
   const auto expected_fd = t2.longestMarkedAtOrAbove(e.clue);
-  if (e.fd != expected_fd) {
+  if (e.fd() != expected_fd) {
     report.add("ClueTable", "fd-mismatch",
-               clue + ": stored FD " + describeMatch<A>(e.fd) + " vs table " +
-                   describeMatch<A>(expected_fd));
+               clue + ": stored FD " + describeMatch<A>(e.fd()) +
+                   " vs table " + describeMatch<A>(expected_fd));
   }
 
   const bool search_needed = a.kase == core::ClueCase::kSearch;
@@ -90,41 +100,70 @@ void checkClueEntry(const core::ClueEntry<A>& e,
   if (e.ptr_empty) return;
 
   // Ptr consistency: whatever continuation state the engine stored must
-  // belong to this clue and this table.
-  const lookup::Continuation<A>& c = e.cont;
-  if (c.clue != e.clue) {
-    report.add("ClueTable", "cont-clue-mismatch",
-               clue + ": continuation built for " + c.clue.toString());
-  }
-  if (c.trie_anchor != nullptr && c.trie_anchor != t2.findVertex(e.clue)) {
-    report.add("ClueTable", "dangling-trie-anchor",
-               clue + ": Ptr names vertex " + c.trie_anchor->prefix.toString() +
-                   " which is not the clue's vertex");
-  }
-  if (patricia != nullptr && c.patricia_anchor != nullptr &&
-      c.patricia_anchor != patricia->descendAnchor(e.clue)) {
-    report.add("ClueTable", "dangling-patricia-anchor",
-               clue + ": Ptr names Patricia node " +
-                   c.patricia_anchor->prefix.toString() +
-                   " which is not the clue's descend anchor");
-  }
-  const bool has_state = c.trie_anchor != nullptr ||
-                         c.patricia_anchor != nullptr ||
-                         c.candidates != nullptr ||
-                         c.max_len > c.clue.length() ||
-                         c.stride_anchor != nullptr;
-  if (!has_state) {
+  // belong to this clue and this table. Only LogW keeps its state in `n`
+  // alone, a window past the clue; without the engine, any entry might.
+  const lookup::Continuation& c = e.cont;
+  const bool logw =
+      engine == nullptr || engine->method() == lookup::Method::kLogW;
+  if (c.anchor == nullptr &&
+      !(logw && static_cast<int>(c.n) > e.clue.length())) {
     report.add("ClueTable", "dangling-ptr",
                clue + ": Ptr is non-empty but carries no continuation state");
+    return;
   }
-  if (c.candidates != nullptr) {
-    if (c.candidate_count != a.candidates.size()) {
+  if (engine == nullptr) return;
+  const lookup::Method method = engine->method();
+  if (method == lookup::Method::kBinary ||
+      method == lookup::Method::kMultiway) {
+    if (!store.holds(c.anchor)) {
+      report.add("ClueTable", "released-candidate-set",
+                 clue + ": the candidate set is not a live set of the "
+                        "table's store");
+      return;
+    }
+    if (c.n != a.candidates.size()) {
       report.add("ClueTable", "candidate-count-mismatch",
-                 clue + ": stored |P| = " + std::to_string(c.candidate_count) +
+                 clue + ": stored |P| = " + std::to_string(c.n) +
                      " vs recomputed " + std::to_string(a.candidates.size()));
     }
-    report.merge(
-        validateAgainst<A>(*c.candidates, a.candidates, e.clue.rangeLow()));
+    report.merge(validateAgainst<A>(
+        *static_cast<const lookup::SegmentTable<A>*>(c.anchor), a.candidates,
+        e.clue.rangeLow()));
+    return;
+  }
+  // The trie-walk and LogW continuations are a function of the clue (and
+  // its candidates): rebuild it and compare.
+  const lookup::Continuation want =
+      engine->makeContinuation(e.clue, a.candidates, nullptr);
+  if (c == want) return;
+  switch (method) {
+    case lookup::Method::kRegular:
+      report.add("ClueTable", "dangling-trie-anchor",
+                 clue + ": Ptr names vertex " +
+                     static_cast<const typename trie::BinaryTrie<A>::Node*>(
+                         c.anchor)
+                         ->prefix.toString() +
+                     " which is not the clue's vertex");
+      break;
+    case lookup::Method::kPatricia:
+      report.add("ClueTable", "dangling-patricia-anchor",
+                 clue + ": Ptr names Patricia node " +
+                     static_cast<const typename trie::PatriciaTrie<A>::Node*>(
+                         c.anchor)
+                         ->prefix.toString() +
+                     " which is not the clue's descend anchor");
+      break;
+    case lookup::Method::kStride:
+      report.add("ClueTable", "dangling-stride-anchor",
+                 clue + ": Ptr names the node at depth " +
+                     std::to_string(c.n) + ", the clue determines depth " +
+                     std::to_string(want.n) + " or another node");
+      break;
+    default:
+      report.add("ClueTable", "logw-window-mismatch",
+                 clue + ": stored longest candidate /" + std::to_string(c.n) +
+                     " vs recomputed /" + std::to_string(want.n));
+      break;
   }
 }
 
@@ -132,13 +171,13 @@ void checkClueEntry(const core::ClueEntry<A>& e,
 
 // Validates every active entry of a hash clue table plus the open-addressing
 // structure itself. `t1` null selects Simple analysis; non-null, Advance
-// against that sender table. `patricia` (optional) enables the
-// Patricia-anchor check.
+// against that sender table. `engine` (optional) is the engine that built
+// the continuations, which enables the Ptr checks.
 template <typename A>
 Report validate(const core::HashClueTable<A>& table,
                 const trie::BinaryTrie<A>& t2,
                 std::type_identity_t<const trie::BinaryTrie<A>*> t1 = nullptr,
-                const trie::PatriciaTrie<A>* patricia = nullptr) {
+                const lookup::LookupEngine<A>* engine = nullptr) {
   Report report;
   std::size_t valid_slots = 0;
   for (std::size_t i = 0; i < table.bucketCount(); ++i) {
@@ -163,7 +202,10 @@ Report validate(const core::HashClueTable<A>& table,
                      " is unreachable from home slot " +
                      std::to_string(table.homeSlot(e.clue)));
     }
-    if (e.active) detail::checkClueEntry<A>(e, t2, t1, patricia, report);
+    if (e.active) {
+      detail::checkClueEntry<A>(e, t2, t1, engine, table.candidates(),
+                                report);
+    }
   }
   if (valid_slots != table.size()) {
     report.add("ClueTable", "size-mismatch",
@@ -180,10 +222,13 @@ template <typename A>
 Report validate(const core::IndexedClueTable<A>& table,
                 const trie::BinaryTrie<A>& t2,
                 std::type_identity_t<const trie::BinaryTrie<A>*> t1 = nullptr,
-                const trie::PatriciaTrie<A>* patricia = nullptr) {
+                const lookup::LookupEngine<A>* engine = nullptr) {
   Report report;
   table.forEach([&](const core::ClueEntry<A>& e) {
-    if (e.active) detail::checkClueEntry<A>(e, t2, t1, patricia, report);
+    if (e.active) {
+      detail::checkClueEntry<A>(e, t2, t1, engine, table.candidates(),
+                                report);
+    }
   });
   return report;
 }

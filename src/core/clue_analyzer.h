@@ -3,6 +3,7 @@
 // sets (Definition 1) that restrict the continued search.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -11,8 +12,9 @@
 
 namespace cluert::core {
 
-// How the receiving router may treat a given clue (§3.1.2):
-enum class ClueCase {
+// How the receiving router may treat a given clue (§3.1.2). One byte, so a
+// clue entry packs it into two bits of its flags byte.
+enum class ClueCase : std::uint8_t {
   kAbsent,  // case 1: the clue vertex does not exist in the receiver's trie
   kFinal,   // case 2: Claim 1 holds — the FD is the final answer
   kSearch,  // case 3: a longer match may exist; continue from the clue

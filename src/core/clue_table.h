@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/clue_analyzer.h"
@@ -40,30 +41,67 @@ struct ClueProbeHint {
 };
 
 // One clue table entry: the stored clue (for verification), the FD and the
-// Ptr/continuation (§3.1.1 "Hash table fields"). `ptr_empty` true means the
-// FD is the final decision; false means a case-3 search continues via
-// `cont`. `valid=false` marks a never-used slot (or an inactivated clue,
-// §3.4 "a clue is never removed ... special marking for clues that are not
-// valid").
+// Ptr/continuation (§3.1.1 "Hash table fields"), packed to the size §3.5
+// gives an entry and §4's "same cache line": 32 bytes for IPv4, so a probe
+// reads one line, and 48 for IPv6. Trivially copyable: the §3.5 cache and a
+// batch's queued walks copy what they need of it.
+//
+//  * The FD is a next hop and a length (kNoFd: no FD); its prefix is the
+//    clue's first `fd_len` bits, since the FD is the best match at or above
+//    the clue. A default-route FD is length 0, not kNoFd.
+//  * One flags byte: `valid=false` marks a never-used slot; `active` is the
+//    §3.4 marking ("a clue is never removed from a clues table (this
+//    requires a special marking for clues that are not valid)") — an
+//    inactive entry keeps its slot, so hash probe chains stay intact, but
+//    is treated as a miss until recomputed; `ptr_empty` true means the FD is
+//    the final decision, false that a case-3 search continues via `cont`;
+//    `kase` and `claim1_pruned` are observability only: ptr_empty alone
+//    cannot tell case 1 (vertex absent) from case 2 (Claim 1 / leaf), and
+//    claim1_pruned marks a case 2 owed to Claim-1 pruning (see
+//    ClueAnalysis). Neither is part of §3.5's wire entry.
+//  * `cont` is the engine's continuation (lookup::Continuation); a Binary or
+//    Multiway one anchors a candidate set in the owning table's store.
 template <typename A>
 struct ClueEntry {
+  static constexpr std::uint8_t kNoFd = 0xFF;
+
   ip::Prefix<A> clue;
-  bool valid = false;
-  // §3.4: "insisting that a clue is never removed from a clues table (this
-  // requires a special marking for clues that are not valid)". An inactive
-  // entry keeps its slot (hash probe chains stay intact) but is treated as
-  // a miss until recomputed.
-  bool active = true;
-  std::optional<trie::Match<A>> fd;
-  bool ptr_empty = true;
-  lookup::Continuation<A> cont;
-  // §3.1.2 classification the entry was built under, kept for observability:
-  // ptr_empty alone cannot distinguish case 1 (vertex absent) from case 2
-  // (Claim 1 / leaf). Not part of the wire entry (§3.5 sizing ignores it).
-  ClueCase kase = ClueCase::kAbsent;
-  // Case 2 via Claim-1 pruning specifically (see ClueAnalysis).
-  bool claim1_pruned = false;
+  NextHop fd_hop = kNoNextHop;
+  std::uint8_t fd_len = kNoFd;
+  bool valid : 1 = false;
+  bool active : 1 = true;
+  bool ptr_empty : 1 = true;
+  ClueCase kase : 2 = ClueCase::kAbsent;
+  bool claim1_pruned : 1 = false;
+  lookup::Continuation cont;
+
+  std::optional<trie::Match<A>> fd() const {
+    if (fd_len == kNoFd) return std::nullopt;
+    return trie::Match<A>{clue.truncated(fd_len), fd_hop};
+  }
+
+  // Stores `m`, whose prefix must be at or above the clue (set the clue
+  // first).
+  void setFd(const std::optional<trie::Match<A>>& m) {
+    if (!m) {
+      fd_hop = kNoNextHop;
+      fd_len = kNoFd;
+      return;
+    }
+    CLUERT_DCHECK(m->prefix.isPrefixOf(clue))
+        << "FD " << m->prefix.toString() << " is not at or above clue "
+        << clue.toString();
+    fd_hop = m->next_hop;
+    fd_len = static_cast<std::uint8_t>(m->prefix.length());
+  }
 };
+
+static_assert(std::is_trivially_copyable_v<ClueEntry<ip::Ip4Addr>>);
+static_assert(std::is_trivially_copyable_v<ClueEntry<ip::Ip6Addr>>);
+static_assert(sizeof(ClueEntry<ip::Ip4Addr>) <= 32 &&
+                  64 % sizeof(ClueEntry<ip::Ip4Addr>) == 0,
+              "an IPv4 probe reads one cache line");
+static_assert(sizeof(ClueEntry<ip::Ip6Addr>) <= 48);
 
 // Approximate data-plane footprint of one entry (§3.5 sizes entries at three
 // 4-byte fields: clue value, FD, Ptr).
@@ -150,18 +188,18 @@ class HashClueTable {
     return nullptr;
   }
 
-  // Inserts or overwrites. Control-plane operation (learning §3.3.1 does the
-  // fill-in off the fast path); charges no accesses. Returns false when the
-  // table is full.
+  // Inserts or overwrites; an overwrite releases the replaced entry's
+  // candidate set (see candidates()). Control-plane operation (learning
+  // §3.3.1 does the fill-in off the fast path); charges no accesses. Returns
+  // false when the table is full.
   bool insert(EntryT entry) {
     CLUERT_CHECK(entry.valid) << "inserting an invalid clue entry";
     if (size_ * 2 >= slots_.size()) {
       if (!grow()) return false;
     }
-    const PrefixT clue = entry.clue;
     const std::size_t before = size_;
-    if (!place(std::move(entry))) return false;
-    if (size_ != before) keys_.push_back(clue);
+    if (!place(entry)) return false;
+    if (size_ != before) keys_.push_back(entry.clue);
     return true;
   }
 
@@ -184,6 +222,24 @@ class HashClueTable {
     e->active = active;
     return true;
   }
+
+  // Overwrites `slot`, an entry of this table (from findMutable,
+  // forEachRelated or forEachMutable), with `entry` for the same clue, and
+  // releases the replaced entry's candidate set.
+  void assign(EntryT& slot, const EntryT& entry) {
+    CLUERT_DCHECK(slot.clue == entry.clue)
+        << "assign moves " << slot.clue.toString() << " off its probe chain";
+    candidates_.release(slot.cont.anchor);
+    slot = entry;
+  }
+
+  // The store of the candidate sets this table's Binary and Multiway
+  // continuations anchor: build an entry into it (buildClueEntry's `store`)
+  // before inserting the entry here. The owner calls its reclaim() where no
+  // copy of a replaced entry (a §3.5 cache slot, a queued walk) can still
+  // reach the released sets.
+  lookup::CandidateStore<A>& candidates() { return candidates_; }
+  const lookup::CandidateStore<A>& candidates() const { return candidates_; }
 
   std::size_t size() const { return size_; }
   std::size_t bucketCount() const { return slots_.size(); }
@@ -257,19 +313,20 @@ class HashClueTable {
   // Stores `entry` in its probe chain: a fresh slot (size_ grows) or the
   // one already holding its clue. Does not grow the table and does not
   // touch the key index. False when the table is full.
-  bool place(EntryT entry) {
+  bool place(const EntryT& entry) {
     const std::size_t h = hashOf(entry.clue);
     std::size_t i = h & (slots_.size() - 1);
     for (std::size_t n = 0; n < slots_.size(); ++n) {
       EntryT& e = slots_[i];
       if (!e.valid) {
-        e = std::move(entry);
+        e = entry;
         writeTag(i, lookup::swarTag(h));
         ++size_;
         return true;
       }
       if (e.clue == entry.clue) {
-        e = std::move(entry);
+        candidates_.release(e.cont.anchor);
+        e = entry;
         return true;
       }
       i = (i + 1) % slots_.size();
@@ -284,8 +341,8 @@ class HashClueTable {
     slots_.assign(old.size() * 2, EntryT{});
     tags_.assign(slots_.size() + lookup::kSwarLanes, 0);
     size_ = 0;
-    for (EntryT& e : old) {
-      if (e.valid && !place(std::move(e))) return false;
+    for (const EntryT& e : old) {
+      if (e.valid && !place(e)) return false;
     }
     return true;
   }
@@ -312,6 +369,7 @@ class HashClueTable {
   // keys_[0, sorted_) is in Prefix order; insert appends past it.
   std::vector<PrefixT> keys_;
   std::size_t sorted_ = 0;
+  lookup::CandidateStore<A> candidates_;
 };
 
 // ---------------------------------------------------------------------------
@@ -343,9 +401,12 @@ class IndexedClueTable {
   // overwriting whatever was there before"). An out-of-range index — a
   // corrupted or stale header — is ignored; the packet was already routed
   // by the miss path. Returns whether the slot was written.
-  bool put(std::uint16_t index, EntryT entry) {
+  // The replaced entry's candidate set is released (see
+  // HashClueTable::candidates()).
+  bool put(std::uint16_t index, const EntryT& entry) {
     if (index >= slots_.size()) return false;
-    slots_[index] = std::move(entry);
+    candidates_.release(slots_[index].cont.anchor);
+    slots_[index] = entry;
     return true;
   }
 
@@ -375,10 +436,19 @@ class IndexedClueTable {
     }
   }
 
+  // As HashClueTable's.
+  void assign(EntryT& slot, const EntryT& entry) {
+    candidates_.release(slot.cont.anchor);
+    slot = entry;
+  }
+  lookup::CandidateStore<A>& candidates() { return candidates_; }
+  const lookup::CandidateStore<A>& candidates() const { return candidates_; }
+
   std::size_t capacity() const { return slots_.size(); }
 
  private:
   mem::HugePageVector<EntryT> slots_;  // as HashClueTable::slots_
+  lookup::CandidateStore<A> candidates_;
 };
 
 }  // namespace cluert::core

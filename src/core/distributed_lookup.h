@@ -57,13 +57,16 @@ class ClueIndexer {
 // Control-plane entry construction (procedure new-clue of Figure 5), shared
 // by CluePort (learning, refresh after route updates) and the versioned
 // table builder (src/rib/versioned_tables.h), which constructs whole clue
-// tables for immutable snapshots without owning a port.
+// tables for immutable snapshots without owning a port. `store` is the
+// candidate store of the table the entry goes into (HashClueTable::
+// candidates()); Binary and Multiway need it, the other methods ignore it.
 // ---------------------------------------------------------------------------
 template <typename A>
 ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
                             const trie::BinaryTrie<A>* neighbor_trie,
                             lookup::Method method, lookup::ClueMode mode,
-                            const ip::Prefix<A>& clue) {
+                            const ip::Prefix<A>& clue,
+                            lookup::CandidateStore<A>* store = nullptr) {
   const ClueAnalyzer<A> analyzer(suite.binaryTrie(), neighbor_trie);
   const ClueAnalysis<A> a = mode == lookup::ClueMode::kAdvance
                                 ? analyzer.analyzeAdvance(clue)
@@ -71,12 +74,12 @@ ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
   ClueEntry<A> e;
   e.clue = clue;
   e.valid = true;
-  e.fd = a.fd;
+  e.setFd(a.fd);
   e.kase = a.kase;
   e.claim1_pruned = a.claim1_pruned;
   if (a.kase == ClueCase::kSearch) {
     e.ptr_empty = false;
-    e.cont = suite.engine(method).makeContinuation(clue, a.candidates);
+    e.cont = suite.engine(method).makeContinuation(clue, a.candidates, store);
   }
   return e;
 }
@@ -103,6 +106,10 @@ ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
 //    sender's index. Only Advance entries read the sender's view (Claim 1),
 //    so only they are rebuilt for a withdraw or an announce; a sender-side
 //    reroute moves nothing.
+//  * Every rebuilt entry is built into the table's candidate store and
+//    written through the table's assign(), which releases the candidate set
+//    of the entry it replaces; the owner reclaims released sets where no
+//    copy of an old entry can reach them (lookup::CandidateStore).
 // ---------------------------------------------------------------------------
 
 // A clue entry depends on `changed` iff one is a prefix of the other: FDs
@@ -121,7 +128,8 @@ void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
                  lookup::Method method, lookup::ClueMode mode) {
   using PrefixT = ip::Prefix<A>;
   const auto build = [&](const PrefixT& clue) {
-    return buildClueEntry(suite, neighbor_trie, method, mode, clue);
+    return buildClueEntry(suite, neighbor_trie, method, mode, clue,
+                          &table.candidates());
   };
   const bool local = side == DeltaSide::kLocal;
   if (!local) {
@@ -129,7 +137,7 @@ void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
     if constexpr (std::is_same_v<TableT, HashClueTable<A>>) {
       for (const auto& e : d.added) {
         if (ClueEntry<A>* slot = table.findMutable(e.prefix)) {
-          *slot = build(e.prefix);  // re-announce: fresh and active
+          table.assign(*slot, build(e.prefix));  // re-announce: fresh, active
         } else {
           table.insert(build(e.prefix));
         }
@@ -139,9 +147,9 @@ void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
   }
   const bool anchors_dangle = local && method == lookup::Method::kStride;
   const auto rebuild = [&](ClueEntry<A>& e) {
-    const bool was_active = e.active;
-    e = build(e.clue);
-    e.active = was_active;
+    ClueEntry<A> fresh = build(e.clue);
+    fresh.active = e.active;
+    table.assign(e, fresh);
   };
   if constexpr (std::is_same_v<TableT, HashClueTable<A>>) {
     if (!anchors_dangle) {
@@ -268,12 +276,14 @@ class CluePort {
   }
 
   // Pre-processing construction (§3.3.2): install entries for every clue the
-  // neighbor may send.
+  // neighbor may send. An entry it replaces may sit in the §3.5 cache, so the
+  // cache drops everything, as after a refresh.
   void precompute(std::span<const PrefixT> clues) {
     checkOwnsTables("precompute");
     for (const PrefixT& c : clues) {
-      hash_.insert(makeEntry(c));
+      hash_.insert(makeEntry(c, &hash_.candidates()));
     }
+    cache_.clear();
   }
 
   // Indexed variant of precompute: the sender's enumeration fixes the slots.
@@ -283,7 +293,9 @@ class CluePort {
     CLUERT_CHECK(options_.indexed)
         << "precomputeIndexed on a port built without the indexing technique";
     for (const PrefixT& c : clues) {
-      if (auto idx = indexer.indexOf(c)) indexed_.put(*idx, makeEntry(c));
+      if (auto idx = indexer.indexOf(c)) {
+        indexed_.put(*idx, makeEntry(c, &indexed_.candidates()));
+      }
     }
   }
 
@@ -379,10 +391,12 @@ class CluePort {
   void attachObs(const obs::LookupObs& o) { obs_ = o; }
 
   // Exposed for tests: the control-plane construction of one entry
-  // (procedure new-clue of Figure 5).
-  ClueEntry<A> makeEntry(const PrefixT& clue) const {
+  // (procedure new-clue of Figure 5), its candidate set (Binary, Multiway)
+  // built into `store`, the store of the table it is meant for.
+  ClueEntry<A> makeEntry(const PrefixT& clue,
+                         lookup::CandidateStore<A>* store = nullptr) const {
     return buildClueEntry(*suite_, neighbor_trie_, options_.method,
-                          options_.mode, clue);
+                          options_.mode, clue, store);
   }
 
  private:
@@ -434,12 +448,9 @@ class CluePort {
 
   // Stage 2 for one packet that carries a clue: its live entry — from the
   // §3.5 cache, the indexed slot or the hash table — or nullptr for a miss.
-  // Charges the probe to `acc`, and calls `before_write()` before it fills
-  // the cache.
-  template <typename BeforeWrite>
+  // Charges the probe to `acc`.
   const ClueEntry<A>* probe(Prepared& p, const ClueField& field,
-                            mem::AccessCounter& acc,
-                            const BeforeWrite& before_write) {
+                            mem::AccessCounter& acc) {
     if (indexedProbe(field)) {
       const ClueEntry<A>* slot = indexed_.at(*field.index, acc);
       const bool hit = slot != nullptr && slot->valid && slot->clue == *p.clue;
@@ -453,10 +464,7 @@ class CluePort {
       // table since prepare(); the hint is only valid for its geometry.
       if (p.buckets != table.bucketCount()) p.hint = table.hintFor(*p.clue);
       entry = table.findFrom(p.hint, *p.clue, acc);
-      if (entry != nullptr && entry->active && cache_.enabled()) {
-        before_write();
-        cache_.fill(*entry);
-      }
+      if (entry != nullptr && entry->active) cache_.fill(*entry);
     }
     return entry != nullptr && entry->active ? entry : nullptr;  // §3.4
   }
@@ -475,24 +483,31 @@ class CluePort {
     Prepared* prep = prep_.data();
     lookup::Walk<A>* walks = walks_.data();
 
+    // The candidate sets released since the last call are unreachable here:
+    // no walk is queued yet, and no live §3.5 cache slot holds a replaced
+    // entry. Learning replaces only indexed slots and absent or inactive
+    // hash entries, none of which the cache holds; every other replacement
+    // (precompute, refresh) clears the cache.
+    hash_.candidates().reclaim();
+    indexed_.candidates().reclaim();
+
     for (std::size_t i = 0; i < n; ++i) prep[i] = prepare(dests[i], fields[i]);
 
-    // A queued continuation reads its entry through a pointer into hash_,
-    // indexed_ or cache_, and a learn or a cache fill may move or overwrite
-    // that entry (a grow reallocates every slot). So the probe stage runs
-    // the walks queued so far before it writes any of the three.
+    // A walk carries its continuation and clue length by value, so the
+    // learning and cache fills below may move or overwrite the entry it came
+    // from (a grow reallocates every slot), and a set that learning releases
+    // stays readable until the next call's reclaim.
     std::size_t queued = 0;
-    std::size_t walked = 0;
-    const auto runWalks = [&] {
-      if (walked == queued) return;
-      engine.walkBatch({walks + walked, queued - walked}, neighbor, observed,
-                       acc);
-      walked = queued;
-    };
     const auto queueWalk = [&](Prepared& p, const A& dest,
-                               const lookup::Continuation<A>* cont) {
-      walks[queued].address = dest;
-      walks[queued].cont = cont;
+                               const ClueEntry<A>* entry) {
+      lookup::Walk<A>& w = walks[queued];
+      w.address = dest;
+      if (entry == nullptr) {
+        w.clue_length = lookup::kFullLookup;
+      } else {
+        w.cont = entry->cont;
+        w.clue_length = entry->clue.length();
+      }
       p.walk = static_cast<int>(queued++);
     };
     constexpr auto kTable = static_cast<std::size_t>(mem::Region::kClueTable);
@@ -507,31 +522,28 @@ class CluePort {
         continue;
       }
       const std::uint64_t probe_start = acc.count(mem::Region::kClueTable);
-      const ClueEntry<A>* entry = probe(p, fields[i], acc, runWalks);
+      const ClueEntry<A>* entry = probe(p, fields[i], acc);
       if (entry == nullptr) {
         // "The Clue is not in the Table, never saw this clue": route by a
         // full common lookup, and learn the entry off the fast path
         // (§3.3.1).
         ++stats_.table_misses;
         r = Result{std::nullopt, false, false, false, obs::Outcome::kMiss};
-        if (learns()) {
-          runWalks();
-          learn(*p.clue, fields[i]);
-        }
+        if (learns()) learn(*p.clue, fields[i]);
         queueWalk(p, dests[i], nullptr);
       } else {
         ++stats_.table_hits;
         if (entry->ptr_empty) {
           ++stats_.fd_direct;
-          r = Result{entry->fd, true, true, false};
+          r = Result{entry->fd(), true, true, false};
           r.outcome = entry->kase == ClueCase::kAbsent ? obs::Outcome::kCase1
                                                        : obs::Outcome::kCase2;
           r.claim1_skip = entry->claim1_pruned;
         } else {
           // Case 3: the FD stands unless the walk finds a longer match.
           ++stats_.searched;
-          r = Result{entry->fd, true, true, true, obs::Outcome::kCase3};
-          queueWalk(p, dests[i], &entry->cont);
+          r = Result{entry->fd(), true, true, true, obs::Outcome::kCase3};
+          queueWalk(p, dests[i], entry);
         }
       }
       if (observed) {
@@ -540,7 +552,7 @@ class CluePort {
       }
     }
 
-    runWalks();
+    if (queued != 0) engine.walkBatch({walks, queued}, neighbor, observed, acc);
 
     for (std::size_t i = 0; i < n; ++i) {
       if (prep[i].walk < 0) continue;
@@ -591,11 +603,10 @@ class CluePort {
   }
 
   void learn(const PrefixT& clue, const ClueField& field) {
-    ClueEntry<A> entry = makeEntry(clue);
     if (indexedProbe(field)) {
-      indexed_.put(*field.index, std::move(entry));
+      indexed_.put(*field.index, makeEntry(clue, &indexed_.candidates()));
     } else {
-      hash_.insert(std::move(entry));
+      hash_.insert(makeEntry(clue, &hash_.candidates()));
     }
   }
 

@@ -36,7 +36,7 @@ class BitmapClueTable {
     bool valid = false;
     std::optional<MatchT> fd;          // identical for all neighbors (§3.4)
     std::uint64_t fd_final_bits = 0;   // bit j: Ptr empty w.r.t. neighbor j
-    lookup::Continuation<A> cont;      // shared trie/Patricia anchor
+    lookup::Continuation cont;         // shared trie/Patricia anchor
   };
 
   struct Options {
@@ -73,7 +73,8 @@ class BitmapClueTable {
         e.clue = c;
         e.valid = true;
         e.fd = a.fd;
-        e.cont = engine_.makeContinuation(c, a.candidates);
+        // Trie anchors only (see the constructor): no candidate store.
+        e.cont = engine_.makeContinuation(c, a.candidates, nullptr);
         ++size_;
       }
       if (a.kase != ClueCase::kSearch) {
@@ -91,7 +92,8 @@ class BitmapClueTable {
     const Entry* e = find(clue, acc);
     if (e == nullptr) return engine_.lookup(dest, acc);
     if ((e->fd_final_bits >> j) & 1u) return e->fd;
-    if (auto found = engine_.continueLookup(e->cont, dest, j, acc)) {
+    if (auto found = engine_.continueLookup(e->cont, clue.length(), dest, j,
+                                            acc)) {
       return found;
     }
     return e->fd;
@@ -177,20 +179,20 @@ class SubTableClueTable {
                                 NeighborIndex j,
                                 mem::AccessCounter& acc) const {
     if (const ClueEntry<A>* e = common_.find(clue, acc)) {
-      return e->fd;  // common entries are final by construction
+      return e->fd();  // common entries are final by construction
     }
     const NeighborState* ns = stateOf(j);
     CLUERT_CHECK(ns != nullptr) << "lookup names an unregistered neighbor " << j;
     if (const ClueEntry<A>* e = ns->specific->find(clue, acc)) {
-      if (e->ptr_empty) return e->fd;
+      if (e->ptr_empty) return e->fd();
       const auto neighbor = options_.mode == lookup::ClueMode::kAdvance
                                 ? std::optional<NeighborIndex>(j)
                                 : std::nullopt;
-      if (auto found =
-              engine_.continueLookup(e->cont, dest, neighbor, acc)) {
+      if (auto found = engine_.continueLookup(e->cont, clue.length(), dest,
+                                              neighbor, acc)) {
         return found;
       }
-      return e->fd;
+      return e->fd();
     }
     return engine_.lookup(dest, acc);
   }
@@ -230,32 +232,37 @@ class SubTableClueTable {
       for (const PrefixT& c : ns.clues) senders[c].push_back(&ns);
     }
     for (const auto& [clue, list] : senders) {
+      std::vector<ClueAnalysis<A>> analyses;
+      analyses.reserve(list.size());
       bool all_final = true;
-      std::vector<ClueEntry<A>> entries;
-      entries.reserve(list.size());
       for (const NeighborState* ns : list) {
         ClueAnalyzer<A> analyzer(local_.binaryTrie(), ns->table);
-        const ClueAnalysis<A> a =
-            options_.mode == lookup::ClueMode::kAdvance
-                ? analyzer.analyzeAdvance(clue)
-                : analyzer.analyzeSimple(clue);
+        analyses.push_back(options_.mode == lookup::ClueMode::kAdvance
+                               ? analyzer.analyzeAdvance(clue)
+                               : analyzer.analyzeSimple(clue));
+        all_final = all_final && analyses.back().kase != ClueCase::kSearch;
+      }
+      // Each entry's candidate set goes into the store of the table that
+      // holds the entry.
+      const auto entryFor = [&](const ClueAnalysis<A>& a,
+                                HashClueTable<A>& table) {
         ClueEntry<A> e;
         e.clue = clue;
         e.valid = true;
-        e.fd = a.fd;
+        e.setFd(a.fd);
         if (a.kase == ClueCase::kSearch) {
-          all_final = false;
           e.ptr_empty = false;
-          e.cont = engine_.makeContinuation(clue, a.candidates);
+          e.cont = engine_.makeContinuation(clue, a.candidates,
+                                            &table.candidates());
         }
-        entries.push_back(std::move(e));
-      }
+        return e;
+      };
       if (all_final) {
-        common_.insert(std::move(entries.front()));
+        common_.insert(entryFor(analyses.front(), common_));
       } else {
         for (std::size_t i = 0; i < list.size(); ++i) {
-          const_cast<NeighborState*>(list[i])->specific->insert(
-              std::move(entries[i]));
+          HashClueTable<A>& specific = *list[i]->specific;
+          specific.insert(entryFor(analyses[i], specific));
         }
       }
     }

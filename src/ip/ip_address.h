@@ -47,10 +47,11 @@ class Ip4Addr {
   }
 
   // Keep the top `len` bits, zero the rest. len in [0, 32].
+  // Branch-free for every len in [0, kBits]: the shift runs on 64 bits, so
+  // len 0 shifts every one out of the low word instead of overflowing.
   constexpr Ip4Addr masked(int len) const {
-    if (len <= 0) return Ip4Addr(0);
-    if (len >= kBits) return *this;
-    const std::uint32_t mask = ~std::uint32_t{0} << (kBits - len);
+    const auto mask =
+        static_cast<std::uint32_t>(~std::uint64_t{0} << (kBits - len));
     return Ip4Addr(value_ & mask);
   }
 

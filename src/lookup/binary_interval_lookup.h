@@ -36,29 +36,31 @@ class IntervalLookupBase : public LookupEngine<A> {
     return segments_.lookup(address, fanout_, mem::Region::kIntervalNode, acc);
   }
 
-  Continuation<A> makeContinuation(
-      const PrefixT& clue, std::span<const MatchT> candidates) const override {
-    Continuation<A> c;
-    c.clue = clue;
-    c.candidate_count = static_cast<std::uint32_t>(candidates.size());
-    if (!candidates.empty()) {
-      std::vector<MatchT> cands(candidates.begin(), candidates.end());
-      c.candidates = std::make_shared<SegmentTable<A>>(
-          SegmentTable<A>::build(std::move(cands), clue.rangeLow()));
-    }
-    return c;
+  // The anchor is the candidate set, kept in the clue table's `store`, and
+  // `n` its size.
+  Continuation makeContinuation(const PrefixT& clue,
+                                std::span<const MatchT> candidates,
+                                CandidateStore<A>* store) const override {
+    if (candidates.empty()) return Continuation{};
+    CLUERT_CHECK(store != nullptr)
+        << "a " << methodName(this->method())
+        << " continuation keeps its candidate set in the clue table's store";
+    std::vector<MatchT> cands(candidates.begin(), candidates.end());
+    return Continuation{
+        store->add(SegmentTable<A>::build(std::move(cands), clue.rangeLow())),
+        static_cast<std::uint32_t>(candidates.size())};
   }
 
   std::optional<MatchT> continueLookup(
-      const Continuation<A>& cont, const A& address,
+      const Continuation& cont, int /*clue_length*/, const A& address,
       std::optional<NeighborIndex> /*neighbor*/,
       mem::AccessCounter& acc) const override {
-    if (!cont.candidates) return std::nullopt;
-    if (inline_candidates_ > 0 && cont.candidate_count <= inline_candidates_) {
-      return cont.candidates->scan(address);  // rides the entry's line: free
+    const auto* set = static_cast<const SegmentTable<A>*>(cont.anchor);
+    if (set == nullptr) return std::nullopt;
+    if (inline_candidates_ > 0 && cont.n <= inline_candidates_) {
+      return set->scan(address);  // rides the entry's line: free
     }
-    return cont.candidates->lookup(address, fanout_,
-                                   mem::Region::kCandidateSet, acc);
+    return set->lookup(address, fanout_, mem::Region::kCandidateSet, acc);
   }
 
   std::size_t segmentCount() const { return segments_.segmentCount(); }

@@ -10,6 +10,7 @@ class BitTrieLookup final : public LookupEngine<A> {
  public:
   using PrefixT = ip::Prefix<A>;
   using MatchT = trie::Match<A>;
+  using Node = typename trie::BinaryTrie<A>::Node;
 
   // The engine is a view over the router's trie; `trie` must outlive it.
   explicit BitTrieLookup(const trie::BinaryTrie<A>& trie) : trie_(trie) {}
@@ -21,21 +22,19 @@ class BitTrieLookup final : public LookupEngine<A> {
     return trie_.lookup(address, acc);
   }
 
-  Continuation<A> makeContinuation(
-      const PrefixT& clue,
-      std::span<const MatchT> /*candidates*/) const override {
-    Continuation<A> c;
-    c.clue = clue;
-    c.trie_anchor = trie_.findVertex(clue);
-    return c;
+  Continuation makeContinuation(const PrefixT& clue,
+                                std::span<const MatchT> /*candidates*/,
+                                CandidateStore<A>* /*store*/) const override {
+    return Continuation{trie_.findVertex(clue), 0};
   }
 
-  std::optional<MatchT> continueLookup(const Continuation<A>& cont,
-                                       const A& address,
+  std::optional<MatchT> continueLookup(const Continuation& cont,
+                                       int /*clue_length*/, const A& address,
                                        std::optional<NeighborIndex> neighbor,
                                        mem::AccessCounter& acc) const override {
-    if (cont.trie_anchor == nullptr) return std::nullopt;
-    return trie_.lookupBelow(cont.trie_anchor, address, neighbor, acc);
+    if (cont.anchor == nullptr) return std::nullopt;
+    return trie_.lookupBelow(static_cast<const Node*>(cont.anchor), address,
+                             neighbor, acc);
   }
 
  private:

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -34,44 +35,96 @@
 
 namespace cluert::lookup {
 
-// Per-clue continuation state. A tagged union in spirit: each engine fills
-// in and reads only its own members. Stored inside the clue-table entry as
-// the paper's Ptr field (plus, for the interval methods, the candidate
-// records that share the entry's memory line, §4).
-template <typename A>
+// Per-clue continuation state: the paper's Ptr field (§3.1.1), one anchor
+// word and one 32-bit integer, which each engine reads in its own way:
+//   Regular, Patricia  the anchor is the trie node the walk starts at;
+//   Stride             the anchor is a multibit-trie node, `n` its depth;
+//   LogW               no anchor, `n` is the longest candidate length;
+//   Binary, Multiway   the anchor is the candidate set (a SegmentTable in the
+//                      clue table's CandidateStore), `n` its size.
+// Trivially copyable, so a clue entry holding one is too, and a walk can
+// carry it by value.
 struct Continuation {
-  ip::Prefix<A> clue;
+  const void* anchor = nullptr;
+  std::uint32_t n = 0;
 
-  // kRegular: vertex of the clue in the router's binary trie.
-  const typename trie::BinaryTrie<A>::Node* trie_anchor = nullptr;
-
-  // kPatricia: shallowest Patricia node whose prefix extends the clue.
-  const typename trie::PatriciaTrie<A>::Node* patricia_anchor = nullptr;
-
-  // kBinary / kMultiway: predecessor structure over the candidate set.
-  std::shared_ptr<const SegmentTable<A>> candidates;
-  // Candidate count (for the inline cache-line optimisation).
-  std::uint32_t candidate_count = 0;
-
-  // kLogW: candidate prefix lengths fall within (clue length, max_len].
-  int max_len = 0;
-
-  // kStride: deepest multibit-trie node the clue determines (type-erased:
-  // only StrideTrieLookup reads it back) and its level.
-  const void* stride_anchor = nullptr;
-  int stride_depth = 0;
+  friend bool operator==(const Continuation&, const Continuation&) = default;
 };
 
+// The candidate sets (§4) that Binary and Multiway continuations anchor,
+// owned by the one clue table whose entries hold those continuations (hash,
+// indexed, multi-neighbour or MPLS label table). Overwriting an entry
+// releases its set; a released set stays readable, and its storage is reused
+// only after the owner calls reclaim(), at a point where no copy of the old
+// entry (a §3.5 cache slot, a queued walk) can still reach it. An entry built
+// into a store goes into one slot of that store's table.
+template <typename A>
+class CandidateStore {
+ public:
+  // Takes ownership of `set` and returns the anchor continuations carry.
+  const SegmentTable<A>* add(SegmentTable<A> set) {
+    std::unique_ptr<SegmentTable<A>> slot;
+    if (free_.empty()) {
+      slot = std::make_unique<SegmentTable<A>>(std::move(set));
+    } else {
+      slot = std::move(free_.back());
+      free_.pop_back();
+      *slot = std::move(set);
+    }
+    const SegmentTable<A>* anchor = slot.get();
+    live_.emplace(anchor, std::move(slot));
+    return anchor;
+  }
+
+  // Releases the set `anchor` names. A no-op for an anchor this store does
+  // not hold: the other methods' anchors are trie nodes.
+  void release(const void* anchor) {
+    if (live_.empty()) return;
+    const auto it = live_.find(anchor);
+    if (it == live_.end()) return;
+    released_.push_back(std::move(it->second));
+    live_.erase(it);
+  }
+
+  // Makes the storage of every released set reusable by add(). The data
+  // plane calls it once per resolve, so the common case, nothing released,
+  // is one compare and the move stays out of line.
+  void reclaim() {
+    if (!released_.empty()) reclaimReleased();
+  }
+
+  // Whether `anchor` names a set of this store that no release has retired.
+  bool holds(const void* anchor) const { return live_.count(anchor) != 0; }
+
+ private:
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline))
+#endif
+  void reclaimReleased() {
+    for (auto& set : released_) free_.push_back(std::move(set));
+    released_.clear();
+  }
+
+  std::unordered_map<const void*, std::unique_ptr<SegmentTable<A>>> live_;
+  std::vector<std::unique_ptr<SegmentTable<A>>> released_;
+  std::vector<std::unique_ptr<SegmentTable<A>>> free_;
+};
+
+// The clue length of a walk that is a full lookup.
+inline constexpr int kFullLookup = -1;
+
 // One walk of a batch (LookupEngine::walkBatch): the full lookup of
-// `address` when `cont` is null, else the continuation from `cont`. `cont`
-// must stay valid and unchanged until walkBatch returns. The walk writes its
-// answer to `match` (for a continuation: a match strictly longer than the
-// clue, or nullopt) and, when the caller asks for them, its own charges, by
-// region, to `accesses`.
+// `address` when `clue_length` is kFullLookup, else the continuation `cont`
+// below a clue of `clue_length` bits. Both ride by value, so the walk reads
+// nothing of the clue entry it came from. The walk writes its answer to
+// `match` (for a continuation: a match strictly longer than the clue, or
+// nullopt) and, when the caller asks for them, its own charges, by region,
+// to `accesses`.
 template <typename A>
 struct Walk {
   A address;
-  const Continuation<A>* cont = nullptr;
+  int clue_length = kFullLookup;
+  Continuation cont;
   std::optional<trie::Match<A>> match;
   mem::LookupAccesses accesses{};
 };
@@ -91,16 +144,20 @@ class LookupEngine {
                                        mem::AccessCounter& acc) const = 0;
 
   // Builds per-clue continuation state. `candidates` are the table prefixes
-  // a continued search may still report (all strictly extend `clue`). Called
-  // at clue-table construction / learning time (control plane).
-  virtual Continuation<A> makeContinuation(
-      const PrefixT& clue, std::span<const MatchT> candidates) const = 0;
+  // a continued search may still report (all strictly extend `clue`).
+  // Binary and Multiway keep them, as a set in `store`, which must then be
+  // non-null; the other methods read neither. Called at clue-table
+  // construction / learning time (control plane).
+  virtual Continuation makeContinuation(const PrefixT& clue,
+                                        std::span<const MatchT> candidates,
+                                        CandidateStore<A>* store) const = 0;
 
-  // Finds the best match strictly longer than the clue, or nullopt (caller
-  // then uses the clue entry's FD). `neighbor`, when set, selects the
-  // per-vertex Claim-1 pruning bits (Advance over trie-walk methods, §4).
+  // Finds the best match strictly longer than the clue (`clue_length` bits
+  // long), or nullopt (caller then uses the clue entry's FD). `neighbor`,
+  // when set, selects the per-vertex Claim-1 pruning bits (Advance over
+  // trie-walk methods, §4).
   virtual std::optional<MatchT> continueLookup(
-      const Continuation<A>& cont, const A& address,
+      const Continuation& cont, int clue_length, const A& address,
       std::optional<NeighborIndex> neighbor,
       mem::AccessCounter& acc) const = 0;
 
@@ -114,9 +171,10 @@ class LookupEngine {
                          std::optional<NeighborIndex> neighbor, bool per_walk,
                          mem::AccessCounter& acc) const {
     const auto walk = [&](const Walk<A>& w, mem::AccessCounter& charged) {
-      return w.cont == nullptr
+      return w.clue_length == kFullLookup
                  ? lookup(w.address, charged)
-                 : continueLookup(*w.cont, w.address, neighbor, charged);
+                 : continueLookup(w.cont, w.clue_length, w.address, neighbor,
+                                  charged);
     };
     if (!per_walk) {
       for (Walk<A>& w : walks) w.match = walk(w, acc);

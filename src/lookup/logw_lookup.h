@@ -59,28 +59,30 @@ class LogWLookup final : public LookupEngine<A> {
                         /*min_match_len=*/1, default_route_, acc);
   }
 
-  Continuation<A> makeContinuation(
-      const PrefixT& clue, std::span<const MatchT> candidates) const override {
-    Continuation<A> c;
-    c.clue = clue;
-    c.max_len = 0;
+  Continuation makeContinuation(const PrefixT& /*clue*/,
+                                std::span<const MatchT> candidates,
+                                CandidateStore<A>* /*store*/) const override {
+    int max_len = 0;
     for (const MatchT& m : candidates) {
-      c.max_len = std::max(c.max_len, m.prefix.length());
+      max_len = std::max(max_len, m.prefix.length());
     }
-    return c;
+    return Continuation{nullptr, static_cast<std::uint32_t>(max_len)};
   }
 
+  // `cont.n` bounds the window: candidate lengths fall within (clue length,
+  // cont.n].
   std::optional<MatchT> continueLookup(
-      const Continuation<A>& cont, const A& address,
+      const Continuation& cont, int clue_length, const A& address,
       std::optional<NeighborIndex> /*neighbor*/,
       mem::AccessCounter& acc) const override {
-    const int min_len = cont.clue.length() + 1;
-    if (cont.max_len < min_len) return std::nullopt;
+    const int min_len = clue_length + 1;
+    const int max_len = static_cast<int>(cont.n);
+    if (max_len < min_len) return std::nullopt;
     // Window of length indices covering (clue length, max candidate length].
     const auto lo_it =
         std::lower_bound(lengths_.begin(), lengths_.end(), min_len);
     const auto hi_it =
-        std::upper_bound(lengths_.begin(), lengths_.end(), cont.max_len);
+        std::upper_bound(lengths_.begin(), lengths_.end(), max_len);
     if (lo_it >= hi_it) return std::nullopt;
     const int lo = static_cast<int>(lo_it - lengths_.begin());
     const int hi = static_cast<int>(hi_it - lengths_.begin()) - 1;

@@ -16,6 +16,7 @@ class PatriciaLookup final : public LookupEngine<A> {
  public:
   using PrefixT = ip::Prefix<A>;
   using MatchT = trie::Match<A>;
+  using Node = typename trie::PatriciaTrie<A>::Node;
 
   // The engine is a view over the router's Patricia trie.
   explicit PatriciaLookup(const trie::PatriciaTrie<A>& trie) : trie_(trie) {}
@@ -27,22 +28,19 @@ class PatriciaLookup final : public LookupEngine<A> {
     return trie_.lookup(address, acc);
   }
 
-  Continuation<A> makeContinuation(
-      const PrefixT& clue,
-      std::span<const MatchT> /*candidates*/) const override {
-    Continuation<A> c;
-    c.clue = clue;
-    c.patricia_anchor = trie_.descendAnchor(clue);
-    return c;
+  Continuation makeContinuation(const PrefixT& clue,
+                                std::span<const MatchT> /*candidates*/,
+                                CandidateStore<A>* /*store*/) const override {
+    return Continuation{trie_.descendAnchor(clue), 0};
   }
 
-  std::optional<MatchT> continueLookup(const Continuation<A>& cont,
-                                       const A& address,
+  std::optional<MatchT> continueLookup(const Continuation& cont,
+                                       int clue_length, const A& address,
                                        std::optional<NeighborIndex> neighbor,
                                        mem::AccessCounter& acc) const override {
-    if (cont.patricia_anchor == nullptr) return std::nullopt;
-    return trie_.lookupBelow(cont.patricia_anchor, cont.clue, address,
-                             neighbor, acc);
+    if (cont.anchor == nullptr) return std::nullopt;
+    return trie_.lookupBelow(static_cast<const Node*>(cont.anchor),
+                             clue_length, address, neighbor, acc);
   }
 
   // The interleaved walk: every walk advances one node per round and
@@ -67,10 +65,11 @@ class PatriciaLookup final : public LookupEngine<A> {
       std::uint8_t live[kWindow];
       std::size_t n_live = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const Continuation<A>* cont = batch[i].cont;
-        cur[i] = cont == nullptr
+        const Walk<A>& w = batch[i];
+        cur[i] = w.clue_length == kFullLookup
                      ? trie_.startLookup()
-                     : Trie::startBelow(cont->patricia_anchor, cont->clue);
+                     : Trie::startBelow(static_cast<const Node*>(w.cont.anchor),
+                                        w.clue_length);
         if (per_walk) batch[i].accesses = {};
         if (cur[i].node != nullptr) {
           __builtin_prefetch(cur[i].node);
@@ -84,7 +83,8 @@ class PatriciaLookup final : public LookupEngine<A> {
           const std::size_t i = live[k];
           // Claim-1 pruning is for continuations; a full lookup walks on.
           Trie::step(cur[i], batch[i].address,
-                     batch[i].cont != nullptr ? neighbor : std::nullopt);
+                     batch[i].clue_length != kFullLookup ? neighbor
+                                                         : std::nullopt);
           if (per_walk) ++batch[i].accesses[kTrie];
           if (cur[i].node != nullptr) {
             __builtin_prefetch(cur[i].node);

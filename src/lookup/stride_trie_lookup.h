@@ -63,13 +63,12 @@ class StrideTrieLookup final : public LookupEngine<A> {
     return walk(root_.get(), 0, address, acc);
   }
 
-  Continuation<A> makeContinuation(
-      const PrefixT& clue,
-      std::span<const MatchT> /*candidates*/) const override {
-    Continuation<A> c;
-    c.clue = clue;
-    // The deepest existing node fully determined by the clue: node at
-    // depth k is indexed by bits [0, 8k), so k may reach clue.length()/8.
+  // The anchor is the deepest existing node fully determined by the clue,
+  // and `n` its depth: the node at depth k is indexed by bits [0, 8k), so k
+  // may reach clue.length()/8.
+  Continuation makeContinuation(const PrefixT& clue,
+                                std::span<const MatchT> /*candidates*/,
+                                CandidateStore<A>* /*store*/) const override {
     const Node* node = root_.get();
     int depth = 0;
     while ((depth + 1) * kStrideBits <= clue.length()) {
@@ -79,23 +78,20 @@ class StrideTrieLookup final : public LookupEngine<A> {
       node = next;
       ++depth;
     }
-    c.stride_anchor = node;
-    c.stride_depth = depth;
-    return c;
+    return Continuation{node, static_cast<std::uint32_t>(depth)};
   }
 
   std::optional<MatchT> continueLookup(
-      const Continuation<A>& cont, const A& address,
+      const Continuation& cont, int clue_length, const A& address,
       std::optional<NeighborIndex> /*neighbor*/,
       mem::AccessCounter& acc) const override {
-    const Node* anchor = static_cast<const Node*>(cont.stride_anchor);
+    const Node* anchor = static_cast<const Node*>(cont.anchor);
     if (anchor == nullptr) return std::nullopt;
     // Thanks to full leaf pushing the walk from the anchor finds the global
     // BMP; it answers the continuation iff strictly longer than the clue.
-    const auto best = walk(anchor, cont.stride_depth, address, acc);
-    if (!best || best->prefix.length() <= cont.clue.length()) {
-      return std::nullopt;
-    }
+    const auto best =
+        walk(anchor, static_cast<int>(cont.n), address, acc);
+    if (!best || best->prefix.length() <= clue_length) return std::nullopt;
     return best;
   }
 

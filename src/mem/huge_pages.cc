@@ -28,7 +28,9 @@ bool mapsHugePages() {
 }
 
 void* allocateHuge(std::size_t bytes) {
-  if (!mapped(bytes)) return ::operator new(bytes);
+  if (!mapped(bytes)) {
+    return ::operator new(bytes, std::align_val_t{kCacheLineBytes});
+  }
   const std::size_t len = roundUp(bytes, kSmallPageBytes);
   // Over-map by one huge page and trim both ends, which leaves exactly `len`
   // bytes starting on a 2 MiB boundary.
@@ -52,7 +54,7 @@ void* allocateHuge(std::size_t bytes) {
 
 void deallocateHuge(void* p, std::size_t bytes) noexcept {
   if (!mapped(bytes)) {
-    ::operator delete(p);
+    ::operator delete(p, std::align_val_t{kCacheLineBytes});
     return;
   }
   munmap(p, roundUp(bytes, kSmallPageBytes));

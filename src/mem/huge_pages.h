@@ -1,6 +1,6 @@
 // Large, randomly probed arrays on 2 MiB pages.
 //
-// A clue table at internet scale is ~100 MiB of slots probed at random, one
+// A clue table at internet scale is ~32 MiB of slots probed at random, one
 // slot per packet. On 4 KiB pages nearly every probe also misses the TLB,
 // and in a virtual machine with nested paging a TLB miss walks two page
 // tables. allocateHuge() maps an array of kHugePageBytes or more on its own,
@@ -10,7 +10,8 @@
 //
 // The rule has no option:
 //  * requests under kHugePageBytes take operator new (a huge page would be
-//    mostly empty);
+//    mostly empty), aligned to a cache line, so a slot whose size divides
+//    64 never straddles two lines;
 //  * the mapped length is rounded to 4 KiB only, never to 2 MiB: the tail
 //    past the last whole huge page stays on small pages, so the resident
 //    size does not grow;
@@ -31,13 +32,13 @@ namespace cluert::mem {
 
 inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 inline constexpr std::size_t kSmallPageBytes = std::size_t{4} << 10;
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 // True when requests of kHugePageBytes or more are mapped (every build but
 // the sanitizer builds).
 bool mapsHugePages();
 
-// `bytes` of storage aligned to at least __STDCPP_DEFAULT_NEW_ALIGNMENT__
-// (2 MiB when mapped). Throws std::bad_alloc on failure. Release with
+// `bytes` of storage aligned to kCacheLineBytes (2 MiB when mapped). Throws std::bad_alloc on failure. Release with
 // deallocateHuge and the same `bytes`.
 void* allocateHuge(std::size_t bytes);
 void deallocateHuge(void* p, std::size_t bytes) noexcept;
@@ -45,8 +46,8 @@ void deallocateHuge(void* p, std::size_t bytes) noexcept;
 // A stateless allocator over allocateHuge, for the clue tables' slot arrays.
 template <typename T>
 struct HugePageAllocator {
-  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                "allocateHuge aligns like operator new");
+  static_assert(alignof(T) <= kCacheLineBytes,
+                "allocateHuge aligns to a cache line");
   using value_type = T;
 
   HugePageAllocator() = default;

@@ -35,7 +35,7 @@ struct LabelEntry {
   // the hash function").
   std::optional<trie::Match<A>> fd;
   bool ptr_empty = true;
-  lookup::Continuation<A> cont;
+  lookup::Continuation cont;
 };
 
 // Dense label table: the label is the index; one probe = one access.
@@ -57,10 +57,26 @@ class LabelTable {
     return label < entries_.size() ? &entries_[label] : nullptr;
   }
 
+  // Sets the continuation of `label`'s entry, built into candidates(), and
+  // releases the candidate set of the one it replaces. Control plane only:
+  // the released set's storage is reused at once, so no forwarding may run
+  // concurrently.
+  void setContinuation(Label label, lookup::Continuation cont) {
+    LabelEntry<A>& e = entries_[label];
+    candidates_.release(e.cont.anchor);
+    candidates_.reclaim();
+    e.cont = cont;
+  }
+
+  // The candidate sets (§4) of the entries' Binary and Multiway
+  // continuations.
+  lookup::CandidateStore<A>& candidates() { return candidates_; }
+
   std::size_t size() const { return entries_.size(); }
 
  private:
   std::vector<LabelEntry<A>> entries_;
+  lookup::CandidateStore<A> candidates_;
 };
 
 }  // namespace cluert::mpls

@@ -76,12 +76,11 @@ class MplsRouter {
       LabelEntry<A>* e = labels_.mutableAt(l);
       const auto a = analyzer.analyzeAdvance(e->fec);
       e->fd = a.fd;
-      if (a.kase == core::ClueCase::kSearch) {
-        e->ptr_empty = false;
-        e->cont = engine.makeContinuation(e->fec, a.candidates);
-      } else {
-        e->ptr_empty = true;
-      }
+      e->ptr_empty = a.kase != core::ClueCase::kSearch;
+      labels_.setContinuation(
+          l, e->ptr_empty ? lookup::Continuation{}
+                          : engine.makeContinuation(e->fec, a.candidates,
+                                                    &labels_.candidates()));
     }
   }
 
@@ -110,7 +109,7 @@ class MplsRouter {
         d.match = e->fd;
       } else {
         const auto found = suite_.engine(options_.method)
-                               .continueLookup(e->cont, dest,
+                               .continueLookup(e->cont, e->fec.length(), dest,
                                                options_.neighbor_index, acc);
         d.match = found ? found : e->fd;
       }

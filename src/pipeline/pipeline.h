@@ -202,13 +202,16 @@ class Pipeline {
   WorkerT& worker(std::size_t w) { return *workers_[w]; }
 
   // Installs the clue universe into the shards' one table (§3.3.2
-  // pre-processing). Control-plane: never while run() is in flight.
+  // pre-processing). Control-plane: never while run() is in flight. A
+  // candidate set an overwrite releases is never reclaimed: the shards'
+  // §3.5 caches may still hold copies of the entry it belonged to.
   void precompute(std::span<const PrefixT> clues) {
     CLUERT_CHECK(suite_ != nullptr)
         << "precompute on a versioned pipeline; its versions arrive built";
     for (const PrefixT& c : clues) {
       clues_.insert(core::buildClueEntry(*suite_, neighbor_trie_,
-                                         options_.method, options_.mode, c));
+                                         options_.method, options_.mode, c,
+                                         &clues_.candidates()));
     }
   }
 

@@ -95,8 +95,8 @@ check::Report validateVersion(const TableVersion<A>& v) {
   report.merge(check::validate(v.suite->patricia()));
   const trie::BinaryTrie<A>* t1 =
       v.mode == lookup::ClueMode::kAdvance ? &v.neighbor_trie : nullptr;
-  report.merge(
-      check::validate(v.clues, v.suite->binaryTrie(), t1, &v.suite->patricia()));
+  report.merge(check::validate(v.clues, v.suite->binaryTrie(), t1,
+                               &v.suite->engine(v.method)));
   return report;
 }
 
@@ -259,7 +259,8 @@ class VersionedTables {
     v.clues = core::HashClueTable<A>(neighbor.size() + 16);
     for (const PrefixT& c : neighbor.prefixes()) {
       v.clues.insert(core::buildClueEntry<A>(*v.suite, &v.neighbor_trie,
-                                             v.method, v.mode, c));
+                                             v.method, v.mode, c,
+                                             &v.clues.candidates()));
     }
   }
 
@@ -284,6 +285,10 @@ class VersionedTables {
     v.suite->applyRouteDelta(d.removed, d.upserts());
     core::followDelta(v.clues, d, core::DeltaSide::kLocal, *v.suite,
                       &v.neighbor_trie, v.method, v.mode);
+    // `v` is unpublished or past its grace period: no worker reads it, and a
+    // worker's §3.5 cache copies of its entries are stamped with an older
+    // sequence number, so released candidate sets are unreachable.
+    v.clues.candidates().reclaim();
     return false;
   }
 
@@ -304,6 +309,7 @@ class VersionedTables {
     }
     core::followDelta(v.clues, d, core::DeltaSide::kNeighbor, *v.suite,
                       &v.neighbor_trie, v.method, v.mode);
+    v.clues.candidates().reclaim();  // as in applyLocal
     return false;
   }
 

@@ -191,11 +191,12 @@ check::Report validateConfigState(const lookup::LookupSuite<A>& suite,
   report.merge(check::validate(suite.binaryTrie()));
   report.merge(check::validateEquivalent(suite.binaryTrie(),
                                          suite.patricia()));
+  const auto* engine = &suite.engine(port.options().method);
   report.merge(check::validate(port.hashTable(), suite.binaryTrie(),
-                               t1_for_advance, &suite.patricia()));
+                               t1_for_advance, engine));
   if (port.options().indexed) {
     report.merge(check::validate(port.indexedTable(), suite.binaryTrie(),
-                                 t1_for_advance, &suite.patricia()));
+                                 t1_for_advance, engine));
   }
   return report;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "check/fib_check.h"
 #include "common/check.h"
@@ -32,6 +34,14 @@ struct Stack {
   std::unique_ptr<rib::VersionedTables4> tables;
   std::unique_ptr<pipeline::PinnedResolver<Addr4>> resolver;
 };
+
+// A table's prefixes in prefix order: a Fib keeps its entries in the order
+// its deltas left them.
+std::vector<Prefix4> sortedPrefixes(const Fib4& fib) {
+  std::vector<Prefix4> out = fib.prefixes();
+  std::sort(out.begin(), out.end(), PrefixLess{});
+  return out;
+}
 
 std::string describeMatch(const std::optional<Match4>& m) {
   if (!m) return "(none)";
@@ -131,10 +141,27 @@ HarnessStats runTopoScenario(const TopoScenario& s,
     }
   };
 
+  // Whether every port on an up link has published a neighbor view holding
+  // exactly its sender's FIB prefixes. converged() checks routes, and the
+  // clue views lag them, so a window closes on both (bench_convergence's
+  // rule).
+  const auto viewsSettled = [&] {
+    std::vector<std::optional<std::vector<Prefix4>>> fib_prefixes(topo.nodes);
+    for (RouterId r = 0; r < topo.nodes; ++r) {
+      for (const auto& st : stacks[r]) {
+        if (!rip.topology().linkUp(r, st->nbr)) continue;
+        auto& want = fib_prefixes[st->nbr];
+        if (!want) want = sortedPrefixes(rip.fibOf(st->nbr));
+        if (sortedPrefixes(st->mirror_view) != *want) return false;
+      }
+    }
+    return true;
+  };
+
   // Convergence tracking: an event makes the network dirty; the first
-  // post-tick converged() observation records the transient's length. The
-  // window flags attribute in-window staleness to the event kinds that
-  // opened it (see HarnessStats::stale_during_flap).
+  // post-tick observation of converged routes and settled views records
+  // the transient's length. The window flags attribute in-window staleness
+  // to the event kinds that opened it (see HarnessStats::stale_during_flap).
   bool dirty = false;
   bool window_has_link = false;
   bool window_has_withdraw = false;
@@ -287,7 +314,7 @@ HarnessStats runTopoScenario(const TopoScenario& s,
     rip.tick();
     publishTick();
     if (dirty) {
-      if (rip.converged()) {
+      if (rip.converged() && viewsSettled()) {
         stats.convergence_samples.push_back(rip.now() - last_event_tick);
         dirty = false;
         window_has_link = false;

@@ -137,10 +137,10 @@ class PatriciaTrie {
 
   Walker startLookup() const { return Walker{root_.get(), nullptr, -1}; }
 
-  // The walk of lookupBelow(anchor, clue, ...); a null anchor is a walk that
-  // has already ended.
-  static Walker startBelow(const Node* anchor, const PrefixT& clue) {
-    return Walker{anchor, nullptr, clue.length()};
+  // The walk of lookupBelow(anchor, clue_length, ...); a null anchor is a
+  // walk that has already ended.
+  static Walker startBelow(const Node* anchor, int clue_length) {
+    return Walker{anchor, nullptr, clue_length};
   }
 
   // Visits w.node — the one trie-node access the caller charges — and moves
@@ -191,19 +191,19 @@ class PatriciaTrie {
   }
 
   // Continues a search below the clue: finds the longest marked prefix of
-  // `address` that strictly extends `clue`, starting at `anchor`
+  // `address` longer than the clue's `clue_length` bits, starting at `anchor`
   // (= descendAnchor(clue), already fetched as part of the clue entry's Ptr
   // dereference — its visit is charged here). Returns nullopt if there is no
   // such match; the caller falls back to the clue entry's FD.
   //
   // When `neighbor` is set, the walk additionally stops at nodes whose
   // Claim-1 boolean for that neighbor is false (Advance method, §4).
-  std::optional<MatchT> lookupBelow(const Node* anchor, const PrefixT& clue,
+  std::optional<MatchT> lookupBelow(const Node* anchor, int clue_length,
                                     const A& address,
                                     std::optional<NeighborIndex> neighbor,
                                     mem::AccessCounter& acc) const {
     CLUERT_DCHECK(anchor != nullptr) << "lookupBelow from a null anchor";
-    Walker w = startBelow(anchor, clue);
+    Walker w = startBelow(anchor, clue_length);
     while (w.node != nullptr) {
       acc.add(mem::Region::kTrieNode);
       step(w, address, neighbor);

@@ -230,12 +230,15 @@ struct PortFixture {
         port->hashTable(), suite->binaryTrie(),
         port->options().mode == lookup::ClueMode::kAdvance ? &neighbor_trie
                                                            : nullptr,
-        &suite->patricia());
+        &suite->engine(port->options().method));
+  }
+
+  core::HashClueTable<A>& mutableTable() {
+    return const_cast<core::HashClueTable<A>&>(port->hashTable());
   }
 
   core::ClueEntry<A>* mutableEntry(const ip::Prefix<A>& clue) {
-    return const_cast<core::HashClueTable<A>&>(port->hashTable())
-        .findMutable(clue);
+    return mutableTable().findMutable(clue);
   }
 };
 
@@ -264,7 +267,7 @@ TEST(CheckClueTable, WrongFdIsReported) {
                 nestedTable(), nestedTable());
   auto* e = f.mutableEntry(p4("10.128.0.0/9"));
   ASSERT_NE(e, nullptr);
-  e->fd = Match{p4("10.0.0.0/8"), 99};  // right prefix family, wrong hop
+  e->setFd(Match{p4("10.0.0.0/8"), 99});  // right prefix family, wrong hop
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("fd-mismatch")) << report.toString();
   EXPECT_EQ(report.count("fd-mismatch"), 1u);
@@ -303,7 +306,7 @@ TEST(CheckClueTable, DanglingPatriciaAnchorIsReported) {
   auto* e = f.mutableEntry(p4("10.0.0.0/8"));
   ASSERT_NE(e, nullptr);
   ASSERT_FALSE(e->ptr_empty);
-  e->cont.patricia_anchor = f.suite->patricia().root();  // wrong node
+  e->cont.anchor = f.suite->patricia().root();  // wrong node
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-patricia-anchor")) << report.toString();
 }
@@ -314,7 +317,7 @@ TEST(CheckClueTable, DanglingTrieAnchorIsReported) {
   auto* e = f.mutableEntry(p4("10.0.0.0/8"));
   ASSERT_NE(e, nullptr);
   ASSERT_FALSE(e->ptr_empty);
-  e->cont.trie_anchor = f.suite->binaryTrie().root();  // not the clue vertex
+  e->cont.anchor = f.suite->binaryTrie().root();  // not the clue vertex
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-trie-anchor")) << report.toString();
 }
@@ -325,8 +328,7 @@ TEST(CheckClueTable, PtrWithNoContinuationStateIsReported) {
   auto* e = f.mutableEntry(p4("10.0.0.0/8"));
   ASSERT_NE(e, nullptr);
   ASSERT_FALSE(e->ptr_empty);
-  e->cont = lookup::Continuation<A>{};  // wipe: Ptr now points at nothing
-  e->cont.clue = e->clue;
+  e->cont = lookup::Continuation{};  // wipe: Ptr now points at nothing
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-ptr")) << report.toString();
 }
@@ -337,8 +339,8 @@ TEST(CheckClueTable, CandidateCountMismatchIsReported) {
   auto* e = f.mutableEntry(p4("10.0.0.0/8"));
   ASSERT_NE(e, nullptr);
   ASSERT_FALSE(e->ptr_empty);
-  ASSERT_NE(e->cont.candidates, nullptr);
-  e->cont.candidate_count += 1;
+  ASSERT_NE(e->cont.anchor, nullptr);
+  e->cont.n += 1;
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("candidate-count-mismatch")) << report.toString();
 }
@@ -351,13 +353,50 @@ TEST(CheckClueTable, CorruptedCandidateSetIsReported) {
   ASSERT_FALSE(e->ptr_empty);
   // Rebuild the per-clue segment table over a candidate set with a wrong
   // next hop: the recomputed C1 set disagrees segment by segment.
-  e->cont.candidates = std::make_shared<lookup::SegmentTable<A>>(
+  e->cont.anchor = f.mutableTable().candidates().add(
       lookup::SegmentTable<A>::build({Match{p4("10.128.0.0/9"), 77}},
                                      p4("10.0.0.0/8").rangeLow()));
-  e->cont.candidate_count = 1;
+  e->cont.n = 1;
   const auto report = f.validateHash();
   EXPECT_TRUE(report.has("segment-match-mismatch")) << report.toString();
   EXPECT_TRUE(report.has("candidate-count-mismatch")) << report.toString();
+}
+
+TEST(CheckClueTable, ReleasedCandidateSetIsReported) {
+  // An entry still anchoring a set its table released: the store may hand
+  // that storage to another clue's set at its next reclaim.
+  PortFixture f(lookup::Method::kMultiway, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
+  ASSERT_NE(e, nullptr);
+  ASSERT_FALSE(e->ptr_empty);
+  ASSERT_TRUE(f.validateHash().ok());
+  f.mutableTable().candidates().release(e->cont.anchor);
+  const auto report = f.validateHash();
+  ASSERT_TRUE(report.has("released-candidate-set")) << report.toString();
+  EXPECT_EQ(report.count("released-candidate-set"), 1u);
+}
+
+TEST(CheckClueTable, WrongStrideDepthIsReported) {
+  PortFixture f(lookup::Method::kStride, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
+  ASSERT_NE(e, nullptr);
+  ASSERT_FALSE(e->ptr_empty);
+  e->cont.n += 1;  // the anchor's level, one too deep
+  const auto report = f.validateHash();
+  ASSERT_TRUE(report.has("dangling-stride-anchor")) << report.toString();
+}
+
+TEST(CheckClueTable, WrongLogWWindowIsReported) {
+  PortFixture f(lookup::Method::kLogW, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
+  ASSERT_NE(e, nullptr);
+  ASSERT_FALSE(e->ptr_empty);
+  e->cont.n -= 1;  // the window now ends short of the longest candidate
+  const auto report = f.validateHash();
+  ASSERT_TRUE(report.has("logw-window-mismatch")) << report.toString();
 }
 
 TEST(CheckClueTable, BrokenProbeChainIsReported) {
@@ -392,7 +431,7 @@ TEST(CheckClueTable, InactiveEntriesAreNotAnalyzed) {
                 nestedTable(), nestedTable());
   auto* e = f.mutableEntry(p4("10.0.0.0/8"));
   ASSERT_NE(e, nullptr);
-  e->fd = Match{p4("10.0.0.0/8"), 99};
+  e->setFd(Match{p4("10.0.0.0/8"), 99});
   e->active = false;
   const auto report = f.validateHash();
   EXPECT_TRUE(report.ok()) << report.toString();
@@ -412,20 +451,21 @@ TEST(CheckClueTable, IndexedTableValidatesCleanAndCatchesWrongFd) {
   for (const Match& e : mine) clues.push_back(e.prefix);
   port.precomputeIndexed(clues, indexer);
 
-  auto clean = check::validate(port.indexedTable(), suite.binaryTrie(),
-                               nullptr, &suite.patricia());
+  const auto* engine = &suite.engine(lookup::Method::kPatricia);
+  auto clean =
+      check::validate(port.indexedTable(), suite.binaryTrie(), nullptr, engine);
   EXPECT_TRUE(clean.ok()) << clean.toString();
 
   auto& table = const_cast<core::IndexedClueTable<A>&>(port.indexedTable());
   bool corrupted = false;
   table.forEachMutable([&](core::ClueEntry<A>& e) {
     if (corrupted) return;
-    e.fd = Match{e.clue, 12345};
+    e.setFd(Match{e.clue, 12345});
     corrupted = true;
   });
   ASSERT_TRUE(corrupted);
-  const auto report = check::validate(port.indexedTable(), suite.binaryTrie(),
-                                      nullptr, &suite.patricia());
+  const auto report =
+      check::validate(port.indexedTable(), suite.binaryTrie(), nullptr, engine);
   ASSERT_TRUE(report.has("fd-mismatch")) << report.toString();
 }
 

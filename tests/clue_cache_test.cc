@@ -162,7 +162,7 @@ TEST(ClueCache, SetVersionInvalidatesOnlyOnChange) {
   ClueEntry<A> e;
   e.clue = p4("10.0.0.0/8");
   e.valid = true;
-  e.fd = MatchT{p4("10.0.0.0/8"), 7};
+  e.setFd(MatchT{p4("10.0.0.0/8"), 7});
   cache.fill(e);
   ASSERT_NE(cache.lookup(e.clue), nullptr);
 

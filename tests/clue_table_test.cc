@@ -5,9 +5,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/clue.h"
+#include "core/clue_cache.h"
 #include "core/clue_table.h"
 #include "core/distributed_lookup.h"
 #include "test_util.h"
@@ -25,7 +27,7 @@ Entry entryFor(const ip::Prefix4& clue, NextHop nh) {
   Entry e;
   e.clue = clue;
   e.valid = true;
-  e.fd = trie::Match<A>{clue, nh};
+  e.setFd(trie::Match<A>{clue, nh});
   e.ptr_empty = true;
   return e;
 }
@@ -43,7 +45,7 @@ TEST(HashClueTable, InsertThenFind) {
   mem::AccessCounter acc;
   const Entry* e = t.find(p4("10.0.0.0/8"), acc);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->fd->next_hop, 3u);
+  EXPECT_EQ(e->fd()->next_hop, 3u);
   EXPECT_EQ(t.size(), 1u);
 }
 
@@ -52,8 +54,8 @@ TEST(HashClueTable, SameAddressDifferentLengthAreDistinctClues) {
   t.insert(entryFor(p4("10.0.0.0/8"), 1));
   t.insert(entryFor(p4("10.0.0.0/16"), 2));
   mem::AccessCounter acc;
-  EXPECT_EQ(t.find(p4("10.0.0.0/8"), acc)->fd->next_hop, 1u);
-  EXPECT_EQ(t.find(p4("10.0.0.0/16"), acc)->fd->next_hop, 2u);
+  EXPECT_EQ(t.find(p4("10.0.0.0/8"), acc)->fd()->next_hop, 1u);
+  EXPECT_EQ(t.find(p4("10.0.0.0/16"), acc)->fd()->next_hop, 2u);
 }
 
 TEST(HashClueTable, OverwriteKeepsSize) {
@@ -62,7 +64,7 @@ TEST(HashClueTable, OverwriteKeepsSize) {
   t.insert(entryFor(p4("10.0.0.0/8"), 9));
   EXPECT_EQ(t.size(), 1u);
   mem::AccessCounter acc;
-  EXPECT_EQ(t.find(p4("10.0.0.0/8"), acc)->fd->next_hop, 9u);
+  EXPECT_EQ(t.find(p4("10.0.0.0/8"), acc)->fd()->next_hop, 9u);
 }
 
 TEST(HashClueTable, GrowsBeyondInitialCapacity) {
@@ -304,6 +306,123 @@ TEST(HashClueTable, DenseTableStillResolvesThroughWrappedTagWords) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Entry packing: every field survives every copy the data plane makes
+// ---------------------------------------------------------------------------
+
+template <typename Addr>
+class ClueEntryPacking : public ::testing::Test {};
+
+using PackedFamilies = ::testing::Types<ip::Ip4Addr, ip::Ip6Addr>;
+TYPED_TEST_SUITE(ClueEntryPacking, PackedFamilies);
+
+template <typename Addr>
+Addr packingAddress(std::uint32_t i) {
+  if constexpr (std::is_same_v<Addr, ip::Ip4Addr>) {
+    return Addr(0x0A000000u | (i << 4));
+  } else {
+    return Addr(std::uint64_t{0x20010DB8} << 32, (std::uint64_t{i} << 40) | i);
+  }
+}
+
+// One entry per ClueCase x claim1_pruned x active x ptr_empty x FD (none,
+// /0, /W), each with its own full-length clue and continuation words.
+template <typename Addr>
+std::vector<ClueEntry<Addr>> everyPacking() {
+  std::vector<ClueEntry<Addr>> out;
+  std::uint32_t i = 0;
+  for (const ClueCase kase :
+       {ClueCase::kAbsent, ClueCase::kFinal, ClueCase::kSearch}) {
+    for (const bool claim1 : {false, true}) {
+      for (const bool active : {false, true}) {
+        for (const bool ptr_empty : {false, true}) {
+          for (const int fd_len : {-1, 0, Addr::kBits}) {
+            ClueEntry<Addr> e;
+            e.clue = ip::Prefix<Addr>(packingAddress<Addr>(++i), Addr::kBits);
+            e.valid = true;
+            e.active = active;
+            e.ptr_empty = ptr_empty;
+            e.kase = kase;
+            e.claim1_pruned = claim1;
+            if (fd_len >= 0) {
+              e.setFd(trie::Match<Addr>{e.clue.truncated(fd_len), 1000 + i});
+            }
+            e.cont = lookup::Continuation{
+                reinterpret_cast<const void*>(std::uintptr_t{0x1000} + 8 * i),
+                7 * i + 1};
+            out.push_back(e);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+template <typename Addr>
+void expectSamePacking(const ClueEntry<Addr>& got, const ClueEntry<Addr>& want,
+                       const char* via) {
+  SCOPED_TRACE(std::string(via) + " " + want.clue.toString());
+  EXPECT_EQ(got.clue, want.clue);
+  EXPECT_EQ(got.valid, want.valid);
+  EXPECT_EQ(got.active, want.active);
+  EXPECT_EQ(got.ptr_empty, want.ptr_empty);
+  EXPECT_EQ(got.kase, want.kase);
+  EXPECT_EQ(got.claim1_pruned, want.claim1_pruned);
+  EXPECT_EQ(got.fd(), want.fd());
+  EXPECT_EQ(got.cont, want.cont);
+}
+
+TYPED_TEST(ClueEntryPacking, EveryFieldSurvivesEveryCopy) {
+  using Addr = TypeParam;
+  const auto entries = everyPacking<Addr>();
+  ASSERT_EQ(entries.size(), 3u * 2 * 2 * 2 * 3);
+
+  // The FD's three shapes read back as themselves; the default route is a
+  // /0 FD, not "no FD".
+  for (const auto& e : entries) {
+    const auto fd = e.fd();
+    if (e.fd_len == ClueEntry<Addr>::kNoFd) continue;
+    ASSERT_TRUE(fd.has_value()) << e.clue.toString();
+    EXPECT_EQ(fd->prefix, e.clue.truncated(e.fd_len));
+  }
+  EXPECT_EQ(std::count_if(entries.begin(), entries.end(),
+                          [](const auto& e) {
+                            return e.fd() && e.fd()->prefix.length() == 0;
+                          }),
+            24);
+
+  mem::AccessCounter acc;
+  HashClueTable<Addr> roomy(entries.size());
+  HashClueTable<Addr> growing(1);
+  IndexedClueTable<Addr> indexed(entries.size());
+  ClueCache<Addr> cache(1);
+  const std::size_t first_buckets = growing.bucketCount();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto& e = entries[i];
+    ASSERT_TRUE(roomy.insert(e));
+    ASSERT_TRUE(growing.insert(e));
+    ASSERT_TRUE(indexed.put(static_cast<std::uint16_t>(i), e));
+    cache.fill(e);
+    const ClueEntry<Addr>* cached = cache.lookup(e.clue);
+    ASSERT_NE(cached, nullptr);
+    expectSamePacking(*cached, e, "ClueCache::fill");
+  }
+  ASSERT_GT(growing.bucketCount(), first_buckets) << "the table never grew";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto& e = entries[i];
+    const ClueEntry<Addr>* stored = roomy.find(e.clue, acc);
+    ASSERT_NE(stored, nullptr);
+    expectSamePacking(*stored, e, "HashClueTable::insert");
+    const ClueEntry<Addr>* grown = growing.find(e.clue, acc);
+    ASSERT_NE(grown, nullptr);
+    expectSamePacking(*grown, e, "HashClueTable grow");
+    const ClueEntry<Addr>* slot = indexed.at(static_cast<std::uint16_t>(i), acc);
+    ASSERT_NE(slot, nullptr);
+    expectSamePacking(*slot, e, "IndexedClueTable::put");
+  }
+}
+
 // The AnonHugePages line of the /proc/self/smaps mapping holding `p`.
 std::string anonHugePagesOf(const void* p) {
   const auto at = reinterpret_cast<std::uintptr_t>(p);
@@ -336,10 +455,12 @@ TEST(HashClueTable, InternetScaleSlotsSurviveGrowAndMove) {
     ASSERT_FALSE(e.valid) << "slot " << i;
     ASSERT_TRUE(e.active) << "slot " << i;
     ASSERT_TRUE(e.ptr_empty) << "slot " << i;
-    ASSERT_FALSE(e.fd.has_value()) << "slot " << i;
+    ASSERT_EQ(e.kase, ClueCase::kAbsent) << "slot " << i;
+    ASSERT_FALSE(e.claim1_pruned) << "slot " << i;
+    ASSERT_EQ(e.fd_len, Entry::kNoFd) << "slot " << i;
+    ASSERT_EQ(e.fd_hop, kNoNextHop) << "slot " << i;
     ASSERT_EQ(e.clue, ip::Prefix4{}) << "slot " << i;
-    ASSERT_EQ(e.cont.patricia_anchor, nullptr) << "slot " << i;
-    ASSERT_EQ(e.cont.candidates, nullptr) << "slot " << i;
+    ASSERT_EQ(e.cont, lookup::Continuation{}) << "slot " << i;
   }
   std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
   std::string mode;
@@ -371,7 +492,7 @@ TEST(HashClueTable, InternetScaleSlotsSurviveGrowAndMove) {
   for (std::size_t i = 0; i < n; i += 997) {
     const Entry* e = moved.find(clueOf(i), acc);
     ASSERT_NE(e, nullptr) << "clue " << i;
-    EXPECT_EQ(e->fd->next_hop, static_cast<NextHop>(i));
+    EXPECT_EQ(e->fd()->next_hop, static_cast<NextHop>(i));
   }
 }
 

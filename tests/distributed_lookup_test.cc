@@ -150,11 +150,11 @@ TEST(CluePort, MakeEntryMatchesFigure5) {
   // Claim 1 holds: the only deeper t2 prefix sits behind t1's 10.1/16.
   const auto final_entry = port.makeEntry(p4("10.0.0.0/8"));
   EXPECT_TRUE(final_entry.ptr_empty);
-  EXPECT_EQ(final_entry.fd->prefix, p4("10.0.0.0/8"));
+  EXPECT_EQ(final_entry.fd()->prefix, p4("10.0.0.0/8"));
   // Clue vertex absent: Ptr empty, FD = least marked ancestor.
   const auto absent = port.makeEntry(p4("10.64.0.0/10"));
   EXPECT_TRUE(absent.ptr_empty);
-  EXPECT_EQ(absent.fd->prefix, p4("10.0.0.0/8"));
+  EXPECT_EQ(absent.fd()->prefix, p4("10.0.0.0/8"));
 }
 
 // The central invariant (DESIGN.md #2): clues never change what is routed,

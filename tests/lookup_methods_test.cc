@@ -99,8 +99,10 @@ TEST_P(LookupMethodsTest, ContinuationFindsLongerMatches) {
     for (const auto& e : table) {
       if (clue.isStrictPrefixOf(e.prefix)) cands.push_back(e);
     }
-    const auto cont = engine.makeContinuation(clue, cands);
-    const auto got = engine.continueLookup(cont, dest, std::nullopt, acc);
+    CandidateStore<A> store;
+    const auto cont = engine.makeContinuation(clue, cands, &store);
+    const auto got =
+        engine.continueLookup(cont, clue.length(), dest, std::nullopt, acc);
     if (bmp->prefix.length() > cut) {
       ASSERT_TRUE(got.has_value()) << methodName(GetParam());
       EXPECT_EQ(got->prefix, bmp->prefix);
@@ -144,31 +146,36 @@ TEST_P(LookupBatchTest, WalkBatchMatchesSequentialCalls) {
   suite.annotateNeighbor(kNeighbor, t1);
   const auto& engine = suite.engine(method);
 
-  std::vector<Continuation<A>> conts;
+  CandidateStore<A> store;
+  std::vector<core::ClueEntry<A>> entries;
   for (const ClueMode mode : {ClueMode::kSimple, ClueMode::kAdvance}) {
     for (const auto& e : sender) {
-      auto entry = core::buildClueEntry(suite, &t1, method, mode, e.prefix);
-      if (!entry.ptr_empty) conts.push_back(std::move(entry.cont));
+      auto entry =
+          core::buildClueEntry(suite, &t1, method, mode, e.prefix, &store);
+      if (!entry.ptr_empty) entries.push_back(entry);
     }
   }
-  ASSERT_GT(conts.size(), 100u);
+  ASSERT_GT(entries.size(), 100u);
 
   // Two destinations under each continuation's clue, and as many full
   // lookups again, shuffled so batches mix the two kinds.
   std::vector<Walk<A>> walks;
-  const auto queue = [&](const A& address, const Continuation<A>* cont) {
+  const auto queue = [&](const A& address, const core::ClueEntry<A>* entry) {
     Walk<A> w;
     w.address = address;
-    w.cont = cont;
+    if (entry != nullptr) {
+      w.cont = entry->cont;
+      w.clue_length = entry->clue.length();
+    }
     walks.push_back(w);
   };
-  for (const auto& c : conts) {
+  for (const auto& e : entries) {
     for (int k = 0; k < 2; ++k) {
-      A d = c.clue.addr();
-      for (int b = c.clue.length(); b < A::kBits; ++b) {
+      A d = e.clue.addr();
+      for (int b = e.clue.length(); b < A::kBits; ++b) {
         d = d.withBit(b, static_cast<unsigned>(rng.u32() & 1));
       }
-      queue(d, &c);
+      queue(d, &e);
     }
   }
   for (std::size_t i = 0, n = walks.size(); i < n; ++i) {
@@ -186,9 +193,10 @@ TEST_P(LookupBatchTest, WalkBatchMatchesSequentialCalls) {
     mem::AccessCounter seq_acc;
     for (Walk<A>& w : want) {
       mem::AccessCounter own;
-      w.match = w.cont == nullptr
+      w.match = w.clue_length == kFullLookup
                     ? engine.lookup(w.address, own)
-                    : engine.continueLookup(*w.cont, w.address, neighbor, own);
+                    : engine.continueLookup(w.cont, w.clue_length, w.address,
+                                            neighbor, own);
       w.accesses = mem::lookupDelta(own, mem::AccessCounter{});
       seq_acc += own;
     }
@@ -267,13 +275,42 @@ TEST(LookupMethods, InlineCandidateScanCostsNothing) {
   const auto clue = testutil::p4("10.0.0.0/8");
   std::vector<MatchT> cands{MatchT{testutil::p4("10.1.0.0/16"), 1},
                             MatchT{testutil::p4("10.2.0.0/16"), 2}};
-  const auto cont = engine.makeContinuation(clue, cands);
+  CandidateStore<A> store;
+  const auto cont = engine.makeContinuation(clue, cands, &store);
   mem::AccessCounter acc;
-  const auto m = engine.continueLookup(cont, testutil::a4("10.1.5.5"),
-                                       std::nullopt, acc);
+  const auto m = engine.continueLookup(cont, clue.length(),
+                                       testutil::a4("10.1.5.5"), std::nullopt,
+                                       acc);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->next_hop, 1u);
   EXPECT_EQ(acc.total(), 0u);
+}
+
+// A released candidate set stays readable and keeps its storage until the
+// owner reclaims; only then may add() hand that storage to another set.
+TEST(LookupMethods, CandidateStoreReusesOnlyReclaimedSets) {
+  const auto set = [](std::uint32_t octet) {
+    const auto clue = testutil::p4("10.0.0.0/8");
+    return SegmentTable<A>::build(
+        {MatchT{ip::Prefix4(A((10u << 24) | (octet << 16)), 16), octet}},
+        clue.rangeLow());
+  };
+  CandidateStore<A> store;
+  const SegmentTable<A>* first = store.add(set(1));
+  ASSERT_TRUE(store.holds(first));
+  store.release(first);
+  store.release(&store);  // not one of its sets: a no-op
+  EXPECT_FALSE(store.holds(first));
+  const SegmentTable<A>* second = store.add(set(2));
+  EXPECT_NE(second, first);
+  ASSERT_TRUE(first->scan(testutil::a4("10.1.0.1")).has_value());
+  EXPECT_EQ(first->scan(testutil::a4("10.1.0.1"))->next_hop, 1u);
+  store.reclaim();
+  const SegmentTable<A>* third = store.add(set(3));
+  EXPECT_EQ(third, first);
+  EXPECT_TRUE(store.holds(third));
+  EXPECT_TRUE(store.holds(second));
+  EXPECT_EQ(third->scan(testutil::a4("10.3.0.1"))->next_hop, 3u);
 }
 
 TEST(LookupMethods, MethodNamesAreStable) {

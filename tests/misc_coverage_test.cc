@@ -25,9 +25,9 @@ TEST(LogWWindows, EmptyCandidateWindowReturnsNothing) {
   lookup::LookupSuite<A> suite(table);
   const auto& logw = suite.engine(lookup::Method::kLogW);
   // A clue at full length: no candidates possible.
-  const auto cont = logw.makeContinuation(p4("1.2.3.4/32"), {});
+  const auto cont = logw.makeContinuation(p4("1.2.3.4/32"), {}, nullptr);
   mem::AccessCounter acc;
-  EXPECT_FALSE(logw.continueLookup(cont, a4("1.2.3.4"), std::nullopt, acc)
+  EXPECT_FALSE(logw.continueLookup(cont, 32, a4("1.2.3.4"), std::nullopt, acc)
                    .has_value());
   EXPECT_EQ(acc.total(), 0u);  // decided from the entry alone
 }
@@ -37,9 +37,9 @@ TEST(LogWWindows, OneLengthWindowNeedsOneProbe) {
       {MatchT{p4("10.0.0.0/8"), 1}, MatchT{p4("10.1.0.0/16"), 2}});
   const auto& logw = suite.engine(lookup::Method::kLogW);
   const std::vector<MatchT> cands{MatchT{p4("10.1.0.0/16"), 2}};
-  const auto cont = logw.makeContinuation(p4("10.0.0.0/8"), cands);
+  const auto cont = logw.makeContinuation(p4("10.0.0.0/8"), cands, nullptr);
   mem::AccessCounter acc;
-  const auto hit = logw.continueLookup(cont, a4("10.1.5.5"), std::nullopt,
+  const auto hit = logw.continueLookup(cont, 8, a4("10.1.5.5"), std::nullopt,
                                        acc);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->next_hop, 2u);
@@ -56,10 +56,10 @@ TEST(LogWWindows, DeepVertexWithShallowBmpFallsBack) {
                                 MatchT{p4("10.1.2.0/24"), 2}});
   const auto& logw = suite.engine(lookup::Method::kLogW);
   const std::vector<MatchT> cands{MatchT{p4("10.1.2.0/24"), 2}};
-  const auto cont = logw.makeContinuation(p4("10.0.0.0/8"), cands);
+  const auto cont = logw.makeContinuation(p4("10.0.0.0/8"), cands, nullptr);
   mem::AccessCounter acc;
   // 10.1.9.9 shares the /16 vertex with 10.1.2/24 but never reaches it.
-  EXPECT_FALSE(logw.continueLookup(cont, a4("10.1.9.9"), std::nullopt, acc)
+  EXPECT_FALSE(logw.continueLookup(cont, 8, a4("10.1.9.9"), std::nullopt, acc)
                    .has_value());
 }
 

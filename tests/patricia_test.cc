@@ -144,14 +144,14 @@ TEST(Patricia, LookupBelowRequiresStrictExtension) {
   const auto* anchor = t.descendAnchor(p4("10.0.0.0/8"));
   ASSERT_NE(anchor, nullptr);
   const auto hit =
-      t.lookupBelow(anchor, p4("10.0.0.0/8"), a4("10.1.5.5"), std::nullopt,
+      t.lookupBelow(anchor, 8, a4("10.1.5.5"), std::nullopt,
                     acc);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->next_hop, 2u);
   // Address outside /16: only the clue-level match exists, which does not
   // count as "strictly longer".
   const auto miss =
-      t.lookupBelow(anchor, p4("10.0.0.0/8"), a4("10.2.5.5"), std::nullopt,
+      t.lookupBelow(anchor, 8, a4("10.2.5.5"), std::nullopt,
                     acc);
   EXPECT_FALSE(miss.has_value());
 }
@@ -162,7 +162,7 @@ TEST(Patricia, LookupBelowMidEdgeAnchorVerifiesSkippedBits) {
   const auto* anchor = t.descendAnchor(p4("10.0.0.0/8"));
   ASSERT_NE(anchor, nullptr);
   // Destination matches the clue but not the skipped bits of the anchor.
-  const auto miss = t.lookupBelow(anchor, p4("10.0.0.0/8"), a4("10.7.7.7"),
+  const auto miss = t.lookupBelow(anchor, 8, a4("10.7.7.7"),
                                   std::nullopt, acc);
   EXPECT_FALSE(miss.has_value());
   EXPECT_EQ(acc.total(), 1u);  // exactly the anchor visit
@@ -210,7 +210,8 @@ TEST(Patricia, RandomizedLookupBelowAgainstBruteForce) {
       EXPECT_LE(bmp->prefix.length(), cut);
       continue;
     }
-    const auto below = t.lookupBelow(anchor, clue, dest, std::nullopt, acc);
+    const auto below =
+        t.lookupBelow(anchor, clue.length(), dest, std::nullopt, acc);
     if (bmp->prefix.length() > cut) {
       ASSERT_TRUE(below.has_value());
       EXPECT_EQ(below->prefix, bmp->prefix);

@@ -101,7 +101,7 @@ TEST(Shrink, RespectsEvalBudget) {
 void sabotageFds(core::CluePort<A>& port) {
   auto& hash = const_cast<core::HashClueTable<A>&>(port.hashTable());
   hash.forEachMutable([](core::ClueEntry<A>& e) {
-    if (e.fd) e.fd->next_hop = static_cast<NextHop>(e.fd->next_hop + 100);
+    if (e.fd()) e.fd_hop = static_cast<NextHop>(e.fd_hop + 100);
   });
 }
 

@@ -107,17 +107,18 @@ TEST(StrideTrie, ContinuationStartsDeepAndIsCheaper) {
                                   {p4("10.1.2.128/25"), 4}},
                                  t);
   // Clue /24: anchor sits at level 3; one access answers.
-  const auto cont = engine.makeContinuation(p4("10.1.2.0/24"), {});
+  const auto cont = engine.makeContinuation(p4("10.1.2.0/24"), {}, nullptr);
   mem::AccessCounter acc;
-  const auto m = engine.continueLookup(cont, a4("10.1.2.200"), std::nullopt,
-                                       acc);
+  const auto m = engine.continueLookup(cont, 24, a4("10.1.2.200"),
+                                       std::nullopt, acc);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->next_hop, 4u);
   EXPECT_EQ(acc.total(), 1u);
   // No longer match for an address outside the /25.
   mem::AccessCounter acc2;
   EXPECT_FALSE(engine
-                   .continueLookup(cont, a4("10.1.2.5"), std::nullopt, acc2)
+                   .continueLookup(cont, 24, a4("10.1.2.5"), std::nullopt,
+                                   acc2)
                    .has_value());
 }
 

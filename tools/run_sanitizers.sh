@@ -24,8 +24,9 @@ cd "$(dirname "$0")/.."
 # pointer-chasing ASan/UBSan should watch. CluePort*/ClueTransparency cover
 # the resolve itself (tests/distributed_lookup_test.cc): the four stages over
 # every method, CluePortBatchShape's learning that grows the hash table and
-# overwrites indexed slots mid-batch (ASan's proof that no queued walk reads
-# a moved entry), and the observation post-pass; LookupBatch covers the
+# overwrites indexed slots mid-batch (ASan's proof that a queued walk, which
+# carries its continuation by value, reads no moved entry and no reused
+# candidate set), and the observation post-pass; LookupBatch covers the
 # batched walks, Patricia's interleaved one among them
 # (tests/lookup_methods_test.cc, tests/pipeline_test.cc). Obs* covers the
 # telemetry layer (src/obs/) — its sharded-counter test hammers one Counter
@@ -48,7 +49,12 @@ cd "$(dirname "$0")/.."
 # Daemon/Wire/SendBatch/GroReceive cover the wire datapath (DESIGN.md §9):
 # ASan/UBSan check the GSO run building and the GRO slab walk's offset
 # arithmetic, TSan the daemon's datapath, updater and admin threads.
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive"
+# HashClueTable/IndexedClueTable/ClueCache/ClueEntryPacking/BitmapClueTable/
+# SubTableClueTable/MplsRouter/LookupMethods cover every holder of a
+# continuation: the packed 32/48-byte entries, copied by value into tables,
+# caches and walks, and the per-table candidate stores whose released sets
+# must stay readable until reclaimed (ASan's proof of that lifetime rule).
+DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"

@@ -24,9 +24,7 @@ int main() {
   Rng rng(4242);
   for (const std::size_t count : {500u, 2000u, 8000u}) {
     for (const std::size_t local_only : {count / 20, count / 5}) {
-      filter::RuleGenOptions opt;
-      opt.count = count;
-      const auto r1_rules = filter::generateRules(rng, opt);
+      const auto r1_rules = filter::generateRules(rng, count);
       const auto r2_rules = filter::deriveNeighborRules(
           r1_rules, rng, 0.95, local_only, 0.5,
           static_cast<filter::RuleId>(count * 10));

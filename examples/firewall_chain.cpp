@@ -72,9 +72,7 @@ int main() {
 
   // The same mechanics at scale.
   Rng rng(11);
-  filter::RuleGenOptions opt;
-  opt.count = 3000;
-  const auto big1 = filter::generateRules(rng, opt);
+  const auto big1 = filter::generateRules(rng, 3000);
   const auto big2 = filter::deriveNeighborRules(big1, rng, 0.95, 200, 0.5,
                                                 100'000);
   filter::LinearClassifier<A> b1(big1);

@@ -14,40 +14,27 @@
 
 namespace cluert::filter {
 
-struct RuleGenOptions {
-  std::size_t count = 1000;
-  double wildcard_src_fraction = 0.4;  // firewall rules often ignore src
-  int min_dst_len = 8;
-  int max_dst_len = 28;
-  int min_src_len = 8;
-  int max_src_len = 24;
-  std::uint32_t action_count = 8;
-};
-
-inline std::vector<FilterRule4> generateRules(Rng& rng,
-                                              const RuleGenOptions& opt,
+// `count` distinct rules of 8 actions: 40% ignore the source (firewall
+// rules often do), the rest take a /8-/24 source; destinations are /8-/28.
+inline std::vector<FilterRule4> generateRules(Rng& rng, std::size_t count,
                                               RuleId first_id = 0) {
   std::vector<FilterRule4> out;
-  out.reserve(opt.count);
+  out.reserve(count);
   std::unordered_set<std::uint64_t> seen;
   RuleId id = first_id;
   std::size_t attempts = 0;
-  while (out.size() < opt.count && ++attempts < opt.count * 100 + 1000) {
+  while (out.size() < count && ++attempts < count * 100 + 1000) {
     FilterRule4 r;
     r.id = id;
     r.priority = static_cast<int>(id);  // unique, shared across routers
-    r.action = rng.u32() % opt.action_count;
-    if (rng.chance(opt.wildcard_src_fraction)) {
+    r.action = rng.u32() % 8;
+    if (rng.chance(0.4)) {
       r.src = ip::Prefix4();  // 0.0.0.0/0
     } else {
-      const int len = static_cast<int>(rng.uniform(
-          static_cast<std::uint64_t>(opt.min_src_len),
-          static_cast<std::uint64_t>(opt.max_src_len)));
+      const int len = static_cast<int>(rng.uniform(8, 24));
       r.src = ip::Prefix4(ip::Ip4Addr(rng.u32()), len);
     }
-    const int dlen = static_cast<int>(rng.uniform(
-        static_cast<std::uint64_t>(opt.min_dst_len),
-        static_cast<std::uint64_t>(opt.max_dst_len)));
+    const int dlen = static_cast<int>(rng.uniform(8, 28));
     r.dst = ip::Prefix4(ip::Ip4Addr(rng.u32()), dlen);
     const std::uint64_t key =
         (static_cast<std::uint64_t>(std::hash<ip::Prefix4>{}(r.src)) << 1) ^

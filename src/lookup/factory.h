@@ -25,7 +25,6 @@ constexpr std::uint32_t methodBit(Method m) {
 inline constexpr std::uint32_t kAllMethodsMask = (1u << kMethodCount) - 1;
 
 struct SuiteOptions {
-  unsigned multiway_fanout = MultiwayLookup<ip::Ip4Addr>::kDefaultFanout;
   // See IntervalLookupBase: candidate sets up to this size are scanned for
   // free ("same cache line as the clue entry", §4). 0 = disabled.
   unsigned inline_candidates = 0;
@@ -132,8 +131,8 @@ class LookupSuite {
                               : nullptr;
     engines_[idx(Method::kMultiway)] =
         want(Method::kMultiway)
-            ? std::make_unique<MultiwayLookup<A>>(
-                  trie_, options_.multiway_fanout, options_.inline_candidates)
+            ? std::make_unique<MultiwayLookup<A>>(trie_,
+                                                  options_.inline_candidates)
             : nullptr;
     engines_[idx(Method::kLogW)] =
         want(Method::kLogW) ? std::make_unique<LogWLookup<A>>(trie_) : nullptr;

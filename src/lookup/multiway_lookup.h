@@ -11,12 +11,11 @@ namespace cluert::lookup {
 template <typename A>
 class MultiwayLookup final : public IntervalLookupBase<A> {
  public:
-  static constexpr unsigned kDefaultFanout = 6;
+  static constexpr unsigned kFanout = 6;
 
   explicit MultiwayLookup(const trie::BinaryTrie<A>& table,
-                          unsigned fanout = kDefaultFanout,
                           unsigned inline_candidates = 0)
-      : IntervalLookupBase<A>(table, fanout, inline_candidates) {}
+      : IntervalLookupBase<A>(table, kFanout, inline_candidates) {}
 
   Method method() const override { return Method::kMultiway; }
 };

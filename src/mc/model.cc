@@ -547,7 +547,7 @@ class Scheduler {
         abortAll();
         break;
       }
-      if (++steps_ > opt_.max_steps && abort_reason_ == AbortReason::kNone) {
+      if (++steps_ > kMaxSteps && abort_reason_ == AbortReason::kNone) {
         abort_reason_ = AbortReason::kTruncate;
         abortAll();
         break;
@@ -1059,14 +1059,12 @@ class Scheduler {
 
   void traceOp(const char* what, const void* obj, int mo, std::uint64_t value,
                int idx) {
-    if (!opt_.collect_trace) return;
     const AtomicState& a = atomics_[obj];
     trace_ << "T" << current_ << " a" << a.id << "." << what << "("
            << orderName(mo) << ") = " << value << " [#" << idx << "]\n";
   }
 
   void trace(const std::string& line) {
-    if (!opt_.collect_trace) return;
     trace_ << line << "\n";
   }
 

@@ -96,10 +96,11 @@ struct Options {
   // search useful — raise it to widen coverage at exponential cost.
   int preemption_bound = 4;
   long max_executions = 2'000'000;
-  long max_steps = 20'000;   // per execution; exceeding => truncated path
   long time_budget_ms = 0;   // 0 = unbounded; smoke runs set it
-  bool collect_trace = true;
 };
+
+// Steps per execution; exceeding it truncates the path.
+inline constexpr long kMaxSteps = 20'000;
 
 struct Result {
   bool found_violation = false;
@@ -109,7 +110,7 @@ struct Result {
   bool complete = false;
   long executions = 0;
   long sleep_pruned = 0;   // branches cut by sleep sets
-  long truncated = 0;      // executions that hit max_steps
+  long truncated = 0;      // executions that hit kMaxSteps
   bool hit_execution_cap = false;
   bool hit_time_budget = false;
   std::string summary() const;

@@ -25,8 +25,11 @@ class MplsRouter {
     // §5.1: at aggregation points, continue from the clue implied by the
     // label instead of doing a full lookup.
     bool clue_integrated = false;
-    NeighborIndex neighbor_index = 0;
   };
+
+  // The Claim-1 neighbor index of the upstream table: a router integrates
+  // the clues of one upstream neighbor.
+  static constexpr NeighborIndex kUpstream = 0;
 
   MplsRouter(RouterId id, rib::Fib<A> fib, const Options& options)
       : id_(id),
@@ -69,7 +72,7 @@ class MplsRouter {
   }
 
   void integrateClues(const trie::BinaryTrie<A>& upstream_table) {
-    suite_.annotateNeighbor(options_.neighbor_index, upstream_table);
+    suite_.annotateNeighbor(kUpstream, upstream_table);
     core::ClueAnalyzer<A> analyzer(suite_.binaryTrie(), &upstream_table);
     const auto& engine = suite_.engine(options_.method);
     for (Label l = 0; l < labels_.size(); ++l) {
@@ -110,7 +113,7 @@ class MplsRouter {
       } else {
         const auto found = suite_.engine(options_.method)
                                .continueLookup(e->cont, e->fec.length(), dest,
-                                               options_.neighbor_index, acc);
+                                               kUpstream, acc);
         d.match = found ? found : e->fd;
       }
     } else {

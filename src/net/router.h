@@ -7,13 +7,11 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/distributed_lookup.h"
 #include "net/packet.h"
-#include "obs/hooks.h"
 #include "rib/fib.h"
 #include "common/check.h"
 
@@ -45,12 +43,6 @@ class Router {
     std::function<bool(const ip::Prefix<A>&)> clue_export_filter;
     lookup::Method method = lookup::Method::kPatricia;
     lookup::ClueMode mode = lookup::ClueMode::kAdvance;
-    bool learn = true;
-    // Non-null: this router feeds the shared registry — per-port lookup
-    // metrics and the router_forward_total family, all labelled
-    // {router="<id>"} so co-hosted routers stay distinguishable. The
-    // registry must outlive the router.
-    obs::MetricRegistry* registry = nullptr;
   };
 
   Router(RouterId id, rib::Fib<A> fib, const Config& config)
@@ -58,25 +50,7 @@ class Router {
         config_(config),
         fib_(std::move(fib)),
         suite_(std::vector<MatchT>(fib_.entries().begin(),
-                                   fib_.entries().end())) {
-    if (config_.registry != nullptr) {
-      const obs::Labels labels{{"router", std::to_string(id_)}};
-      forwarded_ = &config_.registry
-                        ->counter("router_forward_total",
-                                  "Packets processed by Router::forward",
-                                  labels)
-                        .shard(0);
-      delivered_ = &config_.registry
-                        ->counter("router_delivered_total",
-                                  "Packets that matched a locally originated "
-                                  "route",
-                                  labels)
-                        .shard(0);
-      config_.registry
-          ->gauge("router_fib_entries", "Installed FIB entries", labels)
-          .set(static_cast<double>(fib_.size()));
-    }
-  }
+                                   fib_.entries().end())) {}
 
   RouterId id() const { return id_; }
   const rib::Fib<A>& fib() const { return fib_; }
@@ -102,20 +76,12 @@ class Router {
     opt.method = config_.method;
     opt.mode = sender_clues_genuine ? config_.mode
                                     : lookup::ClueMode::kSimple;
-    opt.learn = config_.learn;
     opt.neighbor_index = next_neighbor_index_++;
     CLUERT_CHECK(opt.neighbor_index < kMaxAnnotatedNeighbors)
         << "router has more clue neighbors than the continue-bit mask holds";
     opt.expected_clues = fib_.size() + 16;
-    auto port =
-        std::make_unique<core::CluePort<A>>(suite_, neighbor_trie, opt);
-    if (config_.registry != nullptr) {
-      // Routers run single-threaded in the simulator, so every port shares
-      // shard 0; the {router=...} label keeps series distinct per router.
-      port->attachObs(obs::LookupObs::bind(
-          *config_.registry, 0, {{"router", std::to_string(id_)}}));
-    }
-    ports_.emplace(neighbor, std::move(port));
+    ports_.emplace(neighbor, std::make_unique<core::CluePort<A>>(
+                                 suite_, neighbor_trie, opt));
   }
 
   struct Decision {
@@ -141,10 +107,6 @@ class Router {
       d.match = suite_.engine(config_.method).lookup(packet.dest, acc);
     }
     d.delivered = d.match && d.match->next_hop == id_;
-    if (forwarded_ != nullptr) {
-      forwarded_->inc();
-      if (d.delivered) delivered_->inc();
-    }
 
     // Outgoing clue policy (§5.3).
     if (config_.clue_enabled && config_.attach_clue && d.match) {
@@ -174,8 +136,6 @@ class Router {
   lookup::LookupSuite<A> suite_;
   std::unordered_map<RouterId, std::unique_ptr<core::CluePort<A>>> ports_;
   NeighborIndex next_neighbor_index_ = 0;
-  obs::CounterCell* forwarded_ = nullptr;
-  obs::CounterCell* delivered_ = nullptr;
 };
 
 using Router4 = Router<ip::Ip4Addr>;

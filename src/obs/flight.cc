@@ -82,10 +82,13 @@ void FlightRing::pushAt(std::uint64_t ns, FlightKind kind, std::uint64_t a,
                         std::uint64_t b) {
   const std::uint64_t i = n_.load(std::memory_order_relaxed);
   Slot& s = slots_[i & (kCapacity - 1)];
-  s.ns.store(ns, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.meta.store(packMeta(kind, worker_), std::memory_order_relaxed);
+  // Release slot stores: a reader whose acquire load returns one of them
+  // also sees this thread's earlier n_ = i, so its re-read of n_ discards
+  // the index this push laps (i - kCapacity).
+  s.ns.store(ns, std::memory_order_release);
+  s.a.store(a, std::memory_order_release);
+  s.b.store(b, std::memory_order_release);
+  s.meta.store(packMeta(kind, worker_), std::memory_order_release);
   // Release-publish: a reader that acquires n_ >= i+1 sees this slot's
   // fields. (Single writer, so the relaxed read-modify of n_ above is the
   // only producer of i.)
@@ -100,20 +103,21 @@ std::vector<FlightEvent> FlightRing::snapshot() const {
   for (std::uint64_t i = first; i < n0; ++i) {
     const Slot& s = slots_[i & (kCapacity - 1)];
     FlightEvent e;
-    e.ns = s.ns.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    const std::uint16_t meta = s.meta.load(std::memory_order_relaxed);
+    e.ns = s.ns.load(std::memory_order_acquire);
+    e.a = s.a.load(std::memory_order_acquire);
+    e.b = s.b.load(std::memory_order_acquire);
+    const std::uint16_t meta = s.meta.load(std::memory_order_acquire);
     e.kind = static_cast<FlightKind>(meta & 0xff);
     e.worker = static_cast<std::uint8_t>(meta >> 8);
     out.push_back(e);
   }
-  // Anything the writer lapped while we copied may be torn — drop it. The
-  // writer may also be MID-push of event n1 right now (slot fields stored,
-  // count not yet published), and that slot is shared with event index
-  // n1 - kCapacity, so index n1 - kCapacity itself must go too: only
-  // indices strictly above it are provably untouched. The acquire pairs
-  // with the writer's release, so everything kept is whole.
+  // Anything the writer lapped while we copied may be torn — drop it. A
+  // copied field from a lapping push j + kCapacity synchronizes with its
+  // release store, so this re-read returns at least j + kCapacity and drops
+  // j. The writer may also be MID-push of event n1 right now (slot fields
+  // stored, count not yet published), and that slot is shared with event
+  // index n1 - kCapacity, so index n1 - kCapacity itself must go too: only
+  // indices strictly above it are provably untouched.
   const std::uint64_t n1 = n_.load(std::memory_order_acquire);
   const std::uint64_t valid_first =
       n1 >= kCapacity ? n1 - kCapacity + 1 : 0;
@@ -130,10 +134,13 @@ void FlightRing::dumpTo(int fd) const {
   const std::uint64_t first = n0 > kCapacity ? n0 - kCapacity : 0;
   for (std::uint64_t i = first; i < n0; ++i) {
     const Slot& s = slots_[i & (kCapacity - 1)];
-    const std::uint64_t ns = s.ns.load(std::memory_order_relaxed);
-    const std::uint64_t a = s.a.load(std::memory_order_relaxed);
-    const std::uint64_t b = s.b.load(std::memory_order_relaxed);
-    const std::uint16_t meta = s.meta.load(std::memory_order_relaxed);
+    const std::uint64_t ns = s.ns.load(std::memory_order_acquire);
+    const std::uint64_t a = s.a.load(std::memory_order_acquire);
+    const std::uint64_t b = s.b.load(std::memory_order_acquire);
+    const std::uint16_t meta = s.meta.load(std::memory_order_acquire);
+    // snapshot()'s discard rule, per event: skip an index the writer has
+    // lapped, or may be lapping, since the copy began.
+    if (i + kCapacity <= n_.load(std::memory_order_acquire)) continue;
     const FlightKind kind = static_cast<FlightKind>(meta & 0xff);
     const std::uint8_t worker = static_cast<std::uint8_t>(meta >> 8);
 

@@ -4,23 +4,28 @@
 // soak that dies still leaves its last few thousand events behind. Dumped
 // on SIGQUIT / fatal signal and via the /debug/flight admin endpoint.
 //
-// Concurrency model (the memory-ordering argument, also in DESIGN.md §11):
+// Concurrency model (the memory-ordering argument, also in DESIGN.md §11.3):
 // each FlightRing has exactly ONE writer thread (the owning datapath shard,
 // or a control-plane thread) and any number of concurrent readers. A push
-// writes the slot's fields with relaxed atomic stores, then publishes by
-// storing the monotonically increasing event count `n_` with release. A
-// reader loads `n_` with acquire (so every slot at index < n_ has its
-// fields visible), copies the window [max(0, n-capacity), n) with relaxed
-// loads, then re-loads `n_` as n': any copied index the writer may have
-// touched in the meantime is discarded as potentially torn — that is every
-// index <= n' - capacity, because the writer can be mid-push of event n'
-// (slot fields stored, count not yet published) and that push reuses the
-// slot of event n' - capacity. A snapshot of a full ring therefore yields
-// at most capacity-1 events, trading one slot for tear-freedom.
+// of event i stores the slot's fields with release, then publishes by
+// storing the monotonically increasing event count `n_` = i+1 with release.
+// A reader loads `n_` with acquire (so every slot at index < n_ has its
+// fields visible), copies the window [max(0, n-capacity), n) with acquire
+// loads, then re-loads `n_` as n' and discards every index <= n' - capacity
+// as potentially torn. Why that catches every lap: a push of event
+// j + capacity into index j's slot comes after the writer's store
+// `n_` = j + capacity, so a copied field holding that push's value
+// synchronizes with its release store, and the re-read (which the acquire
+// keeps after the copy) returns n' >= j + capacity. The writer can also be
+// mid-push of event n' itself (some fields stored, count not yet
+// published), and that push reuses the slot of event n' - capacity, hence
+// the inclusive bound. A snapshot of a full ring therefore yields at most
+// capacity-1 events, trading one slot for tear-freedom. On x86 the release
+// stores and acquire loads are plain moves, so this ordering costs nothing.
 // The writer never waits, never locks, never allocates — a push is a
-// handful of relaxed stores plus one release store, O(ns) regardless of
-// ring occupancy — and a reader returns only fully published, untorn
-// events. Readers are also safe from a signal handler: dumpTo(fd) formats
+// handful of stores, O(ns) regardless of ring occupancy — and a reader
+// returns only fully published, untorn events. Readers are also safe from
+// a signal handler: dumpTo(fd) applies the same discard per event, formats
 // into stack buffers and calls only write(2).
 #pragma once
 
@@ -94,7 +99,8 @@ class FlightRing {
   std::vector<FlightEvent> snapshot() const;
 
   // Any thread, async-signal-safe: one "flight <worker> <ns> <kind> <a> <b>"
-  // line per event to `fd` using only write(2) and stack formatting.
+  // line per untorn event (snapshot()'s discard, checked per event) to `fd`
+  // using only write(2) and stack formatting.
   void dumpTo(int fd) const;
 
  private:

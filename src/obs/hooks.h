@@ -7,9 +7,9 @@
 // default-constructed bundle is inert; CluePort tests it once per resolve
 // call, not per packet.
 //
-// Metric names are fixed here so every producer (CluePort, Worker, Router,
-// benches) feeds the same series and DESIGN.md can map them to the paper's
-// §6 tables.
+// Metric names are fixed here so every producer (CluePort, Worker, the netio
+// datapath, VersionedTables, benches) feeds the same series and DESIGN.md
+// can map them to the paper's §6 tables.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,7 @@ struct LookupObs {
   bool attached() const { return metricsEnabled() || record_accesses; }
 
   // Resolves the instruments in `reg`, pinning this bundle to `shard`.
-  // `extra` labels distinguish co-hosted producers (e.g. {"router", "2"});
+  // `extra` labels distinguish co-hosted producers (e.g. {"shard", "2"});
   // the same labels must be used when reading the series back.
   static LookupObs bind(MetricRegistry& reg, std::size_t shard,
                         const Labels& extra = {});

@@ -12,8 +12,8 @@
 //   * count version changes so callers can report how often the data plane
 //     actually observed a swap.
 //
-// The optional `under_guard` callback runs after the resolve while the pin
-// is still held — the hook the netio datapath's and the topology harness's
+// The `under_guard` callback runs after the resolve while the pin is still
+// held — the hook the netio datapath's and the topology harness's
 // differential oracles use to compare every port result against brute-force
 // BMP over the pinned version's local table (a check after the guard dropped
 // could race a swap).
@@ -41,7 +41,14 @@ class PinnedResolver {
 
   // Attaches the epoch-versioned table source (control-plane, before the
   // first resolve). Null detaches: the port must then be bound statically.
-  void bindVersions(rib::VersionedTables<A>* versions) { versions_ = versions; }
+  void bindVersions(rib::VersionedTables<A>* versions) {
+    CLUERT_CHECK(versions == nullptr ||
+                 port_->options().neighbor_index == rib::kVersionNeighbor)
+        << "a version-bound port walks with the versions' neighbor index "
+        << rib::kVersionNeighbor << ", not "
+        << port_->options().neighbor_index;
+    versions_ = versions;
+  }
 
   std::uint64_t versionChanges() const { return version_changes_; }
   void resetVersionChanges() { version_changes_ = 0; }
@@ -72,14 +79,6 @@ class PinnedResolver {
     port_->processBatch(dests, clues, results, acc);
     under_guard(version);
     return seq;
-  }
-
-  std::uint64_t resolve(std::span<const A> dests,
-                        std::span<const core::ClueField> clues,
-                        std::span<typename PortT::Result> results,
-                        mem::AccessCounter& acc) {
-    return resolve(dests, clues, results, acc,
-                   [](const rib::TableVersion<A>*) {});
   }
 
  private:

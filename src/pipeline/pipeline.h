@@ -37,7 +37,6 @@
 
 #include "common/stats.h"
 #include "mem/alloc_hook.h"
-#include "mem/arena.h"
 #include "pipeline/packet_batch.h"
 #include "pipeline/spsc_ring.h"  // not on run()'s path; see spsc_ring.h
 #include "pipeline/worker.h"
@@ -71,7 +70,6 @@ struct PipelineOptions {
   bool learn = false;
   std::size_t expected_clues = 1 << 10;
   std::size_t cache_entries = 0;
-  NeighborIndex neighbor_index = 0;
 
   // Observability (src/obs/). `registry` non-null: every shard binds its
   // per-worker metric cells (lookup_case_total, lookup_accesses, ...) and
@@ -159,9 +157,8 @@ class Pipeline {
   // plane work (the Advance neighbor annotation, port construction) runs
   // here, on the calling thread, strictly before any worker thread exists.
   // Each shard's unbound port is bound once to the suite and the shared
-  // table. Shards are placed in the pipeline's arena, each on its own
-  // cache-line boundary — no worker's hot state shares a line with
-  // another's.
+  // table. One pipeline serves one sender, so the annotation uses neighbor
+  // index 0, the index the shards' ports walk with.
   Pipeline(lookup::LookupSuite<A>& suite,
            const trie::BinaryTrie<A>* neighbor_trie,
            const PipelineOptions& options)
@@ -173,7 +170,7 @@ class Pipeline {
     if (options_.mode == lookup::ClueMode::kAdvance) {
       CLUERT_CHECK(neighbor_trie != nullptr)
           << "Advance requires the neighbor's prefix view (Claim 1)";
-      suite.annotateNeighbor(options_.neighbor_index, *neighbor_trie);
+      suite.annotateNeighbor(0, *neighbor_trie);
     }
     for (std::size_t w = 0; w < options_.workers; ++w) {
       addWorker(w).port().bindVersion(0, suite, clues_, neighbor_trie);
@@ -240,7 +237,7 @@ class Pipeline {
     // The pipeline is reusable: zero the per-run counters while every shard
     // is quiescent (joined last run, none started yet), so stats describe
     // THIS run.
-    for (auto* w : workers_) w->resetRunCounters();
+    for (auto& w : workers_) w->resetRunCounters();
     const std::size_t n = workers_.size();
     const auto runShard = [this, in, out, version_out, n](std::size_t w) {
       const std::size_t first = in.size() * w / n;
@@ -270,7 +267,7 @@ class Pipeline {
   // tools/trace_merge.py --require-hops 1.
   std::vector<obs::PacketSpan> drainSpans() {
     std::vector<obs::PacketSpan> out;
-    for (auto* w : workers_) {
+    for (auto& w : workers_) {
       const std::vector<obs::PacketSpan> spans = w->drainSpans();
       out.insert(out.end(), spans.begin(), spans.end());
     }
@@ -282,24 +279,21 @@ class Pipeline {
   }
 
  private:
-  // Places shard `w`, with an unbound port, in the arena and attaches its
-  // observability.
+  // Builds shard `w` with an unbound port and attaches its observability.
   WorkerT& addWorker(std::size_t w) {
     typename PortT::Options popt;
     popt.method = options_.method;
     popt.mode = options_.mode;
     popt.learn = false;
-    popt.neighbor_index = options_.neighbor_index;
     popt.cache_entries = options_.cache_entries;
-    WorkerT* worker =
-        arena_.template create<WorkerT>(w, std::make_unique<PortT>(popt));
-    workers_.push_back(worker);
+    WorkerT& worker = *workers_.emplace_back(
+        std::make_unique<WorkerT>(w, std::make_unique<PortT>(popt)));
     const std::uint32_t span_every =
         options_.trace.enabled ? options_.trace.sample_every : 0;
     if (options_.registry != nullptr || span_every != 0) {
-      worker->enableObs(options_.registry, span_every, options_.seed);
+      worker.enableObs(options_.registry, span_every, options_.seed);
     }
-    return *worker;
+    return worker;
   }
 
   static PipelineOptions sanitized(PipelineOptions o) {
@@ -369,16 +363,14 @@ class Pipeline {
   PipelineOptions options_;
   std::size_t requested_workers_ = 0;
   // The static pipeline's suite, sender view and one clue table (null, null
-  // and empty for a versioned pipeline). Declared before arena_ so the table
-  // outlives the shards whose ports point at it.
+  // and empty for a versioned pipeline). Declared before workers_ so the
+  // table outlives the shards whose ports point at it.
   const lookup::LookupSuite<A>* suite_ = nullptr;
   const trie::BinaryTrie<A>* neighbor_trie_ = nullptr;
   core::HashClueTable<A> clues_;
-  // Shard placement: each Worker starts on its own cache-line boundary in
-  // the arena (destroyed LIFO with it). The vector holds non-owning
-  // pointers.
-  mem::Arena arena_;
-  std::vector<WorkerT*> workers_;
+  // Shard placement: Worker is alignas(64), so aligned new starts each
+  // shard on its own cache line, and no two shards share one.
+  std::vector<std::unique_ptr<WorkerT>> workers_;
 };
 
 using Pipeline4 = Pipeline<ip::Ip4Addr>;

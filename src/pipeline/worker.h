@@ -234,8 +234,8 @@ class Worker {
   std::unique_ptr<Tracing> tracing_;
   obs::WorkerObs wobs_;
   // The batch run() gathers into and its resolve results; members (not
-  // stack arrays) so the shard's hot scratch lives inside its arena
-  // placement, cache-line aligned.
+  // stack arrays) so the shard's hot scratch lives inside its own
+  // cache-line-aligned allocation (alignas(64) makes Worker 64-aligned).
   PacketBatch<A> batch_;
   alignas(64) std::array<typename PortT::Result, kMaxBatch> results_;
 };

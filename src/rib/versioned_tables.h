@@ -78,8 +78,12 @@ struct alignas(64) TableVersion {
   core::HashClueTable<A> clues{0};
   lookup::Method method = lookup::Method::kPatricia;
   lookup::ClueMode mode = lookup::ClueMode::kSimple;
-  NeighborIndex neighbor_index = 0;
 };
+
+// The Claim-1 neighbor index of every version: one clue table serves one
+// sender, so an Advance version annotates its suite for neighbor 0, the
+// index every port bound to it must walk with (PinnedResolver checks it).
+inline constexpr NeighborIndex kVersionNeighbor = 0;
 
 // Re-derives every invariant of a version from scratch: FIB well-formedness,
 // FIB <-> trie agreement, trie structure, and field-by-field clue-entry
@@ -114,7 +118,6 @@ class VersionedTables {
   struct Options {
     lookup::Method method = lookup::Method::kPatricia;
     lookup::ClueMode mode = lookup::ClueMode::kSimple;
-    NeighborIndex neighbor_index = 0;
     // Deltas touching more than this fraction of the receiver table fall
     // back to a full rebuild: past that point re-deriving everything is
     // cheaper than patching, and it sheds accumulated §3.4-inactive slots.
@@ -237,7 +240,6 @@ class VersionedTables {
                  const Fib<A>& neighbor) {
     v.method = options_.method;
     v.mode = options_.mode;
-    v.neighbor_index = options_.neighbor_index;
     v.local = local;
     v.neighbor = neighbor;
     v.neighbor_trie = neighbor.buildTrie();
@@ -251,7 +253,7 @@ class VersionedTables {
     v.suite = std::make_unique<lookup::LookupSuite<A>>(
         std::vector<EntryT>{entries.begin(), entries.end()}, sopt);
     if (v.mode == lookup::ClueMode::kAdvance) {
-      v.suite->annotateNeighbor(v.neighbor_index, v.neighbor_trie);
+      v.suite->annotateNeighbor(kVersionNeighbor, v.neighbor_trie);
     }
     // Fresh clue table over the sender's prefix universe. §3.4-inactive
     // entries are *dropped* here, not carried over: a missing entry is a
@@ -305,7 +307,7 @@ class VersionedTables {
     applyDelta(v.neighbor, d);
     applyDelta(v.neighbor_trie, d);
     if (v.mode == lookup::ClueMode::kAdvance) {
-      v.suite->annotateNeighbor(v.neighbor_index, v.neighbor_trie);
+      v.suite->annotateNeighbor(kVersionNeighbor, v.neighbor_trie);
     }
     core::followDelta(v.clues, d, core::DeltaSide::kNeighbor, *v.suite,
                       &v.neighbor_trie, v.method, v.mode);

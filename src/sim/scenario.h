@@ -89,17 +89,22 @@ struct Scenario {
 using Scenario4 = Scenario<ip::Ip4Addr>;
 using Scenario6 = Scenario<ip::Ip6Addr>;
 
-// Knobs for the generator. Every `max_*` is an inclusive upper bound for a
-// weighted draw; the defaults produce scenarios small enough that the full
-// 24-config differential run of one scenario takes a few milliseconds.
+// The generator's fixed shape: receiver tables of [kMinTable, kMaxTable]
+// prefixes, deltas of up to kMaxBurst withdraws and as many re-announces,
+// and one churn step in four on the sender. Small enough that
+// the full 24-config differential run of one scenario takes a few
+// milliseconds.
+inline constexpr std::size_t kMinTable = 48;
+inline constexpr std::size_t kMaxTable = 400;
+inline constexpr std::size_t kMaxBurst = 8;
+inline constexpr double kNeighborChurnFraction = 0.25;
+
+// Knobs for the generator. `max_churn_steps` is an inclusive upper bound for
+// a weighted draw.
 struct GenOptions {
-  std::size_t min_table = 48;
-  std::size_t max_table = 400;
   std::size_t packets = 600;
-  // Churn: number of mid-stream deltas and the per-delta burst size.
+  // Churn: number of mid-stream deltas.
   std::size_t max_churn_steps = 6;
-  std::size_t max_burst = 8;
-  double neighbor_churn_fraction = 0.25;  // of churn steps, hit the sender
   // Fault injection: probability a packet carries any fault; the specific
   // fault is drawn from `fault_weights` (indexed by Fault, kNone excluded
   // from the draw — weight 0 entries are never drawn).
@@ -210,9 +215,9 @@ Scenario<A> generateScenario(std::uint64_t seed, const GenOptions& opt = {}) {
   // the sweep fast while still visiting large tables); the sender is derived
   // as a neighbor with drawn similarity — the similarity knobs are exactly
   // what controls how many problematic clues exist (§6 Table 2).
-  const std::size_t span = opt.max_table - opt.min_table;
+  const std::size_t span = kMaxTable - kMinTable;
   const std::size_t receiver_size =
-      opt.min_table + std::min(rng.index(span + 1), rng.index(span + 1));
+      kMinTable + std::min(rng.index(span + 1), rng.index(span + 1));
   rib::GenOptions<A> gen;
   gen.size = receiver_size;
   gen.histogram = detail::defaultHistogram<A>();
@@ -245,7 +250,7 @@ Scenario<A> generateScenario(std::uint64_t seed, const GenOptions& opt = {}) {
     for (std::size_t k = 0; k < steps; ++k) {
       schedule.emplace_back(
           opt.packets == 0 ? 0 : rng.index(opt.packets + 1),
-          rng.chance(opt.neighbor_churn_fraction));
+          rng.chance(kNeighborChurnFraction));
     }
     std::stable_sort(schedule.begin(), schedule.end(),
                      [](const auto& x, const auto& y) {
@@ -256,9 +261,9 @@ Scenario<A> generateScenario(std::uint64_t seed, const GenOptions& opt = {}) {
       step.neighbor = neighbor;
       step.after_packet = after;
       step.delta = neighbor ? detail::drawDelta(rng, cur_send, withdrawn_send,
-                                                opt.max_burst)
+                                                kMaxBurst)
                             : detail::drawDelta(rng, cur_recv, withdrawn_recv,
-                                                opt.max_burst);
+                                                kMaxBurst);
       if (!step.delta.empty()) s.churn.push_back(std::move(step));
     }
   }

@@ -22,6 +22,9 @@ namespace {
 using Fib4 = rib::Fib<Addr4>;
 using Match4 = trie::Match<Addr4>;
 
+constexpr std::size_t kCacheEntries = 64;  // per-port §3.5 clue cache
+constexpr int kPacketTtl = 64;
+
 // One ingress port: router `owner`'s data plane for packets arriving from
 // static neighbor `nbr`. Owns the full epoch-versioned stack; `mirror_*`
 // are the control plane's view of what has been published so far, diffed
@@ -82,8 +85,10 @@ HarnessStats runTopoScenario(const TopoScenario& s,
                              const HarnessOptions& opt) {
   CLUERT_CHECK(s.mode != lookup::ClueMode::kCommon)
       << "topology harness needs a clue mode";
-  const Topology topo = s.topology();
-  RipNetwork rip(topo, opt.rip);
+  RipNetwork rip(s.topology(), opt.rip);
+  // The one copy of the link state: setLink flips it, and the forward loop
+  // reads it.
+  const Topology& topo = rip.topology();
   HarnessStats stats;
 
   // One stack per (router, static-edge neighbor), neighbor ids ascending.
@@ -110,7 +115,7 @@ HarnessStats runTopoScenario(const TopoScenario& s,
       core::CluePort<Addr4>::Options popt;
       popt.method = s.method;
       popt.mode = s.mode;
-      popt.cache_entries = opt.cache_entries;
+      popt.cache_entries = kCacheEntries;
       st->resolver = std::make_unique<pipeline::PinnedResolver<Addr4>>(
           std::make_unique<core::CluePort<Addr4>>(popt), /*worker_id=*/0);
       st->resolver->bindVersions(st->tables.get());
@@ -149,7 +154,7 @@ HarnessStats runTopoScenario(const TopoScenario& s,
     std::vector<std::optional<std::vector<Prefix4>>> fib_prefixes(topo.nodes);
     for (RouterId r = 0; r < topo.nodes; ++r) {
       for (const auto& st : stacks[r]) {
-        if (!rip.topology().linkUp(r, st->nbr)) continue;
+        if (!topo.linkUp(r, st->nbr)) continue;
         auto& want = fib_prefixes[st->nbr];
         if (!want) want = sortedPrefixes(rip.fibOf(st->nbr));
         if (sortedPrefixes(st->mirror_view) != *want) return false;
@@ -174,7 +179,7 @@ HarnessStats runTopoScenario(const TopoScenario& s,
     RouterId at = pkt.src;
     RouterId from = kNoRouter;
     core::ClueField clue = core::ClueField::none();
-    int ttl = opt.packet_ttl;
+    int ttl = kPacketTtl;
     int hop = 0;
     ++stats.injected;
     for (;;) {
@@ -259,7 +264,9 @@ HarnessStats runTopoScenario(const TopoScenario& s,
         return;
       }
       if (!topo.linkUp(at, nh)) {
-        ++stats.down_link_drops;  // transient: FIB not yet reconverged
+        // Unreachable while RIP kills every route across a link the moment
+        // it goes down: no published FIB points across a dead link.
+        ++stats.down_link_drops;
         return;
       }
       if (--ttl <= 0) {

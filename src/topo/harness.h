@@ -39,8 +39,6 @@ struct HarnessOptions {
   // each final live version. Expensive; tests keep it on, bench turns it
   // off for the big packet counts.
   bool validate_publishes = true;
-  std::size_t cache_entries = 64;  // per-port §3.5 clue cache
-  int packet_ttl = 64;
   RipOptions rip;
 };
 

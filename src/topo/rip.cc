@@ -8,14 +8,13 @@ namespace cluert::topo {
 
 RipNetwork::RipNetwork(Topology topo, const RipOptions& opt)
     : topo_(std::move(topo)), opt_(opt) {
-  CLUERT_CHECK(opt_.infinity >= 2) << "infinity metric too small";
   CLUERT_CHECK(opt_.update_interval >= 1) << "update interval must be >= 1";
   routers_.resize(topo_.nodes);
 }
 
 void RipNetwork::killRoute(RipRoute& rt) {
-  if (!rt.alive(opt_.infinity)) return;
-  rt.metric = opt_.infinity;
+  if (!rt.alive()) return;
+  rt.metric = kInfinity;
   rt.expire_tick = -1;
   rt.gc_tick = tick_ + opt_.gc_ticks;
   rt.changed = true;
@@ -71,17 +70,17 @@ void RipNetwork::processUpdate(const RipMessage& m) {
     // Clue-view maintenance first: a poisoned entry means the sender still
     // holds the route (split horizon hid the metric, not the prefix); only
     // a genuinely dead advertisement evicts it from the view.
-    if (w.metric >= opt_.infinity && !w.poisoned) {
+    if (w.metric >= kInfinity && !w.poisoned) {
       view.erase(w.prefix);
     } else {
       view[w.prefix] = true;
     }
     // Bellman-Ford with receiver-side +1, clamped at infinity. Poisoned
     // entries are unreachable-via-this-neighbor for routing purposes.
-    const int m2 = std::min(w.metric + 1, opt_.infinity);
+    const int m2 = std::min(w.metric + 1, kInfinity);
     auto it = rtr.routes.find(w.prefix);
     if (it == rtr.routes.end()) {
-      if (m2 >= opt_.infinity) continue;  // don't learn dead routes
+      if (m2 >= kInfinity) continue;  // don't learn dead routes
       RipRoute& rt = rtr.routes[w.prefix];
       rt.prefix = w.prefix;
       rt.next_hop = m.from;
@@ -96,14 +95,14 @@ void RipNetwork::processUpdate(const RipMessage& m) {
     if (rt.next_hop == m.from) {
       // Update from the current next hop: always believed, refreshes the
       // timeout, and a metric change (including to infinity) propagates.
-      if (m2 < opt_.infinity) {
+      if (m2 < kInfinity) {
         rt.expire_tick = tick_ + opt_.timeout_ticks;
         rt.gc_tick = -1;
       }
       if (rt.metric != m2) {
         rt.metric = m2;
         rt.changed = true;
-        if (m2 >= opt_.infinity) {
+        if (m2 >= kInfinity) {
           rt.expire_tick = -1;
           rt.gc_tick = tick_ + opt_.gc_ticks;
         }
@@ -145,15 +144,15 @@ void RipNetwork::emitUpdates() {
       msg.from = r;
       msg.to = nbr;
       for (const auto& [p, rt] : rtr.routes) {
-        if (!full && !(opt_.triggered_updates && rt.changed)) continue;
+        if (!full && !rt.changed) continue;
         WireRoute w;
         w.prefix = p;
         w.metric = rt.metric;
-        if (opt_.split_horizon_poison && rt.next_hop == nbr) {
+        if (rt.next_hop == nbr) {
           // Poisoned reverse: advertise infinity back toward the next hop,
           // flagging live routes so the neighbor's clue view keeps them.
-          w.poisoned = rt.alive(opt_.infinity);
-          w.metric = opt_.infinity;
+          w.poisoned = rt.alive();
+          w.metric = kInfinity;
         }
         msg.routes.push_back(w);
       }
@@ -189,7 +188,7 @@ rib::Fib<Addr4> RipNetwork::fibOf(RouterId r) const {
   CLUERT_CHECK(r < routers_.size()) << "fibOf: router out of range";
   std::vector<rib::Fib<Addr4>::EntryT> entries;
   for (const auto& [p, rt] : routers_[r].routes) {
-    if (!rt.alive(opt_.infinity)) continue;
+    if (!rt.alive()) continue;
     entries.push_back(rib::Fib<Addr4>::EntryT{p, rt.next_hop});
   }
   return rib::Fib<Addr4>(std::move(entries));
@@ -216,7 +215,7 @@ std::optional<int> RipNetwork::expectedMetric(RouterId r,
     if (!routers_[o].originated.count(p)) continue;
     best = std::min(best, dist[o]);
   }
-  if (best >= std::min(Topology::kUnreachable, opt_.infinity)) {
+  if (best >= std::min(Topology::kUnreachable, kInfinity)) {
     return std::nullopt;
   }
   return best;
@@ -228,7 +227,7 @@ bool RipNetwork::converged() const {
     // Every live route must be a shortest path to some current originator.
     for (const auto& [p, rt] : routers_[r].routes) {
       const auto want = expectedMetric(r, p);
-      if (!rt.alive(opt_.infinity)) {
+      if (!rt.alive()) {
         // Dead routes awaiting GC are fine only if the prefix really is
         // gone/unreachable; otherwise we have not re-learned it yet.
         if (want.has_value()) return false;
@@ -251,13 +250,13 @@ bool RipNetwork::converged() const {
     }
     // No reachable prefix may be missing.
     for (RouterId o = 0; o < routers_.size(); ++o) {
-      if (dist[o] == Topology::kUnreachable || dist[o] >= opt_.infinity) {
+      if (dist[o] == Topology::kUnreachable || dist[o] >= kInfinity) {
         continue;
       }
       for (const auto& [p, _] : routers_[o].originated) {
         auto it = routers_[r].routes.find(p);
         if (it == routers_[r].routes.end()) return false;
-        if (!it->second.alive(opt_.infinity)) return false;
+        if (!it->second.alive()) return false;
       }
     }
   }

@@ -42,13 +42,13 @@ struct PrefixLess {
   }
 };
 
+// RIP's unreachable metric (RFC 2453): the count-to-infinity cap.
+inline constexpr int kInfinity = 16;
+
 struct RipOptions {
   int update_interval = 8;  // ticks between periodic full updates
   int timeout_ticks = 48;   // silence before a route is declared dead (6x)
   int gc_ticks = 32;        // dead-route advertisement window before delete
-  int infinity = 16;        // RIP's unreachable metric (count-to-infinity cap)
-  bool triggered_updates = true;
-  bool split_horizon_poison = true;
 
   // Ticks within which any single event (flap, withdraw, origination) must
   // reconverge the whole network: metric can climb by one per 2-tick
@@ -56,7 +56,7 @@ struct RipOptions {
   // window, and timer-driven expiry plus periodic-update phase add slack.
   // Property tests assert convergence against exactly this bound.
   int convergenceBound() const {
-    return 2 * infinity + timeout_ticks + gc_ticks + 2 * update_interval;
+    return 2 * kInfinity + timeout_ticks + gc_ticks + 2 * update_interval;
   }
 };
 
@@ -65,10 +65,10 @@ struct RipRoute {
   RouterId next_hop = kNoRouter;  // neighbor id; own id when originated
   int metric = 0;
   int expire_tick = -1;  // tick at which the route times out; <0 never
-  int gc_tick = -1;      // >=0: dead (metric==infinity), delete at this tick
+  int gc_tick = -1;      // >=0: dead (metric==kInfinity), delete at this tick
   bool changed = false;  // pending triggered-update flag
 
-  bool alive(int infinity) const { return metric < infinity; }
+  bool alive() const { return metric < kInfinity; }
 };
 
 // One entry of an update message. `poisoned` is the clue rider (see header

@@ -62,9 +62,7 @@ TEST(LinearClassifier, HighestPriorityWins) {
 
 TEST(HierarchicalClassifier, AgreesWithLinearOnRandomRules) {
   Rng rng(31);
-  RuleGenOptions opt;
-  opt.count = 400;
-  const auto rules = generateRules(rng, opt);
+  const auto rules = generateRules(rng, 400);
   LinearClassifier<A> lin(rules);
   HierarchicalClassifier<A> hier(rules);
   mem::AccessCounter acc;
@@ -80,9 +78,7 @@ TEST(HierarchicalClassifier, AgreesWithLinearOnRandomRules) {
 
 TEST(HierarchicalClassifier, UsesFewerAccessesThanLinear) {
   Rng rng(32);
-  RuleGenOptions opt;
-  opt.count = 2000;
-  const auto rules = generateRules(rng, opt);
+  const auto rules = generateRules(rng, 2000);
   LinearClassifier<A> lin(rules);
   HierarchicalClassifier<A> hier(rules);
   mem::AccessCounter lin_acc, hier_acc;
@@ -140,9 +136,7 @@ TEST(ClueClassifier, UnknownClueFallsBackToFullClassification) {
 TEST(ClueClassifier, TransparencyOnRandomPolicies) {
   Rng rng(77);
   for (int round = 0; round < 3; ++round) {
-    RuleGenOptions opt;
-    opt.count = 300;
-    const auto r1_rules = generateRules(rng, opt);
+    const auto r1_rules = generateRules(rng, 300);
     const auto r2_rules = deriveNeighborRules(
         r1_rules, rng, 0.8, 60, 0.5, /*first_fresh_id=*/10'000);
     LinearClassifier<A> r1(r1_rules);
@@ -172,9 +166,7 @@ TEST(ClueClassifier, TransparencyOnRandomPolicies) {
 
 TEST(ClueClassifier, RestrictedScanIsCheaperThanFull) {
   Rng rng(88);
-  RuleGenOptions opt;
-  opt.count = 1500;
-  const auto r1_rules = generateRules(rng, opt);
+  const auto r1_rules = generateRules(rng, 1500);
   const auto r2_rules =
       deriveNeighborRules(r1_rules, rng, 0.9, 100, 0.5, 10'000);
   LinearClassifier<A> r1(r1_rules);
@@ -198,9 +190,7 @@ TEST(ClueClassifier, MostCluesNeedNoCandidates) {
   // The classification analogue of Claim 1's 95%+: when the neighbor's rule
   // set nearly contains the local one, most clue rules have no survivors.
   Rng rng(99);
-  RuleGenOptions opt;
-  opt.count = 800;
-  const auto shared = generateRules(rng, opt);
+  const auto shared = generateRules(rng, 800);
   const auto r2_rules = deriveNeighborRules(shared, rng, 1.0, 30, 0.6, 5000);
   ClueClassifier<A> cc(r2_rules, shared);
   EXPECT_GT(cc.emptyCandidateClues() * 2, cc.clueCount());

@@ -5,11 +5,9 @@
 #include <fstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "mem/access_counter.h"
 #include "mem/alloc_hook.h"
-#include "mem/arena.h"
 #include "mem/huge_pages.h"
 
 namespace cluert::mem {
@@ -120,44 +118,6 @@ TEST(CacheLineModel, LinesForRoundsUp) {
   EXPECT_EQ(m.linesFor(2), 1u);
   EXPECT_EQ(m.linesFor(3), 2u);
   EXPECT_EQ(m.linesFor(7), 4u);
-}
-
-TEST(Arena, AllocationsAreCacheLineAligned) {
-  Arena arena(1024);
-  for (int i = 0; i < 16; ++i) {
-    void* p = arena.allocate(1 + static_cast<std::size_t>(i) * 7);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % Arena::kAlign, 0u);
-  }
-}
-
-TEST(Arena, GrowsPastTheInitialBlock) {
-  Arena arena(256);  // force block chaining
-  std::vector<void*> ptrs;
-  for (int i = 0; i < 64; ++i) ptrs.push_back(arena.allocate(200));
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < ptrs.size(); ++j) {
-      EXPECT_NE(ptrs[i], ptrs[j]);
-    }
-  }
-  EXPECT_GE(arena.used(), 64u * 200u);
-}
-
-TEST(Arena, CreateRunsDestructorsInLifoOrder) {
-  struct Probe {
-    std::vector<int>* log;
-    int id;
-    Probe(std::vector<int>* l, int i) : log(l), id(i) {}
-    ~Probe() { log->push_back(id); }
-  };
-  std::vector<int> log;
-  {
-    Arena arena(256);
-    arena.create<Probe>(&log, 1);
-    arena.create<Probe>(&log, 2);
-    arena.create<Probe>(&log, 3);
-    EXPECT_TRUE(log.empty());  // nothing destroyed while the arena lives
-  }
-  EXPECT_EQ(log, (std::vector<int>{3, 2, 1}));
 }
 
 TEST(AllocHook, CountsThisThreadsHeapAllocations) {

@@ -3,12 +3,15 @@
 // sharded-vs-sequential equivalence across traffic shapes (uniform,
 // Zipf-skewed, single-flow), equivalence under rib::VersionedTables version
 // swaps, the zero-allocation steady-state contract, sampled spans against a
-// sequential port, and the hardware-concurrency clamp reporting. Suites are
+// sequential port, the hardware-concurrency clamp reporting, and shard
+// placement on cache lines. Suites are
 // named PipelineShard* so tools/run_sanitizers.sh's "Pipeline" filter gives
 // them TSan coverage automatically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -485,6 +488,29 @@ TEST(PipelineShardTest, HardwareClampReportsRequestedAndActual) {
   const auto* workers = snap.find("pipeline_workers");
   ASSERT_NE(workers, nullptr);
   EXPECT_EQ(workers->gauge_value, static_cast<double>(hc));
+}
+
+// Shard placement: Worker holds alignas(64) members, so aligned new starts
+// every shard on its own cache line, and no hot word of one shard shares a
+// line with another's.
+static_assert(alignof(Worker<ip::Ip4Addr>) == 64);
+
+TEST(PipelineShardTest, EachShardStartsOnItsOwnCacheLine) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::uintptr_t kLine = 64;
+  ShardFixture fx;
+  Pipeline4 pipe(*fx.suite, &fx.t1, fx.threadedOptions(kWorkers, 16));
+  // Each shard's [first, last] cache line.
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> lines;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    const auto at = reinterpret_cast<std::uintptr_t>(&pipe.worker(w));
+    EXPECT_EQ(at % kLine, 0u) << "worker " << w;
+    lines.emplace_back(at / kLine, (at + sizeof(Worker<A>) - 1) / kLine);
+  }
+  std::sort(lines.begin(), lines.end());
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    EXPECT_LT(lines[i - 1].second, lines[i].first) << "two shards share a line";
+  }
 }
 
 }  // namespace

@@ -42,8 +42,8 @@ TEST(SimGenerator, RespectsOptions) {
   EXPECT_EQ(s.packets.size(), 37u);
   EXPECT_EQ(s.faultCount(), 0u);
   EXPECT_TRUE(s.churn.empty());
-  EXPECT_GE(s.receiver.size(), opt.min_table);
-  EXPECT_LE(s.receiver.size(), opt.max_table);
+  EXPECT_GE(s.receiver.size(), sim::kMinTable);
+  EXPECT_LE(s.receiver.size(), sim::kMaxTable);
 }
 
 TEST(SimGenerator, ChurnStepsAreSortedAndConsistent) {
@@ -225,7 +225,7 @@ TEST(SimDifferential, OracleRowTracksLocalChurnOnly) {
 // ---------------------------------------------------------------------------
 // Threaded churn: scenario-drawn deltas through the epoch-versioned
 // pipeline, 4 workers racing a dedicated updater (run under TSan by
-// tools/run_sanitizers.sh / run_tsan.sh).
+// tools/run_sanitizers.sh thread).
 // ---------------------------------------------------------------------------
 
 TEST(SimChurn, ScenarioDeltasThroughPipelineMatchPinnedOracle) {

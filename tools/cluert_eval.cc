@@ -21,7 +21,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/distributed_lookup.h"
+#include "bench_util.h"
 #include "core/shaping.h"
 #include "rib/table_gen.h"
 
@@ -129,73 +129,15 @@ int cmdEval(int argc, char** argv) {
   std::printf("sender %zu prefixes, receiver %zu, intersection %zu\n",
               sender->size(), receiver->size(),
               sender->intersectionSize(*receiver));
-  std::printf("problematic clues: %zu / %zu (%.2f%%)\n\n", bad, clues.size(),
+  std::printf("problematic clues: %zu / %zu (%.2f%%)\n", bad, clues.size(),
               100.0 * static_cast<double>(bad) /
                   static_cast<double>(clues.size()));
 
-  // Destination sample per the §6 methodology.
+  // Destinations and the 15 cells per the §6 methodology (bench_util.h).
   Rng rng(4711);
-  std::vector<A> dests;
-  mem::AccessCounter scratch;
-  const auto entries = sender->entries();
-  std::size_t attempts = 0;
-  while (dests.size() < dest_count && ++attempts < dest_count * 200) {
-    A dest(rng.u32());
-    if (!entries.empty() && !rng.chance(0.1)) {
-      const auto& p = entries[rng.index(entries.size())].prefix;
-      dest = p.addr();
-      for (int b = p.length(); b < 32; ++b) {
-        dest = dest.withBit(b, static_cast<unsigned>(rng.u32() & 1));
-      }
-    }
-    const auto bmp = t1.lookup(dest, scratch);
-    if (!bmp || t2.findVertex(bmp->prefix) == nullptr) continue;
-    dests.push_back(dest);
-  }
-  std::vector<core::ClueField> fields(dests.size());
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    const auto bmp = t1.lookup(dests[i], scratch);
-    fields[i] = bmp ? core::ClueField::of(bmp->prefix.length())
-                    : core::ClueField::none();
-  }
-
-  std::printf("average memory accesses over %zu destinations:\n\n",
-              dests.size());
-  std::printf("%-10s", "Mode");
-  for (const auto m : lookup::kAllMethods) {
-    std::printf("%10s", std::string(lookup::methodName(m)).c_str());
-  }
-  std::printf("\n");
-
-  lookup::LookupSuite<A> suite(
-      {receiver->entries().begin(), receiver->entries().end()});
-  for (int mode = 0; mode < 3; ++mode) {
-    std::printf("%-10s", mode == 0 ? "Common" : mode == 1 ? "Simple"
-                                                          : "Advance");
-    for (const auto method : lookup::kAllMethods) {
-      mem::AccessCounter acc;
-      if (mode == 0) {
-        for (const auto& d : dests) suite.engine(method).lookup(d, acc);
-      } else {
-        typename core::CluePort<A>::Options opt;
-        opt.method = method;
-        opt.mode = mode == 1 ? lookup::ClueMode::kSimple
-                             : lookup::ClueMode::kAdvance;
-        opt.learn = false;
-        opt.expected_clues = clues.size() + 16;
-        core::CluePort<A> port(suite, &t1, opt);
-        port.precompute(clues);
-        for (std::size_t i = 0; i < dests.size(); ++i) {
-          port.process(dests[i], fields[i], acc);
-        }
-      }
-      std::printf("%10.2f", dests.empty()
-                                ? 0.0
-                                : static_cast<double>(acc.total()) /
-                                      static_cast<double>(dests.size()));
-    }
-    std::printf("\n");
-  }
+  const auto dests = bench::paperDestinations(*sender, t1, t2, rng, dest_count);
+  bench::printFifteenWay("average memory accesses",
+                         bench::runFifteenWay(*sender, *receiver, dests, t1));
   return 0;
 }
 

@@ -22,9 +22,10 @@ tooling cannot check because it is a *project* convention (DESIGN.md §10):
                      silently drop the check. Use CLUERT_CHECK (always on,
                      prints and aborts) from common/check.h.
 
-  raw-new-delete     Owning allocation lives behind containers or the
-                     arena code in src/mem/. A naked new/delete elsewhere
-                     is either a leak risk or an ownership design smell.
+  raw-new-delete     Owning allocation lives behind containers, smart
+                     pointers or the allocators in src/mem/. A naked
+                     new/delete elsewhere is either a leak risk or an
+                     ownership design smell.
 
   raw-mmap           mmap/munmap/madvise/mremap only under src/mem/. Page
                      mappings bypass operator new, so sanitizer redzones
@@ -257,7 +258,7 @@ def check_file(relpath: str, raw: str) -> list:
                         lineno,
                         "raw-new-delete",
                         f"raw `{what}` outside src/mem/ — use containers, "
-                        "unique_ptr, or the arena allocators",
+                        "unique_ptr, or the src/mem/ allocators",
                     )
                 )
 
@@ -400,7 +401,7 @@ SELF_TEST_CASES = [
     (
         "new in mem ok",
         "char* f() { return new char[64]; }",
-        "src/mem/arena.cc",
+        "src/mem/huge_pages.cc",
         None,
     ),
     (

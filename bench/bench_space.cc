@@ -3,8 +3,25 @@
 // that fewer than 10% of entries need the Ptr field, and the SDRAM
 // cache-line packing (two entries per 32-byte line). A second table sets the
 // implementation beside the model: sizeof(ClueEntry) and the slot bytes of
-// the hash table an Advance port over Patricia builds for each pair.
+// the hash table an Advance port over Patricia builds for each pair. A third
+// gives the receiver's two tries beside them: node count, node bytes (one
+// pool slot per node, mem/node_pool.h) and bytes per prefix.
 #include "bench_util.h"
+
+namespace {
+
+template <typename Trie>
+void printTrieRow(std::string_view receiver, const char* name,
+                  const Trie& t) {
+  const std::size_t bytes = t.nodeCount() * sizeof(typename Trie::Node);
+  std::printf("%-10s %-9s %9zu %9zu %12zu %12.1f\n",
+              std::string(receiver).c_str(), name, t.prefixCount(),
+              t.nodeCount(), bytes,
+              static_cast<double>(bytes) /
+                  static_cast<double>(t.prefixCount()));
+}
+
+}  // namespace
 
 int main() {
   using namespace cluert;
@@ -76,6 +93,19 @@ int main() {
                 sizeof(core::ClueEntry<bench::A>), table.bucketCount(),
                 slot_bytes,
                 static_cast<double>(slot_bytes) / static_cast<double>(model));
+  }
+
+  std::printf(
+      "\nThe receiver's tries: each node is one %zu-byte slot of its trie's "
+      "pool\n\n",
+      sizeof(trie::PatriciaTrie<bench::A>::Node));
+  std::printf("%-10s %-9s %9s %9s %12s %12s\n", "Receiver", "Trie",
+              "Prefixes", "Nodes", "NodeBytes", "BytesPerPfx");
+  for (const auto& pair : rib::paperPairs()) {
+    const auto binary = set.byName(pair.receiver).buildTrie();
+    printTrieRow(pair.receiver, "Binary", binary);
+    printTrieRow(pair.receiver, "Patricia",
+                 trie::PatriciaTrie<bench::A>::fromBinaryTrie(binary));
   }
 
   std::printf(

@@ -59,8 +59,7 @@ class ClueAnalyzer {
   // descendants; candidates are every t2 prefix strictly extending the clue.
   ClueAnalysis<A> analyzeSimple(const PrefixT& clue) const {
     ClueAnalysis<A> out;
-    out.fd = t2_.longestMarkedAtOrAbove(clue);
-    const Node* v = t2_.findVertex(clue);
+    const Node* v = walkClue(clue, out.fd);
     if (v == nullptr) {
       out.kase = ClueCase::kAbsent;
       return out;
@@ -79,8 +78,7 @@ class ClueAnalyzer {
   // sender would have found that longer prefix itself. Requires t1.
   ClueAnalysis<A> analyzeAdvance(const PrefixT& clue) const {
     ClueAnalysis<A> out;
-    out.fd = t2_.longestMarkedAtOrAbove(clue);
-    const Node* v = t2_.findVertex(clue);
+    const Node* v = walkClue(clue, out.fd);
     if (v == nullptr) {
       out.kase = ClueCase::kAbsent;  // case 1
       return out;
@@ -112,11 +110,25 @@ class ClueAnalyzer {
   }
 
  private:
+  // One walk down the clue's path in t2: returns the clue's vertex (nullptr
+  // when it does not exist) and sets `fd` to the longest marked vertex at or
+  // above the clue string, as t2_.longestMarkedAtOrAbove(clue) would.
+  const Node* walkClue(const PrefixT& clue,
+                       std::optional<MatchT>& fd) const {
+    const Node* node = t2_.root();
+    for (int d = 0;; ++d) {
+      if (node->marked) fd = MatchT{node->prefix, node->next_hop};
+      if (d == clue.length()) return node;
+      node = t2_.child(node, clue.bit(d));
+      if (node == nullptr) return nullptr;
+    }
+  }
+
   // All marked t2 vertices strictly below `v`.
   void collectStrictDescendants(const Node* v,
                                 std::vector<MatchT>& out) const {
     for (unsigned b = 0; b < 2; ++b) {
-      const Node* c = v->child[b].get();
+      const Node* c = t2_.child(v, b);
       if (c == nullptr) continue;
       t2_.visitSubtree(c, [&](const Node& n) {
         if (n.marked) out.push_back(MatchT{n.prefix, n.next_hop});
@@ -128,19 +140,27 @@ class ClueAnalyzer {
   // Marked t2 vertices p strictly below `v` such that no vertex q with
   // v < q <= p is a t1 prefix: walk the subtree, pruning any branch whose
   // head string is marked in t1 (that string is the blocking q for
-  // everything beneath it).
+  // everything beneath it). The walk descends t1 alongside: `mirror` is
+  // t1's vertex for n's string, or nullptr where t1 has none.
   void collectCandidates(const Node* v, std::vector<MatchT>& out) const {
+    const Node* mirror = t1_ != nullptr ? t1_->findVertex(v->prefix) : nullptr;
     for (unsigned b = 0; b < 2; ++b) {
-      collectCandidatesImpl(v->child[b].get(), out);
+      collectCandidatesImpl(t2_.child(v, b), mirrorChild(mirror, b), out);
     }
   }
 
-  void collectCandidatesImpl(const Node* n, std::vector<MatchT>& out) const {
+  void collectCandidatesImpl(const Node* n, const Node* mirror,
+                             std::vector<MatchT>& out) const {
     if (n == nullptr) return;
-    if (t1_ != nullptr && t1_->contains(n->prefix)) return;  // blocked branch
+    if (mirror != nullptr && mirror->marked) return;  // blocked branch
     if (n->marked) out.push_back(MatchT{n->prefix, n->next_hop});
-    collectCandidatesImpl(n->child[0].get(), out);
-    collectCandidatesImpl(n->child[1].get(), out);
+    for (unsigned b = 0; b < 2; ++b) {
+      collectCandidatesImpl(t2_.child(n, b), mirrorChild(mirror, b), out);
+    }
+  }
+
+  const Node* mirrorChild(const Node* mirror, unsigned b) const {
+    return mirror != nullptr ? t1_->child(mirror, b) : nullptr;
   }
 
   const trie::BinaryTrie<A>& t2_;

@@ -348,12 +348,18 @@ class HashClueTable {
   }
 
   // Sorts the keys appended since the last lookup and merges them into the
-  // sorted run ahead of them.
+  // sorted run ahead of them. Each step runs only when needed: a table built
+  // over a Fib's prefixes receives them in Prefix order already, so the
+  // first lookup after the build costs one is_sorted pass. Keys are unique,
+  // so an appended run that starts past the sorted run's last key follows
+  // it as it is.
   void mergeKeys() {
     if (sorted_ == keys_.size()) return;
     const auto mid = keys_.begin() + static_cast<std::ptrdiff_t>(sorted_);
-    std::sort(mid, keys_.end());
-    std::inplace_merge(keys_.begin(), mid, keys_.end());
+    if (!std::is_sorted(mid, keys_.end())) std::sort(mid, keys_.end());
+    if (sorted_ != 0 && *mid < *std::prev(mid)) {
+      std::inplace_merge(keys_.begin(), mid, keys_.end());
+    }
     sorted_ = keys_.size();
   }
 

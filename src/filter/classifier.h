@@ -82,7 +82,7 @@ class HierarchicalClassifier {
         scanBucket(dv->prefix, src, acc, best);
       }
       if (depth == A::kBits) break;
-      dv = dv->child[dst.bit(depth)].get();
+      dv = dst_trie_.child(dv, dst.bit(depth));
       ++depth;
     }
     return best;
@@ -116,7 +116,7 @@ class HierarchicalClassifier {
         }
       }
       if (depth == A::kBits) break;
-      sv = sv->child[src.bit(depth)].get();
+      sv = b.src_trie.child(sv, src.bit(depth));
       ++depth;
     }
   }

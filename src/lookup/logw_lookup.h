@@ -32,11 +32,11 @@ class LogWLookup final : public LookupEngine<A> {
     // Record every vertex with its best match at-or-above. The root (length
     // 0) is kept out of the binary search: its match is the default route,
     // the search's starting fallback.
-    buildFrom(table.root(), table.root()->marked
-                                ? std::optional<MatchT>(MatchT{
-                                      table.root()->prefix,
-                                      table.root()->next_hop})
-                                : std::nullopt);
+    buildFrom(table, table.root(),
+              table.root()->marked
+                  ? std::optional<MatchT>(MatchT{table.root()->prefix,
+                                                 table.root()->next_hop})
+                  : std::nullopt);
     if (auto it = levels_[0].find(A{}); it != levels_[0].end()) {
       if (it->second.has_bmp) default_route_ = it->second.bmp;
     }
@@ -103,7 +103,8 @@ class LogWLookup final : public LookupEngine<A> {
     bool has_bmp = false;
   };
 
-  void buildFrom(const typename trie::BinaryTrie<A>::Node* node,
+  void buildFrom(const trie::BinaryTrie<A>& table,
+                 const typename trie::BinaryTrie<A>::Node* node,
                  std::optional<MatchT> bmp_above) {
     if (node == nullptr) return;
     std::optional<MatchT> bmp = bmp_above;
@@ -114,8 +115,8 @@ class LogWLookup final : public LookupEngine<A> {
       e.has_bmp = true;
     }
     levels_[node->prefix.length()].emplace(node->prefix.addr(), e);
-    buildFrom(node->child[0].get(), bmp);
-    buildFrom(node->child[1].get(), bmp);
+    buildFrom(table, table.child(node, 0), bmp);
+    buildFrom(table, table.child(node, 1), bmp);
   }
 
   // Binary search over lengths_[lo..hi] for the deepest vertex on the

@@ -82,7 +82,7 @@ class PatriciaLookup final : public LookupEngine<A> {
         for (std::size_t k = 0; k < n_live; ++k) {
           const std::size_t i = live[k];
           // Claim-1 pruning is for continuations; a full lookup walks on.
-          Trie::step(cur[i], batch[i].address,
+          trie_.step(cur[i], batch[i].address,
                      batch[i].clue_length != kFullLookup ? neighbor
                                                          : std::nullopt);
           if (per_walk) ++batch[i].accesses[kTrie];

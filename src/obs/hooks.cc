@@ -2,91 +2,72 @@
 
 namespace cluert::obs {
 
-namespace {
-
-Labels withExtra(Labels base, const Labels& extra) {
-  base.insert(base.end(), extra.begin(), extra.end());
-  return base;
-}
-
-}  // namespace
-
-LookupObs LookupObs::bind(MetricRegistry& reg, std::size_t shard,
-                          const Labels& extra) {
+LookupObs LookupObs::bind(MetricRegistry& reg, std::size_t shard) {
   LookupObs o;
   o.shard = shard;
   o.packets = &reg.counter("lookup_packets_total",
-                           "Packets resolved by the clue-assisted fast path",
-                           extra)
+                           "Packets resolved by the clue-assisted fast path")
                    .shard(shard);
   for (std::size_t c = 0; c < kOutcomeCount; ++c) {
     o.cases[c] =
         &reg.counter(
                 "lookup_case_total",
                 "Lookup outcomes by paper case (1/2/3) plus miss and no_clue",
-                withExtra({{"case", std::string(
-                                        outcomeName(static_cast<Outcome>(c)))}},
-                          extra))
+                {{"case",
+                  std::string(outcomeName(static_cast<Outcome>(c)))}})
              .shard(shard);
   }
   o.claim1_skip =
       &reg.counter("lookup_claim1_skip_total",
                    "Case-2 resolutions where Claim 1 (not a leaf clue) "
-                   "emptied the candidate set",
-                   extra)
+                   "emptied the candidate set")
            .shard(shard);
   o.search_failed =
       &reg.counter("lookup_search_failed_total",
-                   "Case-3 continuations that fell back to the FD", extra)
+                   "Case-3 continuations that fell back to the FD")
            .shard(shard);
   o.accesses = &reg.histogram("lookup_accesses",
                               "Dependent memory accesses per lookup (the §6 "
-                              "unit of cost)",
-                              extra);
+                              "unit of cost)");
   return o;
 }
 
-WorkerObs WorkerObs::bind(MetricRegistry& reg, std::size_t shard,
-                          const Labels& extra) {
+WorkerObs WorkerObs::bind(MetricRegistry& reg, std::size_t shard) {
   WorkerObs o;
   o.packets = &reg.counter("pipeline_packets_total",
-                           "Packets forwarded by the pipeline shards", extra)
+                           "Packets forwarded by the pipeline shards")
                    .shard(shard);
   o.batches = &reg.counter("pipeline_batches_total",
-                           "Batches consumed by the pipeline shards", extra)
+                           "Batches consumed by the pipeline shards")
                    .shard(shard);
   return o;
 }
 
-ChurnObs ChurnObs::bind(MetricRegistry& reg, std::size_t shard,
-                        const Labels& extra) {
+ChurnObs ChurnObs::bind(MetricRegistry& reg) {
   ChurnObs o;
-  o.shard = shard;
   o.swaps = &reg.counter("rib_version_swaps_total",
-                         "Table versions published (atomic live-pointer swaps)",
-                         extra)
-                 .shard(shard);
+                         "Table versions published (atomic live-pointer swaps)")
+                 .shard(0);
   o.full_rebuilds =
       &reg.counter("rib_version_full_rebuilds_total",
                    "Publishes that fell back to a full table rebuild because "
-                   "the delta exceeded the churn threshold",
-                   extra)
-           .shard(shard);
+                   "the delta exceeded the churn threshold")
+           .shard(0);
   o.retired_validated =
       &reg.counter("rib_version_retired_validated_total",
-                   "Retired versions run through check::validate before reuse",
-                   extra)
-           .shard(shard);
-  o.live_seq = &reg.gauge("rib_version_live_seq",
-                          "Sequence number of the currently live table version",
-                          extra);
-  o.apply_ns = &reg.histogram(
-      "rib_version_apply_ns",
-      "Nanoseconds building the next version (delta apply or full rebuild)",
-      extra);
-  o.grace_ns = &reg.histogram(
-      "rib_version_grace_ns",
-      "Nanoseconds waiting for readers to drain the retired version", extra);
+                   "Retired versions run through check::validate before reuse")
+           .shard(0);
+  o.live_seq =
+      &reg.gauge("rib_version_live_seq",
+                 "Sequence number of the currently live table version");
+  o.apply_ns = &reg.histogram("rib_version_apply_ns",
+                              "Nanoseconds building the next version (delta "
+                              "apply or full rebuild)")
+                    .shard(0);
+  o.grace_ns = &reg.histogram("rib_version_grace_ns",
+                              "Nanoseconds waiting for readers to drain the "
+                              "retired version")
+                    .shard(0);
   return o;
 }
 
@@ -151,14 +132,12 @@ NetioObs NetioObs::bind(MetricRegistry& reg, std::size_t shard,
 }
 
 void publishAccessCounter(MetricRegistry& reg,
-                          const mem::AccessCounter& counter,
-                          const Labels& extra) {
+                          const mem::AccessCounter& counter) {
   counter.forEachNonZero([&](mem::Region r, std::uint64_t n) {
     reg.counter("mem_accesses_total",
                 "Dependent memory references by region (the paper's access "
                 "accounting)",
-                withExtra({{"region", std::string(mem::regionName(r))}},
-                          extra))
+                {{"region", std::string(mem::regionName(r))}})
         .inc(n);
   });
 }

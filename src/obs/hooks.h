@@ -45,10 +45,7 @@ struct LookupObs {
   bool attached() const { return metricsEnabled() || record_accesses; }
 
   // Resolves the instruments in `reg`, pinning this bundle to `shard`.
-  // `extra` labels distinguish co-hosted producers (e.g. {"shard", "2"});
-  // the same labels must be used when reading the series back.
-  static LookupObs bind(MetricRegistry& reg, std::size_t shard,
-                        const Labels& extra = {});
+  static LookupObs bind(MetricRegistry& reg, std::size_t shard);
 };
 
 // Per-worker pipeline-level counters, fed by Worker once per batch.
@@ -58,12 +55,11 @@ struct WorkerObs {
 
   bool enabled() const { return packets != nullptr; }
 
-  static WorkerObs bind(MetricRegistry& reg, std::size_t shard,
-                        const Labels& extra = {});
+  static WorkerObs bind(MetricRegistry& reg, std::size_t shard);
 };
 
 // Control-plane instruments for the epoch-versioned publication scheme
-// (rib::VersionedTables). All cells live on the updater thread's shard:
+// (rib::VersionedTables). All cells live on shard 0, the updater thread's:
 // publication is single-threaded by design, so no per-worker sharding is
 // needed — but the bundle keeps the bind-once discipline so the swap path
 // never takes the registry mutex.
@@ -72,14 +68,12 @@ struct ChurnObs {
   CounterCell* full_rebuilds = nullptr;  // publishes past the churn threshold
   CounterCell* retired_validated = nullptr;  // check::validate runs (debug)
   Gauge* live_seq = nullptr;             // sequence number of the live version
-  Histogram* apply_ns = nullptr;         // delta apply + build, per publish
-  Histogram* grace_ns = nullptr;         // grace-period wait, per publish
-  std::size_t shard = 0;
+  HistogramCell* apply_ns = nullptr;     // delta apply + build, per publish
+  HistogramCell* grace_ns = nullptr;     // grace-period wait, per publish
 
   bool enabled() const { return swaps != nullptr; }
 
-  static ChurnObs bind(MetricRegistry& reg, std::size_t shard = 0,
-                       const Labels& extra = {});
+  static ChurnObs bind(MetricRegistry& reg);
 };
 
 // Per-datapath-shard counters for the wire daemon (src/netio/): datagram
@@ -113,7 +107,6 @@ struct NetioObs {
 // family (control-plane: called after the pipeline joined, or by
 // single-threaded drivers at end of run).
 void publishAccessCounter(MetricRegistry& reg,
-                          const mem::AccessCounter& counter,
-                          const Labels& extra = {});
+                          const mem::AccessCounter& counter);
 
 }  // namespace cluert::obs

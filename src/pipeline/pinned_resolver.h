@@ -73,7 +73,7 @@ class PinnedResolver {
         ++version_changes_;
       }
       port_->bindVersion(seq, *guard->suite, guard->clues,
-                         &guard->neighbor_trie);
+                         rib::senderTrie(*guard));
       version = &*guard;
     }
     port_->processBatch(dests, clues, results, acc);

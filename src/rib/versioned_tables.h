@@ -62,7 +62,9 @@ namespace cluert::rib {
 
 // One immutable-once-published snapshot of everything a data-plane worker
 // reads: the receiver's lookup structures, the clue table derived from them,
-// and the sender's prefix view the Advance analysis consulted.
+// and the sender's prefix view. Only Advance reads that view as a trie
+// (Claim 1), so only an Advance version builds `neighbor_trie`; under Simple
+// it stays empty and the entries are built without it.
 //
 // Cache-line aligned: the double-buffered versions (buf_[2] below) are read
 // concurrently by every worker while the retired buffer is being rebuilt —
@@ -85,6 +87,13 @@ struct alignas(64) TableVersion {
 // index every port bound to it must walk with (PinnedResolver checks it).
 inline constexpr NeighborIndex kVersionNeighbor = 0;
 
+// The sender view Claim 1 consults: the trie under Advance, none under
+// Simple.
+template <typename A>
+const trie::BinaryTrie<A>* senderTrie(const TableVersion<A>& v) {
+  return v.mode == lookup::ClueMode::kAdvance ? &v.neighbor_trie : nullptr;
+}
+
 // Re-derives every invariant of a version from scratch: FIB well-formedness,
 // FIB <-> trie agreement, trie structure, and field-by-field clue-entry
 // consistency (FD/Ptr/Claim-1, probe chains, continuation anchors — the
@@ -97,10 +106,8 @@ check::Report validateVersion(const TableVersion<A>& v) {
   report.merge(check::validateConsistent(v.local, v.suite->binaryTrie()));
   report.merge(check::validate(v.suite->binaryTrie()));
   report.merge(check::validate(v.suite->patricia()));
-  const trie::BinaryTrie<A>* t1 =
-      v.mode == lookup::ClueMode::kAdvance ? &v.neighbor_trie : nullptr;
-  report.merge(check::validate(v.clues, v.suite->binaryTrie(), t1,
-                               &v.suite->engine(v.method)));
+  report.merge(check::validate(v.clues, v.suite->binaryTrie(),
+                               senderTrie(v), &v.suite->engine(v.method)));
   return report;
 }
 
@@ -230,8 +237,8 @@ class VersionedTables {
       churn_obs_.swaps->inc();
       if (full) churn_obs_.full_rebuilds->inc();
       churn_obs_.live_seq->set(static_cast<double>(next.seq));
-      churn_obs_.apply_ns->shard(churn_obs_.shard).observe(t1 - t0);
-      churn_obs_.grace_ns->shard(churn_obs_.shard).observe(t2 - t1);
+      churn_obs_.apply_ns->observe(t1 - t0);
+      churn_obs_.grace_ns->observe(t2 - t1);
     }
     return next.seq;
   }
@@ -242,7 +249,9 @@ class VersionedTables {
     v.mode = options_.mode;
     v.local = local;
     v.neighbor = neighbor;
-    v.neighbor_trie = neighbor.buildTrie();
+    if (v.mode == lookup::ClueMode::kAdvance) {
+      v.neighbor_trie = neighbor.buildTrie();
+    }
     const auto entries = local.entries();
     // Materialise only the engine this version serves: every engine in the
     // suite's mask is reconstructed per publish, and a versioned table is
@@ -260,7 +269,7 @@ class VersionedTables {
     // miss, and a miss routes correctly via the common lookup.
     v.clues = core::HashClueTable<A>(neighbor.size() + 16);
     for (const PrefixT& c : neighbor.prefixes()) {
-      v.clues.insert(core::buildClueEntry<A>(*v.suite, &v.neighbor_trie,
+      v.clues.insert(core::buildClueEntry<A>(*v.suite, senderTrie(v),
                                              v.method, v.mode, c,
                                              &v.clues.candidates()));
     }
@@ -286,7 +295,7 @@ class VersionedTables {
     // One engine rebuild for the whole batch, then the one refresh rule.
     v.suite->applyRouteDelta(d.removed, d.upserts());
     core::followDelta(v.clues, d, core::DeltaSide::kLocal, *v.suite,
-                      &v.neighbor_trie, v.method, v.mode);
+                      senderTrie(v), v.method, v.mode);
     // `v` is unpublished or past its grace period: no worker reads it, and a
     // worker's §3.5 cache copies of its entries are stamped with an older
     // sequence number, so released candidate sets are unreachable.
@@ -294,9 +303,10 @@ class VersionedTables {
     return false;
   }
 
-  // Sender-side apply: update the neighbor view (and, under Advance, the
-  // Claim-1 continue bits on the suite's tries — in place, so engine anchors
-  // stay valid), then the one refresh rule marks, installs and refreshes.
+  // Sender-side apply: update the neighbor view (under Advance also its trie
+  // and the Claim-1 continue bits on the suite's tries — in place, so engine
+  // anchors stay valid), then the one refresh rule marks, installs and
+  // refreshes.
   bool applyNeighbor(TableVersion<A>& v, const FibDelta<A>& d) {
     if (wantsFullRebuild(v, d)) {
       Fib<A> neighbor = v.neighbor;
@@ -305,12 +315,12 @@ class VersionedTables {
       return true;
     }
     applyDelta(v.neighbor, d);
-    applyDelta(v.neighbor_trie, d);
     if (v.mode == lookup::ClueMode::kAdvance) {
+      applyDelta(v.neighbor_trie, d);
       v.suite->annotateNeighbor(kVersionNeighbor, v.neighbor_trie);
     }
     core::followDelta(v.clues, d, core::DeltaSide::kNeighbor, *v.suite,
-                      &v.neighbor_trie, v.method, v.mode);
+                      senderTrie(v), v.method, v.mode);
     v.clues.candidates().reclaim();  // as in applyLocal
     return false;
   }

@@ -173,7 +173,6 @@ HarnessStats runTopoScenario(const TopoScenario& s,
   int last_event_tick = 0;
 
   mem::AccessCounter acc;
-  mem::AccessCounter oracle_acc;
 
   const auto forward = [&](const TopoPacket& pkt) {
     RouterId at = pkt.src;
@@ -199,12 +198,14 @@ HarnessStats runTopoScenario(const TopoScenario& s,
                             [&](const rib::TableVersion<Addr4>* v) {
         CLUERT_CHECK(v != nullptr) << "resolver must be versioned";
         // Classify the carried clue against this version's neighbor view
-        // (what the control plane has told us the sender holds).
+        // (what the control plane has told us the sender holds), by the same
+        // brute force as the local side below.
         sim::Fault cls = sim::Fault::kNone;
         if (!clue.present) {
           cls = sim::Fault::kNoClue;
         } else {
-          const auto view_bmp = v->neighbor_trie.lookup(pkt.dest, oracle_acc);
+          const auto view_bmp =
+              check::bruteForceBmp(v->neighbor.entries(), pkt.dest);
           if (!view_bmp || view_bmp->prefix.length() != clue.length) {
             cls = sim::Fault::kStale;
             ++stats.stale_clue_hops;

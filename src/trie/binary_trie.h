@@ -14,13 +14,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/types.h"
 #include "ip/prefix.h"
 #include "mem/access_counter.h"
+#include "mem/node_pool.h"
 #include "common/check.h"
 
 namespace cluert::trie {
@@ -34,6 +34,13 @@ struct Match {
   friend bool operator==(const Match&, const Match&) = default;
 };
 
+// Both tries keep their nodes in one mem::NodePool and link children by pool
+// index. Each trie allocates its root first, so the root is slot 0; no node
+// links to the root, which leaves index 0 free to mean "no child".
+using NodeIndex = mem::PoolIndex;
+inline constexpr NodeIndex kRootSlot = 0;
+inline constexpr NodeIndex kNoChild = 0;
+
 template <typename A>
 class BinaryTrie {
  public:
@@ -42,20 +49,22 @@ class BinaryTrie {
 
   struct Node {
     PrefixT prefix;                   // the string this vertex represents
-    Node* parent = nullptr;
-    std::unique_ptr<Node> child[2];   // child[b] extends prefix with bit b
-    bool marked = false;              // is `prefix` in the forwarding table?
+    NodeIndex child[2] = {kNoChild, kNoChild};  // child[b]: prefix + bit b
     NextHop next_hop = kNoNextHop;    // valid iff marked
+    bool marked = false;              // is `prefix` in the forwarding table?
     // Per-neighbor "search may find a longer match below here" booleans
     // (Claim 1 applied to this vertex; §4 "Adapting Patricia"). Bit j set
     // means: continuing below this vertex can still discover a C1 candidate
     // with respect to neighbor j.
     std::uint64_t continue_bits = 0;
 
-    bool isLeaf() const { return !child[0] && !child[1]; }
+    bool isLeaf() const {
+      return child[0] == kNoChild && child[1] == kNoChild;
+    }
   };
+  using Pool = mem::NodePool<Node>;
 
-  BinaryTrie() : root_(std::make_unique<Node>()) {}
+  BinaryTrie() { pool_.allocate(); }  // the root, slot kRootSlot
 
   BinaryTrie(const BinaryTrie&) = delete;
   BinaryTrie& operator=(const BinaryTrie&) = delete;
@@ -66,32 +75,46 @@ class BinaryTrie {
 
   // Inserts (or overwrites) a prefix with its next hop.
   void insert(const PrefixT& prefix, NextHop next_hop) {
-    Node* node = root_.get();
+    NodeIndex at = kRootSlot;
     for (int d = 0; d < prefix.length(); ++d) {
       const unsigned b = prefix.bit(d);
-      if (!node->child[b]) {
-        auto fresh = std::make_unique<Node>();
-        fresh->prefix = prefix.truncated(d + 1);
-        fresh->parent = node;
-        node->child[b] = std::move(fresh);
-        ++node_count_;
+      NodeIndex next = pool_[at].child[b];
+      if (next == kNoChild) {
+        next = pool_.allocate();
+        pool_[next].prefix = prefix.truncated(d + 1);
+        pool_[at].child[b] = next;
       }
-      node = node->child[b].get();
+      at = next;
     }
-    if (!node->marked) ++prefix_count_;
-    node->marked = true;
-    node->next_hop = next_hop;
+    Node& node = pool_[at];
+    if (!node.marked) ++prefix_count_;
+    node.marked = true;
+    node.next_hop = next_hop;
   }
 
   // Removes a prefix if present; prunes now-useless unmarked vertices so the
   // "pruned trie" invariant holds. Returns true iff the prefix was present.
+  // The walk down records the path, and the pruning climbs it: path[d] is
+  // the vertex of depth d.
   bool erase(const PrefixT& prefix) {
-    Node* node = findNode(prefix);
-    if (node == nullptr || !node->marked) return false;
-    node->marked = false;
-    node->next_hop = kNoNextHop;
+    NodeIndex path[A::kBits + 1];
+    path[0] = kRootSlot;
+    const int len = prefix.length();
+    for (int d = 0; d < len; ++d) {
+      path[d + 1] = pool_[path[d]].child[prefix.bit(d)];
+      if (path[d + 1] == kNoChild) return false;
+    }
+    Node& node = pool_[path[len]];
+    if (!node.marked) return false;
+    node.marked = false;
+    node.next_hop = kNoNextHop;
     --prefix_count_;
-    prune(node);
+    for (int d = len; d > 0; --d) {
+      const Node& v = pool_[path[d]];
+      if (v.marked || !v.isLeaf()) break;
+      pool_[path[d - 1]].child[prefix.bit(d - 1)] = kNoChild;
+      pool_.release(path[d]);
+    }
     return true;
   }
 
@@ -100,23 +123,36 @@ class BinaryTrie {
   // The vertex for `prefix`, or nullptr if it does not exist in the (pruned)
   // trie. A missing vertex certifies that no table prefix extends `prefix`.
   const Node* findVertex(const PrefixT& prefix) const {
-    return findNode(prefix);
+    const Node* node = root();
+    for (int d = 0; d < prefix.length() && node != nullptr; ++d) {
+      node = child(node, prefix.bit(d));
+    }
+    return node;
   }
 
-  const Node* root() const { return root_.get(); }
+  const Node* root() const { return &pool_[kRootSlot]; }
+
+  // Child b of `node`, or nullptr when it has none.
+  const Node* child(const Node* node, unsigned b) const {
+    const NodeIndex c = node->child[b];
+    return c == kNoChild ? nullptr : &pool_[c];
+  }
+
+  // The node storage, for the structural validator (check/trie_check.h).
+  const Pool& pool() const { return pool_; }
 
   // Longest-prefix match by the classic bit-by-bit walk ("Regular" in §6).
   // Charges one trie-node access per vertex visited.
   std::optional<MatchT> lookup(const A& address,
                                mem::AccessCounter& acc) const {
-    const Node* node = root_.get();
+    const Node* node = root();
     const Node* best = nullptr;
     int depth = 0;
     while (node != nullptr) {
       acc.add(mem::Region::kTrieNode);
       if (node->marked) best = node;
       if (depth == A::kBits) break;
-      node = node->child[address.bit(depth)].get();
+      node = child(node, address.bit(depth));
       ++depth;
     }
     if (best == nullptr) return std::nullopt;
@@ -139,7 +175,7 @@ class BinaryTrie {
     while (true) {
       if (neighbor && !continueBit(node, *neighbor)) break;
       if (depth == A::kBits) break;
-      const Node* next = node->child[address.bit(depth)].get();
+      const Node* next = child(node, address.bit(depth));
       if (next == nullptr) break;
       node = next;
       ++depth;
@@ -154,10 +190,10 @@ class BinaryTrie {
   // in the trie which is also a prefix" used for the FD fields (§3.1.1).
   // Pure control-plane query; charges no accesses.
   std::optional<MatchT> longestMarkedAtOrAbove(const PrefixT& prefix) const {
-    const Node* node = root_.get();
+    const Node* node = root();
     const Node* best = node->marked ? node : nullptr;
     for (int d = 0; d < prefix.length() && node != nullptr; ++d) {
-      node = node->child[prefix.bit(d)].get();
+      node = child(node, prefix.bit(d));
       if (node != nullptr && node->marked) best = node;
     }
     return best ? std::optional<MatchT>(MatchT{best->prefix, best->next_hop})
@@ -166,23 +202,23 @@ class BinaryTrie {
 
   // True iff `prefix` itself is marked.
   bool contains(const PrefixT& prefix) const {
-    const Node* node = findNode(prefix);
+    const Node* node = findVertex(prefix);
     return node != nullptr && node->marked;
   }
 
   NextHop nextHopOf(const PrefixT& prefix) const {
-    const Node* node = findNode(prefix);
+    const Node* node = findVertex(prefix);
     return node != nullptr && node->marked ? node->next_hop : kNoNextHop;
   }
 
   std::size_t prefixCount() const { return prefix_count_; }
-  std::size_t nodeCount() const { return node_count_ + 1; }  // + root
+  std::size_t nodeCount() const { return pool_.live(); }  // root included
   bool empty() const { return prefix_count_ == 0; }
 
   // Calls fn(prefix, next_hop) for every marked vertex, in preorder.
   void forEachPrefix(
       const std::function<void(const PrefixT&, NextHop)>& fn) const {
-    forEachPrefixImpl(root_.get(), fn);
+    forEachPrefixImpl(root(), fn);
   }
 
   // Calls fn(node) for every vertex in the subtree of `start` (inclusive),
@@ -191,9 +227,7 @@ class BinaryTrie {
                     const std::function<bool(const Node&)>& fn) const {
     if (start == nullptr) return;
     if (!fn(*start)) return;
-    for (unsigned b = 0; b < 2; ++b) {
-      visitSubtree(start->child[b].get(), fn);
-    }
+    for (unsigned b = 0; b < 2; ++b) visitSubtree(child(start, b), fn);
   }
 
   // -- Claim-1 continue bits (§4) ------------------------------------------
@@ -203,11 +237,10 @@ class BinaryTrie {
   // strictly below v: exists a marked descendant p of v such that no vertex q
   // with v < q <= p is marked in t1. Claim 1 for a clue s is exactly
   // "!continueBit(vertex(s))".
-  template <typename Neighbor>
-  void computeContinueBits(NeighborIndex neighbor, const Neighbor& t1) {
+  void computeContinueBits(NeighborIndex neighbor, const BinaryTrie& t1) {
     CLUERT_CHECK(neighbor < kMaxAnnotatedNeighbors)
         << "neighbor index " << neighbor << " exceeds the continue-bit mask";
-    computeContinueBitsImpl(root_.get(), neighbor, t1);
+    computeContinueBitsImpl(pool_[kRootSlot], t1.root(), neighbor, t1);
   }
 
   static bool continueBit(const Node* node, NeighborIndex neighbor) {
@@ -222,64 +255,52 @@ class BinaryTrie {
   }
 
  private:
-  Node* findNode(const PrefixT& prefix) const {
-    Node* node = root_.get();
-    for (int d = 0; d < prefix.length(); ++d) {
-      node = node->child[prefix.bit(d)].get();
-      if (node == nullptr) return nullptr;
-    }
-    return node;
-  }
-
-  void prune(Node* node) {
-    while (node != nullptr && node != root_.get() && !node->marked &&
-           node->isLeaf()) {
-      Node* parent = node->parent;
-      const unsigned b = node->prefix.bit(node->prefix.length() - 1);
-      parent->child[b].reset();
-      --node_count_;
-      node = parent;
-    }
-  }
-
   void forEachPrefixImpl(
       const Node* node,
       const std::function<void(const PrefixT&, NextHop)>& fn) const {
     if (node == nullptr) return;
     if (node->marked) fn(node->prefix, node->next_hop);
-    forEachPrefixImpl(node->child[0].get(), fn);
-    forEachPrefixImpl(node->child[1].get(), fn);
+    forEachPrefixImpl(child(node, 0), fn);
+    forEachPrefixImpl(child(node, 1), fn);
   }
 
   // Bottom-up: continue(v) = OR over children c of
   //   !t1.contains(c.prefix) && (c.marked || continue(c)).
   // A child whose string is marked in t1 blocks its whole branch (any p
-  // below it has q = that child), which is precisely Claim 1.
-  template <typename Neighbor>
-  bool computeContinueBitsImpl(Node* node, NeighborIndex neighbor,
-                               const Neighbor& t1) {
+  // below it has q = that child), which is precisely Claim 1. The walk
+  // descends t1 alongside: `mirror` is t1's vertex for node's string, or
+  // nullptr where t1 has none, so t1.contains(c.prefix) is one look at the
+  // mirror's child instead of a walk from t1's root.
+  bool computeContinueBitsImpl(Node& node, const Node* mirror,
+                               NeighborIndex neighbor, const BinaryTrie& t1) {
     bool cont = false;
     for (unsigned b = 0; b < 2; ++b) {
-      Node* c = node->child[b].get();
-      if (c == nullptr) continue;
-      const bool below = computeContinueBitsImpl(c, neighbor, t1);
-      if (!t1.contains(c->prefix) && (c->marked || below)) cont = true;
+      if (node.child[b] == kNoChild) continue;
+      Node& c = pool_[node.child[b]];
+      const Node* c_mirror = mirror != nullptr ? t1.child(mirror, b) : nullptr;
+      const bool below = computeContinueBitsImpl(c, c_mirror, neighbor, t1);
+      const bool blocked = c_mirror != nullptr && c_mirror->marked;
+      if (!blocked && (c.marked || below)) cont = true;
     }
     const std::uint64_t bit = std::uint64_t{1} << neighbor;
     if (cont) {
-      node->continue_bits |= bit;
+      node.continue_bits |= bit;
     } else {
-      node->continue_bits &= ~bit;
+      node.continue_bits &= ~bit;
     }
     return cont;
   }
 
-  std::unique_ptr<Node> root_;
+  Pool pool_;
   std::size_t prefix_count_ = 0;
-  std::size_t node_count_ = 0;  // excluding root
 };
 
 using BinaryTrie4 = BinaryTrie<ip::Ip4Addr>;
 using BinaryTrie6 = BinaryTrie<ip::Ip6Addr>;
+
+static_assert(sizeof(BinaryTrie4::Node) == 32,
+              "an IPv4 vertex: prefix 8 B, two child indices, next hop, "
+              "marked and the continue bits");
+static_assert(sizeof(BinaryTrie6::Node) <= 48);
 
 }  // namespace cluert::trie

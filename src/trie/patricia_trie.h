@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "common/types.h"
@@ -31,18 +30,21 @@ class PatriciaTrie {
 
   struct Node {
     PrefixT prefix;
-    Node* parent = nullptr;
-    std::unique_ptr<Node> child[2];  // keyed by bit at prefix.length()
-    bool marked = false;
+    // Pool indices (binary_trie.h), keyed by bit at prefix.length().
+    NodeIndex child[2] = {kNoChild, kNoChild};
     NextHop next_hop = kNoNextHop;
+    bool marked = false;
     // Per-neighbor Claim-1 "a longer candidate may still exist below"
     // booleans (§4). Maintained by annotateContinueBits.
     std::uint64_t continue_bits = 0;
 
-    bool isLeaf() const { return !child[0] && !child[1]; }
+    bool isLeaf() const {
+      return child[0] == kNoChild && child[1] == kNoChild;
+    }
   };
+  using Pool = mem::NodePool<Node>;
 
-  PatriciaTrie() : root_(std::make_unique<Node>()) {}
+  PatriciaTrie() { pool_.allocate(); }  // the root, slot kRootSlot
 
   PatriciaTrie(const PatriciaTrie&) = delete;
   PatriciaTrie& operator=(const PatriciaTrie&) = delete;
@@ -63,65 +65,90 @@ class PatriciaTrie {
   // descend while the new prefix extends the current node, then either land
   // exactly, split a compressed edge, or attach a new leaf.
   void insert(const PrefixT& prefix, NextHop next_hop) {
-    Node* node = root_.get();
+    NodeIndex at = kRootSlot;
     while (true) {
-      // Invariant: node->prefix is a (non-strict) prefix of `prefix`.
-      if (node->prefix.length() == prefix.length()) {
-        if (!node->marked) ++prefix_count_;
-        node->marked = true;
-        node->next_hop = next_hop;
+      // Invariant: pool_[at].prefix is a (non-strict) prefix of `prefix`.
+      Node& node = pool_[at];
+      if (node.prefix.length() == prefix.length()) {
+        mark(node, next_hop);
         return;
       }
-      const unsigned b = prefix.bit(node->prefix.length());
-      Node* next = node->child[b].get();
-      if (next == nullptr) {
-        attachLeaf(node, b, prefix, next_hop);
+      const unsigned b = prefix.bit(node.prefix.length());
+      const NodeIndex next_at = node.child[b];
+      if (next_at == kNoChild) {
+        attachLeaf(at, b, prefix, next_hop);
         return;
       }
-      if (prefix.isPrefixOf(next->prefix)) {
-        if (prefix.length() == next->prefix.length()) {
-          if (!next->marked) ++prefix_count_;
-          next->marked = true;
-          next->next_hop = next_hop;
+      const Node& next = pool_[next_at];
+      if (prefix.isPrefixOf(next.prefix)) {
+        if (prefix.length() == next.prefix.length()) {
+          mark(pool_[next_at], next_hop);
           return;
         }
         // New prefix sits on the edge node -> next: split the edge.
-        Node* mid = splitEdge(node, b, prefix.length(),
-                              /*branch_prefix=*/next->prefix);
-        if (!mid->marked) ++prefix_count_;
-        mid->marked = true;
-        mid->next_hop = next_hop;
+        mark(pool_[splitEdge(at, b, prefix.length())], next_hop);
         return;
       }
-      if (next->prefix.isStrictPrefixOf(prefix)) {
-        node = next;  // keep descending
+      if (next.prefix.isStrictPrefixOf(prefix)) {
+        at = next_at;  // keep descending
         continue;
       }
       // Divergence in the middle of the edge: split at the fork point and
       // hang the new prefix as a sibling leaf.
-      const int fork = forkLength(prefix, next->prefix);
-      Node* mid = splitEdge(node, b, fork, /*branch_prefix=*/next->prefix);
-      attachLeaf(mid, prefix.bit(fork), prefix, next_hop);
+      const int fork = forkLength(prefix, next.prefix);
+      attachLeaf(splitEdge(at, b, fork), prefix.bit(fork), prefix, next_hop);
       return;
     }
   }
 
-  // Removes a prefix if present, restoring the compression invariant
-  // (detached leaves may leave an unmarked unary parent, which is spliced
-  // out). Returns true iff the prefix was present.
+  // Removes a prefix if present, restoring the compression invariant: an
+  // unmarked leaf is detached, and an unmarked unary node is spliced out
+  // (its parent adopts the one child). Returns true iff the prefix was
+  // present. The walk down records the path, and the repair climbs it:
+  // path[k] is the k-th node from the root, and every step down lengthens
+  // the prefix, so a path holds at most A::kBits + 1 nodes.
   bool erase(const PrefixT& prefix) {
-    Node* node = mutableExactNode(prefix);
-    if (node == nullptr || !node->marked) return false;
-    node->marked = false;
-    node->next_hop = kNoNextHop;
+    NodeIndex path[A::kBits + 1];
+    int k = 0;
+    path[0] = kRootSlot;
+    while (pool_[path[k]].prefix.length() < prefix.length()) {
+      const Node& n = pool_[path[k]];
+      if (!n.prefix.isPrefixOf(prefix)) return false;
+      const NodeIndex next = n.child[prefix.bit(n.prefix.length())];
+      if (next == kNoChild) return false;
+      path[++k] = next;
+    }
+    Node& node = pool_[path[k]];
+    if (node.prefix != prefix || !node.marked) return false;
+    node.marked = false;
+    node.next_hop = kNoNextHop;
     --prefix_count_;
-    restoreInvariant(node);
+    for (; k > 0 && !pool_[path[k]].marked; --k) {
+      const Node& n = pool_[path[k]];
+      if (n.child[0] != kNoChild && n.child[1] != kNoChild) break;  // a fork
+      Node& parent = pool_[path[k - 1]];
+      // A leaf's link becomes kNoChild; a unary node's, its one child.
+      parent.child[n.prefix.bit(parent.prefix.length())] =
+          n.child[0] != kNoChild ? n.child[0] : n.child[1];
+      const bool was_leaf = n.isLeaf();
+      pool_.release(path[k]);
+      if (!was_leaf) break;  // a splice leaves the parent's arity as it was
+    }
     return true;
   }
 
   // -- queries --------------------------------------------------------------
 
-  const Node* root() const { return root_.get(); }
+  const Node* root() const { return &pool_[kRootSlot]; }
+
+  // Child b of `node`, or nullptr when it has none.
+  const Node* child(const Node* node, unsigned b) const {
+    const NodeIndex c = node->child[b];
+    return c == kNoChild ? nullptr : &pool_[c];
+  }
+
+  // The node storage, for the structural validator (check/trie_check.h).
+  const Pool& pool() const { return pool_; }
 
   // One walk in progress: the node it visits next (nullptr once it ended),
   // the best match so far and the clue length a match must exceed (-1 for a
@@ -135,7 +162,7 @@ class PatriciaTrie {
     int above;
   };
 
-  Walker startLookup() const { return Walker{root_.get(), nullptr, -1}; }
+  Walker startLookup() const { return Walker{root(), nullptr, -1}; }
 
   // The walk of lookupBelow(anchor, clue_length, ...); a null anchor is a
   // walk that has already ended.
@@ -147,15 +174,15 @@ class PatriciaTrie {
   // w.node to the next node on `address`'s path, or to nullptr when the walk
   // ends: the skipped bits disagree, a full-length node, a missing child, or
   // (`neighbor` set) a node whose Claim-1 boolean stops the search.
-  static void step(Walker& w, const A& address,
-                   std::optional<NeighborIndex> neighbor) {
+  void step(Walker& w, const A& address,
+            std::optional<NeighborIndex> neighbor) const {
     const Node* node = w.node;
     w.node = nullptr;
     if (!node->prefix.matches(address)) return;  // skipped bits disagree
     if (node->marked && node->prefix.length() > w.above) w.best = node;
     if (neighbor && !continueBit(node, *neighbor)) return;
     if (node->prefix.length() == A::kBits) return;
-    w.node = node->child[address.bit(node->prefix.length())].get();
+    w.node = child(node, address.bit(node->prefix.length()));
   }
 
   static std::optional<MatchT> result(const Walker& w) {
@@ -180,11 +207,11 @@ class PatriciaTrie {
   // this node is then the lower endpoint of that edge. This is what a clue
   // entry's Ptr points at (§3.1.1).
   const Node* descendAnchor(const PrefixT& clue) const {
-    const Node* node = root_.get();
+    const Node* node = root();
     while (true) {
       if (clue.isPrefixOf(node->prefix)) return node;
       if (!node->prefix.isStrictPrefixOf(clue)) return nullptr;
-      const Node* next = node->child[clue.bit(node->prefix.length())].get();
+      const Node* next = child(node, clue.bit(node->prefix.length()));
       if (next == nullptr) return nullptr;
       node = next;
     }
@@ -218,14 +245,10 @@ class PatriciaTrie {
 
   std::size_t prefixCount() const { return prefix_count_; }
 
-  std::size_t nodeCount() const {
-    std::size_t n = 0;
-    visit(root_.get(), [&](const Node&) { ++n; });
-    return n;
-  }
+  std::size_t nodeCount() const { return pool_.live(); }  // root included
 
   void forEachNode(const std::function<void(const Node&)>& fn) const {
-    visit(root_.get(), fn);
+    visit(root(), fn);
   }
 
   // -- Claim-1 continue bits (§4 "Adapting Patricia") -----------------------
@@ -241,7 +264,7 @@ class PatriciaTrie {
     CLUERT_CHECK(neighbor < kMaxAnnotatedNeighbors)
         << "neighbor index " << neighbor << " exceeds the continue-bit mask";
     const std::uint64_t bit = std::uint64_t{1} << neighbor;
-    visitMutable(root_.get(), [&](Node& n) {
+    visitMutable(pool_[kRootSlot], [&](Node& n) {
       if (judge(n.prefix)) {
         n.continue_bits |= bit;
       } else {
@@ -260,62 +283,35 @@ class PatriciaTrie {
     return std::min({common, x.length(), y.length()});
   }
 
-  void attachLeaf(Node* parent, unsigned b, const PrefixT& prefix,
+  void mark(Node& node, NextHop next_hop) {
+    if (!node.marked) ++prefix_count_;
+    node.marked = true;
+    node.next_hop = next_hop;
+  }
+
+  void attachLeaf(NodeIndex parent, unsigned b, const PrefixT& prefix,
                   NextHop next_hop) {
-    auto leaf = std::make_unique<Node>();
-    leaf->prefix = prefix;
-    leaf->parent = parent;
-    leaf->marked = true;
-    leaf->next_hop = next_hop;
-    parent->child[b] = std::move(leaf);
-    ++prefix_count_;
+    const NodeIndex leaf = pool_.allocate();
+    pool_[leaf].prefix = prefix;
+    mark(pool_[leaf], next_hop);
+    pool_[parent].child[b] = leaf;
   }
 
-  // Replaces the edge parent --b--> old_child with parent -> mid -> old_child
-  // where mid represents branch_prefix truncated to `mid_len`.
-  Node* splitEdge(Node* parent, unsigned b, int mid_len,
-                  const PrefixT& branch_prefix) {
-    std::unique_ptr<Node> old_child = std::move(parent->child[b]);
-    auto mid = std::make_unique<Node>();
-    mid->prefix = branch_prefix.truncated(mid_len);
-    mid->parent = parent;
-    old_child->parent = mid.get();
-    const unsigned down = branch_prefix.bit(mid_len);
-    mid->child[down] = std::move(old_child);
-    Node* raw = mid.get();
-    parent->child[b] = std::move(mid);
-    return raw;
-  }
-
-  // Re-establishes "every node is marked, or the root, or has two children"
-  // upward from a just-unmarked node.
-  void restoreInvariant(Node* node) {
-    while (node != nullptr && node != root_.get() && !node->marked) {
-      Node* parent = node->parent;
-      const unsigned slot = node->prefix.bit(parent->prefix.length());
-      const int kids = (node->child[0] ? 1 : 0) + (node->child[1] ? 1 : 0);
-      if (kids == 0) {
-        parent->child[slot].reset();
-        node = parent;  // the parent may have become unary
-      } else if (kids == 1) {
-        // Splice: the parent adopts the single grandchild directly.
-        const unsigned b = node->child[0] ? 0 : 1;
-        std::unique_ptr<Node> grandchild = std::move(node->child[b]);
-        grandchild->parent = parent;
-        parent->child[slot] = std::move(grandchild);
-        return;
-      } else {
-        return;  // two children: a legitimate fork
-      }
-    }
-  }
-
-  Node* mutableExactNode(const PrefixT& prefix) {
-    return const_cast<Node*>(exactNode(prefix));
+  // Replaces the edge parent --b--> old child with parent -> mid -> old
+  // child, where mid represents the old child's prefix truncated to
+  // `mid_len`. Returns mid.
+  NodeIndex splitEdge(NodeIndex parent, unsigned b, int mid_len) {
+    const NodeIndex old_child = pool_[parent].child[b];
+    const NodeIndex mid = pool_.allocate();
+    const PrefixT& branch = pool_[old_child].prefix;
+    pool_[mid].prefix = branch.truncated(mid_len);
+    pool_[mid].child[branch.bit(mid_len)] = old_child;
+    pool_[parent].child[b] = mid;
+    return mid;
   }
 
   const Node* exactNode(const PrefixT& prefix) const {
-    const Node* node = root_.get();
+    const Node* node = root();
     while (node != nullptr) {
       if (node->prefix.length() == prefix.length()) {
         return node->prefix == prefix ? node : nullptr;
@@ -324,32 +320,37 @@ class PatriciaTrie {
           !node->prefix.isPrefixOf(prefix)) {
         return nullptr;
       }
-      node = node->child[prefix.bit(node->prefix.length())].get();
+      node = child(node, prefix.bit(node->prefix.length()));
     }
     return nullptr;
   }
 
   template <typename Fn>
-  static void visit(const Node* node, const Fn& fn) {
+  void visit(const Node* node, const Fn& fn) const {
     if (node == nullptr) return;
     fn(*node);
-    visit(node->child[0].get(), fn);
-    visit(node->child[1].get(), fn);
+    visit(child(node, 0), fn);
+    visit(child(node, 1), fn);
   }
 
   template <typename Fn>
-  static void visitMutable(Node* node, const Fn& fn) {
-    if (node == nullptr) return;
-    fn(*node);
-    visitMutable(node->child[0].get(), fn);
-    visitMutable(node->child[1].get(), fn);
+  void visitMutable(Node& node, const Fn& fn) {
+    fn(node);
+    for (unsigned b = 0; b < 2; ++b) {
+      if (node.child[b] != kNoChild) visitMutable(pool_[node.child[b]], fn);
+    }
   }
 
-  std::unique_ptr<Node> root_;
+  Pool pool_;
   std::size_t prefix_count_ = 0;
 };
 
 using PatriciaTrie4 = PatriciaTrie<ip::Ip4Addr>;
 using PatriciaTrie6 = PatriciaTrie<ip::Ip6Addr>;
+
+static_assert(sizeof(PatriciaTrie4::Node) == 32,
+              "an IPv4 node: prefix 8 B, two child indices, next hop, marked "
+              "and the continue bits");
+static_assert(sizeof(PatriciaTrie6::Node) <= 48);
 
 }  // namespace cluert::trie

@@ -88,11 +88,11 @@ TEST(CheckBinaryTrie, EmptyTrieIsClean) {
 
 // Walks to any leaf (leaves are marked in a pruned trie).
 Node* someLeaf(Trie& t) {
-  auto* node = const_cast<Node*>(t.root());
+  const Node* node = t.root();
   while (!node->isLeaf()) {
-    node = node->child[node->child[0] ? 0 : 1].get();
+    node = t.child(node, node->child[0] != trie::kNoChild ? 0 : 1);
   }
-  return node;
+  return const_cast<Node*>(node);
 }
 
 TEST(CheckBinaryTrie, UnmarkedLeafViolatesPruning) {
@@ -108,8 +108,7 @@ TEST(CheckBinaryTrie, UnmarkedLeafViolatesPruning) {
 TEST(CheckBinaryTrie, NextHopOnUnmarkedVertexIsReported) {
   Trie t = buildTrie(nestedTable());
   // The /9 sits two levels below the /8; its path vertices are unmarked.
-  auto* root = const_cast<Node*>(t.root());
-  Node* on_path = root->child[0].get();  // 0/1: 10.x starts with bit 0
+  auto* on_path = const_cast<Node*>(t.child(t.root(), 0));  // 10.x: bit 0
   ASSERT_NE(on_path, nullptr);
   ASSERT_FALSE(on_path->marked);
   on_path->next_hop = 9;
@@ -125,12 +124,24 @@ TEST(CheckBinaryTrie, MarkedVertexRoutingNowhereIsReported) {
   EXPECT_TRUE(report.has("marked-no-next-hop")) << report.toString();
 }
 
-TEST(CheckBinaryTrie, BrokenParentLinkIsReported) {
+TEST(CheckBinaryTrie, NodeLinkedUnderTwoParentsIsReported) {
   Trie t = buildTrie(nestedTable());
-  Node* leaf = someLeaf(t);
-  leaf->parent = leaf;  // anything but the true parent
+  // someLeaf() ends in the 10.x branch (bit 0); hang the 192.168.x branch
+  // (bit 1) under that leaf as well as under the root.
+  someLeaf(t)->child[1] = t.root()->child[1];
   const auto report = check::validate(t);
-  EXPECT_TRUE(report.has("parent-link")) << report.toString();
+  ASSERT_TRUE(report.has("pool-accounting")) << report.toString();
+  EXPECT_EQ(report.count("pool-accounting"), 1u) << report.toString();
+}
+
+TEST(CheckBinaryTrie, LeakedSlotIsReported) {
+  Trie t = buildTrie(nestedTable());
+  // Cut the root's link to the 192.168.x branch: the 16 vertices of
+  // 192.168.0.0/16's path stay live in the pool, reachable by no link.
+  const_cast<Node*>(t.root())->child[1] = trie::kNoChild;
+  const auto report = check::validate(t);
+  ASSERT_TRUE(report.has("pool-accounting")) << report.toString();
+  EXPECT_EQ(report.count("pool-accounting"), 16u) << report.toString();
 }
 
 TEST(CheckBinaryTrie, ContinueBitsMatchDefinition) {
@@ -184,6 +195,18 @@ TEST(CheckPatricia, UnmarkedLeafViolatesCompression) {
   const auto report = check::validate(patricia);
   EXPECT_TRUE(report.has("path-compression")) << report.toString();
   EXPECT_TRUE(report.has("prefix-count")) << report.toString();
+}
+
+TEST(CheckPatricia, LeakedSlotIsReported) {
+  const Trie binary = buildTrie(nestedTable());
+  Patricia patricia = Patricia::fromBinaryTrie(binary);
+  // The root's bit-1 child is the 192.168.0.0/16 leaf; unlinking it leaves
+  // one live slot no link reaches.
+  using PNode = Patricia::Node;
+  const_cast<PNode*>(patricia.root())->child[1] = trie::kNoChild;
+  const auto report = check::validate(patricia);
+  ASSERT_TRUE(report.has("pool-accounting")) << report.toString();
+  EXPECT_EQ(report.count("pool-accounting"), 1u) << report.toString();
 }
 
 TEST(CheckPatricia, DivergedNextHopBreaksEquivalence) {

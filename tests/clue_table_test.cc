@@ -135,18 +135,21 @@ TEST(HashClueTable, ForEachRelatedMatchesAScan) {
                                      : bases[rng.index(bases.size())];
       return ip::Prefix4(addr, static_cast<int>(rng.uniform(0, 32)));
     };
-    const auto expectMatchesScan = [&](const ip::Prefix4& p) {
+    const auto expectMatchesScanIn = [&](Table& table, const ip::Prefix4& p) {
       std::vector<const Entry*> want;
-      t.forEachMutable([&](Entry& e) {
+      table.forEachMutable([&](Entry& e) {
         if (related(e.clue, p)) want.push_back(&e);
       });
       std::vector<const Entry*> got;
-      t.forEachRelated(p, [&](Entry& e) { got.push_back(&e); });
+      table.forEachRelated(p, [&](Entry& e) { got.push_back(&e); });
       std::sort(want.begin(), want.end());
       std::sort(got.begin(), got.end());
       EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
           << p.toString() << ": an entry visited twice";
       EXPECT_EQ(got, want) << p.toString();
+    };
+    const auto expectMatchesScan = [&](const ip::Prefix4& p) {
+      expectMatchesScanIn(t, p);
     };
 
     ASSERT_TRUE(t.insert(entryFor(ip::Prefix4(), 0)));
@@ -162,6 +165,28 @@ TEST(HashClueTable, ForEachRelatedMatchesAScan) {
     expectMatchesScan(ip::Prefix4());
     expectMatchesScan(ip::Prefix4(bases[0], 32));
     expectMatchesScan(ip::Prefix4(A(rng.u32()), 32));
+
+    // In-order insertion, as a build over a Fib inserts its prefixes: a
+    // first sorted run (indexed without a sort or a merge), a second sorted
+    // run past the first one's last key (appended as it is), and a third
+    // sorted run that interleaves with both (merged without a sort).
+    std::vector<ip::Prefix4> keys;
+    for (int i = 0; i < 300; ++i) keys.push_back(randomPrefix());
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    std::vector<ip::Prefix4> runs[3];
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      runs[i % 3 == 2 ? 2 : (i < keys.size() / 2 ? 0 : 1)].push_back(keys[i]);
+    }
+    Table ordered(4);
+    for (const auto& run : runs) {
+      for (const ip::Prefix4& k : run) {
+        ASSERT_TRUE(ordered.insert(entryFor(k, 1)));
+      }
+      for (int q = 0; q < 50; ++q) expectMatchesScanIn(ordered, randomPrefix());
+      expectMatchesScanIn(ordered, run.front());
+      expectMatchesScanIn(ordered, ip::Prefix4());
+    }
   }
 }
 

@@ -5,10 +5,15 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mem/access_counter.h"
 #include "mem/alloc_hook.h"
 #include "mem/huge_pages.h"
+#include "mem/node_pool.h"
+#include "test_util.h"
+#include "trie/binary_trie.h"
+#include "trie/patricia_trie.h"
 
 namespace cluert::mem {
 namespace {
@@ -183,6 +188,105 @@ TEST(HugePages, SmallRequestTakesOperatorNew) {
             0u);
   static_cast<char*>(p)[kHugePageBytes - 2] = 1;
   deallocateHuge(p, kHugePageBytes - 1);
+}
+
+// A stand-in for a trie node: the pool needs only a trivially copyable T.
+struct Slot {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
+
+TEST(NodePool, AddressesStayPutWhileThePoolGrows) {
+  NodePool<Slot> pool;
+  std::vector<const Slot*> addresses;
+  std::vector<PoolIndex> indices;
+  for (std::uint64_t n = 0; n < 5000; ++n) {
+    const PoolIndex i = pool.allocate();
+    ASSERT_EQ(pool.ordinal(i), n) << "a fresh pool hands out slots in order";
+    pool[i].a = n;
+    indices.push_back(i);
+    addresses.push_back(&pool[i]);
+  }
+  // 32 + 64 + ... + 4096 slots: the pool doubled seven times.
+  EXPECT_EQ(pool.blockCount(), 8u);
+  EXPECT_EQ(pool.size(), 5000u);
+  for (std::size_t n = 0; n < 5000; ++n) {
+    EXPECT_EQ(&pool[indices[n]], addresses[n]);
+    EXPECT_EQ(pool[indices[n]].a, n);
+  }
+  // Moving the pool moves the blocks' ownership, not the slots.
+  const NodePool<Slot> moved = std::move(pool);
+  EXPECT_EQ(&moved[indices.back()], addresses.back());
+  EXPECT_EQ(moved.live(), 5000u);
+}
+
+TEST(NodePool, ReleasedSlotIsReusedFirst) {
+  NodePool<Slot> pool;
+  pool.allocate();
+  const PoolIndex b = pool.allocate();
+  pool.allocate();
+  pool[b].a = 7;
+  pool.release(b);
+  EXPECT_EQ(pool.live(), 2u);
+  const PoolIndex again = pool.allocate();
+  EXPECT_EQ(again, b);
+  EXPECT_EQ(pool[again].a, 0u) << "a reused slot is value-initialised";
+  EXPECT_EQ(pool.size(), 3u) << "no fresh slot was taken";
+}
+
+// Erasing and re-inserting the same prefixes recycles the released slots:
+// neither trie's pool takes a fresh slot, let alone a new block.
+TEST(NodePool, TrieChurnKeepsThePoolSize) {
+  Rng rng(23);
+  const auto entries = testutil::randomTable4(rng, 1000);
+  trie::BinaryTrie4 binary;
+  trie::PatriciaTrie4 patricia;
+  for (const auto& e : entries) {
+    binary.insert(e.prefix, e.next_hop);
+    patricia.insert(e.prefix, e.next_hop);
+  }
+  const std::size_t binary_blocks = binary.pool().blockCount();
+  const std::size_t binary_slots = binary.pool().size();
+  const std::size_t patricia_blocks = patricia.pool().blockCount();
+  const std::size_t patricia_slots = patricia.pool().size();
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    for (const auto& e : entries) {
+      ASSERT_TRUE(binary.erase(e.prefix));
+      ASSERT_TRUE(patricia.erase(e.prefix));
+    }
+    ASSERT_EQ(binary.nodeCount(), 1u);
+    ASSERT_EQ(patricia.nodeCount(), 1u);
+    for (const auto& e : entries) {
+      binary.insert(e.prefix, e.next_hop);
+      patricia.insert(e.prefix, e.next_hop);
+    }
+  }
+  EXPECT_EQ(binary.pool().blockCount(), binary_blocks);
+  EXPECT_EQ(binary.pool().size(), binary_slots);
+  EXPECT_EQ(patricia.pool().blockCount(), patricia_blocks);
+  EXPECT_EQ(patricia.pool().size(), patricia_slots);
+  EXPECT_EQ(binary.prefixCount(), entries.size());
+  EXPECT_EQ(patricia.prefixCount(), entries.size());
+}
+
+// A walk through a stale anchor reads a released slot; ASan must still say
+// so, as it did when the slot was a freed heap node.
+TEST(NodePoolDeathTest, ReadingAReleasedTrieVertexIsReported) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "released slots are poisoned in ASan builds only";
+#else
+  trie::BinaryTrie4 t;
+  t.insert(testutil::p4("10.1.2.0/24"), 1);
+  const auto* stale = t.findVertex(testutil::p4("10.1.2.0/24"));
+  ASSERT_NE(stale, nullptr);
+  ASSERT_TRUE(t.erase(testutil::p4("10.1.2.0/24")));
+  EXPECT_DEATH(
+      {
+        volatile bool marked = stale->marked;
+        (void)marked;
+      },
+      "use-after-poison");
+#endif
 }
 
 }  // namespace

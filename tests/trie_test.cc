@@ -187,8 +187,8 @@ bool bruteContinue(const BT& t2, const BT& t1, const ip::Prefix4& v) {
           if (t1.contains(n->prefix)) return;  // blocks this whole branch
           if (n->marked) found = true;
         }
-        walk(n->child[0].get(), false);
-        walk(n->child[1].get(), false);
+        walk(t2.child(n, 0), false);
+        walk(t2.child(n, 1), false);
       };
   walk(node, false);
   return found;

@@ -54,7 +54,12 @@ cd "$(dirname "$0")/.."
 # continuation: the packed 32/48-byte entries, copied by value into tables,
 # caches and walks, and the per-table candidate stores whose released sets
 # must stay readable until reclaimed (ASan's proof of that lifetime rule).
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods"
+# BinaryTrie/Patricia/SuiteUpdate/NodePool cover the tries and their node
+# pools (src/trie/, mem/node_pool.h): inserts, erases that prune and splice
+# along the recorded path, in-place suite updates, and the slot reuse behind
+# every anchor. An ASan build poisons a released slot, so a walk through a
+# stale anchor is still reported; NodePoolDeathTest proves that it is.
+DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods|BinaryTrie|Patricia|SuiteUpdate|NodePool"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"

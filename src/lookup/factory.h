@@ -144,13 +144,7 @@ class LookupSuite {
   void applyAnnotation(NeighborIndex neighbor,
                        const trie::BinaryTrie<A>& neighbor_trie) {
     trie_.computeContinueBits(neighbor, neighbor_trie);
-    patricia_.annotateContinueBits(neighbor, [&](const PrefixT& p) {
-      const auto* v = trie_.findVertex(p);
-      CLUERT_CHECK(v != nullptr)
-          << "Patricia node " << p.toString()
-          << " has no binary-trie vertex; the two structures diverged";
-      return trie::BinaryTrie<A>::continueBit(v, neighbor);
-    });
+    patricia_.annotateContinueBits(neighbor, trie_);
   }
 
   SuiteOptions options_;

@@ -50,13 +50,7 @@ class SegmentTable {
     }
     // Sort by (range start, length): outer prefixes before the prefixes
     // nested inside them.
-    std::sort(entries.begin(), entries.end(),
-              [](const MatchT& x, const MatchT& y) {
-                if (x.prefix.addr() != y.prefix.addr()) {
-                  return x.prefix.addr() < y.prefix.addr();
-                }
-                return x.prefix.length() < y.prefix.length();
-              });
+    std::ranges::sort(entries, {}, &MatchT::prefix);
     entries.erase(std::unique(entries.begin(), entries.end(),
                               [](const MatchT& x, const MatchT& y) {
                                 return x.prefix == y.prefix;

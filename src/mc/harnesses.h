@@ -1,13 +1,15 @@
 // Bounded model-checking harnesses over the *production* concurrency cores.
 //
 // Each harness is a small closed scenario (2–3 model threads, a handful of
-// operations) instantiating the very templates the data plane runs —
-// pipeline::SpscRing and rib::EpochPublication — with mc::ModelPolicy, so
-// the checker enumerates interleavings of the shipped algorithms, not of a
+// operations) instantiating the very templates the program runs —
+// rib::EpochPublication behind VersionedTables, and pipeline::SpscRing as
+// perfbench's feeder replay drives it — with mc::ModelPolicy, so the
+// checker enumerates interleavings of the shipped algorithms, not of a
 // transcription. The checked invariants are the ones DESIGN.md §10 states:
 //
-//   * ring: no lost items, no duplicated items, FIFO order, close() really
-//     means drained, reopen() under the quiescence contract loses nothing;
+//   * ring: no lost items, no duplicated items, FIFO order, and close()
+//     really means drained, over the claim/publish/front/release/close API
+//     that perfbench's replay runs;
 //   * epoch: a reader never observes a retired version being rewritten
 //     (that is a data race on the payload Vars), and the updater's grace
 //     wait always terminates (a lost wakeup would be reported as a hang).
@@ -29,47 +31,24 @@
 
 namespace cluert::mc {
 
-// -- ring: plain push/pop transfer ------------------------------------------
+// -- ring: zero-copy transfer, close and drain ------------------------------
 
-// Producer pushes 1..N through a capacity-2 ring (forcing wrap-around and
-// backpressure), consumer pops until it has N. FIFO + no loss + no dup.
-template <typename Policy, int N = 3>
-void ringTransferHarness(Context& ctx) {
-  pipeline::SpscRing<Var<std::uint64_t>, Policy> ring(2);
-  const int producer = ctx.spawn([&ring]() {
-    for (int i = 1; i <= N; ++i) {
-      Var<std::uint64_t> item(static_cast<std::uint64_t>(i));
-      while (!ring.tryPush(std::move(item))) {
-        if (abandoned()) return;
-      }
-    }
-  });
-  std::uint64_t got[N] = {};
-  int n_got = 0;
-  const int consumer = ctx.spawn([&ring, &got, &n_got]() {
-    Var<std::uint64_t> out;
-    while (n_got < N) {
-      if (ring.tryPop(out)) got[n_got++] = out.get();
-      if (abandoned()) return;
-    }
-  });
-  ctx.join(producer);
-  ctx.join(consumer);
-  for (int i = 0; i < N; ++i) {
-    ctx.check(got[i] == static_cast<std::uint64_t>(i + 1),
-              "ring delivered item " + std::to_string(got[i]) +
-                  " at position " + std::to_string(i) +
-                  " (lost/duplicated/reordered)");
-  }
-}
-
-// -- ring: zero-copy claim/publish + front/release --------------------------
-
-template <typename Policy, int N = 3>
+// The producer claims and publishes 1..kItems through a capacity-2 ring,
+// then closes it. Two items fill the ring without wrapping it, so the
+// producer never finds it full and never re-reads head_: claim()'s acquire
+// and release()'s store go unchecked at this bound (three items exhaust in
+// ~795k executions, twice the test budget). The consumer is
+// perfbench's replayHandoff loop: front(); when that is empty, closed(),
+// then front() once more, and an empty ring after closed() is the end of
+// the stream. FIFO + no loss + no dup, and close()/closed() form a checked
+// release/acquire pair: were either demoted, the consumer could see the
+// close yet read a stale tail_, and exit with items still in the ring.
+template <typename Policy>
 void ringZeroCopyHarness(Context& ctx) {
+  constexpr int kItems = 2;
   pipeline::SpscRing<Var<std::uint64_t>, Policy> ring(2);
   const int producer = ctx.spawn([&ring]() {
-    for (int i = 1; i <= N; ++i) {
+    for (int i = 1; i <= kItems; ++i) {
       Var<std::uint64_t>* slot = nullptr;
       while ((slot = ring.claim()) == nullptr) {
         if (abandoned()) return;
@@ -77,128 +56,35 @@ void ringZeroCopyHarness(Context& ctx) {
       slot->set(static_cast<std::uint64_t>(i));
       ring.publish();
     }
+    ring.close();
   });
-  std::uint64_t got[N] = {};
+  std::uint64_t got[kItems] = {};
   int n_got = 0;
   const int consumer = ctx.spawn([&ring, &got, &n_got]() {
-    while (n_got < N) {
+    for (;;) {
+      if (abandoned()) return;
       Var<std::uint64_t>* slot = ring.front();
       if (slot == nullptr) {
-        if (abandoned()) return;
-        continue;
+        if (!ring.closed()) continue;
+        slot = ring.front();
+        if (slot == nullptr) break;
       }
-      got[n_got++] = slot->get();
+      if (n_got < kItems) got[n_got] = slot->get();
+      ++n_got;
       ring.release();
     }
   });
   ctx.join(producer);
   ctx.join(consumer);
-  for (int i = 0; i < N; ++i) {
+  ctx.check(n_got == kItems, "ring drained " + std::to_string(n_got) +
+                                 " of " + std::to_string(kItems) +
+                                 " items before closed()");
+  for (int i = 0; i < kItems; ++i) {
     ctx.check(got[i] == static_cast<std::uint64_t>(i + 1),
-              "zero-copy ring delivered item " + std::to_string(got[i]) +
-                  " at position " + std::to_string(i));
+              "ring delivered item " + std::to_string(got[i]) +
+                  " at position " + std::to_string(i) +
+                  " (lost/duplicated/reordered)");
   }
-}
-
-// -- ring: close / reopen under the pipeline's quiescence contract ----------
-
-// The Pipeline reuses each worker's ring across run() calls: workers are
-// joined, reopen() runs while everything is quiescent, fresh workers are
-// spawned. This harness follows that contract exactly — drain-to-close
-// consumer, join, reopen, second stream, second consumer — so its
-// exhaustive pass is the proof that reopen()'s relaxed store is sufficient
-// *under the contract* (the join/spawn edges order it before every new
-// consumer's acquire). See spsc_ring.h reopen() and DESIGN.md §10.
-template <typename Policy>
-void ringCloseReopenQuiescentHarness(Context& ctx) {
-  pipeline::SpscRing<Var<std::uint64_t>, Policy> ring(2);
-  std::uint64_t got[2] = {};
-  int n_got = 0;
-  auto drainer = [&ring, &got, &n_got]() {
-    Var<std::uint64_t> out;
-    for (;;) {
-      if (abandoned()) return;
-      if (ring.tryPop(out)) {
-        if (n_got < 2) got[n_got] = out.get();
-        ++n_got;
-      } else if (ring.closed()) {
-        // closed() is an acquire; a true here means every pre-close push
-        // is visible, so a failed tryPop really is "drained".
-        if (!ring.tryPop(out)) break;
-        if (n_got < 2) got[n_got] = out.get();
-        ++n_got;
-      }
-    }
-  };
-
-  Var<std::uint64_t> a(11);
-  while (!ring.tryPush(std::move(a))) {
-    if (abandoned()) return;
-  }
-  ring.close();
-  const int c1 = ctx.spawn(drainer);
-  ctx.join(c1);
-
-  ring.reopen();  // quiescent: c1 joined, c2 not yet spawned
-
-  Var<std::uint64_t> b(22);
-  while (!ring.tryPush(std::move(b))) {
-    if (abandoned()) return;
-  }
-  ring.close();
-  const int c2 = ctx.spawn(drainer);
-  ctx.join(c2);
-
-  ctx.check(n_got == 2, "close/reopen cycle delivered " +
-                            std::to_string(n_got) + " items, expected 2");
-  ctx.check(got[0] == 11 && got[1] == 22,
-            "close/reopen cycle delivered wrong items");
-}
-
-// -- ring: reopen with the contract BROKEN ----------------------------------
-
-// Same protocol, but the consumer stays live across reopen(). The checker
-// finds the lost-item schedule: the consumer drains stream 1, observes
-// closed()==true and exits exactly while the producer is between reopen()
-// and the second close() — item 22 is never consumed. Crucially the
-// counterexample needs no weak-memory stale read at all (it appears under
-// plain sequential interleaving), which is the demonstration that promoting
-// reopen() to release would NOT fix a contract violation; only quiescence
-// does. tests/mc_test.cc commits the minimized schedule as a regression.
-template <typename Policy>
-void ringReopenRacyHarness(Context& ctx) {
-  pipeline::SpscRing<Var<std::uint64_t>, Policy> ring(2);
-  std::uint64_t got[2] = {};
-  int n_got = 0;
-  const int consumer = ctx.spawn([&ring, &got, &n_got]() {
-    Var<std::uint64_t> out;
-    for (;;) {
-      if (abandoned()) return;
-      if (ring.tryPop(out)) {
-        if (n_got < 2) got[n_got] = out.get();
-        ++n_got;
-      } else if (ring.closed()) {
-        if (!ring.tryPop(out)) break;
-        if (n_got < 2) got[n_got] = out.get();
-        ++n_got;
-      }
-    }
-  });
-
-  Var<std::uint64_t> a(11);
-  while (!ring.tryPush(std::move(a))) {
-    if (abandoned()) return;
-  }
-  ring.close();
-  ring.reopen();  // NOT quiescent: the consumer is still running
-  Var<std::uint64_t> b(22);
-  while (!ring.tryPush(std::move(b))) {
-    if (abandoned()) return;
-  }
-  ring.close();
-  ctx.join(consumer);
-  ctx.check(n_got == 2, "consumer lost an item across a racy reopen (saw " +
-                            std::to_string(n_got) + " of 2)");
 }
 
 // -- epoch: publish / pin / grace -------------------------------------------
@@ -246,8 +132,8 @@ void epochPublishHarness(Context& ctx) {
 struct NamedHarness {
   std::string name;
   Harness fn;
-  // Mutant harnesses (weakened orderings / broken contracts) are *expected*
-  // to produce a violation; the correct ones must pass exhaustively.
+  // Mutant harnesses (weakened orderings) are *expected* to produce a
+  // violation; the correct ones must pass exhaustively.
   bool expect_violation;
   std::string note;
 };
@@ -257,19 +143,13 @@ inline const std::vector<NamedHarness>& harnessRegistry() {
   using WeakRel = WeakenedPolicy<Weaken::kReleaseToRelaxed>;
   using WeakAcq = WeakenedPolicy<Weaken::kAcquireToRelaxed>;
   static const std::vector<NamedHarness> kRegistry = {
-      {"ring_transfer", ringTransferHarness<ModelPolicy, 2>, false,
-       "SPSC push/pop transfer: FIFO, no loss, no dup"},
-      {"ring_zero_copy", ringZeroCopyHarness<ModelPolicy, 2>, false,
-       "SPSC claim/publish + front/release paths"},
-      {"ring_close_reopen", ringCloseReopenQuiescentHarness<ModelPolicy>,
-       false, "close/drain/reopen under the pipeline quiescence contract"},
-      {"ring_reopen_racy", ringReopenRacyHarness<ModelPolicy>, true,
-       "reopen with a live consumer: loses an item even under SC"},
+      {"ring_zero_copy", ringZeroCopyHarness<ModelPolicy>, false,
+       "SPSC claim/publish + front/release, close and drain: FIFO, no loss"},
       {"epoch_publish", epochPublishHarness<ModelPolicy>, false,
        "pin/publish/grace/catch-up over EpochPublication"},
-      {"ring_transfer_weak_release", ringTransferHarness<WeakRel>, true,
+      {"ring_zero_copy_weak_release", ringZeroCopyHarness<WeakRel>, true,
        "mutant: publish/head stores demoted to relaxed -> slot hand-off race"},
-      {"ring_transfer_weak_acquire", ringTransferHarness<WeakAcq>, true,
+      {"ring_zero_copy_weak_acquire", ringZeroCopyHarness<WeakAcq>, true,
        "mutant: index loads demoted to relaxed -> slot hand-off race"},
       {"epoch_publish_weak_sc", epochPublishHarness<WeakSc>, true,
        "mutant: SB pair demoted to relaxed -> grace period broken"},

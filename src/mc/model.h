@@ -3,8 +3,9 @@
 // What it is: a cooperative scheduler plus an instrumented-atomics model
 // (mc/atomic.h) that together enumerate thread interleavings of small
 // bounded harnesses (mc/harnesses.h) over the *production* SpscRing and
-// EpochPublication code — the same templates the data plane instantiates,
-// parameterised by mc::ModelPolicy instead of sync::StdSyncPolicy.
+// EpochPublication code — the same templates VersionedTables and
+// perfbench's feeder replay instantiate, parameterised by mc::ModelPolicy
+// instead of sync::StdSyncPolicy.
 //
 // Execution model (operational, relacy-style — DESIGN.md §10 documents the
 // exact guarantees and deliberate approximations):

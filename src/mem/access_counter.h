@@ -35,7 +35,8 @@ enum class Region : std::uint8_t {
 std::string_view regionName(Region r);
 
 // Accumulates access counts. Cheap enough to pass by reference into every
-// lookup call; copyable for snapshot/delta arithmetic.
+// lookup call; copyable, so a lookup is costed by snapshotting the counter
+// around it (lookupDelta below).
 //
 // NOT thread-safe: a counter belongs to one thread. Concurrent code (the
 // forwarding pipeline) keeps one counter per worker and combines them on the
@@ -67,16 +68,6 @@ class AccessCounter {
 #ifndef NDEBUG
     owner_set_ = false;
 #endif
-  }
-
-  // Element-wise difference (this - other); used to cost a single lookup by
-  // snapshotting around it.
-  AccessCounter operator-(const AccessCounter& other) const {
-    AccessCounter r;
-    for (std::size_t i = 0; i < kRegions; ++i) {
-      r.counts_[i] = counts_[i] - other.counts_[i];
-    }
-    return r;
   }
 
   AccessCounter& operator+=(const AccessCounter& other) {
@@ -151,20 +142,6 @@ inline std::uint32_t accessTotal(const LookupAccesses& a) {
   for (const auto n : a) t += n;
   return t;
 }
-
-// Measures the accesses performed between construction and elapsed()/dtor.
-class ScopedTally {
- public:
-  explicit ScopedTally(const AccessCounter& counter)
-      : counter_(counter), start_(counter) {}
-
-  std::uint64_t elapsed() const { return counter_.total() - start_.total(); }
-  AccessCounter delta() const { return counter_ - start_; }
-
- private:
-  const AccessCounter& counter_;
-  AccessCounter start_;
-};
 
 // Models the SDRAM cache-line packing discussed in §3.5 and §4: a 32-byte
 // line holds two 16-byte clue entries, or `lineBytes/entryBytes` candidate

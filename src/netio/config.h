@@ -52,14 +52,6 @@ struct Config {
   std::uint32_t trace_sample = 0;
   // SIGQUIT flight-recorder dump destination ("" = the daemon's stderr).
   std::string flight_out;
-
-  // The egress endpoint for a resolved next hop: exact peer.<id> match,
-  // else peer.default, else nullopt (deliver locally).
-  std::optional<SockAddr> peerFor(NextHop nh) const {
-    auto it = peers.find(nh);
-    if (it != peers.end()) return it->second;
-    return default_peer;
-  }
 };
 
 // Parses config text. On failure returns nullopt and sets *error to a

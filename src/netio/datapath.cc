@@ -127,7 +127,7 @@ obs::CounterCell& Datapath::rxCellFor(std::uint16_t src_id) {
 
 void Datapath::onReadable() {
   // Level-triggered: processing a bounded number of rounds per callback
-  // keeps posted tasks and timers responsive under sustained load.
+  // keeps posted tasks responsive under sustained load.
   for (int round = 0; round < 4; ++round) {
     if (receive() < static_cast<int>(kRxMessages)) break;
   }

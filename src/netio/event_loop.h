@@ -1,14 +1,16 @@
 // A single-threaded epoll reactor: the spine of cluertd (DESIGN.md §9).
 //
 // One EventLoop owns one epoll instance and runs on exactly one thread
-// (run()'s caller). Everything the loop touches — fd callbacks, timers —
-// is mutated only from that thread; the two cross-thread entry points,
+// (run()'s caller). Everything the loop touches — its fd callbacks — is
+// mutated only from that thread; the two cross-thread entry points,
 // post() and stop(), go through a mutex-guarded queue plus an eventfd
 // wakeup, so no other state needs locking. This is the Envoy-style
 // dispatcher shape the roadmap calls for, cut down to what a router
-// daemon needs: level-triggered fd readiness, a coarse timer wheel for
-// drain deadlines and periodic work, and a wakeup pipe for control-plane
-// nudges (shutdown, reload, posted closures).
+// daemon needs: level-triggered fd readiness and a wakeup pipe for
+// control-plane nudges (shutdown, reload, posted closures). The loop has
+// no timers: it blocks in epoll_wait until an fd or a wakeup is ready, and
+// the one deadline the daemon keeps, the SIGTERM drain budget, is a loop
+// inside a posted task (Datapath::drainStep).
 #pragma once
 
 #include <cstdint>
@@ -26,12 +28,8 @@ class EventLoop {
  public:
   using FdCallback = std::function<void(std::uint32_t events)>;
   using Task = std::function<void()>;
-  using TimerId = std::uint64_t;
 
-  // tick_ms is the timer wheel's granularity: timers fire no later than one
-  // tick after their deadline. 5 ms is fine for drain timeouts and metric
-  // flushes; the data path never waits on a timer.
-  explicit EventLoop(std::uint32_t tick_ms = 5);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -51,38 +49,17 @@ class EventLoop {
   // Thread-safe: makes run() return after the current iteration.
   void stop();
 
-  // Schedules `fn` once, ~delay_ms from now (rounded up to a tick). Loop
-  // thread only; use post() to arm timers from outside.
-  TimerId runAfter(std::uint32_t delay_ms, Task fn);
-
-  // Cancels a pending timer. Returns false when already fired or unknown.
-  bool cancel(TimerId id);
-
-  // Blocks dispatching events until stop(). Runs posted tasks and due
-  // timers between epoll waits.
+  // Blocks dispatching events until stop(). Runs posted tasks between
+  // epoll waits.
   void run();
 
-  bool running() const { return running_; }
-
  private:
-  struct Timer {
-    TimerId id = 0;
-    std::uint32_t rounds = 0;  // full wheel revolutions still to wait
-    Task fn;
-  };
-
   void wakeup();
   void drainWakeup();
   void runPosted();
-  int timeoutMs() const;
-  void advanceWheel();
-
-  static constexpr std::size_t kWheelSlots = 256;
 
   Fd epoll_;
   Fd wake_;  // eventfd
-  std::uint32_t tick_ms_;
-  bool running_ = false;
   bool stop_requested_ = false;
 
   // shared_ptr so a callback that removes itself (or another fd) mid-dispatch
@@ -94,12 +71,6 @@ class EventLoop {
   // part worth proving).
   sync::Mutex post_mu_;
   std::vector<Task> posted_ CLUERT_GUARDED_BY(post_mu_);
-
-  std::vector<Timer> wheel_[kWheelSlots];
-  std::size_t wheel_pos_ = 0;
-  std::uint64_t last_tick_ns_ = 0;
-  std::uint64_t armed_timers_ = 0;
-  TimerId next_timer_id_ = 1;
 };
 
 }  // namespace cluert::netio

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/clock.h"
@@ -95,69 +94,64 @@ void FlightRing::pushAt(std::uint64_t ns, FlightKind kind, std::uint64_t a,
   n_.store(i + 1, std::memory_order_release);
 }
 
+std::uint64_t FlightRing::windowStart(std::uint64_t n) {
+  return n > kCapacity ? n - kCapacity : 0;
+}
+
+bool FlightRing::read(std::uint64_t i, FlightEvent& e) const {
+  const Slot& s = slots_[i & (kCapacity - 1)];
+  e.ns = s.ns.load(std::memory_order_acquire);
+  e.a = s.a.load(std::memory_order_acquire);
+  e.b = s.b.load(std::memory_order_acquire);
+  const std::uint16_t meta = s.meta.load(std::memory_order_acquire);
+  e.kind = static_cast<FlightKind>(meta & 0xff);
+  e.worker = static_cast<std::uint8_t>(meta >> 8);
+  // A copied field from a lapping push i + kCapacity synchronizes with its
+  // release store, so this re-read returns at least i + kCapacity. The
+  // writer may also be MID-push of event n (slot fields stored, count not
+  // yet published), and that push reuses the slot of index n - kCapacity,
+  // so index n - kCapacity itself must go too: only indices strictly above
+  // it are provably untouched.
+  return i + kCapacity > n_.load(std::memory_order_acquire);
+}
+
 std::vector<FlightEvent> FlightRing::snapshot() const {
   const std::uint64_t n0 = n_.load(std::memory_order_acquire);
-  const std::uint64_t first = n0 > kCapacity ? n0 - kCapacity : 0;
+  const std::uint64_t first = windowStart(n0);
   std::vector<FlightEvent> out;
   out.reserve(static_cast<std::size_t>(n0 - first));
+  FlightEvent e;
   for (std::uint64_t i = first; i < n0; ++i) {
-    const Slot& s = slots_[i & (kCapacity - 1)];
-    FlightEvent e;
-    e.ns = s.ns.load(std::memory_order_acquire);
-    e.a = s.a.load(std::memory_order_acquire);
-    e.b = s.b.load(std::memory_order_acquire);
-    const std::uint16_t meta = s.meta.load(std::memory_order_acquire);
-    e.kind = static_cast<FlightKind>(meta & 0xff);
-    e.worker = static_cast<std::uint8_t>(meta >> 8);
-    out.push_back(e);
-  }
-  // Anything the writer lapped while we copied may be torn — drop it. A
-  // copied field from a lapping push j + kCapacity synchronizes with its
-  // release store, so this re-read returns at least j + kCapacity and drops
-  // j. The writer may also be MID-push of event n1 right now (slot fields
-  // stored, count not yet published), and that slot is shared with event
-  // index n1 - kCapacity, so index n1 - kCapacity itself must go too: only
-  // indices strictly above it are provably untouched.
-  const std::uint64_t n1 = n_.load(std::memory_order_acquire);
-  const std::uint64_t valid_first =
-      n1 >= kCapacity ? n1 - kCapacity + 1 : 0;
-  if (valid_first > first) {
-    out.erase(out.begin(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                std::min(valid_first - first, n0 - first)));
+    // A lapped index drops the older events with it, so the snapshot stays
+    // one run of consecutive events.
+    if (read(i, e)) {
+      out.push_back(e);
+    } else {
+      out.clear();
+    }
   }
   return out;
 }
 
 void FlightRing::dumpTo(int fd) const {
   const std::uint64_t n0 = n_.load(std::memory_order_acquire);
-  const std::uint64_t first = n0 > kCapacity ? n0 - kCapacity : 0;
-  for (std::uint64_t i = first; i < n0; ++i) {
-    const Slot& s = slots_[i & (kCapacity - 1)];
-    const std::uint64_t ns = s.ns.load(std::memory_order_acquire);
-    const std::uint64_t a = s.a.load(std::memory_order_acquire);
-    const std::uint64_t b = s.b.load(std::memory_order_acquire);
-    const std::uint16_t meta = s.meta.load(std::memory_order_acquire);
-    // snapshot()'s discard rule, per event: skip an index the writer has
-    // lapped, or may be lapping, since the copy began.
-    if (i + kCapacity <= n_.load(std::memory_order_acquire)) continue;
-    const FlightKind kind = static_cast<FlightKind>(meta & 0xff);
-    const std::uint8_t worker = static_cast<std::uint8_t>(meta >> 8);
-
+  FlightEvent e;
+  for (std::uint64_t i = windowStart(n0); i < n0; ++i) {
+    if (!read(i, e)) continue;
     char line[128];
     std::size_t p = 0;
     const char prefix[] = "flight ";
     for (const char c : std::string_view(prefix)) line[p++] = c;
-    p += formatU64(worker, line + p);
+    p += formatU64(e.worker, line + p);
     line[p++] = ' ';
-    p += formatU64(ns, line + p);
+    p += formatU64(e.ns, line + p);
     line[p++] = ' ';
-    const std::string_view name = flightKindName(kind);
+    const std::string_view name = flightKindName(e.kind);
     for (const char c : name) line[p++] = c;
     line[p++] = ' ';
-    p += formatU64(a, line + p);
+    p += formatU64(e.a, line + p);
     line[p++] = ' ';
-    p += formatU64(b, line + p);
+    p += formatU64(e.b, line + p);
     line[p++] = '\n';
     writeAll(fd, line, p);
   }

@@ -10,23 +10,25 @@
 // of event i stores the slot's fields with release, then publishes by
 // storing the monotonically increasing event count `n_` = i+1 with release.
 // A reader loads `n_` with acquire (so every slot at index < n_ has its
-// fields visible), copies the window [max(0, n-capacity), n) with acquire
-// loads, then re-loads `n_` as n' and discards every index <= n' - capacity
-// as potentially torn. Why that catches every lap: a push of event
-// j + capacity into index j's slot comes after the writer's store
-// `n_` = j + capacity, so a copied field holding that push's value
-// synchronizes with its release store, and the re-read (which the acquire
-// keeps after the copy) returns n' >= j + capacity. The writer can also be
-// mid-push of event n' itself (some fields stored, count not yet
-// published), and that push reuses the slot of event n' - capacity, hence
-// the inclusive bound. A snapshot of a full ring therefore yields at most
-// capacity-1 events, trading one slot for tear-freedom. On x86 the release
-// stores and acquire loads are plain moves, so this ordering costs nothing.
+// fields visible) and walks the window [max(0, n-capacity), n). Both
+// readers copy an event through one private read(): acquire loads of the
+// slot's fields, then a re-load of `n_` as n', and the event is discarded
+// as potentially torn when its index j <= n' - capacity. Why that catches
+// every lap: a push of event j + capacity into index j's slot comes after
+// the writer's store `n_` = j + capacity, so a copied field holding that
+// push's value synchronizes with its release store, and the re-read (which
+// the acquire keeps after the copy) returns n' >= j + capacity. The writer
+// can also be mid-push of event n' itself (some fields stored, count not
+// yet published), and that push reuses the slot of event n' - capacity,
+// hence the inclusive bound. A read of a full ring therefore yields at
+// most capacity-1 events, trading one slot for tear-freedom. On x86 the
+// release stores and acquire loads are plain moves, so this ordering costs
+// nothing.
 // The writer never waits, never locks, never allocates — a push is a
 // handful of stores, O(ns) regardless of ring occupancy — and a reader
-// returns only fully published, untorn events. Readers are also safe from
-// a signal handler: dumpTo(fd) applies the same discard per event, formats
-// into stack buffers and calls only write(2).
+// returns only fully published, untorn events. read() does not allocate,
+// so dumpTo(fd), which formats into stack buffers and calls only write(2),
+// is safe from a signal handler.
 #pragma once
 
 #include <array>
@@ -93,17 +95,24 @@ class FlightRing {
   std::uint64_t count() const { return n_.load(std::memory_order_acquire); }
 
   // Any thread: oldest-first copy of the current window, discarding slots
-  // the writer overtook (or may be overwriting) mid-copy — at most
-  // kCapacity-1 events from a full ring. Allocates — not for signal
-  // handlers.
+  // the writer overtook (or may be overwriting) mid-copy, and every older
+  // event with them, so the copy is one run of consecutive events — at most
+  // kCapacity-1 from a full ring. Allocates — not for signal handlers.
   std::vector<FlightEvent> snapshot() const;
 
   // Any thread, async-signal-safe: one "flight <worker> <ns> <kind> <a> <b>"
-  // line per untorn event (snapshot()'s discard, checked per event) to `fd`
-  // using only write(2) and stack formatting.
+  // line per untorn event to `fd` using only write(2) and stack formatting.
   void dumpTo(int fd) const;
 
  private:
+  // First index of the window a reader walks when `n` events were pushed.
+  static std::uint64_t windowStart(std::uint64_t n);
+
+  // Copies event i into `e`; false when the writer has lapped index i, or
+  // may be lapping it, so the copy may be torn. The one read path of
+  // snapshot() and dumpTo(); allocation-free.
+  bool read(std::uint64_t i, FlightEvent& e) const;
+
   struct Slot {
     std::atomic<std::uint64_t> ns{0};
     std::atomic<std::uint64_t> a{0};

@@ -75,18 +75,6 @@ class Gauge {
     bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
 
-  void add(double d) {
-    std::uint64_t old = bits_.load(std::memory_order_relaxed);
-    for (;;) {
-      const std::uint64_t desired =
-          std::bit_cast<std::uint64_t>(std::bit_cast<double>(old) + d);
-      if (bits_.compare_exchange_weak(old, desired,
-                                      std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  }
-
   double value() const {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }

@@ -2,7 +2,9 @@
 // production path uses it: pipeline shards resolve slices of the input and
 // hand nothing between threads. It stays because perfbench replays the old
 // feeder's batch assembly and handoff over it, and because the model
-// checker (src/mc/harnesses.h) checks its orderings.
+// checker (src/mc/harnesses.h) checks its orderings. Its API is the one
+// that replay runs: zero-copy claim/publish on the producer side,
+// front/release on the consumer side, and close/closed for end-of-stream.
 //
 // Classic Lamport ring with the two standard refinements:
 //  * acquire/release atomics only (no CAS, no locks — wait-free on both
@@ -12,10 +14,11 @@
 //    shared cache line instead of two (the "batched index read" optimisation
 //    from rigtorp/folly-style queues).
 //
-// The producer additionally gets a `close()` bit for end-of-stream: workers
-// drain remaining items after observing it. Capacity is rounded up to a
-// power of two; one slot is never sacrificed (full/empty are distinguished
-// by index difference, indices increase monotonically and wrap via mask).
+// The producer additionally gets a `close()` bit for end-of-stream: the
+// consumer drains remaining items after observing it. Capacity is rounded
+// up to a power of two; one slot is never sacrificed (full/empty are
+// distinguished by index difference, indices increase monotonically and
+// wrap via mask).
 //
 // The `Policy` parameter (common/sync_policy.h) routes every atomic through
 // `Policy::template Atomic<T>`: production uses StdSyncPolicy (plain
@@ -55,23 +58,10 @@ class SpscRing {
 
   // -- producer side --------------------------------------------------------
 
-  // Non-blocking enqueue; false when the ring is full (backpressure — the
-  // caller decides how to wait).
-  bool tryPush(T&& value) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ == slots_.size()) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ == slots_.size()) return false;
-    }
-    slots_[tail & mask_] = std::move(value);
-    publishTail(tail + 1);
-    return true;
-  }
-
-  // Zero-copy enqueue, step 1: the slot the next push would fill, or nullptr
-  // when the ring is full. The producer writes into the slot in place (no
-  // staging copy) and then calls publish(). Must not be interleaved with
-  // tryPush between claim and publish.
+  // Enqueue, step 1: the slot the next publish would hand over, or nullptr
+  // when the ring is full (backpressure — the caller decides how to wait).
+  // The producer writes into the slot in place (no staging copy) and then
+  // calls publish().
   T* claim() {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - cached_head_ == slots_.size()) {
@@ -81,55 +71,34 @@ class SpscRing {
     return &slots_[tail & mask_];
   }
 
-  // Zero-copy enqueue, step 2: makes the claimed slot visible to the
-  // consumer.
+  // Enqueue, step 2: makes the claimed slot visible to the consumer. The
+  // release store is the ring's one publication point: it hands the slot
+  // contents to the consumer's acquire load of tail_ in front().
   void publish() {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    publishTail(tail + 1);
+#ifdef CLUERT_MC_MUTANT_RING_PUBLISH_RELAXED
+    // Seeded mutant (tests/mc_mutant_test.cc only, never defined by any
+    // production target): demotes the publish to relaxed so the model
+    // checker can prove it detects the resulting unsynchronized slot
+    // hand-off as a data race. See DESIGN.md §10.4.
+    tail_.store(tail + 1, std::memory_order_relaxed);
+#else
+    tail_.store(tail + 1, std::memory_order_release);
+#endif
   }
 
-  // Marks end-of-stream. Items pushed before close() are guaranteed visible
-  // to a consumer that observes closed(): the release store here pairs with
-  // the acquire load in closed(), so "closed and tryPop still fails" really
-  // means drained.
+  // Marks end-of-stream. Items published before close() are guaranteed
+  // visible to a consumer that observes closed(): the release store here
+  // pairs with the acquire load in closed(), so "closed and front() still
+  // empty" really means drained.
   void close() { closed_.store(true, std::memory_order_release); }
-
-  // Reverts close() so the same ring can carry another stream. Only valid
-  // while both sides are quiescent — after the consumer drained and joined,
-  // before the next producer/consumer pair starts.
-  //
-  // The relaxed store is deliberate and *checked*: it does not pair with the
-  // closed() acquire readers, so a consumer running concurrently with
-  // reopen() could read the stale `true` forever and exit mid-stream — the
-  // model checker exhibits exactly that lost-item schedule when the
-  // quiescence contract is broken (Mc.RingReopenContract\* in
-  // tests/mc_test.cc; promoting this store to release does NOT fix it,
-  // because coherence still allows the stale read). Under the contract —
-  // consumers joined before reopen(), new consumers spawned after — the
-  // join/spawn edges give every new consumer
-  // happens-before to this store, and the checker passes the
-  // contract-respecting harness exhaustively. DESIGN.md §10 has the full
-  // argument and the regression schedules.
-  void reopen() { closed_.store(false, std::memory_order_relaxed); }
 
   // -- consumer side --------------------------------------------------------
 
-  // Non-blocking dequeue; false when the ring is empty.
-  bool tryPop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;
-    }
-    out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Zero-copy dequeue, step 1: the oldest unconsumed slot, or nullptr when
-  // the ring is empty. The consumer processes it in place and then calls
-  // release(). Must not be interleaved with tryPop between front and
-  // release.
+  // Dequeue, step 1: the oldest unconsumed slot, or nullptr when the ring
+  // is empty. The consumer processes it in place and then calls release().
+  // A consumer that finds the ring empty checks closed() and then calls
+  // front() once more: empty again after closed() means drained.
   T* front() {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     if (head == cached_tail_) {
@@ -139,8 +108,7 @@ class SpscRing {
     return &slots_[head & mask_];
   }
 
-  // Zero-copy dequeue, step 2: returns the slot just processed to the
-  // producer.
+  // Dequeue, step 2: returns the slot just processed to the producer.
   void release() {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     head_.store(head + 1, std::memory_order_release);
@@ -148,28 +116,7 @@ class SpscRing {
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  // Racy size estimate — fine for stats/backoff heuristics, not for
-  // synchronisation decisions.
-  std::size_t sizeApprox() const {
-    return tail_.load(std::memory_order_relaxed) -
-           head_.load(std::memory_order_relaxed);
-  }
-
  private:
-  // The one producer-side publication point: the release store that hands
-  // slot contents to the consumer's acquire load of tail_.
-  void publishTail(std::size_t next_tail) {
-#ifdef CLUERT_MC_MUTANT_RING_PUBLISH_RELAXED
-    // Seeded mutant (tests/mc_mutant_test.cc only, never defined by any
-    // production target): demotes the publish to relaxed so the model
-    // checker can prove it detects the resulting unsynchronized slot
-    // hand-off as a data race. See ISSUE 7 / DESIGN.md §10.
-    tail_.store(next_tail, std::memory_order_relaxed);
-#else
-    tail_.store(next_tail, std::memory_order_release);
-#endif
-  }
-
   std::vector<T> slots_;
   std::size_t mask_ = 0;
 

@@ -119,15 +119,9 @@ class Fib {
   }
 
  private:
-  // Deduplicates (last writer wins) and orders canonically.
+  // Deduplicates (last writer wins) and orders by prefix.
   void normalize() {
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [](const EntryT& x, const EntryT& y) {
-                       if (x.prefix.addr() != y.prefix.addr()) {
-                         return x.prefix.addr() < y.prefix.addr();
-                       }
-                       return x.prefix.length() < y.prefix.length();
-                     });
+    std::ranges::stable_sort(entries_, {}, &EntryT::prefix);
     // Keep the last occurrence of duplicate prefixes.
     std::vector<EntryT> out;
     out.reserve(entries_.size());

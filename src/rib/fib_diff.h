@@ -43,19 +43,6 @@ struct FibDelta {
 
 using FibDelta4 = FibDelta<ip::Ip4Addr>;
 
-namespace detail {
-
-// Canonical (addr, length) order shared by every diff output vector, so a
-// delta is a pure function of the two tables — churn replays and the
-// versioned-table builders must not depend on hash-map iteration order.
-template <typename A>
-bool prefixLess(const ip::Prefix<A>& x, const ip::Prefix<A>& y) {
-  if (x.addr() != y.addr()) return x.addr() < y.addr();
-  return x.length() < y.length();
-}
-
-}  // namespace detail
-
 template <typename A>
 FibDelta<A> diff(const Fib<A>& prev, const Fib<A>& next) {
   using PrefixT = typename Fib<A>::PrefixT;
@@ -86,12 +73,12 @@ FibDelta<A> diff(const Fib<A>& prev, const Fib<A>& next) {
     }
   }
 
-  const auto entry_less = [](const auto& x, const auto& y) {
-    return detail::prefixLess<A>(x.prefix, y.prefix);
-  };
-  std::sort(d.added.begin(), d.added.end(), entry_less);
-  std::sort(d.rerouted.begin(), d.rerouted.end(), entry_less);
-  std::sort(d.removed.begin(), d.removed.end(), detail::prefixLess<A>);
+  // Prefix order (address, then length) on every output vector, so a delta
+  // is a pure function of the two tables — churn replays and the
+  // versioned-table builders must not depend on hash-map iteration order.
+  std::ranges::sort(d.added, {}, &trie::Match<A>::prefix);
+  std::ranges::sort(d.rerouted, {}, &trie::Match<A>::prefix);
+  std::ranges::sort(d.removed);
   return d;
 }
 

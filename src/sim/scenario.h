@@ -152,14 +152,11 @@ rib::FibDelta<A> drawDelta(Rng& rng, rib::Fib<A>& cur,
     d.rerouted.push_back(e);
     cur.add(e.prefix, e.next_hop);
   }
-  // Canonical order, like rib::diff: a scenario must be a pure function of
+  // Prefix order, like rib::diff: a scenario must be a pure function of
   // its seed, and serialization round-trips must be byte-stable.
-  const auto entry_less = [](const EntryT& x, const EntryT& y) {
-    return rib::detail::prefixLess<A>(x.prefix, y.prefix);
-  };
-  std::sort(d.added.begin(), d.added.end(), entry_less);
-  std::sort(d.rerouted.begin(), d.rerouted.end(), entry_less);
-  std::sort(d.removed.begin(), d.removed.end(), rib::detail::prefixLess<A>);
+  std::ranges::sort(d.added, {}, &EntryT::prefix);
+  std::ranges::sort(d.rerouted, {}, &EntryT::prefix);
+  std::ranges::sort(d.removed);
   return d;
 }
 

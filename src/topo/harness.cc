@@ -42,7 +42,7 @@ struct Stack {
 // its deltas left them.
 std::vector<Prefix4> sortedPrefixes(const Fib4& fib) {
   std::vector<Prefix4> out = fib.prefixes();
-  std::sort(out.begin(), out.end(), PrefixLess{});
+  std::ranges::sort(out);
   return out;
 }
 

@@ -28,19 +28,12 @@
 
 #include "ip/prefix.h"
 #include "rib/fib.h"
-#include "rib/fib_diff.h"
 #include "topo/topology.h"
 
 namespace cluert::topo {
 
 using Addr4 = ip::Ip4Addr;
 using Prefix4 = ip::Prefix<Addr4>;
-
-struct PrefixLess {
-  bool operator()(const Prefix4& x, const Prefix4& y) const {
-    return rib::detail::prefixLess<Addr4>(x, y);
-  }
-};
 
 // RIP's unreachable metric (RFC 2453): the count-to-infinity cap.
 inline constexpr int kInfinity = 16;
@@ -123,10 +116,10 @@ class RipNetwork {
 
  private:
   struct Router {
-    std::map<Prefix4, RipRoute, PrefixLess> routes;
-    std::map<Prefix4, bool, PrefixLess> originated;
+    std::map<Prefix4, RipRoute> routes;
+    std::map<Prefix4, bool> originated;
     // Per-ingress-neighbor clue view (see clueViewOf).
-    std::map<RouterId, std::map<Prefix4, bool, PrefixLess>> view;
+    std::map<RouterId, std::map<Prefix4, bool>> view;
     // Send a full (non-periodic) update to these neighbors next tick —
     // set when a link to them comes up.
     std::map<RouterId, bool> want_full;

@@ -35,7 +35,7 @@ class PatriciaTrie {
     NextHop next_hop = kNoNextHop;
     bool marked = false;
     // Per-neighbor Claim-1 "a longer candidate may still exist below"
-    // booleans (§4). Maintained by annotateContinueBits.
+    // booleans (§4), copied from the binary trie by annotateContinueBits.
     std::uint64_t continue_bits = 0;
 
     bool isLeaf() const {
@@ -253,24 +253,18 @@ class PatriciaTrie {
 
   // -- Claim-1 continue bits (§4 "Adapting Patricia") -----------------------
 
-  // `judge(node_prefix)` must return true iff a C1 candidate w.r.t. the
-  // neighbor may exist strictly below `node_prefix` — typically forwarded to
-  // BinaryTrie::continueBit on the router's control-plane binary trie, which
-  // is edge-aware (a neighbor prefix sitting in the middle of a compressed
-  // Patricia edge still blocks the branch).
-  void annotateContinueBits(
-      NeighborIndex neighbor,
-      const std::function<bool(const PrefixT&)>& judge) {
+  // Copies neighbor's Claim-1 bit from `binary` onto every node: a node's
+  // bit is the bit BinaryTrie::computeContinueBits left on the binary
+  // vertex of the node's prefix. `binary` is the router's control-plane
+  // trie over the same prefix set; it is edge-aware (a neighbor prefix in
+  // the middle of a compressed Patricia edge still blocks the branch). The
+  // walk descends `binary` alongside this trie, so each binary vertex on a
+  // Patricia path is visited once.
+  void annotateContinueBits(NeighborIndex neighbor,
+                            const BinaryTrie<A>& binary) {
     CLUERT_CHECK(neighbor < kMaxAnnotatedNeighbors)
         << "neighbor index " << neighbor << " exceeds the continue-bit mask";
-    const std::uint64_t bit = std::uint64_t{1} << neighbor;
-    visitMutable(pool_[kRootSlot], [&](Node& n) {
-      if (judge(n.prefix)) {
-        n.continue_bits |= bit;
-      } else {
-        n.continue_bits &= ~bit;
-      }
-    });
+    annotateImpl(kRootSlot, binary.root(), neighbor, binary);
   }
 
   static bool continueBit(const Node* node, NeighborIndex neighbor) {
@@ -333,11 +327,29 @@ class PatriciaTrie {
     visit(child(node, 1), fn);
   }
 
-  template <typename Fn>
-  void visitMutable(Node& node, const Fn& fn) {
-    fn(node);
+  // `vertex` is the binary vertex of pool_[at]'s prefix. Each child's vertex
+  // is found by descending from it along the child's skipped bits.
+  void annotateImpl(NodeIndex at, const typename BinaryTrie<A>::Node* vertex,
+                    NeighborIndex neighbor, const BinaryTrie<A>& binary) {
+    Node& node = pool_[at];
+    const std::uint64_t bit = std::uint64_t{1} << neighbor;
+    if (BinaryTrie<A>::continueBit(vertex, neighbor)) {
+      node.continue_bits |= bit;
+    } else {
+      node.continue_bits &= ~bit;
+    }
     for (unsigned b = 0; b < 2; ++b) {
-      if (node.child[b] != kNoChild) visitMutable(pool_[node.child[b]], fn);
+      if (node.child[b] == kNoChild) continue;
+      const PrefixT& sub = pool_[node.child[b]].prefix;
+      const typename BinaryTrie<A>::Node* v = vertex;
+      for (int d = node.prefix.length(); d < sub.length() && v != nullptr;
+           ++d) {
+        v = binary.child(v, sub.bit(d));
+      }
+      CLUERT_CHECK(v != nullptr)
+          << "Patricia node " << sub.toString()
+          << " has no binary-trie vertex; the two structures diverged";
+      annotateImpl(node.child[b], v, neighbor, binary);
     }
   }
 

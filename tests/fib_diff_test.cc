@@ -114,7 +114,7 @@ TEST(FibDiff, OutputsAreSortedAndDeterministic) {
   const auto d = diff(prev, next);
   const auto sorted = [](const auto& v, auto&& key) {
     for (std::size_t i = 1; i < v.size(); ++i) {
-      if (!detail::prefixLess<A>(key(v[i - 1]), key(v[i]))) return false;
+      if (!(key(v[i - 1]) < key(v[i]))) return false;
     }
     return true;
   };

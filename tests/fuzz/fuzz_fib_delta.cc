@@ -19,10 +19,7 @@ using A = ip::Ip4Addr;
 // by sorted content, not by serialize() bytes.
 std::vector<trie::Match<A>> canonical(const rib::Fib<A>& fib) {
   std::vector<trie::Match<A>> v{fib.entries().begin(), fib.entries().end()};
-  std::sort(v.begin(), v.end(),
-            [](const trie::Match<A>& x, const trie::Match<A>& y) {
-              return rib::detail::prefixLess<A>(x.prefix, y.prefix);
-            });
+  std::ranges::sort(v, {}, &trie::Match<A>::prefix);
   return v;
 }
 
@@ -65,14 +62,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // Sections must be canonically sorted and free of duplicates.
   for (std::size_t i = 1; i < d.removed.size(); ++i) {
-    if (!rib::detail::prefixLess<ip::Ip4Addr>(d.removed[i - 1], d.removed[i])) {
+    if (!(d.removed[i - 1] < d.removed[i])) {
       std::fprintf(stderr, "diff.removed not strictly sorted\n");
       std::abort();
     }
   }
   for (std::size_t i = 1; i < d.added.size(); ++i) {
-    if (!rib::detail::prefixLess<ip::Ip4Addr>(d.added[i - 1].prefix,
-                                              d.added[i].prefix)) {
+    if (!(d.added[i - 1].prefix < d.added[i].prefix)) {
       std::fprintf(stderr, "diff.added not strictly sorted\n");
       std::abort();
     }

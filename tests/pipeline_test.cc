@@ -29,17 +29,41 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(pipeline::SpscRing<int>(65).capacity(), 128u);
 }
 
+// The ring's API is zero-copy: a push is claim() + write in place +
+// publish(), a pop is front() + read in place + release().
+template <typename T>
+bool push(pipeline::SpscRing<T>& ring, T v) {
+  T* slot = ring.claim();
+  if (slot == nullptr) return false;
+  *slot = v;
+  ring.publish();
+  return true;
+}
+
+template <typename T>
+bool pop(pipeline::SpscRing<T>& ring, T& out) {
+  const T* slot = ring.front();
+  if (slot == nullptr) return false;
+  out = *slot;
+  ring.release();
+  return true;
+}
+
 TEST(SpscRingTest, FullAndEmpty) {
   pipeline::SpscRing<int> ring(4);
   int out = 0;
-  EXPECT_FALSE(ring.tryPop(out));  // empty from the start
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.tryPush(int{i}));
-  EXPECT_FALSE(ring.tryPush(99));  // full: push refused, value intact
+  EXPECT_EQ(ring.front(), nullptr);  // empty from the start
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(push(ring, i));
+  EXPECT_EQ(ring.claim(), nullptr);  // full: nothing to claim
+  // front() names the oldest slot and keeps naming it until release().
+  ASSERT_NE(ring.front(), nullptr);
+  EXPECT_EQ(ring.front(), ring.front());
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.tryPop(out));
+    ASSERT_TRUE(pop(ring, out));
     EXPECT_EQ(out, i);  // FIFO
   }
-  EXPECT_FALSE(ring.tryPop(out));  // drained again
+  EXPECT_EQ(ring.front(), nullptr);  // drained again
+  EXPECT_NE(ring.claim(), nullptr);  // and every slot claimable
 }
 
 TEST(SpscRingTest, WraparoundPreservesFifoOrder) {
@@ -48,52 +72,60 @@ TEST(SpscRingTest, WraparoundPreservesFifoOrder) {
   // 3 in, 3 out per round: 3 does not divide the capacity, so the occupied
   // window slides across the mask boundary and wraps many times.
   for (int round = 0; round < 1000; ++round) {
-    for (int k = 0; k < 3; ++k) EXPECT_TRUE(ring.tryPush(next_push++));
+    for (int k = 0; k < 3; ++k) EXPECT_TRUE(push(ring, next_push++));
     for (int k = 0; k < 3; ++k) {
-      ASSERT_TRUE(ring.tryPop(out));
+      ASSERT_TRUE(pop(ring, out));
       EXPECT_EQ(out, next_pop++);
     }
   }
-  EXPECT_FALSE(ring.tryPop(out));
+  EXPECT_EQ(ring.front(), nullptr);
   EXPECT_EQ(next_pop, next_push);
 }
 
 TEST(SpscRingTest, CloseIsObservedAfterDrain) {
   pipeline::SpscRing<int> ring(8);
   EXPECT_FALSE(ring.closed());
-  EXPECT_TRUE(ring.tryPush(7));
+  EXPECT_TRUE(push(ring, 7));
   ring.close();
   EXPECT_TRUE(ring.closed());
   int out = 0;
-  EXPECT_TRUE(ring.tryPop(out));  // items pushed before close still drain
+  EXPECT_TRUE(pop(ring, out));  // items published before close still drain
   EXPECT_EQ(out, 7);
-  EXPECT_FALSE(ring.tryPop(out));
+  EXPECT_EQ(ring.front(), nullptr);
 }
 
+// perfbench's replayHandoff shape: the producer claims, writes in place and
+// publishes, then closes; the consumer reads in place and releases, and on
+// an empty ring checks closed() and calls front() once more before it
+// stops.
 TEST(SpscRingTest, TwoThreadTransferDeliversEverythingInOrder) {
   pipeline::SpscRing<std::uint64_t> ring(16);
   constexpr std::uint64_t kItems = 100'000;
   std::uint64_t sum = 0, received = 0;
   bool ordered = true;
   std::thread consumer([&] {
-    std::uint64_t v, expect = 0;
+    std::uint64_t expect = 0;
     for (;;) {
-      if (ring.tryPop(v)) {
-        ordered = ordered && v == expect++;
-        sum += v;
-        ++received;
-      } else if (ring.closed()) {
-        if (!ring.tryPop(v)) break;
-        ordered = ordered && v == expect++;
-        sum += v;
-        ++received;
-      } else {
-        std::this_thread::yield();
+      const std::uint64_t* v = ring.front();
+      if (v == nullptr) {
+        if (!ring.closed()) {
+          std::this_thread::yield();
+          continue;
+        }
+        v = ring.front();
+        if (v == nullptr) break;
       }
+      ordered = ordered && *v == expect++;
+      sum += *v;
+      ++received;
+      ring.release();
     }
   });
   for (std::uint64_t i = 0; i < kItems; ++i) {
-    while (!ring.tryPush(std::uint64_t{i})) std::this_thread::yield();
+    std::uint64_t* slot = nullptr;
+    while ((slot = ring.claim()) == nullptr) std::this_thread::yield();
+    *slot = i;
+    ring.publish();
   }
   ring.close();
   consumer.join();

@@ -49,6 +49,8 @@ cd "$(dirname "$0")/.."
 # Daemon/Wire/SendBatch/GroReceive cover the wire datapath (DESIGN.md §9):
 # ASan/UBSan check the GSO run building and the GRO slab walk's offset
 # arithmetic, TSan the daemon's datapath, updater and admin threads.
+# EventLoop covers the reactor every daemon thread runs: post() and stop()
+# cross threads into run() through the mutex-guarded queue and the eventfd.
 # HashClueTable/IndexedClueTable/ClueCache/ClueEntryPacking/BitmapClueTable/
 # SubTableClueTable/MplsRouter/LookupMethods cover every holder of a
 # continuation: the packed 32/48-byte entries, copied by value into tables,
@@ -59,7 +61,7 @@ cd "$(dirname "$0")/.."
 # along the recorded path, in-place suite updates, and the slot reuse behind
 # every anchor. An ASan build poisons a released slot, so a walk through a
 # stale anchor is still reported; NodePoolDeathTest proves that it is.
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods|BinaryTrie|Patricia|SuiteUpdate|NodePool"
+DEFAULT_FILTER="SpscRing|EventLoop|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods|BinaryTrie|Patricia|SuiteUpdate|NodePool"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"

@@ -145,6 +145,29 @@ int main() {
                 partitioned ? "(= packet count)" : "!! CASE/PACKET MISMATCH");
     if (!partitioned) failed = true;
 
+    // Each shard tallies lookup_accesses over a resolve call and adds the
+    // tally to its cell at once: the histogram must count every packet once
+    // and sum to the run's merged access total (mem_accesses_total over
+    // regions), so a lost or doubled flush fails here.
+    std::uint64_t merged_accesses = 0;
+    for (const auto& s : snap.samples) {
+      if (s.desc.name == "mem_accesses_total") {
+        merged_accesses += s.counter_value;
+      }
+    }
+    const auto* hist = snap.find("lookup_accesses");
+    const obs::HistogramData h =
+        hist != nullptr ? hist->hist : obs::HistogramData{};
+    const bool tallied = h.count == packet_count && h.sum == merged_accesses;
+    std::printf("observed lookup_accesses: count=%llu sum=%llu  "
+                "mem_accesses_total=%llu %s\n",
+                static_cast<unsigned long long>(h.count),
+                static_cast<unsigned long long>(h.sum),
+                static_cast<unsigned long long>(merged_accesses),
+                tallied ? "(= packets, = accesses)"
+                        : "!! HISTOGRAM/ACCESS MISMATCH");
+    if (!tallied) failed = true;
+
     const auto spans = pipe.drainSpans();
     obs::writeFile("pipeline_metrics.prom", obs::toPrometheus(snap));
     obs::writeFile("pipeline_spans.jsonl",

@@ -222,6 +222,17 @@ class CluePort {
     std::uint64_t fd_direct = 0;     // answered by FD, Ptr empty
     std::uint64_t searched = 0;      // case-3 continuation ran
     std::uint64_t search_failed = 0; // continuation fell back to FD
+
+    Stats& operator+=(const Stats& o) {
+      packets += o.packets;
+      no_clue += o.no_clue;
+      table_hits += o.table_hits;
+      table_misses += o.table_misses;
+      fd_direct += o.fd_direct;
+      searched += o.searched;
+      search_failed += o.search_failed;
+      return *this;
+    }
   };
 
   // `mode` kSimple needs no neighbor table; kAdvance requires one (Claim 1
@@ -400,7 +411,8 @@ class CluePort {
   }
 
  private:
-  // Packet state carried from the prepare stage to the complete stage.
+  // Packet state carried from the prepare stage to the complete stage: one
+  // slot of prep_ per packet, written in place (see resolve).
   struct Prepared {
     std::optional<PrefixT> clue;  // nullopt: packet carried no clue
     ClueProbeHint hint;           // hash probe start + SWAR tag
@@ -426,14 +438,15 @@ class CluePort {
   }
 
   // Stage 1: the clue, its hash, and a prefetch of the lines its probe will
-  // read.
-  Prepared prepare(const A& dest, const ClueField& field) {
-    Prepared p;
+  // read. `p` still holds an earlier packet's record, so every field a later
+  // stage reads for this packet is set here.
+  void prepare(Prepared& p, const A& dest, const ClueField& field) {
+    p.walk = -1;
     p.clue = cluePrefix(dest, field);
-    if (!p.clue) return p;
+    if (!p.clue) return;
     if (indexedProbe(field)) {
       indexed_.prefetch(*field.index);
-      return p;
+      return;
     }
     const HashClueTable<A>& table = readTable();
     p.hint = table.hintFor(*p.clue);
@@ -443,7 +456,26 @@ class CluePort {
     // already in flight.
     table.prefetchTags(p.hint.slot);
     table.prefetchSlot(p.hint.slot);
-    return p;
+  }
+
+  // The probe stage's answer for one packet, written field by field into
+  // its slot: `entry` is the live entry it hit (nullptr: no clue or a
+  // miss). The walk and the observed post-pass fill in the rest.
+  static void startResult(Result& r, obs::Outcome outcome,
+                          const ClueEntry<A>* entry) {
+    const bool hit = entry != nullptr;
+    if (hit) {
+      r.match = entry->fd();
+    } else {
+      r.match.reset();
+    }
+    r.table_hit = hit;
+    r.used_fd = hit;
+    r.searched = outcome == obs::Outcome::kCase3;
+    r.outcome = outcome;
+    r.claim1_skip = hit && entry->ptr_empty && entry->claim1_pruned;
+    r.search_failed = false;
+    r.accesses = {};
   }
 
   // Stage 2 for one packet that carries a clue: its live entry — from the
@@ -471,6 +503,14 @@ class CluePort {
 
   // The one resolve body (see processBatch) over at most kMaxProcessBatch
   // packets.
+  //
+  // Every per-packet record — the Prepared, the Walk, the Result — is
+  // written field by field into its own slot, never built by value and
+  // copied in: GCC builds such a temporary on the stack with narrow stores
+  // and copies it out with 16-byte loads, which cannot be forwarded from
+  // those stores, so each packet waited for them to retire. The per-call
+  // counts (Stats, the probes' clue-table charges) are tallied in locals
+  // and land in the port and `acc` once, at the end.
   void resolve(std::span<const A> dests, std::span<const ClueField> fields,
                std::span<Result> out, mem::AccessCounter& acc) {
     const std::size_t n = dests.size();
@@ -491,7 +531,7 @@ class CluePort {
     hash_.candidates().reclaim();
     indexed_.candidates().reclaim();
 
-    for (std::size_t i = 0; i < n; ++i) prep[i] = prepare(dests[i], fields[i]);
+    for (std::size_t i = 0; i < n; ++i) prepare(prep[i], dests[i], fields[i]);
 
     // A walk carries its continuation and clue length by value, so the
     // learning and cache fills below may move or overwrite the entry it came
@@ -511,46 +551,50 @@ class CluePort {
       p.walk = static_cast<int>(queued++);
     };
     constexpr auto kTable = static_cast<std::size_t>(mem::Region::kClueTable);
+    Stats tally;
+    tally.packets = n;
+    mem::AccessCounter probes;  // this call's probe charges
     for (std::size_t i = 0; i < n; ++i) {
       Prepared& p = prep[i];
       Result& r = out[i];
-      ++stats_.packets;
       if (!p.clue) {
-        ++stats_.no_clue;
-        r = Result{};
+        ++tally.no_clue;
+        startResult(r, obs::Outcome::kNoClue, nullptr);
         queueWalk(p, dests[i], nullptr);  // the common lookup
         continue;
       }
-      const std::uint64_t probe_start = acc.count(mem::Region::kClueTable);
-      const ClueEntry<A>* entry = probe(p, fields[i], acc);
+      const std::uint64_t probe_start = probes.count(mem::Region::kClueTable);
+      const ClueEntry<A>* entry = probe(p, fields[i], probes);
       if (entry == nullptr) {
         // "The Clue is not in the Table, never saw this clue": route by a
         // full common lookup, and learn the entry off the fast path
         // (§3.3.1).
-        ++stats_.table_misses;
-        r = Result{std::nullopt, false, false, false, obs::Outcome::kMiss};
+        ++tally.table_misses;
+        startResult(r, obs::Outcome::kMiss, nullptr);
         if (learns()) learn(*p.clue, fields[i]);
         queueWalk(p, dests[i], nullptr);
       } else {
-        ++stats_.table_hits;
+        ++tally.table_hits;
         if (entry->ptr_empty) {
-          ++stats_.fd_direct;
-          r = Result{entry->fd(), true, true, false};
-          r.outcome = entry->kase == ClueCase::kAbsent ? obs::Outcome::kCase1
-                                                       : obs::Outcome::kCase2;
-          r.claim1_skip = entry->claim1_pruned;
+          ++tally.fd_direct;
+          startResult(r,
+                      entry->kase == ClueCase::kAbsent ? obs::Outcome::kCase1
+                                                       : obs::Outcome::kCase2,
+                      entry);
         } else {
           // Case 3: the FD stands unless the walk finds a longer match.
-          ++stats_.searched;
-          r = Result{entry->fd(), true, true, true, obs::Outcome::kCase3};
+          ++tally.searched;
+          startResult(r, obs::Outcome::kCase3, entry);
           queueWalk(p, dests[i], entry);
         }
       }
       if (observed) {
         r.accesses[kTable] = mem::saturatedAccesses(
-            acc.count(mem::Region::kClueTable) - probe_start);
+            probes.count(mem::Region::kClueTable) - probe_start);
       }
     }
+    probes.forEachNonZero(
+        [&](mem::Region r, std::uint64_t c) { acc.add(r, c); });
 
     if (queued != 0) engine.walkBatch({walks, queued}, neighbor, observed, acc);
 
@@ -569,16 +613,19 @@ class CluePort {
         r.used_fd = false;
         continue;
       }
-      ++stats_.search_failed;
+      ++tally.search_failed;
       r.search_failed = true;
     }
+    stats_ += tally;
     if (observed) observe(out);
   }
 
   // The post-pass of an observed resolve call: feeds the bound metric cells
   // from `results` (spans are the caller's, built from the same Results).
   // Runs once per call, after the resolve loop; kept out of line so that
-  // loop stays as tight as an unobserved port's.
+  // loop stays as tight as an unobserved port's. Every family is tallied
+  // over the call and flushed once: one fetch_add per counter, and per
+  // non-empty lookup_accesses bucket plus its sum and count.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((noinline))
 #endif
@@ -587,7 +634,7 @@ class CluePort {
     std::array<std::uint64_t, obs::kOutcomeCount> cases{};
     std::uint64_t claim1_skips = 0;
     std::uint64_t search_failures = 0;
-    obs::HistogramCell& accesses = obs_.accesses->shard(obs_.shard);
+    obs::HistogramData accesses;
     for (const Result& r : results) {
       ++cases[static_cast<std::size_t>(r.outcome)];
       claim1_skips += r.claim1_skip ? 1 : 0;
@@ -600,6 +647,7 @@ class CluePort {
     }
     if (claim1_skips != 0) obs_.claim1_skip->inc(claim1_skips);
     if (search_failures != 0) obs_.search_failed->inc(search_failures);
+    obs_.accesses->shard(obs_.shard).add(accesses);
   }
 
   void learn(const PrefixT& clue, const ClueField& field) {

@@ -167,24 +167,32 @@ class LookupEngine {
   // own charges also go to its `accesses`; without, `accesses` is not
   // written. The default runs the walks one after another; Patricia
   // interleaves them.
+  //
+  // Each call's answer goes straight into its walk's slot, and a walk's own
+  // charges reach `acc` region by region: a merged temporary or a 16-byte
+  // copy of the counter the call just wrote would wait for the call's
+  // narrower stores to retire (CluePort::resolve has the rule).
   virtual void walkBatch(std::span<Walk<A>> walks,
                          std::optional<NeighborIndex> neighbor, bool per_walk,
                          mem::AccessCounter& acc) const {
-    const auto walk = [&](const Walk<A>& w, mem::AccessCounter& charged) {
-      return w.clue_length == kFullLookup
-                 ? lookup(w.address, charged)
-                 : continueLookup(w.cont, w.clue_length, w.address, neighbor,
-                                  charged);
+    const auto walk = [&](Walk<A>& w, mem::AccessCounter& charged) {
+      if (w.clue_length == kFullLookup) {
+        w.match = lookup(w.address, charged);
+      } else {
+        w.match = continueLookup(w.cont, w.clue_length, w.address, neighbor,
+                                 charged);
+      }
     };
     if (!per_walk) {
-      for (Walk<A>& w : walks) w.match = walk(w, acc);
+      for (Walk<A>& w : walks) walk(w, acc);
       return;
     }
     for (Walk<A>& w : walks) {
       mem::AccessCounter own;
-      w.match = walk(w, own);
+      walk(w, own);
       w.accesses = mem::lookupDelta(own, mem::AccessCounter{});
-      acc += own;
+      own.forEachNonZero(
+          [&](mem::Region r, std::uint64_t n) { acc.add(r, n); });
     }
   }
 };

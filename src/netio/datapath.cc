@@ -62,6 +62,7 @@ Datapath::Datapath(const Config& config, std::size_t shard,
                                         {{"peer", label}})
                                .shard(shard_));
   }
+  tx_tally_.assign(tx_by_peer_.size(), 0);
   for (const auto& [nh, addr] : config_.peers) {
     peer_index_[nh] = tx_targets_.size();
     tx_targets_.push_back(addr);
@@ -121,8 +122,8 @@ void Datapath::drainStep(std::uint64_t deadline_ns) {
   loop_.stop();
 }
 
-obs::CounterCell& Datapath::rxCellFor(std::uint16_t src_id) {
-  return *rx_by_src_[src_id < kMaxSrcLabel ? src_id : kMaxSrcLabel];
+std::size_t Datapath::srcSlot(std::uint16_t src_id) {
+  return src_id < kMaxSrcLabel ? src_id : kMaxSrcLabel;
 }
 
 void Datapath::onReadable() {
@@ -155,24 +156,27 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   // buffer stays alive (payload spans alias it) until the send below. An
   // untraced packet may pick up a fresh trace context here — the ingress
   // 1-in-N sample (phase 0: untraced arrivals 0, N, 2N, … of this shard).
+  // Every per-packet count of this batch is tallied in locals and lands in
+  // its cell once, after the pass that counts it.
   std::array<WirePacket<A>, pipeline::kMaxBatch> pkts;
   std::array<A, pipeline::kMaxBatch> dests;
   std::array<core::ClueField, pipeline::kMaxBatch> clues;
   std::array<core::CluePort<A>::Result, pipeline::kMaxBatch> results;
+  std::array<std::uint64_t, kMaxSrcLabel + 1> rx_by_src{};
   std::size_t valid = 0;
-  std::uint64_t rx_bytes = 0;
+  std::uint64_t rx_bytes = 0, decode_errors = 0;
   bool any_traced = false;
   for (const std::span<const std::uint8_t> dgram : dgrams) {
     const auto r = decode<A>(dgram);
     if (!r.ok()) {
-      nobs_.decode_errors->inc();
+      ++decode_errors;
       if (flight_ != nullptr) {
         flight_->push(obs::FlightKind::kDecodeReject,
                       static_cast<std::uint64_t>(r.error));
       }
       continue;
     }
-    rxCellFor(r.packet.src_id).inc();
+    ++rx_by_src[srcSlot(r.packet.src_id)];
     rx_bytes += dgram.size();
     pkts[valid] = r.packet;
     if (!pkts[valid].trace.has_value() && sampler_.sample()) {
@@ -195,8 +199,12 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     clues[valid] = r.packet.clue;
     ++valid;
   }
+  if (decode_errors != 0) nobs_.decode_errors->inc(decode_errors);
   nobs_.rx_packets->inc(valid);
   nobs_.rx_bytes->inc(rx_bytes);
+  for (std::size_t s = 0; s < rx_by_src.size(); ++s) {
+    if (rx_by_src[s] != 0) rx_by_src_[s]->inc(rx_by_src[s]);
+  }
   if (valid == 0) return;
   // Decode ends where the lookup window opens; both are read only when a
   // span will carry them.
@@ -236,11 +244,11 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
   std::array<obs::SpanVerdict, pipeline::kMaxBatch> verdicts;
   std::size_t n_out = 0;
   std::uint64_t tx_bytes = 0;
-  std::uint64_t no_route_batch = 0, ttl_batch = 0, enc_err_batch = 0;
+  std::uint64_t no_route_batch = 0, ttl_batch = 0, enc_err_batch = 0,
+                delivered_batch = 0;
   for (std::size_t i = 0; i < valid; ++i) {
     const auto& m = results[i].match;
     if (!m.has_value()) {
-      nobs_.no_route->inc();
       verdicts[i] = obs::SpanVerdict::kNoRoute;
       ++no_route_batch;
       continue;
@@ -253,13 +261,12 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
       } else if (default_index_) {
         peer_idx = *default_index_;
       } else {
-        nobs_.delivered->inc();
         verdicts[i] = obs::SpanVerdict::kDelivered;
+        ++delivered_batch;
         continue;
       }
     }
     if (pkts[i].ttl <= 1) {
-      nobs_.ttl_expired->inc();
       verdicts[i] = obs::SpanVerdict::kTtlExpired;
       ++ttl_batch;
       continue;
@@ -278,7 +285,6 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     fwd.payload = pkts[i].payload;
     const std::size_t len = encode(fwd, tx_bufs_[n_out]);
     if (len == 0) {
-      nobs_.send_errors->inc();
       verdicts[i] = obs::SpanVerdict::kSendError;
       ++enc_err_batch;
       continue;
@@ -291,6 +297,9 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     tx_bytes += len;
     ++n_out;
   }
+  if (no_route_batch != 0) nobs_.no_route->inc(no_route_batch);
+  if (delivered_batch != 0) nobs_.delivered->inc(delivered_batch);
+  if (ttl_batch != 0) nobs_.ttl_expired->inc(ttl_batch);
   // Stamped BEFORE the send syscall: the downstream hop's rx_ns is after
   // the datagram arrived, so pre-send stamping keeps tx(hop k) <= rx(hop
   // k+1) on a shared monotonic clock — post-send stamping would not.
@@ -304,22 +313,24 @@ void Datapath::forward(std::span<const std::span<const std::uint8_t>> dgrams,
     sent_ok = sent < 0 ? 0 : static_cast<std::size_t>(sent);
     nobs_.tx_packets->inc(sent_ok);
     nobs_.tx_bytes->inc(tx_bytes);
-    for (std::size_t i = 0; i < sent_ok; ++i) {
-      tx_by_peer_[out_peer_idx[i]]->inc();
+    for (std::size_t i = 0; i < sent_ok; ++i) ++tx_tally_[out_peer_idx[i]];
+    for (std::size_t p = 0; p < tx_tally_.size(); ++p) {
+      if (tx_tally_[p] == 0) continue;
+      tx_by_peer_[p]->inc(tx_tally_[p]);
+      tx_tally_[p] = 0;
     }
     // sendmmsg accepts a prefix: everything past `sent_ok` never left.
-    if (sent_ok < n_out) nobs_.send_errors->inc(n_out - sent_ok);
     for (std::size_t s = sent_ok; s < n_out; ++s) {
       verdicts[out_src[s]] = obs::SpanVerdict::kSendError;
     }
   }
+  const std::uint64_t send_err_batch = enc_err_batch + (n_out - sent_ok);
+  if (send_err_batch != 0) nobs_.send_errors->inc(send_err_batch);
   if (flight_ != nullptr) {
     if (no_route_batch > 0) {
       flight_->push(obs::FlightKind::kNoRoute, no_route_batch);
     }
     if (ttl_batch > 0) flight_->push(obs::FlightKind::kTtlExpired, ttl_batch);
-    const std::uint64_t send_err_batch =
-        enc_err_batch + (n_out - sent_ok);
     if (send_err_batch > 0) {
       flight_->push(obs::FlightKind::kSendError, send_err_batch);
     }

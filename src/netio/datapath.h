@@ -27,7 +27,9 @@
 // Every count lands in this shard's cells of the daemon's MetricRegistry
 // (obs::NetioObs, the per-peer series, the port's LookupObs) and nowhere
 // else: /metrics exports them, /status sums them over shards, and the
-// accessors below read this shard's cells.
+// accessors below read this shard's cells. Each is tallied over a batch and
+// added to its cell once per batch, so a cell costs one atomic add per batch
+// that touches it, not one per packet.
 //
 // Distributed tracing (DESIGN.md §11): with trace_sample = N, every Nth
 // untraced ingress packet gets a wire trace context; already-traced packets
@@ -143,7 +145,8 @@ class Datapath {
                std::uint64_t rx_ns);
   void drainStep(std::uint64_t deadline_ns);
 
-  obs::CounterCell& rxCellFor(std::uint16_t src_id);
+  // The rx_by_src_ slot of `src_id`.
+  static std::size_t srcSlot(std::uint16_t src_id);
 
   Config config_;
   std::size_t shard_;
@@ -158,6 +161,9 @@ class Datapath {
   // tx per configured peer endpoint, indexed like tx_targets_. The last
   // entry (when present) is peer.default.
   std::vector<obs::CounterCell*> tx_by_peer_;
+  // One batch's tx count per peer, indexed like tx_by_peer_; all zero
+  // between batches.
+  std::vector<std::uint64_t> tx_tally_;
   std::vector<SockAddr> tx_targets_;
   std::map<NextHop, std::size_t> peer_index_;
   std::optional<std::size_t> default_index_;

@@ -103,6 +103,29 @@ constexpr std::uint64_t histogramBucketBound(std::size_t i) {
   return std::uint64_t{1} << i;
 }
 
+// Histogram contents without atomics: a snapshot's aggregate, or a batch's
+// observations tallied before one HistogramCell::add.
+struct HistogramData {
+  std::array<std::uint64_t, kHistogramBuckets> counts{};  // per-bucket
+  std::uint64_t sum = 0;
+  std::uint64_t count = 0;
+
+  void observe(std::uint64_t v) {
+    ++counts[histogramBucketFor(v)];
+    sum += v;
+    ++count;
+  }
+
+  // Cumulative count of observations <= histogramBucketBound(i).
+  std::uint64_t cumulative(std::size_t i) const {
+    std::uint64_t t = 0;
+    for (std::size_t b = 0; b <= i && b < kHistogramBuckets; ++b) {
+      t += counts[b];
+    }
+    return t;
+  }
+};
+
 // One shard of a histogram. ~300 bytes; the padding keeps shard boundaries
 // off shared lines.
 struct alignas(kCacheLineBytes) HistogramCell {
@@ -115,21 +138,17 @@ struct alignas(kCacheLineBytes) HistogramCell {
     sum.fetch_add(v, std::memory_order_relaxed);
     count.fetch_add(1, std::memory_order_relaxed);
   }
-};
 
-// Aggregated histogram contents (snapshot vocabulary; no atomics).
-struct HistogramData {
-  std::array<std::uint64_t, kHistogramBuckets> counts{};  // per-bucket
-  std::uint64_t sum = 0;
-  std::uint64_t count = 0;
-
-  // Cumulative count of observations <= histogramBucketBound(i).
-  std::uint64_t cumulative(std::size_t i) const {
-    std::uint64_t t = 0;
-    for (std::size_t b = 0; b <= i && b < kHistogramBuckets; ++b) {
-      t += counts[b];
+  // Adds a tally of many observations: one fetch_add per non-empty bucket,
+  // plus one each for the sum and the count.
+  void add(const HistogramData& d) {
+    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+      if (d.counts[b] != 0) {
+        counts[b].fetch_add(d.counts[b], std::memory_order_relaxed);
+      }
     }
-    return t;
+    sum.fetch_add(d.sum, std::memory_order_relaxed);
+    count.fetch_add(d.count, std::memory_order_relaxed);
   }
 };
 

@@ -478,6 +478,20 @@ void expectObservedMatchesPlain(const ObsCase& c) {
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->hist.sum, seen_acc.total());
   EXPECT_EQ(hist->hist.count, dests.size());
+  // Each call tallies its lookups and adds them to the cell at once; every
+  // bucket must hold exactly the packets whose own total falls in it.
+  std::array<std::uint64_t, obs::kHistogramBuckets> buckets{};
+  for (const Port::Result& r : got) {
+    ++buckets[obs::histogramBucketFor(mem::accessTotal(r.accesses))];
+  }
+  EXPECT_GT(std::count_if(buckets.begin(), buckets.end(),
+                          [](std::uint64_t n) { return n != 0; }),
+            1)
+      << "the stream should fill more than one bucket";
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    EXPECT_EQ(hist->hist.counts[b], buckets[b])
+        << "bucket le " << obs::histogramBucketBound(b);
+  }
 }
 
 TEST(CluePortObs, AdvanceLearningMatchesUnobserved) {
@@ -643,6 +657,158 @@ TEST_P(CluePortBatchShape, EveryShapeGivesOneAnswer) {
           << mem::regionName(region);
     }
   }
+}
+
+// One port, batches of one composition after another: all walks (clue-less
+// packets, misses and case-3 searches), then all FD-direct, then the
+// reverse. Every slot of the port's stage scratch, and of the caller's
+// result buffer, then still holds the other kind's record from the batch
+// before, so a stage that leaves a field of it in place for the next packet
+// — its queued walk, its clue, a Result flag or access count — shows up as
+// a result that differs from a fresh port's process() of the same stream.
+TEST_P(CluePortBatchShape, AlternatingCompositionsMatchAFreshPort) {
+  const auto& [method, mode, learn, indexed, cache] = GetParam();
+  Rng rng(2718);
+  Pair pair = Pair::random(rng, 400);
+  Port::Options opt = portOptions(method, mode, learn);
+  opt.indexed = indexed;
+  opt.indexed_capacity = 1024;
+  opt.cache_entries = cache;
+  opt.expected_clues = 512;
+
+  // Sender clues by the entry they get: answered by the FD alone, or a
+  // case-3 search. A precomputed port knows every search clue and every
+  // other FD clue, so it misses on the rest; a learning port misses on a
+  // clue's first packet and hits from the second on.
+  std::vector<ip::Prefix4> fd_clues, search_clues;
+  {
+    const Port classify(*pair.suite, &pair.t1, opt);
+    lookup::CandidateStore<A> store;
+    for (const MatchT& m : pair.sender) {
+      if (m.prefix.length() == 0) continue;
+      (classify.makeEntry(m.prefix, &store).ptr_empty ? fd_clues
+                                                      : search_clues)
+          .push_back(m.prefix);
+    }
+  }
+  ASSERT_FALSE(search_clues.empty());
+  std::vector<ip::Prefix4> known_fd, unknown;
+  for (std::size_t i = 0; i < fd_clues.size(); ++i) {
+    (i % 2 == 0 ? known_fd : unknown).push_back(fd_clues[i]);
+  }
+  std::vector<ip::Prefix4> known = search_clues;
+  known.insert(known.end(), known_fd.begin(), known_fd.end());
+
+  ClueIndexer<A> indexer;
+  mem::AccessCounter scratch;
+  // A packet whose genuine clue (the sender's BMP) is `clue`, or nullopt
+  // when no address drawn under it has that BMP.
+  const auto packetUnder =
+      [&](const ip::Prefix4& clue) -> std::optional<std::pair<A, ClueField>> {
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      A dest = clue.addr();
+      for (int b = clue.length(); b < A::kBits; ++b) {
+        dest = dest.withBit(b, static_cast<unsigned>(rng.u32() & 1));
+      }
+      const auto bmp = pair.t1.lookup(dest, scratch);
+      if (!bmp || bmp->prefix != clue) continue;
+      ClueField field = ClueField::of(clue.length());
+      if (indexed) field.index = indexer.indexOf(clue);
+      return std::pair{dest, field};
+    }
+    return std::nullopt;
+  };
+
+  // A walk batch cycles through a clue-less packet, a miss, a search (under
+  // learning, a first sight of a search clue is a miss: it walks too) and a
+  // miss. A learning port misses on FD clues it has not seen yet, which the
+  // later FD-direct batches then hit.
+  constexpr std::size_t kBatch = 16;
+  enum class Kind { kWalk, kFdDirect };
+  const Kind kinds[] = {Kind::kWalk, Kind::kFdDirect, Kind::kFdDirect,
+                        Kind::kWalk, Kind::kWalk,     Kind::kFdDirect};
+  std::vector<A> dests;
+  std::vector<ClueField> fields;
+  std::size_t next_fresh = 0;       // learning: the next FD clue not yet sent
+  std::vector<ip::Prefix4> learned;  // learning: FD clues sent so far
+  for (const Kind kind : kinds) {
+    const std::size_t end = dests.size() + kBatch;
+    while (dests.size() < end) {
+      std::optional<ip::Prefix4> clue;
+      const std::size_t pos = dests.size() % 4;
+      if (kind == Kind::kWalk && pos == 0) {  // the common lookup
+        dests.push_back(testutil::coveredAddress<A>(pair.sender, rng,
+                                                    testutil::randomAddr4));
+        fields.push_back(ClueField::none());
+        continue;
+      }
+      if (kind == Kind::kWalk && pos == 2) {
+        // A few search clues, so that a learning port sees each again.
+        clue = search_clues[rng.index(std::min<std::size_t>(
+            search_clues.size(), 3))];
+      } else if (kind == Kind::kWalk && learn) {
+        ASSERT_LT(next_fresh, fd_clues.size()) << "too few FD-direct clues";
+        clue = fd_clues[next_fresh++];
+      } else if (kind == Kind::kWalk) {
+        clue = unknown[rng.index(unknown.size())];
+      } else {
+        const auto& pool = learn ? learned : known_fd;
+        clue = pool[rng.index(pool.size())];
+      }
+      const auto packet = packetUnder(*clue);
+      if (!packet) continue;
+      if (learn && kind == Kind::kWalk && pos != 2) learned.push_back(*clue);
+      dests.push_back(packet->first);
+      fields.push_back(packet->second);
+    }
+  }
+
+  // The port under test and the reference are built alike and both
+  // observed, so every Result carries its accesses.
+  const auto makePort = [&] {
+    auto port = std::make_unique<Port>(*pair.suite, &pair.t1, opt);
+    if (!learn && indexed) port->precomputeIndexed(known, indexer);
+    if (!learn && !indexed) port->precompute(known);
+    return port;
+  };
+  obs::MetricRegistry batch_registry, fresh_registry;
+  const auto batched = makePort();
+  batched->attachObs(obs::LookupObs::bind(batch_registry, /*shard=*/0));
+  const auto fresh = makePort();
+  fresh->attachObs(obs::LookupObs::bind(fresh_registry, /*shard=*/0));
+
+  // One result buffer for every batch, as a pipeline worker keeps one: a
+  // Result field the resolve leaves in place is the last batch's.
+  std::vector<Port::Result> got;
+  std::array<Port::Result, kBatch> slots;
+  mem::AccessCounter batch_acc, fresh_acc;
+  for (std::size_t i = 0; i < dests.size(); i += kBatch) {
+    batched->processBatch({dests.data() + i, kBatch},
+                          {fields.data() + i, kBatch}, slots, batch_acc);
+    got.insert(got.end(), slots.begin(), slots.end());
+  }
+  std::size_t searches = 0;
+  for (std::size_t i = 0; i < dests.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    const Port::Result want = fresh->process(dests[i], fields[i], fresh_acc);
+    const bool fd_direct = want.outcome == obs::Outcome::kCase1 ||
+                           want.outcome == obs::Outcome::kCase2;
+    ASSERT_EQ(fd_direct, kinds[i / kBatch] == Kind::kFdDirect)
+        << "a packet of case " << obs::outcomeName(want.outcome)
+        << " in the wrong batch";
+    searches += want.searched ? 1 : 0;
+    const Port::Result& g = got[i];
+    EXPECT_EQ(g.match, want.match);
+    EXPECT_EQ(g.table_hit, want.table_hit);
+    EXPECT_EQ(g.used_fd, want.used_fd);
+    EXPECT_EQ(g.searched, want.searched);
+    EXPECT_EQ(g.outcome, want.outcome);
+    EXPECT_EQ(g.claim1_skip, want.claim1_skip);
+    EXPECT_EQ(g.search_failed, want.search_failed);
+    EXPECT_EQ(g.accesses, want.accesses);
+  }
+  EXPECT_GT(searches, 0u);
+  EXPECT_EQ(batch_acc.total(), fresh_acc.total());
 }
 
 }  // namespace

@@ -51,7 +51,10 @@
 #                           the imbalance reads 1.0), and asserts the
 #                           counting alloc hook was actually compiled in. Then
 #                           examples/pipeline_throughput (exits 1 on an
-#                           output or case/packet mismatch) runs in a
+#                           output or case/packet mismatch, or when the
+#                           lookup_accesses histogram's count is not the
+#                           packet count or its sum not the merged access
+#                           total) runs in a
 #                           temporary directory and trace_merge.py
 #                           --require-hops 1 merges the pipeline spans it
 #                           wrote.

@@ -1,7 +1,7 @@
 // Forwarding under route churn (a systems benchmark beyond the paper's
 // exhibits; it has no E number in EXPERIMENTS.md).
 //
-// The update-under-traffic counterpart of bench_throughput: a RouteUpdater
+// The update-under-traffic counterpart of a static pipeline: a RouteUpdater
 // thread publishes epoch-versioned table swaps (src/rib/versioned_tables.h)
 // while the 4-worker pipeline forwards, measuring
 //   (a) data-plane throughput under churn vs a no-churn baseline on the same
@@ -49,14 +49,6 @@ struct Params {
   std::size_t workers = 4;
   std::size_t batch = 32;
 };
-
-std::size_t envSize(const char* name, std::size_t fallback) {
-  if (const char* s = std::getenv(name)) {
-    const long v = std::atol(s);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
 
 // Mutates the generator's mirror of a table and returns a consistent delta:
 // bursty withdraws, re-announces drawn from the withdrawn stack, reroutes —
@@ -424,8 +416,5 @@ int main(int argc, char** argv) {
     pp.packets_per_run = 32'768;
     pp.target_publishes = 120;
   }
-  pp.table_size = envSize("CLUERT_CHURN_TABLE", pp.table_size);
-  pp.packets_per_run = envSize("CLUERT_CHURN_PACKETS", pp.packets_per_run);
-  pp.target_publishes = envSize("CLUERT_CHURN_PUBLISHES", pp.target_publishes);
   return run(pp);
 }

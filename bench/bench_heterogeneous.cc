@@ -56,7 +56,6 @@ int main() {
   const auto legacy_relay = [] {
     net::Router4::Config c;
     c.clue_enabled = false;
-    c.attach_clue = false;
     c.relay_clue = true;
     c.method = lookup::Method::kRegular;
     return c;

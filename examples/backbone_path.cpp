@@ -28,7 +28,6 @@ int main() {
   auto plain = net::buildNetwork(internet, [](RouterId) {
     net::Router4::Config c;
     c.clue_enabled = false;
-    c.attach_clue = false;
     c.method = lookup::Method::kPatricia;
     return c;
   });

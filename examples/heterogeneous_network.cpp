@@ -21,7 +21,6 @@ net::Router4::Config clueRouter() {
 net::Router4::Config legacyRouter(bool relay) {
   net::Router4::Config c;
   c.clue_enabled = false;
-  c.attach_clue = false;
   c.relay_clue = relay;
   c.method = lookup::Method::kPatricia;
   return c;

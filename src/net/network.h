@@ -45,7 +45,7 @@ class Network {
 
   static bool sendsGenuineClues(const RouterT& r) {
     const auto& c = r.config();
-    return c.clue_enabled && c.attach_clue && c.truncate_to == 0;
+    return c.clue_enabled && c.truncate_to == 0;
   }
 
   RouterT& router(RouterId id) { return *routers_[id]; }

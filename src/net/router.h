@@ -24,10 +24,9 @@ class Router {
   using PrefixT = ip::Prefix<A>;
 
   struct Config {
-    // Participates in distributed IP lookup (consults clue tables).
+    // Participates in distributed IP lookup: consults clue tables and
+    // attaches/refreshes the clue on forwarded packets.
     bool clue_enabled = true;
-    // Attaches/refreshes the clue on forwarded packets.
-    bool attach_clue = true;
     // A non-participating router may still relay an incoming clue unchanged
     // ("assuming that intermediate routers relay the clue", §5.3) — or strip
     // it, modelling legacy equipment that clears unknown options.
@@ -109,7 +108,7 @@ class Router {
     d.delivered = d.match && d.match->next_hop == id_;
 
     // Outgoing clue policy (§5.3).
-    if (config_.clue_enabled && config_.attach_clue && d.match) {
+    if (config_.clue_enabled && d.match) {
       if (config_.clue_export_filter &&
           !config_.clue_export_filter(d.match->prefix)) {
         packet.clue = core::ClueField::none();  // refrain, never go stale

@@ -133,11 +133,11 @@ std::optional<Config> parseConfig(std::string_view text, std::string* error) {
       if (!a) return fail("bad peer address");
       c.default_peer = *a;
     } else if (key.size() > 5 && key.substr(0, 5) == "peer.") {
-      std::uint64_t nh = 0;
-      if (!parseU64(key.substr(5), &nh)) return fail("bad peer key");
+      const auto nh = parseNextHop(key.substr(5));
+      if (!nh) return fail("bad peer key");
       const auto a = SockAddr::parse(val);
       if (!a) return fail("bad peer address");
-      c.peers[static_cast<NextHop>(nh)] = *a;
+      c.peers[*nh] = *a;
     } else {
       return fail("unknown key '" + std::string(key) + "'");
     }

@@ -13,9 +13,10 @@
 //   workers         = 1
 //   oracle          = 1                 # differential-check every packet
 //
-// `peer.<next_hop>` pins one FIB next-hop id to a distinct peer endpoint;
-// `peer.default` catches the rest. A routed packet whose next hop has no
-// peer is *delivered*: this router is the last clue-speaking hop for it.
+// `peer.<next_hop>` pins one FIB next-hop id (below kNoNextHop, as in a
+// route file) to a distinct peer endpoint; `peer.default` catches the rest.
+// A routed packet whose next hop has no peer is *delivered*: this router is
+// the last clue-speaking hop for it.
 #pragma once
 
 #include <cstdint>

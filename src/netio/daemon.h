@@ -13,8 +13,9 @@
 // keeps consuming already-accepted datagrams until its socket is dry or
 // drain_ms expires, so a SIGTERM never loses work the kernel had accepted.
 //
-// Embeddable by design: tests and bench_wire run whole topologies of
-// in-process Daemons; cluertd_main adds only signal wiring and argv.
+// Embeddable by design: tests run whole topologies of in-process Daemons,
+// and perfbench's wire_loopback times one; cluertd_main adds only signal
+// wiring and argv.
 #pragma once
 
 #include <atomic>

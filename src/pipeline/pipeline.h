@@ -54,10 +54,10 @@ struct PipelineOptions {
   // Base seed of the shards' span-sampler phases (Rng::forThread).
   std::uint64_t seed = 1;
   // Clamp `workers` to std::thread::hardware_concurrency(). Oversubscribing
-  // cores never helps a run-to-completion data plane (the threads just trade
-  // timeslices; BENCH_throughput's 8w rows were *slower* than 4w on a 4-core
-  // host) — so by default the pipeline refuses to silently degrade: it
-  // clamps, warns on stderr, and reports both counts in PipelineStats.
+  // cores never helps a run-to-completion data plane (oversubscribed threads
+  // only trade timeslices) — so by default the pipeline refuses to silently
+  // degrade: it clamps, warns on stderr, and (given a `registry`) sets the
+  // `pipeline_workers_clamped` gauge to the number of workers it trimmed.
   // Tests that deliberately oversubscribe to widen sanitizer interleavings
   // opt out.
   bool clamp_to_hardware = true;
@@ -91,9 +91,6 @@ struct PipelineOptions {
 // experiments report, plus throughput and load-balance figures.
 struct PipelineStats {
   std::size_t workers = 0;
-  // Worker count the caller asked for, pre-clamp; equals `workers` unless
-  // PipelineOptions::clamp_to_hardware trimmed an oversubscribed request.
-  std::size_t requested_workers = 0;
   std::size_t batch_size = 0;
 
   std::uint64_t packets = 0;
@@ -338,7 +335,6 @@ class Pipeline {
   PipelineStats aggregate(double seconds) const {
     PipelineStats s;
     s.workers = workers_.size();
-    s.requested_workers = requested_workers_;
     s.batch_size = options_.batch_size;
     s.seconds = seconds;
     s.alloc_hook_active = mem::allocHookActive();

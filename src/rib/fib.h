@@ -107,12 +107,9 @@ class Fib {
       if (space == std::string_view::npos) return std::nullopt;
       const auto prefix = PrefixT::parse(line.substr(0, space));
       if (!prefix) return std::nullopt;
-      NextHop nh = 0;
-      for (char c : line.substr(space + 1)) {
-        if (c < '0' || c > '9') return std::nullopt;
-        nh = nh * 10 + static_cast<NextHop>(c - '0');
-      }
-      fib.entries_.push_back(EntryT{*prefix, nh});
+      const auto nh = parseNextHop(line.substr(space + 1));
+      if (!nh) return std::nullopt;
+      fib.entries_.push_back(EntryT{*prefix, *nh});
     }
     fib.normalize();
     return fib;

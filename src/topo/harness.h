@@ -78,8 +78,10 @@ struct HarnessStats {
   std::string first_mismatch;  // human-readable detail of the first failure
 
   bool ok() const { return strict_mismatches == 0 && check_report.ok(); }
-  // Nearest-rank percentile over convergence_samples (q in [0,1]); 0 when
-  // no samples were recorded.
+  // sorted[floor(q·(n−1))] over the n convergence_samples (q in [0,1]); 0
+  // when no samples were recorded. Not nearest-rank: q = 0.99 over 10
+  // samples gives the 9th, where nearest-rank gives the 10th.
+  // BENCH_topo.json's convergence_p99_ticks is this value.
   int convergencePercentile(double q) const;
   std::string summary() const;
 };

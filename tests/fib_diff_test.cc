@@ -210,7 +210,6 @@ TEST(ClueExportFilter, NetworkStaysCorrectWithPartialExport) {
   auto reference = net::buildNetwork(internet, [](RouterId) {
     net::Router4::Config c;
     c.clue_enabled = false;
-    c.attach_clue = false;
     return c;
   });
   Rng rng(5);

@@ -88,6 +88,15 @@ TEST(Fib, ParseRejectsGarbage) {
   EXPECT_FALSE(Fib4::parse("not a prefix 1\n").has_value());
   EXPECT_FALSE(Fib4::parse("10.0.0.0/8\n").has_value());       // no next hop
   EXPECT_FALSE(Fib4::parse("10.0.0.0/8 abc\n").has_value());   // bad next hop
+  EXPECT_FALSE(Fib4::parse("10.0.0.0/8 \n").has_value());      // empty next hop
+  EXPECT_FALSE(Fib4::parse("10.0.0.0/8 -1\n").has_value());    // a sign
+  // kNoNextHop means "no route", and nothing past it may wrap.
+  EXPECT_FALSE(Fib4::parse("10.0.0.0/8 4294967295\n").has_value());
+  EXPECT_FALSE(Fib4::parse("10.0.0.0/8 4294967296\n").has_value());
+  EXPECT_FALSE(Fib4::parse("10.0.0.0/8 4294967301\n").has_value());
+  const auto top = Fib4::parse("10.0.0.0/8 4294967294\n");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->entries()[0].next_hop, kNoNextHop - 1);
   EXPECT_TRUE(Fib4::parse("").has_value());                    // empty is ok
   EXPECT_TRUE(Fib4::parse("10.0.0.0/8 3\n\n").has_value());    // blank lines
 }

@@ -1,7 +1,8 @@
 // Fuzz target: FIB snapshot loading (rib::Fib::parse — the text format
 // cluert_eval reads router table exports in). Arbitrary input must
-// parse-or-reject cleanly; an accepted table must serialize to a canonical
-// form that re-parses to the same table (fixpoint after one round).
+// parse-or-reject cleanly; an accepted table must hold no kNoNextHop route
+// and serialize to a canonical form that re-parses to the same table
+// (fixpoint after one round).
 #include <cstdio>
 #include <cstdlib>
 
@@ -15,6 +16,12 @@ template <typename A>
 void oneFamily(const std::string& text) {
   const auto fib = rib::Fib<A>::parse(text);
   if (!fib) return;
+  for (const auto& e : fib->entries()) {
+    if (e.next_hop == kNoNextHop) {
+      std::fprintf(stderr, "accepted a route to kNoNextHop (no route)\n");
+      std::abort();
+    }
+  }
   const std::string canon = fib->serialize();
   const auto again = rib::Fib<A>::parse(canon);
   if (!again) {

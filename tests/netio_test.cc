@@ -231,6 +231,13 @@ TEST(ConfigTest, RejectsBadConfigs) {
   EXPECT_FALSE(netio::parseConfig("routes = r\nbogus_key = 1\n", &err));
   EXPECT_FALSE(netio::parseConfig("routes = r\nlisten = nope\n", &err));
   EXPECT_FALSE(netio::parseConfig("routes\n", &err));
+  // A peer key is a NextHop below kNoNextHop: 2^32 + 5 must not become 5.
+  EXPECT_FALSE(netio::parseConfig(
+      "routes = r\npeer.4294967301 = 127.0.0.1:9\n", &err));
+  EXPECT_EQ(err, "line 2: bad peer key");
+  EXPECT_FALSE(netio::parseConfig(
+      "routes = r\npeer.4294967295 = 127.0.0.1:9\n", &err));
+  EXPECT_EQ(err, "line 2: bad peer key");
   // The name lands unescaped in JSON bodies: [A-Za-z0-9._-]+ only.
   EXPECT_FALSE(netio::parseConfig("routes = r\nname = hop\"B\n", &err));
   EXPECT_NE(err.find("name"), std::string::npos) << err;

@@ -31,7 +31,6 @@ Router4::Config clueConfig(Method m = Method::kPatricia,
 Router4::Config legacyConfig(bool relay = true) {
   Router4::Config c;
   c.clue_enabled = false;
-  c.attach_clue = false;
   c.relay_clue = relay;
   return c;
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare two Prometheus text-exposition snapshots and gate on regressions.
 
-The obs exporters (src/obs/export.cc) and the bench binaries emit metric
-snapshots (BENCH_throughput_metrics.prom, pipeline_metrics.prom). This tool
+The obs exporters (src/obs/export.cc), the examples and the bench binaries
+emit metric snapshots (pipeline_metrics.prom, BENCH_churn.prom). This tool
 diffs two such files series-by-series so a perf trajectory can be gated in
 CI: it exits nonzero when any matched series moved in the regression
 direction by more than the threshold.

@@ -8,9 +8,8 @@ chrome://tracing JSON with one process row per router (worker threads as
 tid rows) plus per-hop and end-to-end latency percentiles, so a three-hop
 topology's worth of scrapes becomes one inspectable picture. It is the
 repo's one chrome renderer: the in-memory pipeline's spans
-(Pipeline::drainSpans, written by bench_throughput and
-examples/pipeline_throughput) are one-hop traces and merge with
---require-hops 1.
+(Pipeline::drainSpans, written by examples/pipeline_throughput) are
+one-hop traces and merge with --require-hops 1.
 
 All timestamps are CLOCK_MONOTONIC nanoseconds. That clock is system-wide
 on Linux, so spans from daemons on the same host (the topo_run.sh loopback

@@ -29,6 +29,7 @@
 
 #include "bench_util.h"
 #include "common/mutex.h"
+#include "common/text.h"
 #include "obs/export.h"
 #include "pipeline/pipeline.h"
 #include "rib/route_updater.h"
@@ -384,7 +385,7 @@ int run(const Params& pp) {
   w.field("oracle_mismatches",
           static_cast<std::uint64_t>(out.oracle_mismatches));
   w.endDocument();
-  obs::writeFile("BENCH_churn.prom", obs::toPrometheus(registry.snapshot()));
+  writeFile("BENCH_churn.prom", obs::toPrometheus(registry.snapshot()));
   std::printf("wrote BENCH_churn.json, BENCH_churn.prom\n");
 
   if (pp.smoke) {

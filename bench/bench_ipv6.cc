@@ -54,8 +54,7 @@ int main() {
   const auto receiver_fib =
       rib::TableGen<A6>::deriveNeighbor(sender_fib, rng, nopt);
 
-  trie::BinaryTrie<A6> t1;
-  for (const auto& e : sender_fib.entries()) t1.insert(e.prefix, e.next_hop);
+  const auto t1 = sender_fib.buildTrie();
   const auto t2 = receiver_fib.buildTrie();
 
   const std::vector<Match6> sender_entries(sender_fib.entries().begin(),
@@ -63,50 +62,10 @@ int main() {
   const auto dests = destinations(sender_entries, t1, t2, rng,
                                   bench::benchDestinations() / 2);
 
-  mem::AccessCounter scratch;
-  std::vector<core::ClueField> clues(dests.size());
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    const auto bmp = t1.lookup(dests[i], scratch);
-    clues[i] = bmp ? core::ClueField::of(bmp->prefix.length())
-                   : core::ClueField::none();
-  }
-  const auto clue_universe = sender_fib.prefixes();
-
   std::printf("IPv6 (W=128) scaling: %zu-prefix neighbor tables, %zu "
               "destinations\n\n", sender_fib.size(), dests.size());
-  std::printf("%-10s", "Mode");
-  for (const auto m : lookup::kAllMethods) {
-    std::printf("%10s", std::string(lookup::methodName(m)).c_str());
-  }
-  std::printf("\n");
-
-  for (int mode = 0; mode < 3; ++mode) {
-    std::printf("%-10s", mode == 0 ? "Common" : mode == 1 ? "Simple"
-                                                          : "Advance");
-    for (const auto method : lookup::kAllMethods) {
-      lookup::LookupSuite<A6> suite({receiver_fib.entries().begin(),
-                                     receiver_fib.entries().end()});
-      mem::AccessCounter acc;
-      if (mode == 0) {
-        for (const auto& d : dests) suite.engine(method).lookup(d, acc);
-      } else {
-        typename core::CluePort<A6>::Options opt;
-        opt.method = method;
-        opt.mode = mode == 1 ? lookup::ClueMode::kSimple
-                             : lookup::ClueMode::kAdvance;
-        opt.learn = false;
-        opt.expected_clues = clue_universe.size() + 16;
-        core::CluePort<A6> port(suite, &t1, opt);
-        port.precompute(clue_universe);
-        for (std::size_t i = 0; i < dests.size(); ++i) {
-          port.process(dests[i], clues[i], acc);
-        }
-      }
-      std::printf("%10.2f", static_cast<double>(acc.total()) /
-                                static_cast<double>(dests.size()));
-    }
-    std::printf("\n");
-  }
+  bench::printFifteenWayTable(
+      bench::runFifteenWay(sender_fib, receiver_fib, dests, t1));
   std::printf(
       "\nShape check: the Common Regular column grows toward O(W=128) while\n"
       "Advance stays at ~1 access — the clue scheme's cost is independent of\n"

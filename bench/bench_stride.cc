@@ -17,54 +17,13 @@ int main() {
   Rng rng(1717);
   const auto dests = bench::paperDestinations(sender, t1, t2, rng,
                                               bench::benchDestinations());
-  mem::AccessCounter scratch;
-  std::vector<core::ClueField> clues(dests.size());
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    const auto bmp = t1.lookup(dests[i], scratch);
-    clues[i] = bmp ? core::ClueField::of(bmp->prefix.length())
-                   : core::ClueField::none();
-  }
-  const auto clue_universe = sender.prefixes();
-
   std::printf("Extended comparison incl. the 8-bit stride trie "
               "(AT&T-1 -> AT&T-2, %zu destinations, scale %.2f)\n\n",
               dests.size(), scale);
-  std::printf("%-10s", "Mode");
-  for (const auto m : lookup::kExtendedMethods) {
-    std::printf("%10s", std::string(lookup::methodName(m)).c_str());
-  }
-  std::printf("\n");
+  bench::printFifteenWayTable(bench::runFifteenWay(
+      sender, receiver, dests, t1, lookup::kExtendedMethods));
 
-  lookup::LookupSuite<bench::A> suite(
-      {receiver.entries().begin(), receiver.entries().end()});
-  for (int mode = 0; mode < 3; ++mode) {
-    std::printf("%-10s", mode == 0 ? "Common" : mode == 1 ? "Simple"
-                                                          : "Advance");
-    for (const auto method : lookup::kExtendedMethods) {
-      mem::AccessCounter acc;
-      if (mode == 0) {
-        for (const auto& d : dests) suite.engine(method).lookup(d, acc);
-      } else {
-        typename core::CluePort<bench::A>::Options opt;
-        opt.method = method;
-        opt.mode = mode == 1 ? lookup::ClueMode::kSimple
-                             : lookup::ClueMode::kAdvance;
-        opt.learn = false;
-        opt.expected_clues = clue_universe.size() + 16;
-        core::CluePort<bench::A> port(suite, &t1, opt);
-        port.precompute(clue_universe);
-        for (std::size_t i = 0; i < dests.size(); ++i) {
-          port.process(dests[i], clues[i], acc);
-        }
-      }
-      std::printf("%10.2f", static_cast<double>(acc.total()) /
-                                static_cast<double>(dests.size()));
-    }
-    std::printf("\n");
-  }
-
-  const auto& stride = static_cast<const lookup::StrideTrieLookup<bench::A>&>(
-      suite.engine(lookup::Method::kStride));
+  const lookup::StrideTrieLookup<bench::A> stride(t2);
   std::printf(
       "\nStride trie: %zu nodes x 256 slots (the classic space-for-accesses\n"
       "trade); the clue scheme reaches the same ~1 access with a 60k-entry\n"

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/text.h"
 #include "core/distributed_lookup.h"
 #include "rib/snapshot.h"
 
@@ -190,18 +192,25 @@ inline std::vector<A> paperDestinations(const rib::Fib4& sender,
   return out;
 }
 
-// Average data-plane accesses for the 15 combinations of §6 Tables 4-9.
+// Average data-plane accesses for the 15 combinations of §6 Tables 4-9:
+// {Common, Simple, Advance} x one column per method.
+template <std::size_t N = lookup::kAllMethods.size()>
 struct FifteenWay {
+  std::array<lookup::Method, N> methods = {};
   // [mode][method]: mode 0 = Common, 1 = Simple, 2 = Advance.
-  double avg[3][5] = {};
+  double avg[3][N] = {};
   std::size_t destinations = 0;
 };
 
-inline FifteenWay runFifteenWay(const rib::Fib4& sender,
-                                const rib::Fib4& receiver,
-                                const std::vector<A>& dests,
-                                const trie::BinaryTrie4& t1) {
-  FifteenWay out;
+// Runs the §6 grid over `methods` (the paper's five, or kExtendedMethods
+// for E17's sixth column) for packets flowing sender -> receiver.
+template <typename Addr, std::size_t N = lookup::kAllMethods.size()>
+FifteenWay<N> runFifteenWay(
+    const rib::Fib<Addr>& sender, const rib::Fib<Addr>& receiver,
+    const std::vector<Addr>& dests, const trie::BinaryTrie<Addr>& t1,
+    const std::array<lookup::Method, N>& methods = lookup::kAllMethods) {
+  FifteenWay<N> out;
+  out.methods = methods;
   out.destinations = dests.size();
   if (dests.empty()) return out;
 
@@ -213,33 +222,33 @@ inline FifteenWay runFifteenWay(const rib::Fib4& sender,
     clues[i] = bmp ? core::ClueField::of(bmp->prefix.length())
                    : core::ClueField::none();
   }
-  std::vector<ip::Prefix4> clue_universe = sender.prefixes();
+  const std::vector<ip::Prefix<Addr>> clue_universe = sender.prefixes();
 
-  // One suite serves all 15 cells: the engines are immutable, Simple ports
+  // One suite serves all cells: the engines are immutable, Simple ports
   // ignore the Claim-1 bits, and the Advance annotation (neighbor index 0
   // against t1) is idempotent. Ports are built and torn down per cell to
   // bound peak memory on the 60k-prefix tables.
-  lookup::LookupSuite<A> suite(
+  lookup::LookupSuite<Addr> suite(
       {receiver.entries().begin(), receiver.entries().end()});
 
-  for (std::size_t mi = 0; mi < lookup::kAllMethods.size(); ++mi) {
-    const lookup::Method method = lookup::kAllMethods[mi];
+  for (std::size_t mi = 0; mi < N; ++mi) {
+    const lookup::Method method = methods[mi];
     // Common: the plain engine.
     {
       mem::AccessCounter acc;
-      for (const A& d : dests) suite.engine(method).lookup(d, acc);
+      for (const Addr& d : dests) suite.engine(method).lookup(d, acc);
       out.avg[0][mi] = static_cast<double>(acc.total()) /
                        static_cast<double>(dests.size());
     }
     // Simple and Advance: a precomputed clue port each.
     for (int mode_i = 1; mode_i <= 2; ++mode_i) {
-      typename core::CluePort<A>::Options opt;
+      typename core::CluePort<Addr>::Options opt;
       opt.method = method;
       opt.mode = mode_i == 1 ? lookup::ClueMode::kSimple
                              : lookup::ClueMode::kAdvance;
       opt.learn = false;
       opt.expected_clues = clue_universe.size() + 16;
-      core::CluePort<A> port(suite, &t1, opt);
+      core::CluePort<Addr> port(suite, &t1, opt);
       port.precompute(clue_universe);
       mem::AccessCounter acc;
       for (std::size_t i = 0; i < dests.size(); ++i) {
@@ -252,38 +261,45 @@ inline FifteenWay runFifteenWay(const rib::Fib4& sender,
   return out;
 }
 
-inline void printFifteenWay(const std::string& title, const FifteenWay& r) {
-  std::printf("\n== %s (%zu destinations) ==\n", title.c_str(),
-              r.destinations);
+// The grid: a Mode column, then one column per method.
+template <std::size_t N>
+void printFifteenWayTable(const FifteenWay<N>& r) {
   std::printf("%-10s", "Mode");
-  for (const auto m : lookup::kAllMethods) {
+  for (const auto m : r.methods) {
     std::printf("%10s", std::string(lookup::methodName(m)).c_str());
   }
   std::printf("\n");
   const char* modes[3] = {"Common", "Simple", "Advance"};
   for (int mode = 0; mode < 3; ++mode) {
     std::printf("%-10s", modes[mode]);
-    for (std::size_t mi = 0; mi < lookup::kAllMethods.size(); ++mi) {
+    for (std::size_t mi = 0; mi < N; ++mi) {
       std::printf("%10.2f", r.avg[mode][mi]);
     }
     std::printf("\n");
   }
 }
 
+inline void printFifteenWay(const std::string& title, const FifteenWay<>& r) {
+  std::printf("\n== %s (%zu destinations) ==\n", title.c_str(),
+              r.destinations);
+  printFifteenWayTable(r);
+}
+
 // Scale used by the heavyweight snapshot benches. 1.0 reproduces the paper's
-// table sizes; override with CLUERT_BENCH_SCALE for quick runs.
+// table sizes; override with CLUERT_BENCH_SCALE for quick runs. Here and in
+// benchDestinations, a malformed or out-of-range value keeps the default.
 inline double benchScale() {
   if (const char* s = std::getenv("CLUERT_BENCH_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0 && v <= 1.0) return v;
+    const auto v = parseNumber<double>(s);
+    if (v && *v > 0.0 && *v <= 1.0) return *v;
   }
   return 1.0;
 }
 
 inline std::size_t benchDestinations() {
   if (const char* s = std::getenv("CLUERT_BENCH_DESTS")) {
-    const long v = std::atol(s);
-    if (v > 0) return static_cast<std::size_t>(v);
+    const auto v = parseNumber<std::size_t>(s);
+    if (v && *v > 0) return *v;
   }
   return 10'000;  // the paper's sample size
 }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/text.h"
 #include "obs/export.h"
 #include "pipeline/pipeline.h"
 #include "rib/table_gen.h"
@@ -169,9 +170,9 @@ int main() {
     if (!tallied) failed = true;
 
     const auto spans = pipe.drainSpans();
-    obs::writeFile("pipeline_metrics.prom", obs::toPrometheus(snap));
-    obs::writeFile("pipeline_spans.jsonl",
-                   obs::spansToJsonl(spans, "pipeline_throughput"));
+    writeFile("pipeline_metrics.prom", obs::toPrometheus(snap));
+    writeFile("pipeline_spans.jsonl",
+              obs::spansToJsonl(spans, "pipeline_throughput"));
     std::printf("wrote pipeline_metrics.prom, pipeline_spans.jsonl (%zu "
                 "spans)\n",
                 spans.size());

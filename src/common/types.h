@@ -1,12 +1,12 @@
 // Small shared vocabulary types.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <string_view>
-#include <system_error>
+
+#include "common/text.h"
 
 namespace cluert {
 
@@ -16,15 +16,11 @@ using NextHop = std::uint32_t;
 // Sentinel: "no route".
 inline constexpr NextHop kNoNextHop = std::numeric_limits<NextHop>::max();
 
-// A next hop as route files and daemon configs write it: decimal digits
-// only, below kNoNextHop. Empty input, a sign, a value past the NextHop
-// range (which would wrap) and kNoNextHop itself all give std::nullopt.
+// A next hop as route files and daemon configs write it: a NextHop
+// parseNumber reads, short of kNoNextHop.
 inline std::optional<NextHop> parseNextHop(std::string_view s) {
-  NextHop nh = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), nh);
-  if (ec != std::errc{} || ptr != s.data() + s.size() || nh == kNoNextHop) {
-    return std::nullopt;
-  }
+  const auto nh = parseNumber<NextHop>(s);
+  if (nh == kNoNextHop) return std::nullopt;
   return nh;
 }
 

@@ -18,8 +18,9 @@ class IntervalLookupBase : public LookupEngine<A> {
 
   // `inline_candidates`: candidate sets up to this size are assumed to live
   // in the clue entry's cache line and cost zero extra accesses (§4). Zero
-  // disables the optimisation (the conservative default used by the main
-  // benchmarks; bench_space quantifies the effect).
+  // disables the optimisation (the conservative default every bench and
+  // data plane uses; only LookupMethods.InlineCandidateScanCostsNothing
+  // sets it).
   IntervalLookupBase(const trie::BinaryTrie<A>& table, unsigned fanout,
                      unsigned inline_candidates)
       : fanout_(fanout), inline_candidates_(inline_candidates) {

@@ -32,4 +32,17 @@ std::string_view clueModeName(ClueMode c) {
   return "unknown";
 }
 
+std::optional<Method> methodFromName(std::string_view name) {
+  for (const Method m : kExtendedMethods) {
+    if (methodName(m) == name) return m;
+  }
+  return std::nullopt;
+}
+
+std::optional<ClueMode> clueModeFromName(std::string_view name) {
+  if (name == "simple" || name == "Simple") return ClueMode::kSimple;
+  if (name == "advance" || name == "Advance") return ClueMode::kAdvance;
+  return std::nullopt;
+}
+
 }  // namespace cluert::lookup

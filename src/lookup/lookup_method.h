@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string_view>
 
 namespace cluert::lookup {
@@ -42,5 +43,11 @@ inline constexpr std::array<ClueMode, 3> kAllClueModes = {
 
 std::string_view methodName(Method m);
 std::string_view clueModeName(ClueMode c);
+
+// The method methodName gives `name`, or nullopt.
+std::optional<Method> methodFromName(std::string_view name);
+// The mode a table is built for: Simple or Advance, written as clueModeName
+// gives it or in lower case. Common names no such mode and gives nullopt.
+std::optional<ClueMode> clueModeFromName(std::string_view name);
 
 }  // namespace cluert::lookup

@@ -29,6 +29,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/text.h"
 
 namespace cluert::mc {
 namespace {
@@ -1041,15 +1042,16 @@ class Scheduler {
     std::string tok;
     while (std::getline(ss, tok, ',')) {
       if (tok.size() < 2 || (tok[0] != 's' && tok[0] != 'v')) return false;
+      const auto n = parseNumber<int>(std::string_view(tok).substr(1));
+      if (!n) return false;
       Choice c;
       c.is_sched = tok[0] == 's';
-      const int n = std::atoi(tok.c_str() + 1);
       if (c.is_sched) {
         // Replay stores the *fiber id*; wrap it as a one-alt choice.
-        c.alts = {n};
+        c.alts = {*n};
         c.chosen = 0;
       } else {
-        c.chosen = n;
+        c.chosen = *n;
       }
       path_.push_back(c);
     }

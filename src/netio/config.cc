@@ -1,8 +1,6 @@
 #include "netio/config.h"
 
-#include <charconv>
-#include <fstream>
-#include <sstream>
+#include "common/text.h"
 
 namespace cluert::netio {
 
@@ -19,18 +17,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-bool parseU64(std::string_view s, std::uint64_t* out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-std::optional<lookup::Method> methodFromName(std::string_view s) {
-  for (lookup::Method m : lookup::kExtendedMethods) {
-    if (s == lookup::methodName(m)) return m;
-  }
-  return std::nullopt;
-}
-
 // [A-Za-z0-9._-]+: the name is printed unescaped into the JSON bodies of
 // /status, /trace and /debug/flight.
 bool validName(std::string_view s) {
@@ -41,12 +27,6 @@ bool validName(std::string_view s) {
     if (!ok) return false;
   }
   return !s.empty();
-}
-
-std::optional<lookup::ClueMode> modeFromName(std::string_view s) {
-  if (s == "simple" || s == "Simple") return lookup::ClueMode::kSimple;
-  if (s == "advance" || s == "Advance") return lookup::ClueMode::kAdvance;
-  return std::nullopt;
 }
 
 }  // namespace
@@ -82,9 +62,9 @@ std::optional<Config> parseConfig(std::string_view text, std::string* error) {
       if (!validName(val)) return fail("name must match [A-Za-z0-9._-]+");
       c.name = std::string(val);
     } else if (key == "router_id") {
-      std::uint64_t v = 0;
-      if (!parseU64(val, &v) || v > 0xffff) return fail("bad router_id");
-      c.router_id = static_cast<std::uint16_t>(v);
+      const auto v = parseNumber<std::uint16_t>(val);
+      if (!v) return fail("bad router_id");
+      c.router_id = *v;
     } else if (key == "listen" || key == "admin") {
       const auto a = SockAddr::parse(val);
       if (!a) return fail("bad address (want ip:port)");
@@ -94,38 +74,38 @@ std::optional<Config> parseConfig(std::string_view text, std::string* error) {
     } else if (key == "neighbor_routes") {
       c.neighbor_routes = std::string(val);
     } else if (key == "method") {
-      const auto m = methodFromName(val);
+      const auto m = lookup::methodFromName(val);
       if (!m) return fail("unknown method");
       c.method = *m;
     } else if (key == "mode") {
-      const auto m = modeFromName(val);
+      const auto m = lookup::clueModeFromName(val);
       if (!m) return fail("mode must be simple or advance");
       c.mode = *m;
     } else if (key == "workers") {
-      std::uint64_t v = 0;
-      if (!parseU64(val, &v) || v == 0 || v > 32) return fail("bad workers");
-      c.workers = static_cast<std::size_t>(v);
+      const auto v = parseNumber<std::size_t>(val);
+      if (!v || *v == 0 || *v > 32) return fail("bad workers");
+      c.workers = *v;
     } else if (key == "cache_entries") {
-      std::uint64_t v = 0;
-      if (!parseU64(val, &v)) return fail("bad cache_entries");
-      c.cache_entries = static_cast<std::size_t>(v);
+      const auto v = parseNumber<std::size_t>(val);
+      if (!v) return fail("bad cache_entries");
+      c.cache_entries = *v;
     } else if (key == "oracle") {
       if (val != "0" && val != "1") return fail("oracle must be 0 or 1");
       c.oracle = val == "1";
     } else if (key == "drain_ms") {
-      std::uint64_t v = 0;
-      if (!parseU64(val, &v) || v > 60000) return fail("bad drain_ms");
-      c.drain_ms = static_cast<std::uint32_t>(v);
+      const auto v = parseNumber<std::uint32_t>(val);
+      if (!v || *v > 60000) return fail("bad drain_ms");
+      c.drain_ms = *v;
     } else if (key == "rcvbuf") {
-      std::uint64_t v = 0;
-      if (!parseU64(val, &v) || v > (1u << 30)) return fail("bad rcvbuf");
-      c.rcvbuf = static_cast<int>(v);
+      const auto v = parseNumber<int>(val);
+      if (!v || *v > (1 << 30)) return fail("bad rcvbuf");
+      c.rcvbuf = *v;
     } else if (key == "metrics_out") {
       c.metrics_out = std::string(val);
     } else if (key == "trace_sample") {
-      std::uint64_t v = 0;
-      if (!parseU64(val, &v) || v > 1000000000) return fail("bad trace_sample");
-      c.trace_sample = static_cast<std::uint32_t>(v);
+      const auto v = parseNumber<std::uint32_t>(val);
+      if (!v || *v > 1000000000) return fail("bad trace_sample");
+      c.trace_sample = *v;
     } else if (key == "flight_out") {
       c.flight_out = std::string(val);
     } else if (key == "peer.default") {
@@ -151,14 +131,12 @@ std::optional<Config> parseConfig(std::string_view text, std::string* error) {
 }
 
 std::optional<Config> loadConfig(const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = readFile(path);
+  if (!text) {
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parseConfig(ss.str(), error);
+  return parseConfig(*text, error);
 }
 
 }  // namespace cluert::netio

@@ -5,32 +5,13 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/check.h"
+#include "common/text.h"
 #include "obs/export.h"
 #include "rib/fib_diff.h"
 
 namespace cluert::netio {
-
-namespace {
-
-std::optional<std::string> readWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-std::optional<rib::Fib<ip::Ip4Addr>> loadFib(const std::string& path) {
-  const auto text = readWholeFile(path);
-  if (!text) return std::nullopt;
-  return rib::Fib<ip::Ip4Addr>::parse(*text);
-}
-
-}  // namespace
 
 Daemon::Daemon(const Config& config) : Daemon(config, Options()) {}
 
@@ -45,12 +26,18 @@ Daemon::Daemon(const Config& config, const Options& options)
   // can land on a thread with the default disposition and kill the process
   // instead of reaching the signalfd.
   if (options_.handle_signals) setupSignals();
-  auto local = loadFib(config_.routes);
+  std::optional<rib::Fib<A>> local;
+  if (const auto text = readFile(config_.routes)) {
+    local = rib::Fib<A>::parse(*text);
+  }
   CLUERT_CHECK(local.has_value())
       << "cannot load routes file " << config_.routes;
   local_mirror_ = std::move(*local);
   if (!config_.neighbor_routes.empty()) {
-    auto neighbor = loadFib(config_.neighbor_routes);
+    std::optional<rib::Fib<A>> neighbor;
+    if (const auto text = readFile(config_.neighbor_routes)) {
+      neighbor = rib::Fib<A>::parse(*text);
+    }
     CLUERT_CHECK(neighbor.has_value())
         << "cannot load neighbor_routes file " << config_.neighbor_routes;
     neighbor_mirror_ = std::move(*neighbor);
@@ -155,8 +142,7 @@ void Daemon::waitShutdown() {
   // die.
   updater_->stop();
   if (!config_.metrics_out.empty()) {
-    obs::writeFile(config_.metrics_out,
-                   obs::toPrometheus(registry_.snapshot()));
+    writeFile(config_.metrics_out, obs::toPrometheus(registry_.snapshot()));
   }
   admin_loop_.stop();
   if (admin_thread_.joinable()) admin_thread_.join();
@@ -171,11 +157,16 @@ void Daemon::stop() {
 std::uint64_t Daemon::liveSeq() const { return tables_->liveSeq(); }
 
 std::uint64_t Daemon::reload() {
-  auto local = loadFib(config_.routes);
+  std::optional<rib::Fib<A>> local;
+  if (const auto text = readFile(config_.routes)) {
+    local = rib::Fib<A>::parse(*text);
+  }
   if (!local) return 0;
   std::optional<rib::Fib<A>> neighbor;
   if (!config_.neighbor_routes.empty()) {
-    neighbor = loadFib(config_.neighbor_routes);
+    if (const auto text = readFile(config_.neighbor_routes)) {
+      neighbor = rib::Fib<A>::parse(*text);
+    }
     if (!neighbor) return 0;
   }
   rib::FibDelta<A> dl;
@@ -291,7 +282,7 @@ void Daemon::dumpFlight() {
     std::fwrite(body.data(), 1, body.size(), stderr);
     std::fflush(stderr);
   } else {
-    obs::writeFile(config_.flight_out, body);
+    writeFile(config_.flight_out, body);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace cluert::obs {
@@ -150,13 +149,6 @@ std::string spansToJsonl(std::span<const PacketSpan> spans,
     out << "},\"total_accesses\":" << s.accessTotal() << "}\n";
   }
   return out.str();
-}
-
-bool writeFile(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f << content;
-  return static_cast<bool>(f);
 }
 
 }  // namespace cluert::obs

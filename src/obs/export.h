@@ -28,8 +28,4 @@ std::string toPrometheus(const MetricSnapshot& snapshot);
 std::string spansToJsonl(std::span<const PacketSpan> spans,
                          const std::string& router);
 
-// Convenience: write `content` to `path`, returning false (and leaving a
-// partial file possibly behind) on I/O failure.
-bool writeFile(const std::string& path, const std::string& content);
-
 }  // namespace cluert::obs

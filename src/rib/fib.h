@@ -94,6 +94,19 @@ class Fib {
     return os.str();
   }
 
+  // One "prefix next_hop" line, split at its first space: the one reader of
+  // a route line, for route files and scenario corpora alike.
+  static std::optional<EntryT> parseEntry(std::string_view line) {
+    const auto space = line.find(' ');
+    if (space == std::string_view::npos) return std::nullopt;
+    const auto prefix = PrefixT::parse(line.substr(0, space));
+    if (!prefix) return std::nullopt;
+    const auto nh = parseNextHop(line.substr(space + 1));
+    if (!nh) return std::nullopt;
+    return EntryT{*prefix, *nh};
+  }
+
+  // A route file: parseEntry lines, blank lines skipped.
   static std::optional<Fib> parse(std::string_view text) {
     Fib fib;
     std::size_t pos = 0;
@@ -103,13 +116,9 @@ class Fib {
       const std::string_view line = text.substr(pos, eol - pos);
       pos = eol + 1;
       if (line.empty()) continue;
-      const auto space = line.find(' ');
-      if (space == std::string_view::npos) return std::nullopt;
-      const auto prefix = PrefixT::parse(line.substr(0, space));
-      if (!prefix) return std::nullopt;
-      const auto nh = parseNextHop(line.substr(space + 1));
-      if (!nh) return std::nullopt;
-      fib.entries_.push_back(EntryT{*prefix, *nh});
+      const auto entry = parseEntry(line);
+      if (!entry) return std::nullopt;
+      fib.entries_.push_back(*entry);
     }
     fib.normalize();
     return fib;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 
 namespace cluert::sim {
 
@@ -15,10 +14,10 @@ std::optional<Fault> faultFromName(std::string_view name) {
 }
 
 std::string_view scenarioFamily(std::string_view text) {
-  detail::LineReader in(text);
+  LineReader in(text);
   const auto header = in.next();
   if (!header) return {};
-  const auto f = detail::fields(*header);
+  const auto f = fields(*header);
   if (f.size() != 3 || f[1] != "v1") return {};
   // Topology scenarios (topo/scenario.h) share the corpus directory and
   // replay machinery; the header word routes them to the topo parser.
@@ -39,48 +38,5 @@ std::vector<std::string> listCorpusFiles(const std::string& dir) {
   std::sort(out.begin(), out.end());
   return out;
 }
-
-std::optional<std::string> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-bool writeFile(const std::string& path, std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
-}
-
-namespace detail {
-
-std::vector<std::string_view> fields(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    std::size_t sp = line.find(' ', pos);
-    if (sp == std::string_view::npos) sp = line.size();
-    if (sp > pos) out.push_back(line.substr(pos, sp - pos));
-    pos = sp + 1;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> parseU64(std::string_view s) {
-  if (s.empty() || s.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (~std::uint64_t{0} - digit) / 10) return std::nullopt;
-    v = v * 10 + digit;
-  }
-  return v;
-}
-
-}  // namespace detail
 
 }  // namespace cluert::sim

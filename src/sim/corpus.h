@@ -7,7 +7,7 @@
 //
 //   cluert-scenario v1 ipv4
 //   seed 12345
-//   sender <n>        then n lines "prefix next_hop"
+//   sender <n>        then n lines "prefix next_hop" (rib::Fib::parseEntry)
 //   receiver <n>      then n lines "prefix next_hop"
 //   churn <n>         then per step:
 //     <local|neighbor> <after_packet> <removed> <added> <rerouted>
@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/text.h"
 #include "sim/scenario.h"
 
 namespace cluert::sim {
@@ -35,9 +36,6 @@ std::string_view scenarioFamily(std::string_view text);
 // directory does not exist.
 std::vector<std::string> listCorpusFiles(const std::string& dir);
 
-std::optional<std::string> readFile(const std::string& path);
-bool writeFile(const std::string& path, std::string_view content);
-
 namespace detail {
 
 template <typename A>
@@ -51,44 +49,6 @@ void putEntries(std::ostringstream& os,
   for (const auto& e : entries) {
     os << e.prefix.toString() << ' ' << e.next_hop << '\n';
   }
-}
-
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_(text) {}
-
-  // Next non-empty, non-comment line; nullopt at end of input.
-  std::optional<std::string_view> next() {
-    while (pos_ < text_.size()) {
-      std::size_t eol = text_.find('\n', pos_);
-      if (eol == std::string_view::npos) eol = text_.size();
-      std::string_view line = text_.substr(pos_, eol - pos_);
-      pos_ = eol + 1;
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (line.empty() || line.front() == '#') continue;
-      return line;
-    }
-    return std::nullopt;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-// Splits on single spaces. Returns empty vector only for an empty line.
-std::vector<std::string_view> fields(std::string_view line);
-
-std::optional<std::uint64_t> parseU64(std::string_view s);
-
-template <typename A>
-std::optional<trie::Match<A>> parseEntry(std::string_view line) {
-  const auto f = fields(line);
-  if (f.size() != 2) return std::nullopt;
-  const auto prefix = ip::Prefix<A>::parse(f[0]);
-  const auto nh = parseU64(f[1]);
-  if (!prefix || !nh) return std::nullopt;
-  return trie::Match<A>{*prefix, static_cast<NextHop>(*nh)};
 }
 
 }  // namespace detail
@@ -121,12 +81,12 @@ std::string serializeScenario(const Scenario<A>& s) {
 
 template <typename A>
 std::optional<Scenario<A>> parseScenario(std::string_view text) {
-  detail::LineReader in(text);
+  LineReader in(text);
 
   const auto header = in.next();
   if (!header) return std::nullopt;
   {
-    const auto f = detail::fields(*header);
+    const auto f = fields(*header);
     if (f.size() != 3 || f[0] != "cluert-scenario" || f[1] != "v1" ||
         f[2] != detail::familyTag<A>()) {
       return std::nullopt;
@@ -138,11 +98,11 @@ std::optional<Scenario<A>> parseScenario(std::string_view text) {
       -> std::optional<std::size_t> {
     const auto line = in.next();
     if (!line) return std::nullopt;
-    const auto f = detail::fields(*line);
+    const auto f = fields(*line);
     if (f.size() != 2 || f[0] != key) return std::nullopt;
-    const auto n = detail::parseU64(f[1]);
+    const auto n = parseNumber<std::size_t>(f[1]);
     if (!n || *n > (1u << 24)) return std::nullopt;  // sanity bound
-    return static_cast<std::size_t>(*n);
+    return n;
   };
   const auto readEntries =
       [&](std::size_t n, std::vector<trie::Match<A>>& out) -> bool {
@@ -150,7 +110,7 @@ std::optional<Scenario<A>> parseScenario(std::string_view text) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto line = in.next();
       if (!line) return false;
-      const auto e = detail::parseEntry<A>(*line);
+      const auto e = rib::Fib<A>::parseEntry(*line);
       if (!e) return false;
       out.push_back(*e);
     }
@@ -160,9 +120,9 @@ std::optional<Scenario<A>> parseScenario(std::string_view text) {
   {
     const auto line = in.next();
     if (!line) return std::nullopt;
-    const auto f = detail::fields(*line);
+    const auto f = fields(*line);
     if (f.size() != 2 || f[0] != "seed") return std::nullopt;
-    const auto seed = detail::parseU64(f[1]);
+    const auto seed = parseNumber<std::uint64_t>(f[1]);
     if (!seed) return std::nullopt;
     s.seed = *seed;
   }
@@ -179,7 +139,7 @@ std::optional<Scenario<A>> parseScenario(std::string_view text) {
   for (std::size_t i = 0; i < *n_churn; ++i) {
     const auto line = in.next();
     if (!line) return std::nullopt;
-    const auto f = detail::fields(*line);
+    const auto f = fields(*line);
     if (f.size() != 5) return std::nullopt;
     ChurnStep<A> step;
     if (f[0] == "neighbor") {
@@ -187,15 +147,15 @@ std::optional<Scenario<A>> parseScenario(std::string_view text) {
     } else if (f[0] != "local") {
       return std::nullopt;
     }
-    const auto after = detail::parseU64(f[1]);
-    const auto nr = detail::parseU64(f[2]);
-    const auto na = detail::parseU64(f[3]);
-    const auto nu = detail::parseU64(f[4]);
+    const auto after = parseNumber<std::size_t>(f[1]);
+    const auto nr = parseNumber<std::size_t>(f[2]);
+    const auto na = parseNumber<std::size_t>(f[3]);
+    const auto nu = parseNumber<std::size_t>(f[4]);
     if (!after || !nr || !na || !nu || *nr > (1u << 20) || *na > (1u << 20) ||
         *nu > (1u << 20)) {
       return std::nullopt;
     }
-    step.after_packet = static_cast<std::size_t>(*after);
+    step.after_packet = *after;
     step.delta.removed.reserve(*nr);
     for (std::size_t k = 0; k < *nr; ++k) {
       const auto pl = in.next();
@@ -215,16 +175,13 @@ std::optional<Scenario<A>> parseScenario(std::string_view text) {
   for (std::size_t i = 0; i < *n_packets; ++i) {
     const auto line = in.next();
     if (!line) return std::nullopt;
-    const auto f = detail::fields(*line);
+    const auto f = fields(*line);
     if (f.size() != 3) return std::nullopt;
     const auto dest = A::parse(f[0]);
     const auto fault = faultFromName(f[1]);
-    const auto aux = detail::parseU64(f[2]);
-    if (!dest || !fault || !aux.has_value() || *aux > 0xffffffffull) {
-      return std::nullopt;
-    }
-    s.packets.push_back(SimPacket<A>{
-        *dest, *fault, static_cast<std::uint32_t>(*aux)});
+    const auto aux = parseNumber<std::uint32_t>(f[2]);
+    if (!dest || !fault || !aux) return std::nullopt;
+    s.packets.push_back(SimPacket<A>{*dest, *fault, *aux});
   }
   return s;
 }

@@ -22,21 +22,22 @@
 
 namespace cluert::sim {
 
+// §3.5 cache entries per port: nonzero, so every config exercises the
+// cache-invalidation-across-refresh paths.
+inline constexpr std::size_t kCacheEntries = 64;
+inline constexpr std::size_t kMaxMismatches = 8;  // stop a config after this
+
+// Every config runs Simple and hash-organised; `advance` and `indexed` add
+// the other mode and organisation.
 template <typename A>
 struct RunOptions {
   std::uint32_t methods = lookup::kAllMethodsMask;  // lookup::methodBit mask
-  bool simple = true;
   bool advance = true;
-  bool hash = true;
   bool indexed = true;
   // Run the structural validators (trie, Patricia equivalence, clue table)
   // at every published version of every config. O(entries²)-ish; the CLI
   // turns it off for the million-packet sweeps.
   bool validate_publishes = true;
-  // §3.5 cache entries per port (0 disables; a nonzero value exercises the
-  // cache-invalidation-across-refresh paths).
-  std::size_t cache_entries = 64;
-  std::size_t max_mismatches = 8;  // stop a config after this many
   // Test hook: corrupts a freshly built port before any packet runs (the
   // shrinker tests seed a deliberately broken engine through this).
   std::function<void(core::CluePort<A>&)> sabotage;
@@ -220,10 +221,9 @@ RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
     if ((opt.methods & lookup::methodBit(m)) == 0) continue;
     for (const lookup::ClueMode mode :
          {lookup::ClueMode::kSimple, lookup::ClueMode::kAdvance}) {
-      if (mode == lookup::ClueMode::kSimple && !opt.simple) continue;
       if (mode == lookup::ClueMode::kAdvance && !opt.advance) continue;
       for (const bool indexed : {false, true}) {
-        if (indexed ? !opt.indexed : !opt.hash) continue;
+        if (indexed && !opt.indexed) continue;
         configs.push_back({m, mode, indexed});
       }
     }
@@ -244,7 +244,7 @@ RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
     popt.method = cfg.method;
     popt.mode = cfg.mode;
     popt.indexed = cfg.indexed;
-    popt.cache_entries = opt.cache_entries;
+    popt.cache_entries = kCacheEntries;
     popt.expected_clues = s.sender.size() + 16;
     core::CluePort<A> port(suite, advance ? &t1 : nullptr, popt);
 
@@ -307,7 +307,7 @@ RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
                  detail::describe<A>(want) + " got " +
                  detail::describe<A>(r.match);
       result.mismatches.push_back(std::move(m));
-      if (++config_mismatches >= opt.max_mismatches) break;
+      if (++config_mismatches >= kMaxMismatches) break;
     }
   }
   return result;

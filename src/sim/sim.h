@@ -4,8 +4,8 @@
 //   auto r = cluert::sim::runScenario(s);
 //   if (!r.ok()) {
 //     auto small = cluert::sim::shrinkScenario(s, pred);
-//     cluert::sim::writeFile("tests/corpus/repro.scn",
-//                            cluert::sim::serializeScenario(small));
+//     cluert::writeFile("tests/corpus/repro.scn",
+//                       cluert::sim::serializeScenario(small));
 //   }
 #pragma once
 

@@ -5,26 +5,15 @@
 
 #include "common/check.h"
 #include "common/random.h"
-#include "sim/corpus.h"
+#include "common/text.h"
 
 namespace cluert::topo {
 
 namespace {
 
-using sim::detail::fields;
-using sim::detail::LineReader;
-using sim::detail::parseU64;
-
 constexpr std::size_t kMaxNodes = 64;
 constexpr int kMaxTicks = 1 << 20;
 constexpr std::uint32_t kMaxBurst = 1 << 16;
-
-std::optional<lookup::Method> methodFromName(std::string_view name) {
-  for (const lookup::Method m : lookup::kExtendedMethods) {
-    if (lookup::methodName(m) == name) return m;
-  }
-  return std::nullopt;
-}
 
 // Keeps timelines canonical: stable sort by tick only, preserving the
 // written order of same-tick lines so parse-serialize is a byte fixpoint.
@@ -120,7 +109,7 @@ std::optional<TopoScenario> parseTopoScenario(std::string_view text) {
   {
     const auto f = keyed("seed", 2);
     if (!f) return std::nullopt;
-    const auto seed = parseU64((*f)[1]);
+    const auto seed = parseNumber<std::uint64_t>((*f)[1]);
     if (!seed) return std::nullopt;
     s.seed = *seed;
   }
@@ -128,55 +117,51 @@ std::optional<TopoScenario> parseTopoScenario(std::string_view text) {
     const auto f = keyed("topology", 3);
     if (!f) return std::nullopt;
     const auto shape = shapeFromName((*f)[1]);
-    const auto nodes = parseU64((*f)[2]);
+    const auto nodes = parseNumber<std::size_t>((*f)[2]);
     if (!shape || !nodes || *nodes < 2 || *nodes > kMaxNodes) {
       return std::nullopt;
     }
     s.shape = *shape;
-    s.nodes = static_cast<std::size_t>(*nodes);
+    s.nodes = *nodes;
   }
   {
     const auto f = keyed("mode", 2);
     if (!f) return std::nullopt;
-    if ((*f)[1] == "simple") {
-      s.mode = lookup::ClueMode::kSimple;
-    } else if ((*f)[1] == "advance") {
-      s.mode = lookup::ClueMode::kAdvance;
-    } else {
-      return std::nullopt;
-    }
+    const auto m = lookup::clueModeFromName((*f)[1]);
+    if (!m) return std::nullopt;
+    s.mode = *m;
   }
   {
     const auto f = keyed("method", 2);
     if (!f) return std::nullopt;
-    const auto m = methodFromName((*f)[1]);
+    const auto m = lookup::methodFromName((*f)[1]);
     if (!m) return std::nullopt;
     s.method = *m;
   }
   {
     const auto f = keyed("ticks", 2);
     if (!f) return std::nullopt;
-    const auto t = parseU64((*f)[1]);
+    const auto t = parseNumber<int>((*f)[1]);
     if (!t || *t > kMaxTicks) return std::nullopt;
-    s.ticks = static_cast<int>(*t);
+    s.ticks = *t;
   }
 
   const auto count = [&](std::string_view key) -> std::optional<std::size_t> {
     const auto f = keyed(key, 2);
     if (!f) return std::nullopt;
-    const auto n = parseU64((*f)[1]);
+    const auto n = parseNumber<std::size_t>((*f)[1]);
     if (!n || *n > (1u << 20)) return std::nullopt;
-    return static_cast<std::size_t>(*n);
+    return n;
   };
   const auto router = [&](std::string_view tok) -> std::optional<RouterId> {
-    const auto r = parseU64(tok);
+    const auto r = parseNumber<RouterId>(tok);
     if (!r || *r >= s.nodes) return std::nullopt;
-    return static_cast<RouterId>(*r);
+    return r;
   };
   const auto tickOf = [&](std::string_view tok) -> std::optional<int> {
-    const auto t = parseU64(tok);
+    const auto t = parseNumber<int>(tok);
     if (!t || *t > kMaxTicks) return std::nullopt;
-    return static_cast<int>(*t);
+    return t;
   };
 
   const auto n_orig = count("originate");
@@ -229,12 +214,11 @@ std::optional<TopoScenario> parseTopoScenario(std::string_view text) {
     const auto t = tickOf(f[0]);
     const auto src = router(f[1]);
     const auto dest = Addr4::parse(f[2]);
-    const auto n = parseU64(f[3]);
+    const auto n = parseNumber<std::uint32_t>(f[3]);
     if (!t || !src || !dest || !n || *n == 0 || *n > kMaxBurst) {
       return std::nullopt;
     }
-    s.packets.push_back(
-        TopoPacket{*t, *src, *dest, static_cast<std::uint32_t>(*n)});
+    s.packets.push_back(TopoPacket{*t, *src, *dest, *n});
   }
   if (in.next().has_value()) return std::nullopt;  // trailing garbage
   sortByTick(s);

@@ -11,7 +11,7 @@
 //   cluert-topo v1 ipv4
 //   seed <u64>
 //   topology <shape> <nodes>
-//   mode <simple|advance>
+//   mode <simple|advance>  (read capitalised too: lookup::clueModeFromName)
 //   method <name>
 //   ticks <n>
 //   originate <n>     then n lines "router prefix"

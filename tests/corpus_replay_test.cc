@@ -56,7 +56,7 @@ TEST(CorpusReplay, AllScenarioFilesClean) {
   }
   for (const auto& path : files) {
     SCOPED_TRACE(path);
-    const auto text = sim::readFile(path);
+    const auto text = readFile(path);
     ASSERT_TRUE(text.has_value()) << "cannot read " << path;
     const auto family = sim::scenarioFamily(*text);
     if (family == "ipv4") {
@@ -81,7 +81,7 @@ TEST(CorpusReplay, SerializationIsStable) {
   }
   for (const auto& path : files) {
     SCOPED_TRACE(path);
-    const auto text = sim::readFile(path);
+    const auto text = readFile(path);
     ASSERT_TRUE(text.has_value());
     const auto family = sim::scenarioFamily(*text);
     if (family == "topo4") {

@@ -5,19 +5,33 @@
 //
 //   fuzz_<target> [--rand N] [--seed S] [--max-len L] [file...]
 //
-// Exits nonzero only if the target aborts/crashes (the process dies), so a
-// clean pass is exactly libFuzzer's -runs=N semantics.
+// Exits 2 for a file it cannot read, a count that is not a number or a
+// --max-len past 1 MiB, and otherwise nonzero only if the target
+// aborts/crashes (the process dies), so a clean pass is exactly libFuzzer's
+// -runs=N semantics.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/text.h"
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size);
+
+namespace {
+
+// Reads `*out` from `s`; false when `s` is not a T.
+template <typename T>
+bool number(const char* s, T* out) {
+  const auto v = cluert::parseNumber<T>(s);
+  if (v) *out = *v;
+  return v.has_value();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::size_t rand_runs = 0;
@@ -25,28 +39,33 @@ int main(int argc, char** argv) {
   std::size_t max_len = 512;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strcmp(argv[i], "--rand") == 0 && i + 1 < argc) {
-      rand_runs = std::strtoul(argv[++i], nullptr, 10);
+      ok = number(argv[++i], &rand_runs);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      ok = number(argv[++i], &seed);
     } else if (std::strcmp(argv[i], "--max-len") == 0 && i + 1 < argc) {
-      max_len = std::strtoul(argv[++i], nullptr, 10);
+      // Bounded so that max_len + 1 cannot wrap to a zero divisor; the
+      // targets read a few KiB at most.
+      ok = number(argv[++i], &max_len) && max_len <= (1u << 20);
     } else {
       files.emplace_back(argv[i]);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s: bad value '%s'\n", argv[i - 1], argv[i]);
+      return 2;
     }
   }
 
   std::size_t executed = 0;
   for (const auto& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const auto bytes = cluert::readFile(path);
+    if (!bytes) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 2;
     }
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
     LLVMFuzzerTestOneInput(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+        reinterpret_cast<const std::uint8_t*>(bytes->data()), bytes->size());
     ++executed;
   }
 

@@ -1,8 +1,8 @@
 // Fuzz target: the corpus scenario parser (sim::parseScenario) — the one
 // parser in the tree that reads files an external tool (or a person editing
 // a shrunk repro) may have mangled. Arbitrary text must parse-or-reject
-// without crashing; an accepted scenario must hit the serialize/parse
-// fixpoint the CorpusReplay suite relies on.
+// without crashing; an accepted scenario must hold no kNoNextHop route and
+// hit the serialize/parse fixpoint the CorpusReplay suite relies on.
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,6 +16,21 @@ template <typename A>
 void oneFamily(const std::string& text) {
   const auto s = sim::parseScenario<A>(text);
   if (!s) return;
+  const auto holdsNoRoute = [](const std::vector<trie::Match<A>>& entries) {
+    for (const auto& e : entries) {
+      if (e.next_hop == kNoNextHop) return true;
+    }
+    return false;
+  };
+  bool no_route = holdsNoRoute(s->sender) || holdsNoRoute(s->receiver);
+  for (const auto& step : s->churn) {
+    no_route = no_route || holdsNoRoute(step.delta.added) ||
+               holdsNoRoute(step.delta.rerouted);
+  }
+  if (no_route) {
+    std::fprintf(stderr, "accepted a route to kNoNextHop (no route)\n");
+    std::abort();
+  }
   const std::string canon = sim::serializeScenario(*s);
   const auto again = sim::parseScenario<A>(canon);
   if (!again) {

@@ -324,5 +324,21 @@ TEST(LookupMethods, MethodNamesAreStable) {
   EXPECT_EQ(clueModeName(ClueMode::kAdvance), "Advance");
 }
 
+TEST(LookupMethods, NamesReadBack) {
+  for (const Method m : kExtendedMethods) {
+    EXPECT_EQ(methodFromName(methodName(m)), m) << methodName(m);
+  }
+  EXPECT_FALSE(methodFromName("patricia").has_value());
+  EXPECT_FALSE(methodFromName("").has_value());
+  // Both spellings a daemon config or topo scenario may use; Common is no
+  // mode a table is built for.
+  EXPECT_EQ(clueModeFromName("simple"), ClueMode::kSimple);
+  EXPECT_EQ(clueModeFromName("Simple"), ClueMode::kSimple);
+  EXPECT_EQ(clueModeFromName("advance"), ClueMode::kAdvance);
+  EXPECT_EQ(clueModeFromName("Advance"), ClueMode::kAdvance);
+  EXPECT_FALSE(clueModeFromName("Common").has_value());
+  EXPECT_FALSE(clueModeFromName("ADVANCE").has_value());
+}
+
 }  // namespace
 }  // namespace cluert::lookup

@@ -218,6 +218,20 @@ TEST(Mc, ReplayWithMismatchedScheduleDegrades) {
   EXPECT_EQ(r.executions, 1);
 }
 
+// A choice number with a stray byte is no schedule: it is reported, not
+// read as the number before the byte.
+TEST(Mc, ReplayRejectsMalformedChoiceNumbers) {
+  CLUERT_MC_SKIP();
+  for (const char* bad : {"mc1:s0x", "mc1:s0,s1y", "mc1:v-1", "mc1:s"}) {
+    const Result r = replay(harnessByName("ring_zero_copy").fn, bad);
+    EXPECT_TRUE(r.found_violation) << bad;
+    EXPECT_NE(r.violation.message.find("unparseable schedule string"),
+              std::string::npos)
+        << bad << ": " << r.violation.message;
+    EXPECT_EQ(r.executions, 0) << bad;
+  }
+}
+
 // The smoke configuration used by ci.sh gate 8: a time budget must stop the
 // search promptly and mark the result as budget-hit rather than complete.
 TEST(Mc, TimeBudgetStopsSearch) {

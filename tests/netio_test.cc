@@ -12,12 +12,12 @@
 #include <atomic>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "common/text.h"
 #include "netio/config.h"
 #include "netio/daemon.h"
 #include "netio/event_loop.h"
@@ -283,13 +283,6 @@ std::string tempPath(const std::string& name) {
   return ::testing::TempDir() + "netio_test_" + name;
 }
 
-void writeFileOrDie(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  ASSERT_TRUE(out.good()) << path;
-  out << text;
-  ASSERT_TRUE(out.good()) << path;
-}
-
 // Receives datagrams on `sock` until `expect` arrive or ~timeout_ms passes.
 std::vector<netio::DatagramBuf> recvAll(int sock, std::size_t expect,
                                         int timeout_ms = 10000) {
@@ -359,10 +352,10 @@ netio::Config baseConfig(const std::string& routes_path) {
 
 TEST(DaemonTest, SingleDaemonEchoForwardsWithOwnClue) {
   const std::string routes = tempPath("echo.routes");
-  writeFileOrDie(routes,
-                 "10.0.0.0/8 1\n"
-                 "10.1.0.0/16 2\n"
-                 "0.0.0.0/0 9\n");
+  ASSERT_TRUE(writeFile(routes,
+                        "10.0.0.0/8 1\n"
+                        "10.1.0.0/16 2\n"
+                        "0.0.0.0/0 9\n"));
   SockAddr sink_addr;
   netio::Fd sink = testSink(&sink_addr);
 
@@ -416,9 +409,9 @@ TEST(DaemonTest, TwoDaemonChainMatchesSequentialOracle) {
   rib::Fib<A> fib_a{std::vector<trie::Match<A>>(entries_a)};
   rib::Fib<A> fib_b{std::vector<trie::Match<A>>(entries_b)};
   rib::Fib<A> fib_inj{std::vector<trie::Match<A>>(entries_inj)};
-  writeFileOrDie(routes_a, fib_a.serialize());
-  writeFileOrDie(routes_b, fib_b.serialize());
-  writeFileOrDie(routes_inj, fib_inj.serialize());
+  ASSERT_TRUE(writeFile(routes_a, fib_a.serialize()));
+  ASSERT_TRUE(writeFile(routes_b, fib_b.serialize()));
+  ASSERT_TRUE(writeFile(routes_inj, fib_inj.serialize()));
 
   SockAddr sink_addr;
   netio::Fd sink = testSink(&sink_addr);
@@ -575,7 +568,7 @@ std::map<std::uint64_t, std::uint64_t> statusPeers(const std::string& status,
 
 TEST(DaemonTest, AdminEndpointsServeMetricsAndStatus) {
   const std::string routes = tempPath("admin.routes");
-  writeFileOrDie(routes, "10.0.0.0/8 1\n11.0.0.0/8 2\n");
+  ASSERT_TRUE(writeFile(routes, "10.0.0.0/8 1\n11.0.0.0/8 2\n"));
   SockAddr sink_addr;
   netio::Fd sink = testSink(&sink_addr);
   netio::Config c = baseConfig(routes);
@@ -697,7 +690,7 @@ TEST(DaemonTest, AdminEndpointsServeMetricsAndStatus) {
 
 TEST(DaemonTest, ReloadPublishesNewRoutesToLiveLookups) {
   const std::string routes = tempPath("reload.routes");
-  writeFileOrDie(routes, "10.0.0.0/8 1\n");
+  ASSERT_TRUE(writeFile(routes, "10.0.0.0/8 1\n"));
   SockAddr sink_addr;
   netio::Fd sink = testSink(&sink_addr);
   netio::Config c = baseConfig(routes);
@@ -721,7 +714,7 @@ TEST(DaemonTest, ReloadPublishesNewRoutesToLiveLookups) {
 
   // ...and forwarded after it. reload() returns only once the new version
   // is live (RouteUpdater::flush), so no sleep between reload and send.
-  writeFileOrDie(routes, "10.0.0.0/8 1\n192.168.0.0/16 4\n");
+  ASSERT_TRUE(writeFile(routes, "10.0.0.0/8 1\n192.168.0.0/16 4\n"));
   const std::uint64_t seq = daemon.reload();
   EXPECT_GT(seq, 1u);
   EXPECT_EQ(daemon.liveSeq(), seq);
@@ -742,7 +735,7 @@ TEST(DaemonTest, ReloadPublishesNewRoutesToLiveLookups) {
 
 TEST(DaemonTest, SigtermMidStreamDrainsAcceptedPacketsAndExitsClean) {
   const std::string routes = tempPath("sigterm.routes");
-  writeFileOrDie(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n");
+  ASSERT_TRUE(writeFile(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n"));
   netio::Config c = baseConfig(routes);
   c.router_id = 5;
   netio::Daemon::Options opts;
@@ -928,7 +921,7 @@ struct GroRig {
 
   GroRig() {
     const std::string routes = tempPath("gro.routes");
-    writeFileOrDie(routes, "10.0.0.0/8 1\n10.1.0.0/16 2\n");
+    EXPECT_TRUE(writeFile(routes, "10.0.0.0/8 1\n10.1.0.0/16 2\n"));
     sink = testSink(&sink_addr);
     netio::Config c = baseConfig(routes);
     c.name = "gro";
@@ -1152,7 +1145,7 @@ TEST(TraceWireTest, TruncatedContextRejected) {
 
 TEST(TraceDaemonTest, SamplingDeterminismAndAdminDrain) {
   const std::string routes = tempPath("trace_sample.routes");
-  writeFileOrDie(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n");
+  ASSERT_TRUE(writeFile(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n"));
   netio::Config c = baseConfig(routes);
   c.name = "tracer";
   c.router_id = 5;
@@ -1235,9 +1228,9 @@ TEST(TraceDaemonTest, SamplingDeterminismAndAdminDrain) {
 // share that chunk's lookup window.
 TEST(TraceDaemonTest, TracedBatchSharesOneResolve) {
   const std::string routes = tempPath("trace_batch.routes");
-  writeFileOrDie(routes,
-                 "10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.2.0/24 3\n"
-                 "10.2.0.0/16 4\n0.0.0.0/0 9\n");
+  ASSERT_TRUE(writeFile(routes,
+                        "10.0.0.0/8 1\n10.1.0.0/16 2\n10.1.2.0/24 3\n"
+                        "10.2.0.0/16 4\n0.0.0.0/0 9\n"));
   netio::Config c = baseConfig(routes);  // oracle = 1
   c.trace_sample = 1;
   netio::Daemon daemon(c);  // no peer: routed packets are "delivered"
@@ -1294,7 +1287,7 @@ TEST(TraceDaemonTest, TracedBatchSharesOneResolve) {
 
 TEST(TraceDaemonTest, HopCountIncrementsAcrossChain) {
   const std::string routes = tempPath("trace_chain.routes");
-  writeFileOrDie(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n");
+  ASSERT_TRUE(writeFile(routes, "10.0.0.0/8 1\n0.0.0.0/0 9\n"));
   SockAddr sink_addr;
   netio::Fd sink = testSink(&sink_addr);
 

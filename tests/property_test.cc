@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 
+#include "common/text.h"
 #include "core/distributed_lookup.h"
 #include "sim/scenario.h"
 #include "test_util.h"
@@ -31,9 +32,8 @@ using lookup::Method;
 
 std::size_t seedCountFromEnv() {
   const char* env = std::getenv("CLUERT_PROPERTY_SEEDS");
-  if (env == nullptr) return 3;
-  const long n = std::strtol(env, nullptr, 10);
-  return n > 0 ? static_cast<std::size_t>(n) : 3;
+  const auto n = env != nullptr ? parseNumber<std::size_t>(env) : std::nullopt;
+  return n && *n > 0 ? *n : 3;
 }
 
 // Faults and churn are exercised by the differential harness (sim_test);

@@ -144,8 +144,8 @@ TEST(Shrink, SabotagedEngineIsCaughtShrunkAndReplayedRedThenGreen) {
   const std::string text = sim::serializeScenario(small);
   const std::string path =
       testing::TempDir() + "/shrunk-sabotage-repro.scn";
-  ASSERT_TRUE(sim::writeFile(path, text));
-  const auto loaded_text = sim::readFile(path);
+  ASSERT_TRUE(writeFile(path, text));
+  const auto loaded_text = readFile(path);
   ASSERT_TRUE(loaded_text.has_value());
   EXPECT_EQ(sim::scenarioFamily(*loaded_text), "ipv4");
   const auto loaded = sim::parseScenario<A>(*loaded_text);

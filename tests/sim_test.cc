@@ -135,6 +135,32 @@ TEST(SimCorpus, RejectsMalformedInput) {
   // Unknown version must be rejected, not guessed at.
   EXPECT_FALSE(
       sim::parseScenario<A>("cluert-scenario v9 ipv4\nseed 1\n").has_value());
+
+  // Entries are route lines (rib::Fib::parseEntry): a next hop past the
+  // NextHop range does not wrap, kNoNextHop (no route) is no next hop, and
+  // neither is an empty one, in a sender, a receiver or a churn delta.
+  const auto scenario = [](const std::string& sender,
+                           const std::string& receiver,
+                           const std::string& added) {
+    return "cluert-scenario v1 ipv4\nseed 1\nsender 1\n" + sender +
+           "\nreceiver 1\n" + receiver + "\nchurn 1\nlocal 0 0 1 0\n" +
+           added + "\npackets 1\n10.1.2.3 none 0\n";
+  };
+  const std::string ok = "10.0.0.0/8 5";
+  const auto good = sim::parseScenario<A>(scenario(ok, ok, ok));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->sender[0].next_hop, 5u);
+  EXPECT_FALSE(sim::parseScenario<A>(scenario("10.0.0.0/8 4294967296", ok, ok))
+                   .has_value());
+  EXPECT_FALSE(sim::parseScenario<A>(scenario(ok, "10.0.0.0/8 4294967301", ok))
+                   .has_value());
+  EXPECT_FALSE(sim::parseScenario<A>(scenario(ok, ok, "10.0.0.0/8 4294967295"))
+                   .has_value());
+  EXPECT_FALSE(
+      sim::parseScenario<A>(scenario(ok, "10.0.0.0/8 ", ok)).has_value());
+  // One space between the two fields, as in a route file.
+  EXPECT_FALSE(
+      sim::parseScenario<A>(scenario("10.0.0.0/8  5", ok, ok)).has_value());
 }
 
 TEST(SimCorpus, CommentsAndBlankLinesAreIgnored) {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "common/random.h"
+#include "common/text.h"
 #include "topo/rip.h"
 #include "topo/topology.h"
 
@@ -16,9 +17,8 @@ namespace {
 
 std::size_t seedCountFromEnv() {
   const char* env = std::getenv("CLUERT_PROPERTY_SEEDS");
-  if (env == nullptr) return 50;
-  const long n = std::strtol(env, nullptr, 10);
-  return n > 0 ? static_cast<std::size_t>(n) : 50;
+  const auto n = env != nullptr ? parseNumber<std::size_t>(env) : std::nullopt;
+  return n && *n > 0 ? *n : 50;
 }
 
 // Ticks until converged, capped at `bound`; -1 when the cap is hit.

@@ -383,6 +383,21 @@ TEST(Topo, ScenarioSerializeParseRoundTrip) {
   EXPECT_EQ(parsed->packets.size(), s.packets.size());
 }
 
+// The mode line reads as a daemon config's does (lookup::clueModeFromName)
+// and is written back lower-case.
+TEST(Topo, ScenarioModeReadsEitherCase) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    const std::string text = serializeTopoScenario(generateTopoScenario(seed));
+    std::string capitalised = text;
+    const auto at = capitalised.find("\nmode ");
+    ASSERT_NE(at, std::string::npos);
+    capitalised[at + 6] = static_cast<char>(capitalised[at + 6] - 'a' + 'A');
+    const auto parsed = parseTopoScenario(capitalised);
+    ASSERT_TRUE(parsed.has_value()) << capitalised.substr(at, 16);
+    EXPECT_EQ(serializeTopoScenario(*parsed), text);
+  }
+}
+
 TEST(Topo, ScenarioParserRejectsMalformed) {
   EXPECT_FALSE(parseTopoScenario("").has_value());
   EXPECT_FALSE(parseTopoScenario("cluert-scenario v1 ipv4\n").has_value());
@@ -460,7 +475,7 @@ TEST(Topo, ShrunkHarnessPredicateStaysFailing) {
 // behavior they were shrunk to pin down (and stay strict-clean doing it).
 TEST(Topo, CorpusStaleFlapAdvanceRepro) {
   const auto text =
-      sim::readFile(std::string(CLUERT_CORPUS_DIR) +
+      readFile(std::string(CLUERT_CORPUS_DIR) +
                     "/topo-stale-flap-advance.scn");
   ASSERT_TRUE(text.has_value());
   const auto s = parseTopoScenario(*text);
@@ -474,7 +489,7 @@ TEST(Topo, CorpusStaleFlapAdvanceRepro) {
 }
 
 TEST(Topo, CorpusWithdrawRaceRepro) {
-  const auto text = sim::readFile(std::string(CLUERT_CORPUS_DIR) +
+  const auto text = readFile(std::string(CLUERT_CORPUS_DIR) +
                                   "/topo-withdraw-race.scn");
   ASSERT_TRUE(text.has_value());
   const auto s = parseTopoScenario(*text);

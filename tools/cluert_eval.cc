@@ -15,13 +15,13 @@
 //       Print size and prefix-length histogram of a table.
 //
 // FIB files use the same format Fib4::serialize emits, so tables exported
-// from real routers can be converted and fed in directly.
+// from real routers can be converted and fed in directly. A count or seed
+// that is not a number is a usage error (exit 2).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "bench_util.h"
+#include "common/text.h"
 #include "core/shaping.h"
 #include "rib/table_gen.h"
 
@@ -41,56 +41,49 @@ int usage() {
   return 2;
 }
 
-std::optional<rib::Fib4> loadFib(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto fib = rib::Fib4::parse(buf.str());
-  if (!fib) std::fprintf(stderr, "malformed FIB file %s\n", path);
-  return fib;
+// Exit status 1 for a route file that is missing or malformed.
+int cannotRead(const char* path) {
+  std::fprintf(stderr, "cannot read a FIB from %s\n", path);
+  return 1;
 }
 
-bool saveFib(const rib::Fib4& fib, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return false;
-  }
-  out << fib.serialize();
-  return true;
+int cannotWrite(const char* path) {
+  std::fprintf(stderr, "cannot write %s\n", path);
+  return 1;
 }
 
 int cmdGen(int argc, char** argv) {
   if (argc < 4) return usage();
-  const auto count = static_cast<std::size_t>(std::atol(argv[2]));
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                                      : 1;
-  Rng rng(seed);
+  const auto count = parseNumber<std::size_t>(argv[2]);
+  const auto seed =
+      argc > 4 ? parseNumber<std::uint64_t>(argv[4]) : std::uint64_t{1};
+  if (!count || !seed) return usage();
+  Rng rng(*seed);
   rib::GenOptions<A> opt;
-  opt.size = count;
+  opt.size = *count;
   opt.histogram = rib::internetLengths1999();
   const auto fib = rib::TableGen<A>::generate(rng, opt);
-  if (!saveFib(fib, argv[3])) return 1;
+  if (!writeFile(argv[3], fib.serialize())) return cannotWrite(argv[3]);
   std::printf("wrote %zu prefixes to %s\n", fib.size(), argv[3]);
   return 0;
 }
 
 int cmdNeighbor(int argc, char** argv) {
   if (argc < 6) return usage();
-  const auto base = loadFib(argv[2]);
-  if (!base) return 1;
+  const auto shared = parseNumber<std::size_t>(argv[4]);
+  const auto fresh = parseNumber<std::size_t>(argv[5]);
+  const auto seed =
+      argc > 6 ? parseNumber<std::uint64_t>(argv[6]) : std::uint64_t{1};
+  if (!shared || !fresh || !seed) return usage();
+  const auto text = readFile(argv[2]);
+  const auto base = text ? rib::Fib4::parse(*text) : std::nullopt;
+  if (!base) return cannotRead(argv[2]);
   rib::NeighborOptions<A> opt;
-  opt.shared = static_cast<std::size_t>(std::atol(argv[4]));
-  opt.fresh = static_cast<std::size_t>(std::atol(argv[5]));
-  const std::uint64_t seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10)
-                                      : 1;
-  Rng rng(seed);
+  opt.shared = *shared;
+  opt.fresh = *fresh;
+  Rng rng(*seed);
   const auto fib = rib::TableGen<A>::deriveNeighbor(*base, rng, opt);
-  if (!saveFib(fib, argv[3])) return 1;
+  if (!writeFile(argv[3], fib.serialize())) return cannotWrite(argv[3]);
   std::printf("wrote %zu prefixes to %s (%zu shared with %s)\n", fib.size(),
               argv[3], base->intersectionSize(fib), argv[2]);
   return 0;
@@ -98,8 +91,9 @@ int cmdNeighbor(int argc, char** argv) {
 
 int cmdStats(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto fib = loadFib(argv[2]);
-  if (!fib) return 1;
+  const auto text = readFile(argv[2]);
+  const auto fib = text ? rib::Fib4::parse(*text) : std::nullopt;
+  if (!fib) return cannotRead(argv[2]);
   std::size_t by_len[33] = {};
   for (const auto& e : fib->entries()) ++by_len[e.prefix.length()];
   std::printf("%s: %zu prefixes\n", argv[2], fib->size());
@@ -114,11 +108,17 @@ int cmdStats(int argc, char** argv) {
 
 int cmdEval(int argc, char** argv) {
   if (argc < 4) return usage();
-  const auto sender = loadFib(argv[2]);
-  const auto receiver = loadFib(argv[3]);
-  if (!sender || !receiver) return 1;
-  const std::size_t dest_count =
-      argc > 4 ? static_cast<std::size_t>(std::atol(argv[4])) : 10'000;
+  const auto dest_count =
+      argc > 4 ? parseNumber<std::size_t>(argv[4]) : std::size_t{10'000};
+  if (!dest_count) return usage();
+  const auto sender_text = readFile(argv[2]);
+  const auto sender =
+      sender_text ? rib::Fib4::parse(*sender_text) : std::nullopt;
+  if (!sender) return cannotRead(argv[2]);
+  const auto receiver_text = readFile(argv[3]);
+  const auto receiver =
+      receiver_text ? rib::Fib4::parse(*receiver_text) : std::nullopt;
+  if (!receiver) return cannotRead(argv[3]);
 
   const auto t1 = sender->buildTrie();
   const auto t2 = receiver->buildTrie();
@@ -135,7 +135,8 @@ int cmdEval(int argc, char** argv) {
 
   // Destinations and the 15 cells per the §6 methodology (bench_util.h).
   Rng rng(4711);
-  const auto dests = bench::paperDestinations(*sender, t1, t2, rng, dest_count);
+  const auto dests =
+      bench::paperDestinations(*sender, t1, t2, rng, *dest_count);
   bench::printFifteenWay("average memory accesses",
                          bench::runFifteenWay(*sender, *receiver, dests, t1));
   return 0;

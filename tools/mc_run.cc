@@ -13,11 +13,13 @@
 //   mc_run --replay <name> <sched> re-run one schedule with a full trace
 //
 // Exit status: 0 when every harness behaved as expected (violation iff the
-// registry expects one), 1 otherwise.
+// registry expects one), 1 otherwise, and 2 with the usage text for an
+// unknown flag or a count that is not a number.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/text.h"
 #include "mc/harnesses.h"
 
 namespace {
@@ -25,6 +27,22 @@ namespace {
 using cluert::mc::NamedHarness;
 using cluert::mc::Options;
 using cluert::mc::Result;
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: mc_run [--list] [--smoke MS] [--max-executions N]\n"
+               "              [--preemption-bound N] [-v] [name...]\n"
+               "       mc_run --replay NAME SCHEDULE\n");
+  return 2;
+}
+
+// Reads `*out` from argv[++i]; false when it is not a T.
+template <typename T>
+bool numberArg(char** argv, int& i, T* out) {
+  const auto v = cluert::parseNumber<T>(argv[++i]);
+  if (v) *out = *v;
+  return v.has_value();
+}
 
 const NamedHarness* find(const std::string& name) {
   for (const NamedHarness& h : cluert::mc::harnessRegistry()) {
@@ -73,11 +91,11 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--smoke" && i + 1 < argc) {
-      opt.time_budget_ms = std::atol(argv[++i]);
+      if (!numberArg(argv, i, &opt.time_budget_ms)) return usage();
     } else if (arg == "--max-executions" && i + 1 < argc) {
-      opt.max_executions = std::atol(argv[++i]);
+      if (!numberArg(argv, i, &opt.max_executions)) return usage();
     } else if (arg == "--preemption-bound" && i + 1 < argc) {
-      opt.preemption_bound = std::atoi(argv[++i]);
+      if (!numberArg(argv, i, &opt.preemption_bound)) return usage();
     } else if (arg == "--replay" && i + 2 < argc) {
       replay_name = argv[++i];
       replay_schedule = argv[++i];
@@ -85,7 +103,7 @@ int main(int argc, char** argv) {
       verbose = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      return usage();
     } else {
       names.push_back(arg);
     }

@@ -37,10 +37,12 @@ if ! command -v python3 >/dev/null 2>&1; then
 fi
 
 cmake -B "$BUILD" -S "$ROOT" -DCLUERT_COVERAGE=ON >/dev/null
-# cluert_mc_mutant_tests rides along: ctest discovers its tests, so a tree
-# with only cluert_tests built errors out before the report runs.
+# cluert_mc_mutant_tests and the four tools ride along: ctest discovers the
+# mutant's tests and runs the tools' ToolUsage.* tests, so a tree with only
+# cluert_tests built errors out before the report runs.
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target cluert_tests cluert_mc_mutant_tests >/dev/null
+  --target cluert_tests cluert_mc_mutant_tests \
+           sim_run cluert_eval mc_run wire_play >/dev/null
 
 # Stale counters from a previous run would inflate the report.
 find "$BUILD" -name '*.gcda' -delete

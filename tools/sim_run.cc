@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text.h"
 #include "sim/sim.h"
 #include "topo/harness.h"
 #include "topo/scenario.h"
@@ -155,7 +156,7 @@ bool runSeed(std::uint64_t seed, const SweepArgs& args, Totals& totals) {
     const std::string path = args.save_dir + "/repro-" +
                              std::string(sim::detail::familyTag<A>()) +
                              "-seed" + std::to_string(seed) + ".scn";
-    if (sim::writeFile(path, sim::serializeScenario(repro))) {
+    if (writeFile(path, sim::serializeScenario(repro))) {
       std::printf("saved repro to %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -164,30 +165,35 @@ bool runSeed(std::uint64_t seed, const SweepArgs& args, Totals& totals) {
   return false;
 }
 
+// Reads `*out` from the flag value that follows argv[i]; false, after
+// saying so, when the value is missing or is not a T.
+template <typename T>
+bool numberArg(int argc, char** argv, int& i, T* out) {
+  const char* flag = argv[i];
+  const auto v = i + 1 < argc ? parseNumber<T>(argv[++i]) : std::nullopt;
+  if (!v) {
+    std::fprintf(stderr, "%s needs a number\n", flag);
+    return false;
+  }
+  *out = *v;
+  return true;
+}
+
 int cmdSweep(int argc, char** argv) {
   SweepArgs args;
   for (int i = 2; i < argc; ++i) {
     const std::string_view a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (a == "--seeds") {
-      const char* v = value();
-      if (!v) return usage();
-      args.seeds = std::strtoul(v, nullptr, 10);
+      if (!numberArg(argc, argv, i, &args.seeds)) return usage();
     } else if (a == "--seed-base") {
-      const char* v = value();
-      if (!v) return usage();
-      args.seed_base = std::strtoull(v, nullptr, 10);
+      if (!numberArg(argc, argv, i, &args.seed_base)) return usage();
     } else if (a == "--packets") {
-      const char* v = value();
-      if (!v) return usage();
-      args.packets = std::strtoul(v, nullptr, 10);
+      if (!numberArg(argc, argv, i, &args.packets)) return usage();
     } else if (a == "--family") {
-      const char* v = value();
-      if (!v) return usage();
-      args.ipv4 = std::strcmp(v, "ipv6") != 0;
-      args.ipv6 = std::strcmp(v, "ipv4") != 0;
+      const std::string_view v = i + 1 < argc ? argv[++i] : "";
+      if (v != "ipv4" && v != "ipv6" && v != "both") return usage();
+      args.ipv4 = v != "ipv6";
+      args.ipv6 = v != "ipv4";
     } else if (a == "--no-faults") {
       args.faults = false;
     } else if (a == "--no-churn") {
@@ -197,9 +203,8 @@ int cmdSweep(int argc, char** argv) {
     } else if (a == "--shrink") {
       args.shrink = true;
     } else if (a == "--save") {
-      const char* v = value();
-      if (!v) return usage();
-      args.save_dir = v;
+      if (i + 1 >= argc) return usage();
+      args.save_dir = argv[++i];
     } else {
       std::fprintf(stderr, "unknown option %s\n", argv[i]);
       return usage();
@@ -275,7 +280,7 @@ int cmdReplay(int argc, char** argv) {
   Totals totals;
   std::size_t bad = 0;
   for (const auto& path : files) {
-    const auto text = sim::readFile(path);
+    const auto text = readFile(path);
     if (!text) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       ++bad;
@@ -318,7 +323,7 @@ void showScenario(const sim::Scenario<A>& s) {
 
 int cmdShow(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto text = sim::readFile(argv[2]);
+  const auto text = readFile(argv[2]);
   if (!text) {
     std::fprintf(stderr, "cannot read %s\n", argv[2]);
     return 1;
@@ -376,7 +381,7 @@ int genOne(std::uint64_t seed, const char* path, std::size_t packets) {
   sim::GenOptions gen;
   gen.packets = packets;
   const auto s = sim::generateScenario<A>(seed, gen);
-  if (!sim::writeFile(path, sim::serializeScenario(s))) {
+  if (!writeFile(path, sim::serializeScenario(s))) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }
@@ -387,23 +392,25 @@ int genOne(std::uint64_t seed, const char* path, std::size_t packets) {
 
 int cmdGen(int argc, char** argv) {
   if (argc < 5) return usage();
-  const std::uint64_t seed = std::strtoull(argv[2], nullptr, 10);
-  const std::size_t packets =
-      argc > 5 ? std::strtoul(argv[5], nullptr, 10) : 200;
+  const auto seed = parseNumber<std::uint64_t>(argv[2]);
+  const auto packets =
+      argc > 5 ? parseNumber<std::size_t>(argv[5]) : std::size_t{200};
+  if (!seed || !packets) return usage();
   if (std::strcmp(argv[3], "ipv4") == 0) {
-    return genOne<ip::Ip4Addr>(seed, argv[4], packets);
+    return genOne<ip::Ip4Addr>(*seed, argv[4], *packets);
   }
   if (std::strcmp(argv[3], "ipv6") == 0) {
-    return genOne<ip::Ip6Addr>(seed, argv[4], packets);
+    return genOne<ip::Ip6Addr>(*seed, argv[4], *packets);
   }
   return usage();
 }
 
 int cmdTopoGen(int argc, char** argv) {
   if (argc < 4) return usage();
-  const std::uint64_t seed = std::strtoull(argv[2], nullptr, 10);
-  const topo::TopoScenario s = topo::generateTopoScenario(seed);
-  if (!sim::writeFile(argv[3], topo::serializeTopoScenario(s))) {
+  const auto seed = parseNumber<std::uint64_t>(argv[2]);
+  if (!seed) return usage();
+  const topo::TopoScenario s = topo::generateTopoScenario(*seed);
+  if (!writeFile(argv[3], topo::serializeTopoScenario(s))) {
     std::fprintf(stderr, "cannot write %s\n", argv[3]);
     return 1;
   }
@@ -437,7 +444,7 @@ topo::TopoFailPredicate topoPredicate(std::string_view name) {
 
 int cmdTopoShrink(int argc, char** argv) {
   if (argc < 6 || std::strcmp(argv[4], "--require") != 0) return usage();
-  const auto text = sim::readFile(argv[2]);
+  const auto text = readFile(argv[2]);
   if (!text) {
     std::fprintf(stderr, "cannot read %s\n", argv[2]);
     return 1;
@@ -460,7 +467,7 @@ int cmdTopoShrink(int argc, char** argv) {
   sim::ShrinkStats stats;
   const topo::TopoScenario small =
       topo::shrinkTopoScenario(*scenario, fails, {}, &stats);
-  if (!sim::writeFile(argv[3], topo::serializeTopoScenario(small))) {
+  if (!writeFile(argv[3], topo::serializeTopoScenario(small))) {
     std::fprintf(stderr, "cannot write %s\n", argv[3]);
     return 1;
   }

@@ -30,20 +30,24 @@
 //   get IP:PORT PATH
 //       Minimal HTTP GET against a cluertd admin endpoint; body to stdout.
 //       (Keeps the harness dependency-free — no curl in the container.)
+//
+// A flag value that is not a number of the flag's type (a sign, a stray
+// byte, a --ttl past 255) is a usage error: exit 2 before any work.
 #define _GNU_SOURCE 1
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
+#include "common/text.h"
 #include "mem/access_counter.h"
 #include "netio/socket.h"
 #include "netio/wire.h"
@@ -54,10 +58,18 @@
 
 namespace {
 
+using cluert::readFile;
 using cluert::Rng;
 using cluert::steadyNs;
+using cluert::writeFile;
 using cluert::ip::Ip4Addr;
 using A = Ip4Addr;
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: wire_play gen|inject|collect|get [options]\n");
+  return 2;
+}
 
 struct Args {
   std::vector<std::string> positional;
@@ -67,31 +79,21 @@ struct Args {
     }
     return def;
   }
-  std::uint64_t getU64(const std::string& key, std::uint64_t def) const {
+  // The value of `key` as a T, `def` when the flag is absent; a value that
+  // is not a T ends the run with the usage text.
+  template <typename T>
+  T number(const std::string& key, T def) const {
     const std::string v = get(key);
-    return v.empty() ? def : std::stoull(v);
-  }
-  double getF(const std::string& key, double def) const {
-    const std::string v = get(key);
-    return v.empty() ? def : std::stod(v);
+    if (v.empty()) return def;
+    const auto n = cluert::parseNumber<T>(v);
+    if (!n) {
+      std::fprintf(stderr, "bad value for %s: %s\n", key.c_str(), v.c_str());
+      std::exit(usage());
+    }
+    return *n;
   }
   std::vector<std::string> raw;
 };
-
-bool writeText(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
-
-std::optional<cluert::rib::Fib<A>> loadFib(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return cluert::rib::Fib<A>::parse(ss.str());
-}
 
 std::vector<std::string> splitComma(const std::string& s) {
   std::vector<std::string> out;
@@ -147,11 +149,11 @@ int cmdGenRing(const std::string& dir, std::size_t nodes, std::size_t size,
     }
     const cluert::rib::Fib<A> fib(std::move(entries));
     const std::string path = dir + "/ring" + std::to_string(j) + ".routes";
-    if (!writeText(path, fib.serialize())) {
+    if (!writeFile(path, fib.serialize())) {
       std::fprintf(stderr, "gen: cannot write %s\n", path.c_str());
       return 1;
     }
-    if (j == 0 && !writeText(dir + "/inj.routes", fib.serialize())) {
+    if (j == 0 && !writeFile(dir + "/inj.routes", fib.serialize())) {
       std::fprintf(stderr, "gen: cannot write %s/inj.routes\n", dir.c_str());
       return 1;
     }
@@ -167,11 +169,15 @@ int cmdGen(const Args& args) {
     std::fprintf(stderr, "gen: --out DIR required\n");
     return 2;
   }
-  const std::size_t hops = args.getU64("--hops", 3);
-  const std::size_t size = args.getU64("--size", 4000);
-  const std::uint64_t seed = args.getU64("--seed", 1);
-  const double shared = args.getF("--shared", 0.9);
-  const std::size_t ring = args.getU64("--ring", 0);
+  const auto hops = args.number<std::size_t>("--hops", 3);
+  const auto size = args.number<std::size_t>("--size", 4000);
+  const auto seed = args.number<std::uint64_t>("--seed", 1);
+  const double shared = args.number("--shared", 0.9);
+  const auto ring = args.number<std::size_t>("--ring", 0);
+  if (shared > 1.0) {
+    std::fprintf(stderr, "gen: --shared is a fraction of --size\n");
+    return usage();
+  }
   if (ring > 0) {
     if (ring < 3) {
       std::fprintf(stderr, "gen: --ring needs at least 3 nodes\n");
@@ -185,7 +191,7 @@ int cmdGen(const Args& args) {
   gopt.size = size;
   gopt.histogram = cluert::rib::internetLengths1999();
   cluert::rib::Fib<A> table = cluert::rib::TableGen<A>::generate(rng, gopt);
-  if (!writeText(dir + "/inj.routes", table.serialize())) {
+  if (!writeFile(dir + "/inj.routes", table.serialize())) {
     std::fprintf(stderr, "gen: cannot write %s/inj.routes\n", dir.c_str());
     return 1;
   }
@@ -195,7 +201,7 @@ int cmdGen(const Args& args) {
     nopt.fresh = size - nopt.shared;
     table = cluert::rib::TableGen<A>::deriveNeighbor(table, rng, nopt);
     const std::string path = dir + "/hop" + std::to_string(h) + ".routes";
-    if (!writeText(path, table.serialize())) {
+    if (!writeFile(path, table.serialize())) {
       std::fprintf(stderr, "gen: cannot write %s\n", path.c_str());
       return 1;
     }
@@ -216,21 +222,24 @@ int cmdInject(const Args& args) {
     std::fprintf(stderr, "inject: --tables f0,f1,... required\n");
     return 2;
   }
-  const std::uint64_t count = args.getU64("--count", 1000);
-  const std::uint64_t seed = args.getU64("--seed", 1);
-  const std::uint64_t pps = args.getU64("--pps", 20000);
-  const std::uint16_t src_id =
-      static_cast<std::uint16_t>(args.getU64("--src-id", 0));
-  const std::uint8_t ttl =
-      static_cast<std::uint8_t>(args.getU64("--ttl", cluert::netio::kDefaultTtl));
+  const auto count = args.number<std::uint64_t>("--count", 1000);
+  const auto seed = args.number<std::uint64_t>("--seed", 1);
+  const auto pps = args.number<std::uint64_t>("--pps", 20000);
+  const auto src_id = args.number<std::uint16_t>("--src-id", 0);
+  const auto ttl =
+      args.number<std::uint8_t>("--ttl", cluert::netio::kDefaultTtl);
 
   std::vector<cluert::trie::BinaryTrie<A>> tries;
+  std::vector<cluert::ip::Prefix4> inj_prefixes;  // the injector's, f0's
   for (const auto& path : table_paths) {
-    const auto fib = loadFib(path);
+    const auto text = readFile(path);
+    const auto fib =
+        text ? cluert::rib::Fib<A>::parse(*text) : std::nullopt;
     if (!fib) {
       std::fprintf(stderr, "inject: cannot load %s\n", path.c_str());
       return 1;
     }
+    if (tries.empty()) inj_prefixes = fib->prefixes();
     tries.push_back(fib->buildTrie());
   }
 
@@ -239,7 +248,6 @@ int cmdInject(const Args& args) {
   // end. Drawn once, then cycled.
   cluert::mem::AccessCounter acc;
   Rng rng(seed);
-  const auto inj_prefixes = loadFib(table_paths.front())->prefixes();
   struct Draw {
     A dest;
     cluert::core::ClueField clue;
@@ -349,8 +357,8 @@ int cmdCollect(const Args& args) {
     std::fprintf(stderr, "collect: --listen IP:PORT required\n");
     return 2;
   }
-  const std::uint64_t expect = args.getU64("--expect", 0);
-  const std::uint64_t timeout_ms = args.getU64("--timeout-ms", 30000);
+  const auto expect = args.number<std::uint64_t>("--expect", 0);
+  const auto timeout_ms = args.number<std::uint64_t>("--timeout-ms", 30000);
   const std::string out_path = args.get("--out");
 
   cluert::netio::Fd sock = cluert::netio::udpSocket(*listen);
@@ -397,7 +405,7 @@ int cmdCollect(const Args& args) {
           << (latency_samples > 0 ? latency_ns_sum / latency_samples : 0)
           << "\n";
   std::fputs(summary.str().c_str(), stdout);
-  if (!out_path.empty()) writeText(out_path, summary.str());
+  if (!out_path.empty()) writeFile(out_path, summary.str());
   return received >= expect && decode_errors == 0 ? 0 : 1;
 }
 
@@ -443,11 +451,7 @@ int cmdGet(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: wire_play gen|inject|collect|get [options]\n");
-    return 2;
-  }
+  if (argc < 2) return usage();
   const std::string cmd = argv[1];
   Args args;
   for (int i = 2; i < argc; ++i) {
@@ -463,5 +467,5 @@ int main(int argc, char** argv) {
   if (cmd == "collect") return cmdCollect(args);
   if (cmd == "get") return cmdGet(args);
   std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
-  return 2;
+  return usage();
 }

@@ -61,11 +61,14 @@ int main() {
 
   std::printf(
       "\nImplementation beside the model: every slot of the built hash table\n"
-      "holds one %zu-byte ClueEntry (the model: %zu bytes per clue)\n\n",
-      sizeof(core::ClueEntry<bench::A>), core::kClueEntryWireBytes);
-  std::printf("%-10s %-10s %9s %12s %10s %9s %12s %10s\n", "Sender",
+      "holds one %zu-byte ClueEntry (the model: %zu bytes per clue); beside\n"
+      "it, the table's %zu self slots, one Simple entry per /16 for the\n"
+      "packets that arrive without a clue (SelfBytes, not in xModel)\n\n",
+      sizeof(core::ClueEntry<bench::A>), core::kClueEntryWireBytes,
+      core::kSelfClueSlots);
+  std::printf("%-10s %-10s %9s %12s %10s %9s %12s %10s %10s\n", "Sender",
               "Receiver", "Clues", "ModelBytes", "EntryBytes", "Slots",
-              "SlotBytes", "xModel");
+              "SlotBytes", "xModel", "SelfBytes");
   for (const auto& pair : rib::paperPairs()) {
     const auto& sender = set.byName(pair.sender);
     const auto& receiver = set.byName(pair.receiver);
@@ -84,15 +87,17 @@ int main() {
                                         lookup::ClueMode::kAdvance, c,
                                         &table.candidates()));
     }
+    core::buildSelfClues(table, suite, lookup::Method::kPatricia);
     const std::size_t model = clues.size() * core::kClueEntryWireBytes;
     const std::size_t slot_bytes =
         table.bucketCount() * sizeof(core::ClueEntry<bench::A>);
-    std::printf("%-10s %-10s %9zu %12zu %10zu %9zu %12zu %9.1fx\n",
+    std::printf("%-10s %-10s %9zu %12zu %10zu %9zu %12zu %9.1fx %10zu\n",
                 std::string(pair.sender).c_str(),
                 std::string(pair.receiver).c_str(), clues.size(), model,
                 sizeof(core::ClueEntry<bench::A>), table.bucketCount(),
                 slot_bytes,
-                static_cast<double>(slot_bytes) / static_cast<double>(model));
+                static_cast<double>(slot_bytes) / static_cast<double>(model),
+                table.selfBytes());
   }
 
   std::printf(

@@ -38,6 +38,11 @@
 //                            silently miss (§3.4 is why entries are marked
 //                            inactive instead of removed)
 //   size-mismatch            (hash table only) stored size != valid slots
+//   self-slot-misplaced      (hash table only) self slot i (core::
+//                            kSelfClueBits) is invalid, inactive or holds
+//                            another clue than selfClue(i); its FD and Ptr
+//                            are re-derived by the checks above, under
+//                            Simple whatever the table's mode
 //
 // The Ptr checks read the continuation the way the engine that built it
 // does, so they need that engine; without one, only dangling-ptr applies.
@@ -73,7 +78,8 @@ void checkClueEntry(const core::ClueEntry<A>& e,
                     const trie::BinaryTrie<A>* t1,
                     const lookup::LookupEngine<A>* engine,
                     const lookup::CandidateStore<A>& store, Report& report) {
-  const std::string clue = e.clue.toString();
+  // Formatted only for a report: a clean table formats nothing.
+  const auto clue = [&] { return e.clue.toString(); };
   const core::ClueAnalyzer<A> analyzer(t2, t1);
   const core::ClueAnalysis<A> a = t1 != nullptr
                                       ? analyzer.analyzeAdvance(e.clue)
@@ -82,20 +88,20 @@ void checkClueEntry(const core::ClueEntry<A>& e,
   const auto expected_fd = t2.longestMarkedAtOrAbove(e.clue);
   if (e.fd() != expected_fd) {
     report.add("ClueTable", "fd-mismatch",
-               clue + ": stored FD " + describeMatch<A>(e.fd()) +
+               clue() + ": stored FD " + describeMatch<A>(e.fd()) +
                    " vs table " + describeMatch<A>(expected_fd));
   }
 
   const bool search_needed = a.kase == core::ClueCase::kSearch;
   if (e.ptr_empty && search_needed) {
     report.add("ClueTable", "claim1-empty-ptr",
-               clue + ": Ptr is empty but " +
+               clue() + ": Ptr is empty but " +
                    std::to_string(a.candidates.size()) +
                    " C1 candidates extend the clue (Claim 1 violated)");
   }
   if (!e.ptr_empty && !search_needed) {
     report.add("ClueTable", "ptr-not-empty",
-               clue + ": Ptr set although no longer match can exist");
+               clue() + ": Ptr set although no longer match can exist");
   }
   if (e.ptr_empty) return;
 
@@ -108,7 +114,8 @@ void checkClueEntry(const core::ClueEntry<A>& e,
   if (c.anchor == nullptr &&
       !(logw && static_cast<int>(c.n) > e.clue.length())) {
     report.add("ClueTable", "dangling-ptr",
-               clue + ": Ptr is non-empty but carries no continuation state");
+               clue() +
+                   ": Ptr is non-empty but carries no continuation state");
     return;
   }
   if (engine == nullptr) return;
@@ -117,13 +124,13 @@ void checkClueEntry(const core::ClueEntry<A>& e,
       method == lookup::Method::kMultiway) {
     if (!store.holds(c.anchor)) {
       report.add("ClueTable", "released-candidate-set",
-                 clue + ": the candidate set is not a live set of the "
+                 clue() + ": the candidate set is not a live set of the "
                         "table's store");
       return;
     }
     if (c.n != a.candidates.size()) {
       report.add("ClueTable", "candidate-count-mismatch",
-                 clue + ": stored |P| = " + std::to_string(c.n) +
+                 clue() + ": stored |P| = " + std::to_string(c.n) +
                      " vs recomputed " + std::to_string(a.candidates.size()));
     }
     report.merge(validateAgainst<A>(
@@ -139,7 +146,7 @@ void checkClueEntry(const core::ClueEntry<A>& e,
   switch (method) {
     case lookup::Method::kRegular:
       report.add("ClueTable", "dangling-trie-anchor",
-                 clue + ": Ptr names vertex " +
+                 clue() + ": Ptr names vertex " +
                      static_cast<const typename trie::BinaryTrie<A>::Node*>(
                          c.anchor)
                          ->prefix.toString() +
@@ -147,7 +154,7 @@ void checkClueEntry(const core::ClueEntry<A>& e,
       break;
     case lookup::Method::kPatricia:
       report.add("ClueTable", "dangling-patricia-anchor",
-                 clue + ": Ptr names Patricia node " +
+                 clue() + ": Ptr names Patricia node " +
                      static_cast<const typename trie::PatriciaTrie<A>::Node*>(
                          c.anchor)
                          ->prefix.toString() +
@@ -155,24 +162,65 @@ void checkClueEntry(const core::ClueEntry<A>& e,
       break;
     case lookup::Method::kStride:
       report.add("ClueTable", "dangling-stride-anchor",
-                 clue + ": Ptr names the node at depth " +
+                 clue() + ": Ptr names the node at depth " +
                      std::to_string(c.n) + ", the clue determines depth " +
                      std::to_string(want.n) + " or another node");
       break;
     default:
       report.add("ClueTable", "logw-window-mismatch",
-                 clue + ": stored longest candidate /" + std::to_string(c.n) +
+                 clue() + ": stored longest candidate /" + std::to_string(c.n) +
                      " vs recomputed /" + std::to_string(want.n));
       break;
   }
 }
 
+// The self slots (core::kSelfClueBits) under the `depth`-bit string `bits`,
+// re-derived by a descent of t2: `v` is that string's vertex (nullptr when
+// absent) and `fd` the best match strictly above it. A slot below an absent
+// vertex or at a leaf must hold the FD and an empty Ptr (cases 1 and 2);
+// a case-3 slot gets every check of checkClueEntry, under Simple.
+template <typename A>
+void checkSelfSlots(const core::HashClueTable<A>& table,
+                    const trie::BinaryTrie<A>& t2,
+                    const typename trie::BinaryTrie<A>::Node* v, int depth,
+                    std::size_t bits, std::optional<trie::Match<A>> fd,
+                    const lookup::LookupEngine<A>* engine, Report& report) {
+  if (v != nullptr && v->marked) fd = trie::Match<A>{v->prefix, v->next_hop};
+  if (v != nullptr && depth < core::kSelfClueBits) {
+    for (unsigned b = 0; b < 2; ++b) {
+      checkSelfSlots(table, t2, t2.child(v, b), depth + 1, (bits << 1) | b, fd,
+                     engine, report);
+    }
+    return;
+  }
+  const int below = core::kSelfClueBits - depth;
+  for (std::size_t i = bits << below; i < (bits + 1) << below; ++i) {
+    const core::ClueEntry<A>& e = table.selfSlotAt(i);
+    if (!e.valid || !e.active || e.clue != core::selfClue<A>(i)) {
+      report.add("ClueTable", "self-slot-misplaced",
+                 "self slot " + std::to_string(i) + " holds " +
+                     (e.valid ? e.clue.toString() : "no entry") + ", not " +
+                     core::selfClue<A>(i).toString());
+    } else if (v != nullptr && !v->isLeaf()) {
+      checkClueEntry<A>(e, t2, nullptr, engine, table.candidates(), report);
+    } else if (e.fd() != fd) {
+      report.add("ClueTable", "fd-mismatch",
+                 e.clue.toString() + ": stored FD " + describeMatch<A>(e.fd()) +
+                     " vs table " + describeMatch<A>(fd));
+    } else if (!e.ptr_empty) {
+      report.add("ClueTable", "ptr-not-empty",
+                 e.clue.toString() +
+                     ": Ptr set although no longer match can exist");
+    }
+  }
+}
+
 }  // namespace detail
 
-// Validates every active entry of a hash clue table plus the open-addressing
-// structure itself. `t1` null selects Simple analysis; non-null, Advance
-// against that sender table. `engine` (optional) is the engine that built
-// the continuations, which enables the Ptr checks.
+// Validates every active entry of a hash clue table, its self slots and the
+// open-addressing structure itself. `t1` null selects Simple analysis;
+// non-null, Advance against that sender table. `engine` (optional) is the
+// engine that built the continuations, which enables the Ptr checks.
 template <typename A>
 Report validate(const core::HashClueTable<A>& table,
                 const trie::BinaryTrie<A>& t2,
@@ -211,6 +259,10 @@ Report validate(const core::HashClueTable<A>& table,
     report.add("ClueTable", "size-mismatch",
                std::to_string(valid_slots) + " valid slots vs stored size " +
                    std::to_string(table.size()));
+  }
+  if (table.hasSelfClues()) {
+    detail::checkSelfSlots<A>(table, t2, t2.root(), 0, 0, std::nullopt, engine,
+                              report);
   }
   return report;
 }

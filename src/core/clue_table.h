@@ -107,6 +107,35 @@ static_assert(sizeof(ClueEntry<ip::Ip6Addr>) <= 48);
 // 4-byte fields: clue value, FD, Ptr).
 inline constexpr std::size_t kClueEntryWireBytes = 12;
 
+// Self-clues (§3.1, §5.3(b)): a packet that arrives without a clue takes the
+// first kSelfClueBits bits of its own destination as its clue. Simple
+// resolution is correct for any clue that is a prefix of the destination,
+// so one Simple entry per /16, indexed by those bits, stands in for the walk
+// from the root (HashClueTable's self slots).
+inline constexpr int kSelfClueBits = 16;
+inline constexpr std::size_t kSelfClueSlots = std::size_t{1}
+                                              << kSelfClueBits;
+
+inline std::size_t selfClueIndex(const ip::Ip4Addr& dest) {
+  return dest.value() >> (ip::Ip4Addr::kBits - kSelfClueBits);
+}
+inline std::size_t selfClueIndex(const ip::Ip6Addr& dest) {
+  return static_cast<std::size_t>(dest.hi() >> (64 - kSelfClueBits));
+}
+
+// The /16 clue of self slot `i`, the inverse of selfClueIndex.
+template <typename A>
+ip::Prefix<A> selfClue(std::size_t i) {
+  if constexpr (std::is_same_v<A, ip::Ip4Addr>) {
+    return ip::Prefix<A>(
+        A(static_cast<std::uint32_t>(i << (A::kBits - kSelfClueBits))),
+        kSelfClueBits);
+  } else {
+    return ip::Prefix<A>(A(std::uint64_t{i} << (64 - kSelfClueBits), 0),
+                         kSelfClueBits);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HashClueTable
 // ---------------------------------------------------------------------------
@@ -124,6 +153,19 @@ class HashClueTable {
       : slots_(bucketCountFor(expected)),
         tags_(bucketCountFor(expected) + lookup::kSwarLanes, 0) {
     keys_.reserve(expected);
+  }
+
+  // Empties the table for a full rebuild over `expected` clues, as a fresh
+  // HashClueTable(expected) would be, but keeps the self slots, stale until
+  // their owner rebuilds what the new receiver table changed
+  // (core::rebuildSelfCluesAfterReset) or every slot: a table rebuilt often
+  // (a router of a few dozen routes rebuilds on most deltas) then rewrites
+  // a few slots instead of mapping, constructing and filling 2 MiB.
+  void reset(std::size_t expected) {
+    mem::HugePageVector<EntryT> self = std::move(self_);
+    *this = HashClueTable(expected);
+    self_ = std::move(self);
+    self_stale_ = !self_.empty();
   }
 
   // The slot a probe for `clue` starts at (what the src/check/ probe-chain
@@ -251,6 +293,52 @@ class HashClueTable {
   // Approximate memory footprint at the paper's §3.5 entry size.
   std::size_t wireBytes() const { return slots_.size() * kClueEntryWireBytes; }
 
+  // -- self-clue slots (kSelfClueBits) ---------------------------------------
+  //
+  // kSelfClueSlots Simple entries, slot i for the /16 selfClue<A>(i), kept
+  // apart from the hashed entries: a sender's /16 clue is an Advance entry
+  // under Advance, and Claim 1 holds only for the sender's own BMP. The
+  // owner of the table builds them (core::buildSelfClues) and keeps them
+  // current through core::followDelta; until then the table has none and a
+  // clue-less packet walks from the root. Their candidate sets live in
+  // candidates(), like the hashed entries'.
+  bool hasSelfClues() const { return !self_.empty() && !self_stale_; }
+  // Whether the table holds self slots at all, current or kept stale by
+  // reset().
+  bool keepsSelfSlots() const { return !self_.empty(); }
+
+  // The self slot a clue-less packet to `dest` probes: one access, always,
+  // as an indexed probe costs (the caller charges it). Requires
+  // hasSelfClues().
+  const EntryT* selfSlotOf(const A& dest) const {
+    return &self_[selfClueIndex(dest)];
+  }
+
+  // Control plane: writes self slots [first, last) with `entry`, each under
+  // its own clue, selfClue<A>(i), and releases the candidate set of every
+  // entry it replaces, except while the slots are stale: the sets of the
+  // slots reset() kept went with the old store, and releasing one could
+  // free a new set allocated at the same address. So a rebuild after
+  // reset() writes each slot at most once, and then marks the slots
+  // current. The copy and the clue are stored slot by slot, never staged in
+  // a per-slot temporary: a 32-byte copy of one just written field by field
+  // would wait for those stores to retire, every slot.
+  void assignSelf(std::size_t first, std::size_t last, const EntryT& entry) {
+    if (self_.empty()) self_.assign(kSelfClueSlots, EntryT{});
+    for (std::size_t i = first; i < last; ++i) {
+      if (!self_stale_) candidates_.release(self_[i].cont.anchor);
+      self_[i] = entry;
+      self_[i].clue = selfClue<A>(i);
+    }
+  }
+  // The owner has rebuilt every slot that reset() left stale.
+  void markSelfCluesCurrent() { self_stale_ = false; }
+  // `i` must be < kSelfClueSlots, with hasSelfClues().
+  const EntryT& selfSlotAt(std::size_t i) const { return self_[i]; }
+
+  // The self slots' footprint in memory: 2 MiB for IPv4, 3 MiB for IPv6.
+  std::size_t selfBytes() const { return self_.size() * sizeof(EntryT); }
+
   void forEach(const std::function<void(const EntryT&)>& fn) const {
     for (const EntryT& e : slots_) {
       if (e.valid) fn(e);
@@ -375,6 +463,10 @@ class HashClueTable {
   // keys_[0, sorted_) is in Prefix order; insert appends past it.
   std::vector<PrefixT> keys_;
   std::size_t sorted_ = 0;
+  // The self slots, empty until the first build; on 2 MiB pages. Stale:
+  // kept by reset(), not yet rewritten.
+  mem::HugePageVector<EntryT> self_;
+  bool self_stale_ = false;
   lookup::CandidateStore<A> candidates_;
 };
 

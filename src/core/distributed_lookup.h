@@ -85,6 +85,112 @@ ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
 }
 
 // ---------------------------------------------------------------------------
+// Self-clue construction (kSelfClueBits): the owner of a clue table — an
+// owning CluePort, the static pipeline::Pipeline, rib::VersionedTables —
+// builds its self slots here. Slot i holds
+// buildClueEntry(suite, nullptr, method, kSimple, selfClue<A>(i)), built in
+// one descent of the receiver's binary trie to depth 16 rather than by 65,536
+// walks from its root. `range`, at most kSelfClueBits long, limits the build
+// to the slots under it (/0: all of them), which is how followDelta rebuilds
+// what a changed prefix touches.
+// ---------------------------------------------------------------------------
+namespace detail {
+
+template <typename A>
+class SelfClueBuilder {
+ public:
+  using MatchT = trie::Match<A>;
+  using Node = typename trie::BinaryTrie<A>::Node;
+
+  SelfClueBuilder(HashClueTable<A>& table, const lookup::LookupSuite<A>& suite,
+                  lookup::Method method)
+      : table_(table),
+        t2_(suite.binaryTrie()),
+        engine_(suite.engine(method)),
+        // Only these continuations read the candidates (LookupEngine::
+        // makeContinuation): the trie-walk ones anchor a node.
+        collect_(method == lookup::Method::kBinary ||
+                 method == lookup::Method::kMultiway ||
+                 method == lookup::Method::kLogW) {}
+
+  void build(const ip::Prefix<A>& range) {
+    CLUERT_DCHECK(range.length() <= kSelfClueBits)
+        << "self-clue range " << range.toString() << " is below a slot";
+    CLUERT_CHECK(table_.keepsSelfSlots() || range.length() == 0)
+        << "the first self-clue build covers every slot, not "
+        << range.toString();
+    // Down to the range's vertex, the FD collecting the marked ones above.
+    std::optional<MatchT> fd;
+    const Node* v = t2_.root();
+    std::size_t bits = 0;
+    for (int d = 0; d < range.length(); ++d) {
+      if (v != nullptr && v->marked) fd = MatchT{v->prefix, v->next_hop};
+      if (v != nullptr) v = t2_.child(v, range.bit(d));
+      bits = (bits << 1) | range.bit(d);
+    }
+    fill(v, range.length(), bits, fd);
+  }
+
+ private:
+  // The slots under the `depth`-bit string `bits`: `v` is its vertex
+  // (nullptr when absent) and `fd` the best match strictly above it.
+  void fill(const Node* v, int depth, std::size_t bits,
+            std::optional<MatchT> fd) {
+    if (v != nullptr && v->marked) fd = MatchT{v->prefix, v->next_hop};
+    if (v != nullptr && depth < kSelfClueBits) {
+      fill(t2_.child(v, 0), depth + 1, bits << 1, fd);
+      fill(t2_.child(v, 1), depth + 1, (bits << 1) | 1, fd);
+      return;
+    }
+    // One entry for the whole range, which only a missing vertex spans.
+    const std::size_t first = bits << (kSelfClueBits - depth);
+    ClueEntry<A> e;
+    e.valid = true;
+    e.clue = selfClue<A>(first);
+    e.setFd(fd);
+    if (v == nullptr) {
+      e.kase = ClueCase::kAbsent;  // case 1: nothing extends the clue
+    } else if (v->isLeaf()) {
+      e.kase = ClueCase::kFinal;
+    } else {
+      e.kase = ClueCase::kSearch;
+      e.ptr_empty = false;
+      candidates_.clear();
+      if (collect_) collectBelow(v);
+      e.cont =
+          engine_.makeContinuation(e.clue, candidates_, &table_.candidates());
+    }
+    table_.assignSelf(first, (bits + 1) << (kSelfClueBits - depth), e);
+  }
+
+  // Every marked vertex strictly below `v`, as analyzeSimple lists them.
+  void collectBelow(const Node* v) {
+    for (unsigned b = 0; b < 2; ++b) {
+      t2_.visitSubtree(t2_.child(v, b), [&](const Node& n) {
+        if (n.marked) candidates_.push_back(MatchT{n.prefix, n.next_hop});
+        return true;
+      });
+    }
+  }
+
+  HashClueTable<A>& table_;
+  const trie::BinaryTrie<A>& t2_;
+  const lookup::LookupEngine<A>& engine_;
+  bool collect_;
+  std::vector<MatchT> candidates_;
+};
+
+}  // namespace detail
+
+template <typename A>
+void buildSelfClues(HashClueTable<A>& table,
+                    const lookup::LookupSuite<A>& suite, lookup::Method method,
+                    const ip::Prefix<A>& range = ip::Prefix<A>()) {
+  detail::SelfClueBuilder<A>(table, suite, method).build(range);
+  if (range.length() == 0) table.markSelfCluesCurrent();
+}
+
+// ---------------------------------------------------------------------------
 // How a clue table follows a FibDelta (§3.4) — the one refresh rule, run by
 // both owners of a clue table: CluePort::refreshLocal/refreshNeighbor and
 // rib::VersionedTables::applyLocal/applyNeighbor. Call it once what the
@@ -110,6 +216,12 @@ ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
 //    written through the table's assign(), which releases the candidate set
 //    of the entry it replaces; the owner reclaims released sets where no
 //    copy of an old entry can reach them (lookup::CandidateStore).
+//  * A hash table's self slots (kSelfClueBits) follow a local delta in
+//    O(delta) by the same relation: a changed prefix of /16 or longer
+//    touches its one slot, a shorter one the 2^(16−len) slots under it, each
+//    range rebuilt in one descent (buildSelfClues). Under kStride a local
+//    delta dangles every case-3 anchor, so one descent rebuilds them all. A
+//    neighbor delta never touches them: they read no sender view.
 // ---------------------------------------------------------------------------
 
 // A clue entry depends on `changed` iff one is a prefix of the other: FDs
@@ -120,6 +232,92 @@ bool related(const ip::Prefix<A>& clue, const ip::Prefix<A>& changed) {
 }
 
 enum class DeltaSide { kLocal, kNeighbor };
+
+namespace detail {
+
+// The self-slot ranges a receiver-side delta touches: a changed prefix's
+// own slot, or every slot under a prefix of /16 or shorter.
+template <typename A>
+std::vector<ip::Prefix<A>> selfRangesOf(const rib::FibDelta<A>& d) {
+  std::vector<ip::Prefix<A>> ranges;
+  const auto touch = [&](const ip::Prefix<A>& p) {
+    ranges.push_back(p.length() > kSelfClueBits ? p.truncated(kSelfClueBits)
+                                                : p);
+  };
+  for (const auto& p : d.removed) touch(p);
+  for (const auto& e : d.added) touch(e.prefix);
+  for (const auto& e : d.rerouted) touch(e.prefix);
+  return ranges;
+}
+
+// Rebuilds the slots under each of `ranges`, each slot once: sorted in
+// prefix order, a range under one already rebuilt follows it and is
+// skipped.
+template <typename A>
+void rebuildSelfRanges(HashClueTable<A>& table,
+                       const lookup::LookupSuite<A>& suite,
+                       lookup::Method method,
+                       std::vector<ip::Prefix<A>>& ranges) {
+  std::sort(ranges.begin(), ranges.end());
+  const ip::Prefix<A>* rebuilt = nullptr;
+  for (const ip::Prefix<A>& r : ranges) {
+    if (rebuilt != nullptr && rebuilt->isPrefixOf(r)) continue;
+    buildSelfClues(table, suite, method, r);
+    rebuilt = &r;
+  }
+}
+
+// Appends every /16 under `v` (a vertex of t2 at `depth`) that has
+// prefixes below it: the case-3 self slots.
+template <typename A>
+void appendSearchSlots(const trie::BinaryTrie<A>& t2,
+                       const typename trie::BinaryTrie<A>::Node* v, int depth,
+                       std::vector<ip::Prefix<A>>& out) {
+  if (v == nullptr) return;
+  if (depth == kSelfClueBits) {
+    if (!v->isLeaf()) out.push_back(v->prefix);
+    return;
+  }
+  appendSearchSlots(t2, t2.child(v, 0), depth + 1, out);
+  appendSearchSlots(t2, t2.child(v, 1), depth + 1, out);
+}
+
+}  // namespace detail
+
+// The self-slot half of followDelta's local side: the ranges the delta
+// touches, each rebuilt once.
+template <typename A>
+void followSelfClues(HashClueTable<A>& table, const rib::FibDelta<A>& d,
+                     const lookup::LookupSuite<A>& suite,
+                     lookup::Method method) {
+  std::vector<ip::Prefix<A>> ranges = detail::selfRangesOf(d);
+  if (ranges.empty()) return;
+  if (method == lookup::Method::kStride) ranges.assign(1, ip::Prefix<A>());
+  detail::rebuildSelfRanges(table, suite, method, ranges);
+}
+
+// After HashClueTable::reset kept the self slots of a receiver table that
+// `changed` turns into the one `suite` was built over (an empty delta for
+// the same table): a slot that no changed prefix touches and that has no
+// prefix below its /16 (cases 1 and 2) holds only its FD, which the new
+// table gives it too. Every other slot is rebuilt, once: the ones a changed
+// prefix touches, and every case-3 slot, whose continuation the old suite
+// anchored — a case-3 slot the delta ended had a removed prefix below it,
+// which touches it. Far fewer than a full build's 65,536 writes when the
+// table is small or the delta short.
+template <typename A>
+void rebuildSelfCluesAfterReset(HashClueTable<A>& table,
+                                const lookup::LookupSuite<A>& suite,
+                                lookup::Method method,
+                                const rib::FibDelta<A>& changed) {
+  CLUERT_CHECK(table.keepsSelfSlots() && !table.hasSelfClues())
+      << "rebuildSelfCluesAfterReset needs the slots reset() kept";
+  std::vector<ip::Prefix<A>> ranges = detail::selfRangesOf(changed);
+  const trie::BinaryTrie<A>& t2 = suite.binaryTrie();
+  detail::appendSearchSlots(t2, t2.root(), 0, ranges);
+  detail::rebuildSelfRanges(table, suite, method, ranges);
+  table.markSelfCluesCurrent();
+}
 
 template <typename A, typename TableT>
 void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
@@ -132,6 +330,11 @@ void followDelta(TableT& table, const rib::FibDelta<A>& d, DeltaSide side,
                           &table.candidates());
   };
   const bool local = side == DeltaSide::kLocal;
+  if constexpr (std::is_same_v<TableT, HashClueTable<A>>) {
+    if (local && table.hasSelfClues()) {
+      followSelfClues(table, d, suite, method);
+    }
+  }
   if (!local) {
     for (const PrefixT& p : d.removed) table.setActive(p, false);
     if constexpr (std::is_same_v<TableT, HashClueTable<A>>) {
@@ -211,12 +414,18 @@ class CluePort {
     // §3.5: entries of a fast-memory cache in front of the hash table
     // (0 disables). A cache hit costs zero DRAM accesses.
     std::size_t cache_entries = 0;
+    // An owning port builds its hash table's self slots (kSelfClueBits), so
+    // a clue-less packet probes its /16 instead of walking from the root.
+    // False models the paper's router, whose clue-less packets take the
+    // common lookup (E10's paper-model column). A bound port reads the
+    // slots its shared table has.
+    bool self_clue = true;
   };
 
   // Aggregate behaviour counters for the experiments.
   struct Stats {
     std::uint64_t packets = 0;
-    std::uint64_t no_clue = 0;       // packet carried no clue: common lookup
+    std::uint64_t no_clue = 0;       // no clue: self slot or common lookup
     std::uint64_t table_hits = 0;
     std::uint64_t table_misses = 0;  // learned (or not) via common lookup
     std::uint64_t fd_direct = 0;     // answered by FD, Ptr empty
@@ -255,6 +464,7 @@ class CluePort {
           << "Advance requires the neighbor's prefix view (Claim 1)";
       local.annotateNeighbor(options.neighbor_index, *neighbor_trie);
     }
+    if (options.self_clue) buildSelfClues(hash_, local, options.method);
   }
 
   // Unbound construction for a shared clue table: the port owns only
@@ -344,11 +554,15 @@ class CluePort {
   // called once per packet (prefetches are free in the access model). The
   // one resolve runs four stages, each over the whole batch:
   //   1. prepare  — hash the clue, prefetch its clue-table slot and SWAR tag
-  //                 word;
+  //                 word; for a clue-less packet, prefetch its self slot
+  //                 (kSelfClueBits) when the table has them;
   //   2. probe    — find each packet's §3.5 cache or table entry, in packet
   //                 order, so learning, cache fills and Stats stay exactly
   //                 sequential; queue a trie walk for every packet that
-  //                 needs one (no clue, miss, case 3);
+  //                 needs one (a miss, case 3, a self slot's case 3, no clue
+  //                 and no self slot). A self slot costs one kClueTable
+  //                 access, as an indexed probe does, and its packet still
+  //                 counts only as no_clue, outcome kNoClue;
   //   3. walk     — one LookupEngine::walkBatch over the queued walks, which
   //                 Patricia interleaves so their misses overlap;
   //   4. complete — the FD fallback of a failed continuation, search_failed,
@@ -417,6 +631,8 @@ class CluePort {
     std::optional<PrefixT> clue;  // nullopt: packet carried no clue
     ClueProbeHint hint;           // hash probe start + SWAR tag
     std::size_t buckets = 0;      // table geometry when hint was computed
+    // No clue: the packet's self slot, or nullptr when the table has none.
+    const ClueEntry<A>* self = nullptr;
     int walk = -1;                // its queued walk, or -1
   };
 
@@ -443,12 +659,16 @@ class CluePort {
   void prepare(Prepared& p, const A& dest, const ClueField& field) {
     p.walk = -1;
     p.clue = cluePrefix(dest, field);
-    if (!p.clue) return;
+    const HashClueTable<A>& table = readTable();
+    if (!p.clue) {
+      p.self = table.hasSelfClues() ? table.selfSlotOf(dest) : nullptr;
+      if (p.self != nullptr) __builtin_prefetch(p.self);
+      return;
+    }
     if (indexedProbe(field)) {
       indexed_.prefetch(*field.index);
       return;
     }
-    const HashClueTable<A>& table = readTable();
     p.hint = table.hintFor(*p.clue);
     p.buckets = table.bucketCount();
     // Pull both the SWAR tag word and the home entry toward the cache; by
@@ -459,8 +679,10 @@ class CluePort {
   }
 
   // The probe stage's answer for one packet, written field by field into
-  // its slot: `entry` is the live entry it hit (nullptr: no clue or a
-  // miss). The walk and the observed post-pass fill in the rest.
+  // its slot: `entry` is the live entry whose FD stands (nullptr: a miss,
+  // or no clue and no self slot) — a table hit's, or under kNoClue the
+  // packet's self slot. The walk and the observed post-pass fill in the
+  // rest.
   static void startResult(Result& r, obs::Outcome outcome,
                           const ClueEntry<A>* entry) {
     const bool hit = entry != nullptr;
@@ -469,7 +691,7 @@ class CluePort {
     } else {
       r.match.reset();
     }
-    r.table_hit = hit;
+    r.table_hit = hit && outcome != obs::Outcome::kNoClue;
     r.used_fd = hit;
     r.searched = outcome == obs::Outcome::kCase3;
     r.outcome = outcome;
@@ -538,8 +760,11 @@ class CluePort {
     // from (a grow reallocates every slot), and a set that learning releases
     // stays readable until the next call's reclaim.
     std::size_t queued = 0;
+    // `prune`: the entry is a carried clue's, which Claim 1 governs under
+    // Advance; a self slot is a Simple entry, and pruning its walk at the
+    // sender's prefixes would misroute.
     const auto queueWalk = [&](Prepared& p, const A& dest,
-                               const ClueEntry<A>* entry) {
+                               const ClueEntry<A>* entry, bool prune) {
       lookup::Walk<A>& w = walks[queued];
       w.address = dest;
       if (entry == nullptr) {
@@ -548,6 +773,7 @@ class CluePort {
         w.cont = entry->cont;
         w.clue_length = entry->clue.length();
       }
+      w.prune = prune;
       p.walk = static_cast<int>(queued++);
     };
     constexpr auto kTable = static_cast<std::size_t>(mem::Region::kClueTable);
@@ -557,22 +783,26 @@ class CluePort {
     for (std::size_t i = 0; i < n; ++i) {
       Prepared& p = prep[i];
       Result& r = out[i];
+      const std::uint64_t probe_start = probes.count(mem::Region::kClueTable);
       if (!p.clue) {
         ++tally.no_clue;
-        startResult(r, obs::Outcome::kNoClue, nullptr);
-        queueWalk(p, dests[i], nullptr);  // the common lookup
-        continue;
-      }
-      const std::uint64_t probe_start = probes.count(mem::Region::kClueTable);
-      const ClueEntry<A>* entry = probe(p, fields[i], probes);
-      if (entry == nullptr) {
+        startResult(r, obs::Outcome::kNoClue, p.self);
+        if (p.self == nullptr) {
+          queueWalk(p, dests[i], nullptr, false);  // the common lookup
+          continue;
+        }
+        // The packet's own first 16 bits as its clue (§3.1, §5.3(b)).
+        probes.add(mem::Region::kClueTable);
+        if (!p.self->ptr_empty) queueWalk(p, dests[i], p.self, false);
+      } else if (const ClueEntry<A>* entry = probe(p, fields[i], probes);
+                 entry == nullptr) {
         // "The Clue is not in the Table, never saw this clue": route by a
         // full common lookup, and learn the entry off the fast path
         // (§3.3.1).
         ++tally.table_misses;
         startResult(r, obs::Outcome::kMiss, nullptr);
         if (learns()) learn(*p.clue, fields[i]);
-        queueWalk(p, dests[i], nullptr);
+        queueWalk(p, dests[i], nullptr, false);
       } else {
         ++tally.table_hits;
         if (entry->ptr_empty) {
@@ -585,7 +815,7 @@ class CluePort {
           // Case 3: the FD stands unless the walk finds a longer match.
           ++tally.searched;
           startResult(r, obs::Outcome::kCase3, entry);
-          queueWalk(p, dests[i], entry);
+          queueWalk(p, dests[i], entry, true);
         }
       }
       if (observed) {
@@ -608,11 +838,14 @@ class CluePort {
               std::uint64_t{r.accesses[k]} + w.accesses[k]);
         }
       }
-      if (!r.searched || w.match) {
+      if (w.match) {
         r.match = w.match;
         r.used_fd = false;
         continue;
       }
+      // A full lookup found no route, or the FD stands: a self slot's
+      // quietly, a carried clue's as a failed search.
+      if (!r.searched) continue;
       ++tally.search_failed;
       r.search_failed = true;
     }

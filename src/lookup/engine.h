@@ -79,7 +79,7 @@ class CandidateStore {
   // Releases the set `anchor` names. A no-op for an anchor this store does
   // not hold: the other methods' anchors are trie nodes.
   void release(const void* anchor) {
-    if (live_.empty()) return;
+    if (live_.empty() || anchor == nullptr) return;
     const auto it = live_.find(anchor);
     if (it == live_.end()) return;
     released_.push_back(std::move(it->second));
@@ -119,7 +119,10 @@ inline constexpr int kFullLookup = -1;
 // nothing of the clue entry it came from. The walk writes its answer to
 // `match` (for a continuation: a match strictly longer than the clue, or
 // nullopt) and, when the caller asks for them, its own charges, by region,
-// to `accesses`.
+// to `accesses`. `prune` lets a continuation stop at the batch's Claim-1
+// bits: set it for an entry Claim 1 governs (a carried clue's, under
+// Advance); a full lookup and a self-clue's continuation (a Simple entry,
+// core::kSelfClueBits) leave it clear and walk on.
 template <typename A>
 struct Walk {
   A address;
@@ -127,7 +130,11 @@ struct Walk {
   Continuation cont;
   std::optional<trie::Match<A>> match;
   mem::LookupAccesses accesses{};
+  bool prune = false;
 };
+
+static_assert(sizeof(Walk<ip::Ip4Addr>) == 56,
+              "the prune flag rides in the record's tail padding");
 
 template <typename A>
 class LookupEngine {
@@ -163,10 +170,10 @@ class LookupEngine {
 
   // Runs every walk of `walks`: the same results and the same `acc` charges
   // as one lookup() or continueLookup() per walk (`neighbor` as in
-  // continueLookup; full lookups ignore it). With `per_walk`, each walk's
-  // own charges also go to its `accesses`; without, `accesses` is not
-  // written. The default runs the walks one after another; Patricia
-  // interleaves them.
+  // continueLookup, for the walks with `prune` set; the others walk without
+  // it). With `per_walk`, each walk's own charges also go to its `accesses`;
+  // without, `accesses` is not written. The default runs the walks one
+  // after another; Patricia interleaves them.
   //
   // Each call's answer goes straight into its walk's slot, and a walk's own
   // charges reach `acc` region by region: a merged temporary or a 16-byte
@@ -179,8 +186,8 @@ class LookupEngine {
       if (w.clue_length == kFullLookup) {
         w.match = lookup(w.address, charged);
       } else {
-        w.match = continueLookup(w.cont, w.clue_length, w.address, neighbor,
-                                 charged);
+        w.match = continueLookup(w.cont, w.clue_length, w.address,
+                                 w.prune ? neighbor : std::nullopt, charged);
       }
     };
     if (!per_walk) {

@@ -81,10 +81,9 @@ class PatriciaLookup final : public LookupEngine<A> {
         std::size_t kept = 0;
         for (std::size_t k = 0; k < n_live; ++k) {
           const std::size_t i = live[k];
-          // Claim-1 pruning is for continuations; a full lookup walks on.
+          // Only a walk that asks for it stops at Claim-1 bits (Walk::prune).
           trie_.step(cur[i], batch[i].address,
-                     batch[i].clue_length != kFullLookup ? neighbor
-                                                         : std::nullopt);
+                     batch[i].prune ? neighbor : std::nullopt);
           if (per_walk) ++batch[i].accesses[kTrie];
           if (cur[i].node != nullptr) {
             __builtin_prefetch(cur[i].node);

@@ -42,6 +42,9 @@ class Router {
     std::function<bool(const ip::Prefix<A>&)> clue_export_filter;
     lookup::Method method = lookup::Method::kPatricia;
     lookup::ClueMode mode = lookup::ClueMode::kAdvance;
+    // A clue router's ports probe a clue-less packet's own /16 (core::
+    // kSelfClueBits); false keeps the paper's common lookup for it.
+    bool self_clue = true;
   };
 
   Router(RouterId id, rib::Fib<A> fib, const Config& config)
@@ -79,6 +82,7 @@ class Router {
     CLUERT_CHECK(opt.neighbor_index < kMaxAnnotatedNeighbors)
         << "router has more clue neighbors than the continue-bit mask holds";
     opt.expected_clues = fib_.size() + 16;
+    opt.self_clue = config_.self_clue;
     ports_.emplace(neighbor, std::make_unique<core::CluePort<A>>(
                                  suite_, neighbor_trie, opt));
   }

@@ -150,9 +150,11 @@ class Pipeline {
   using PrefixT = ip::Prefix<A>;
   using Input = typename WorkerT::Input;
 
-  // Builds the shards over one clue table that precompute() fills. Control-
-  // plane work (the Advance neighbor annotation, port construction) runs
-  // here, on the calling thread, strictly before any worker thread exists.
+  // Builds the shards over one clue table that precompute() fills, its self
+  // slots (core::kSelfClueBits) built here from `suite`. Control-plane work
+  // (the Advance neighbor annotation, the self slots, port construction)
+  // runs here, on the calling thread, strictly before any worker thread
+  // exists.
   // Each shard's unbound port is bound once to the suite and the shared
   // table. One pipeline serves one sender, so the annotation uses neighbor
   // index 0, the index the shards' ports walk with.
@@ -169,6 +171,7 @@ class Pipeline {
           << "Advance requires the neighbor's prefix view (Claim 1)";
       suite.annotateNeighbor(0, *neighbor_trie);
     }
+    core::buildSelfClues(clues_, suite, options_.method);
     for (std::size_t w = 0; w < options_.workers; ++w) {
       addWorker(w).port().bindVersion(0, suite, clues_, neighbor_trie);
     }

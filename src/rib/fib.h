@@ -88,10 +88,14 @@ class Fib {
   // One "prefix next_hop" line per entry.
   std::string serialize() const {
     std::ostringstream os;
-    for (const EntryT& e : entries_) {
-      os << e.prefix.toString() << ' ' << e.next_hop << '\n';
-    }
+    for (const EntryT& e : entries_) writeEntry(os, e);
     return os.str();
+  }
+
+  // One "prefix next_hop" line: the one writer of a route line, the inverse
+  // of parseEntry, for route files and scenario corpora alike.
+  static void writeEntry(std::ostream& os, const EntryT& e) {
+    os << e.prefix.toString() << ' ' << e.next_hop << '\n';
   }
 
   // One "prefix next_hop" line, split at its first space: the one reader of

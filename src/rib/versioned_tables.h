@@ -152,7 +152,7 @@ class VersionedTables {
       churn_obs_ = obs::ChurnObs::bind(*options_.registry);
     }
     for (auto& buf : buf_) {
-      buildFull(buf, local, neighbor);
+      buildFull(buf, local, neighbor, FibDelta<A>{});
       buf.seq = 1;
     }
     epoch_.storeLive(&buf_[0]);
@@ -243,8 +243,11 @@ class VersionedTables {
     return next.seq;
   }
 
+  // `local_delta` turns the receiver table `v` was built over into `local`
+  // (empty for a sender-side rebuild): the self slots it keeps rebuild only
+  // what that changed, and what the new suite's anchors replace.
   void buildFull(TableVersion<A>& v, const Fib<A>& local,
-                 const Fib<A>& neighbor) {
+                 const Fib<A>& neighbor, const FibDelta<A>& local_delta) {
     v.method = options_.method;
     v.mode = options_.mode;
     v.local = local;
@@ -266,12 +269,21 @@ class VersionedTables {
     }
     // Fresh clue table over the sender's prefix universe. §3.4-inactive
     // entries are *dropped* here, not carried over: a missing entry is a
-    // miss, and a miss routes correctly via the common lookup.
-    v.clues = core::HashClueTable<A>(neighbor.size() + 16);
+    // miss, and a miss routes correctly via the common lookup. The self
+    // slots (core::kSelfClueBits) are the receiver's alone, kept across the
+    // reset.
+    const bool kept = v.clues.keepsSelfSlots();
+    v.clues.reset(neighbor.size() + 16);
     for (const PrefixT& c : neighbor.prefixes()) {
       v.clues.insert(core::buildClueEntry<A>(*v.suite, senderTrie(v),
                                              v.method, v.mode, c,
                                              &v.clues.candidates()));
+    }
+    if (kept) {
+      core::rebuildSelfCluesAfterReset(v.clues, *v.suite, v.method,
+                                       local_delta);
+    } else {
+      core::buildSelfClues(v.clues, *v.suite, v.method);
     }
   }
 
@@ -288,7 +300,7 @@ class VersionedTables {
     if (wantsFullRebuild(v, d)) {
       Fib<A> local = v.local;
       applyDelta(local, d);
-      buildFull(v, local, v.neighbor);
+      buildFull(v, local, v.neighbor, d);
       return true;
     }
     applyDelta(v.local, d);
@@ -311,7 +323,7 @@ class VersionedTables {
     if (wantsFullRebuild(v, d)) {
       Fib<A> neighbor = v.neighbor;
       applyDelta(neighbor, d);
-      buildFull(v, v.local, neighbor);
+      buildFull(v, v.local, neighbor, FibDelta<A>{});
       return true;
     }
     applyDelta(v.neighbor, d);

@@ -43,12 +43,11 @@ constexpr std::string_view familyTag() {
   return A::kBits == 32 ? "ipv4" : "ipv6";
 }
 
+// In the corpus's own order: a Fib would sort and deduplicate them.
 template <typename A>
 void putEntries(std::ostringstream& os,
                 const std::vector<trie::Match<A>>& entries) {
-  for (const auto& e : entries) {
-    os << e.prefix.toString() << ' ' << e.next_hop << '\n';
-  }
+  for (const auto& e : entries) rib::Fib<A>::writeEntry(os, e);
 }
 
 }  // namespace detail

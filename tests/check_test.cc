@@ -17,6 +17,7 @@
 namespace cluert {
 namespace {
 
+using testutil::a4;
 using testutil::p4;
 using A = ip::Ip4Addr;
 using Trie = trie::BinaryTrie<A>;
@@ -332,6 +333,58 @@ TEST(CheckClueTable, DanglingPatriciaAnchorIsReported) {
   e->cont.anchor = f.suite->patricia().root();  // wrong node
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-patricia-anchor")) << report.toString();
+}
+
+// The self slots (core::kSelfClueBits) are re-derived under Simple even in
+// an Advance table: a wrong FD, a stale anchor, an emptied Ptr and a slot
+// holding another /16 are each reported once, and nothing else is.
+TEST(CheckClueTable, SelfSlotMutantsAreReported) {
+  const std::vector<Match> mine{
+      Match{p4("10.0.0.0/8"), 1}, Match{p4("10.1.0.0/16"), 2},
+      Match{p4("10.1.2.0/24"), 3}, Match{p4("10.1.3.0/24"), 4}};
+  const std::vector<Match> theirs{Match{p4("10.1.0.0/20"), 9}};
+  const A searched = a4("10.1.2.3");  // its /16 has /24s below it
+  const A absent = a4("10.2.0.1");    // no vertex under 10/8 here
+  const auto mutant = [&](const A& dest, auto&& edit) {
+    PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kAdvance, mine,
+                  theirs);
+    EXPECT_TRUE(f.validateHash().ok()) << f.validateHash().toString();
+    auto& slot =
+        const_cast<core::ClueEntry<A>&>(*f.port->hashTable().selfSlotOf(dest));
+    edit(slot, f);
+    return f.validateHash();
+  };
+  const auto expectOnly = [](const check::Report& r, const char* id) {
+    EXPECT_EQ(r.count(id), 1u) << r.toString();
+    EXPECT_EQ(r.size(), 1u) << r.toString();
+  };
+  expectOnly(mutant(absent,
+                    [](core::ClueEntry<A>& e, PortFixture&) {
+                      ASSERT_TRUE(e.ptr_empty);
+                      e.setFd(Match{p4("10.0.0.0/8"), 99});
+                    }),
+             "fd-mismatch");
+  expectOnly(mutant(searched,
+                    [](core::ClueEntry<A>& e, PortFixture&) {
+                      ASSERT_FALSE(e.ptr_empty);
+                      e.setFd(Match{p4("10.0.0.0/8"), 1});  // not 10.1/16
+                    }),
+             "fd-mismatch");
+  expectOnly(mutant(searched,
+                    [](core::ClueEntry<A>& e, PortFixture& f) {
+                      e.cont.anchor = f.suite->patricia().root();
+                    }),
+             "dangling-patricia-anchor");
+  expectOnly(mutant(searched,
+                    [](core::ClueEntry<A>& e, PortFixture&) {
+                      e.ptr_empty = true;
+                    }),
+             "claim1-empty-ptr");
+  expectOnly(mutant(absent,
+                    [](core::ClueEntry<A>& e, PortFixture&) {
+                      e.clue = p4("10.3.0.0/16");
+                    }),
+             "self-slot-misplaced");
 }
 
 TEST(CheckClueTable, DanglingTrieAnchorIsReported) {

@@ -64,17 +64,33 @@ TEST(CluePort, FdPathAnswersInOneAccess) {
   EXPECT_EQ(port.stats().fd_direct, 1u);
 }
 
-TEST(CluePort, NoCluePacketDoesCommonLookup) {
+// A clue-less packet takes the first 16 bits of its own destination as its
+// clue (§3.1, §5.3(b)): one self-slot probe, whose FD answers here, and the
+// packet still counts as clue-less, never as a table hit. With self_clue
+// off, the paper's router walks the trie from its root instead.
+TEST(CluePort, NoCluePacketProbesItsSelfClue) {
   Pair pair({{p4("10.0.0.0/8"), 1}}, {{p4("10.0.0.0/8"), 2}});
   Port port(*pair.suite, &pair.t1,
             portOptions(Method::kRegular, ClueMode::kSimple));
   mem::AccessCounter acc;
   const auto r = port.process(a4("10.1.2.3"), ClueField::none(), acc);
   ASSERT_TRUE(r.match.has_value());
+  EXPECT_EQ(*r.match, (MatchT{p4("10.0.0.0/8"), 2}));
   EXPECT_FALSE(r.table_hit);
-  EXPECT_EQ(acc.count(mem::Region::kClueTable), 0u);
-  EXPECT_GT(acc.count(mem::Region::kTrieNode), 0u);
+  EXPECT_EQ(r.outcome, obs::Outcome::kNoClue);
+  EXPECT_EQ(acc.count(mem::Region::kClueTable), 1u);
+  EXPECT_EQ(acc.total(), 1u);
   EXPECT_EQ(port.stats().no_clue, 1u);
+  EXPECT_EQ(port.stats().table_hits + port.stats().table_misses, 0u);
+
+  auto paper = portOptions(Method::kRegular, ClueMode::kSimple);
+  paper.self_clue = false;
+  Port legacy(*pair.suite, &pair.t1, paper);
+  mem::AccessCounter walked;
+  EXPECT_EQ(legacy.process(a4("10.1.2.3"), ClueField::none(), walked).match,
+            r.match);
+  EXPECT_EQ(walked.count(mem::Region::kClueTable), 0u);
+  EXPECT_GT(walked.count(mem::Region::kTrieNode), 0u);
 }
 
 TEST(CluePort, MissLearnsAndSecondPacketHits) {

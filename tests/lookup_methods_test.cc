@@ -130,10 +130,11 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, LookupBatchTest,
 
 // Every walk a resolve queues — full lookups, and the continuation of every
 // case-3 entry a Simple or an Advance port would precompute, with and
-// without a neighbor index — gives, through walkBatch in batches of any
-// size, what the sequential lookup()/continueLookup() call gives: the same
-// match and the same per-region charges, in the shared counter and, when
-// asked for, in each walk's record.
+// without a neighbor index, each continuation pruned (a carried clue's) or
+// not (a self-clue's) — gives, through walkBatch in batches of any size,
+// what the sequential lookup()/continueLookup() call gives: the same match
+// and the same per-region charges, in the shared counter and, when asked
+// for, in each walk's record.
 TEST_P(LookupBatchTest, WalkBatchMatchesSequentialCalls) {
   const Method method = GetParam();
   Rng rng(7);
@@ -166,6 +167,7 @@ TEST_P(LookupBatchTest, WalkBatchMatchesSequentialCalls) {
     if (entry != nullptr) {
       w.cont = entry->cont;
       w.clue_length = entry->clue.length();
+      w.prune = (rng.u32() & 1) != 0;
     }
     walks.push_back(w);
   };
@@ -196,7 +198,8 @@ TEST_P(LookupBatchTest, WalkBatchMatchesSequentialCalls) {
       w.match = w.clue_length == kFullLookup
                     ? engine.lookup(w.address, own)
                     : engine.continueLookup(w.cont, w.clue_length, w.address,
-                                            neighbor, own);
+                                            w.prune ? neighbor : std::nullopt,
+                                            own);
       w.accesses = mem::lookupDelta(own, mem::AccessCounter{});
       seq_acc += own;
     }

@@ -1165,7 +1165,10 @@ TEST(TraceDaemonTest, SamplingDeterminismAndAdminDrain) {
     const netio::OutDatagram out{buf, len, daemon.dataAddr()};
     ASSERT_EQ(netio::sendBatch(tx.get(), &out, 1), 1);
   }
-  for (int i = 0; i < 5000 && daemon.datapath(0).rxPackets() < kPackets;
+  // The datapath counts a batch's packets once they are decoded and records
+  // its sampled spans after the resolve, so wait for both.
+  for (int i = 0; i < 5000 && (daemon.datapath(0).rxPackets() < kPackets ||
+                               daemon.datapath(0).spansRecorded() < 4);
        ++i) {
     ::usleep(1000);
   }

@@ -367,9 +367,10 @@ TEST(CluePortUpdate, ReactivateRecomputesEntry) {
 }
 
 // The one refresh rule, held to itself: a learn-off, precomputed CluePort
-// fed batched deltas must end every step entry-for-entry equal to the live
-// version of a VersionedTables fed the same deltas (the full-rebuild
-// fallback disabled, so both stay incremental; retired versions validated).
+// fed batched deltas must end every step entry-for-entry equal, self slots
+// included, to the live version of a VersionedTables fed the same deltas
+// (the full-rebuild fallback disabled, so both stay incremental; retired
+// versions validated).
 // Both directions are compared, so a missed install or a leftover entry
 // fails as surely as a stale field.
 void expectSameEntries(const core::HashClueTable<A>& port,
@@ -389,6 +390,19 @@ void expectSameEntries(const core::HashClueTable<A>& port,
   };
   port.forEach([&](const auto& e) { same(e, versioned, "the version"); });
   versioned.forEach([&](const auto& e) { same(e, port, "the port"); });
+  // The self slots follow the local deltas by the same rule on both sides.
+  ASSERT_TRUE(port.hasSelfClues());
+  ASSERT_TRUE(versioned.hasSelfClues());
+  for (std::size_t i = 0; i < core::kSelfClueSlots; ++i) {
+    const core::ClueEntry<A>& e = port.selfSlotAt(i);
+    const core::ClueEntry<A>& o = versioned.selfSlotAt(i);
+    if (e.clue != o.clue || e.ptr_empty != o.ptr_empty || e.kase != o.kase ||
+        e.fd() != o.fd()) {
+      ADD_FAILURE() << "self slot " << i << ": " << e.clue.toString()
+                    << " differs between the port and the version";
+      return;
+    }
+  }
 }
 
 TEST(CluePortUpdate, FollowsDeltasEntryForEntryLikeVersionedTables) {

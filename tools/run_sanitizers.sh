@@ -56,12 +56,17 @@ cd "$(dirname "$0")/.."
 # continuation: the packed 32/48-byte entries, copied by value into tables,
 # caches and walks, and the per-table candidate stores whose released sets
 # must stay readable until reclaimed (ASan's proof of that lifetime rule).
+# SelfClue covers a clue table's self slots (core::kSelfClueBits): slots
+# that hold continuations and Binary/Multiway candidate sets, rebuilt range
+# by range as local deltas follow one another, so its run is the proof that
+# every rebuild releases the set it replaces into the table's store and
+# that no walk reads one reclaimed.
 # BinaryTrie/Patricia/SuiteUpdate/NodePool cover the tries and their node
 # pools (src/trie/, mem/node_pool.h): inserts, erases that prune and splice
 # along the recorded path, in-place suite updates, and the slot reuse behind
 # every anchor. An ASan build poisons a released slot, so a walk through a
 # stale anchor is still reported; NodePoolDeathTest proves that it is.
-DEFAULT_FILTER="SpscRing|EventLoop|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods|BinaryTrie|Patricia|SuiteUpdate|NodePool"
+DEFAULT_FILTER="SpscRing|EventLoop|Pipeline|LookupBatch|CluePort|ClueTransparency|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|DaemonTest|WireTest|SendBatch|GroReceive|HashClueTable|IndexedClueTable|ClueCache|ClueEntryPacking|BitmapClueTable|SubTableClueTable|MplsRouter|LookupMethods|SelfClue|BinaryTrie|Patricia|SuiteUpdate|NodePool"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"

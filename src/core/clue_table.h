@@ -155,17 +155,18 @@ class HashClueTable {
     keys_.reserve(expected);
   }
 
-  // Empties the table for a full rebuild over `expected` clues, as a fresh
-  // HashClueTable(expected) would be, but keeps the self slots, stale until
-  // their owner rebuilds what the new receiver table changed
-  // (core::rebuildSelfCluesAfterReset) or every slot: a table rebuilt often
-  // (a router of a few dozen routes rebuilds on most deltas) then rewrites
-  // a few slots instead of mapping, constructing and filling 2 MiB.
+  // Empties the hashed entries for a refill over `expected` clues, as a
+  // fresh HashClueTable(expected) holds them, and releases their candidate
+  // sets into candidates(). The self slots and their sets stay current:
+  // they derive from the receiver's suite alone, which a refill keeps.
   void reset(std::size_t expected) {
-    mem::HugePageVector<EntryT> self = std::move(self_);
-    *this = HashClueTable(expected);
-    self_ = std::move(self);
-    self_stale_ = !self_.empty();
+    for (const EntryT& e : slots_) {
+      if (e.valid) candidates_.release(e.cont.anchor);
+    }
+    HashClueTable fresh(expected);
+    fresh.self_ = std::move(self_);
+    fresh.candidates_ = std::move(candidates_);
+    *this = std::move(fresh);
   }
 
   // The slot a probe for `clue` starts at (what the src/check/ probe-chain
@@ -302,10 +303,7 @@ class HashClueTable {
   // current through core::followDelta; until then the table has none and a
   // clue-less packet walks from the root. Their candidate sets live in
   // candidates(), like the hashed entries'.
-  bool hasSelfClues() const { return !self_.empty() && !self_stale_; }
-  // Whether the table holds self slots at all, current or kept stale by
-  // reset().
-  bool keepsSelfSlots() const { return !self_.empty(); }
+  bool hasSelfClues() const { return !self_.empty(); }
 
   // The self slot a clue-less packet to `dest` probes: one access, always,
   // as an indexed probe costs (the caller charges it). Requires
@@ -316,23 +314,17 @@ class HashClueTable {
 
   // Control plane: writes self slots [first, last) with `entry`, each under
   // its own clue, selfClue<A>(i), and releases the candidate set of every
-  // entry it replaces, except while the slots are stale: the sets of the
-  // slots reset() kept went with the old store, and releasing one could
-  // free a new set allocated at the same address. So a rebuild after
-  // reset() writes each slot at most once, and then marks the slots
-  // current. The copy and the clue are stored slot by slot, never staged in
-  // a per-slot temporary: a 32-byte copy of one just written field by field
-  // would wait for those stores to retire, every slot.
+  // entry it replaces. The copy and the clue are stored slot by slot, never
+  // staged in a per-slot temporary: a 32-byte copy of one just written field
+  // by field would wait for those stores to retire, every slot.
   void assignSelf(std::size_t first, std::size_t last, const EntryT& entry) {
     if (self_.empty()) self_.assign(kSelfClueSlots, EntryT{});
     for (std::size_t i = first; i < last; ++i) {
-      if (!self_stale_) candidates_.release(self_[i].cont.anchor);
+      candidates_.release(self_[i].cont.anchor);
       self_[i] = entry;
       self_[i].clue = selfClue<A>(i);
     }
   }
-  // The owner has rebuilt every slot that reset() left stale.
-  void markSelfCluesCurrent() { self_stale_ = false; }
   // `i` must be < kSelfClueSlots, with hasSelfClues().
   const EntryT& selfSlotAt(std::size_t i) const { return self_[i]; }
 
@@ -458,15 +450,15 @@ class HashClueTable {
   // lookup/swar_probe.h for the encoding.
   std::vector<std::uint8_t> tags_;
   std::size_t size_ = 0;
-  // Every key the table has held, for forEachRelated: keys never leave a
-  // hash table (§3.4 marks them inactive instead), so the index only grows.
+  // Every key the table has held since its last reset(), for
+  // forEachRelated: §3.4 marks a withdrawn key inactive rather than removing
+  // it, so between resets the index only grows, and a reset() and refill
+  // (rib::VersionedTables' compaction) drops the inactive keys.
   // keys_[0, sorted_) is in Prefix order; insert appends past it.
   std::vector<PrefixT> keys_;
   std::size_t sorted_ = 0;
-  // The self slots, empty until the first build; on 2 MiB pages. Stale:
-  // kept by reset(), not yet rewritten.
+  // The self slots, empty until the first build; on 2 MiB pages.
   mem::HugePageVector<EntryT> self_;
-  bool self_stale_ = false;
   lookup::CandidateStore<A> candidates_;
 };
 

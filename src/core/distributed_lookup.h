@@ -116,7 +116,7 @@ class SelfClueBuilder {
   void build(const ip::Prefix<A>& range) {
     CLUERT_DCHECK(range.length() <= kSelfClueBits)
         << "self-clue range " << range.toString() << " is below a slot";
-    CLUERT_CHECK(table_.keepsSelfSlots() || range.length() == 0)
+    CLUERT_CHECK(table_.hasSelfClues() || range.length() == 0)
         << "the first self-clue build covers every slot, not "
         << range.toString();
     // Down to the range's vertex, the FD collecting the marked ones above.
@@ -187,7 +187,6 @@ void buildSelfClues(HashClueTable<A>& table,
                     const lookup::LookupSuite<A>& suite, lookup::Method method,
                     const ip::Prefix<A>& range = ip::Prefix<A>()) {
   detail::SelfClueBuilder<A>(table, suite, method).build(range);
-  if (range.length() == 0) table.markSelfCluesCurrent();
 }
 
 // ---------------------------------------------------------------------------
@@ -220,8 +219,9 @@ void buildSelfClues(HashClueTable<A>& table,
 //    O(delta) by the same relation: a changed prefix of /16 or longer
 //    touches its one slot, a shorter one the 2^(16−len) slots under it, each
 //    range rebuilt in one descent (buildSelfClues). Under kStride a local
-//    delta dangles every case-3 anchor, so one descent rebuilds them all. A
-//    neighbor delta never touches them: they read no sender view.
+//    delta dangles every case-3 anchor, so every case-3 slot of the new
+//    trie is rebuilt too. A neighbor delta never touches them: they read no
+//    sender view.
 // ---------------------------------------------------------------------------
 
 // A clue entry depends on `changed` iff one is a prefix of the other: FDs
@@ -285,38 +285,22 @@ void appendSearchSlots(const trie::BinaryTrie<A>& t2,
 }  // namespace detail
 
 // The self-slot half of followDelta's local side: the ranges the delta
-// touches, each rebuilt once.
+// touches, each rebuilt once. Under kStride also every case-3 slot of the
+// new trie, whose continuation the engine rebuild left dangling; a slot
+// that was case 3 before the delta and is not now had a removed prefix
+// below it, which touches it. The other slots hold only an FD, which the
+// delta did not change unless it touched them.
 template <typename A>
 void followSelfClues(HashClueTable<A>& table, const rib::FibDelta<A>& d,
                      const lookup::LookupSuite<A>& suite,
                      lookup::Method method) {
   std::vector<ip::Prefix<A>> ranges = detail::selfRangesOf(d);
   if (ranges.empty()) return;
-  if (method == lookup::Method::kStride) ranges.assign(1, ip::Prefix<A>());
+  if (method == lookup::Method::kStride) {
+    const trie::BinaryTrie<A>& t2 = suite.binaryTrie();
+    detail::appendSearchSlots(t2, t2.root(), 0, ranges);
+  }
   detail::rebuildSelfRanges(table, suite, method, ranges);
-}
-
-// After HashClueTable::reset kept the self slots of a receiver table that
-// `changed` turns into the one `suite` was built over (an empty delta for
-// the same table): a slot that no changed prefix touches and that has no
-// prefix below its /16 (cases 1 and 2) holds only its FD, which the new
-// table gives it too. Every other slot is rebuilt, once: the ones a changed
-// prefix touches, and every case-3 slot, whose continuation the old suite
-// anchored — a case-3 slot the delta ended had a removed prefix below it,
-// which touches it. Far fewer than a full build's 65,536 writes when the
-// table is small or the delta short.
-template <typename A>
-void rebuildSelfCluesAfterReset(HashClueTable<A>& table,
-                                const lookup::LookupSuite<A>& suite,
-                                lookup::Method method,
-                                const rib::FibDelta<A>& changed) {
-  CLUERT_CHECK(table.keepsSelfSlots() && !table.hasSelfClues())
-      << "rebuildSelfCluesAfterReset needs the slots reset() kept";
-  std::vector<ip::Prefix<A>> ranges = detail::selfRangesOf(changed);
-  const trie::BinaryTrie<A>& t2 = suite.binaryTrie();
-  detail::appendSearchSlots(t2, t2.root(), 0, ranges);
-  detail::rebuildSelfRanges(table, suite, method, ranges);
-  table.markSelfCluesCurrent();
 }
 
 template <typename A, typename TableT>

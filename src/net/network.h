@@ -39,13 +39,8 @@ class Network {
   // strips clues cannot certify them as its own BMP, so the receiving port
   // drops to Simple semantics (see Router::connectFrom).
   void link(RouterId a, RouterId b) {
-    routers_[a]->connectFrom(b, &tries_[b], sendsGenuineClues(*routers_[b]));
-    routers_[b]->connectFrom(a, &tries_[a], sendsGenuineClues(*routers_[a]));
-  }
-
-  static bool sendsGenuineClues(const RouterT& r) {
-    const auto& c = r.config();
-    return c.clue_enabled && c.truncate_to == 0;
+    routers_[a]->connectFrom(b, &tries_[b], routers_[b]->config());
+    routers_[b]->connectFrom(a, &tries_[a], routers_[a]->config());
   }
 
   RouterT& router(RouterId id) { return *routers_[id]; }

@@ -43,7 +43,8 @@ class Router {
     lookup::Method method = lookup::Method::kPatricia;
     lookup::ClueMode mode = lookup::ClueMode::kAdvance;
     // A clue router's ports probe a clue-less packet's own /16 (core::
-    // kSelfClueBits); false keeps the paper's common lookup for it.
+    // kSelfClueBits), on the links where one can arrive (connectFrom);
+    // false keeps the paper's common lookup for it.
     bool self_clue = true;
   };
 
@@ -60,29 +61,39 @@ class Router {
   lookup::LookupSuite<A>& suite() { return suite_; }
   const lookup::LookupSuite<A>& suite() const { return suite_; }
 
-  // Registers an incoming link from `neighbor`, creating its clue port.
-  // `neighbor_trie` is the sender's prefix view (required for Advance; may
-  // be null for Simple). No-op for clue-less routers.
-  //
-  // `sender_clues_genuine` — whether every clue arriving on this link is the
-  // *sender's own* BMP. False when the neighbor merely relays clues from
-  // further upstream, truncates them (§5.3b) or doesn't attach any: such
-  // clues are still prefixes of the destination, so Simple applies, but
-  // Claim 1 (which reasons about the sender's table) does not — the port
-  // falls back to Simple semantics, the conservative reading of §5.3.
+  // Registers an incoming link from `neighbor`, whose router runs `sender`,
+  // creating its clue port. `neighbor_trie` is the sender's prefix view
+  // (required for Advance; may be null for Simple). No-op for clue-less
+  // routers. Two facts about the link follow from `sender`:
+  //  * Whether every clue arriving on it is the *sender's own* BMP. Not when
+  //    the sender relays clues from further upstream or strips them (it is
+  //    clue-less) or truncates them (§5.3b): such clues are still prefixes
+  //    of the destination, so Simple applies, but Claim 1 (which reasons
+  //    about the sender's table) does not — the port falls back to Simple
+  //    semantics, the conservative reading of §5.3.
+  //  * Whether a clue-less packet can arrive on it, and so whether the port
+  //    builds self slots (core::kSelfClueBits). A clue router stamps every
+  //    packet it routes, unless its export filter withholds the clue or the
+  //    match is a default route (a /0 clue is no clue, core::ClueField::of),
+  //    and a packet injected by a host takes the plain lookup (forward). So
+  //    only a clue-less or filtering sender, or one holding /0 (an unknown
+  //    view may), sends one.
   void connectFrom(RouterId neighbor, const trie::BinaryTrie<A>* neighbor_trie,
-                   bool sender_clues_genuine = true) {
+                   const Config& sender) {
     if (!config_.clue_enabled) return;
     if (ports_.count(neighbor) != 0) return;
+    const bool genuine = sender.clue_enabled && sender.truncate_to == 0;
+    const bool sends_clue_less =
+        !sender.clue_enabled || sender.clue_export_filter != nullptr ||
+        neighbor_trie == nullptr || neighbor_trie->contains(PrefixT());
     typename core::CluePort<A>::Options opt;
     opt.method = config_.method;
-    opt.mode = sender_clues_genuine ? config_.mode
-                                    : lookup::ClueMode::kSimple;
+    opt.mode = genuine ? config_.mode : lookup::ClueMode::kSimple;
     opt.neighbor_index = next_neighbor_index_++;
     CLUERT_CHECK(opt.neighbor_index < kMaxAnnotatedNeighbors)
         << "router has more clue neighbors than the continue-bit mask holds";
     opt.expected_clues = fib_.size() + 16;
-    opt.self_clue = config_.self_clue;
+    opt.self_clue = config_.self_clue && sends_clue_less;
     ports_.emplace(neighbor, std::make_unique<core::CluePort<A>>(
                                  suite_, neighbor_trie, opt));
   }

@@ -50,8 +50,8 @@ ChurnObs ChurnObs::bind(MetricRegistry& reg) {
                  .shard(0);
   o.full_rebuilds =
       &reg.counter("rib_version_full_rebuilds_total",
-                   "Publishes that fell back to a full table rebuild because "
-                   "the delta exceeded the churn threshold")
+                   "Publishes that rebuilt the clue table's hashed entries "
+                   "because inactive clues outnumbered live ones")
            .shard(0);
   o.retired_validated =
       &reg.counter("rib_version_retired_validated_total",
@@ -62,7 +62,7 @@ ChurnObs ChurnObs::bind(MetricRegistry& reg) {
                  "Sequence number of the currently live table version");
   o.apply_ns = &reg.histogram("rib_version_apply_ns",
                               "Nanoseconds building the next version (delta "
-                              "apply or full rebuild)")
+                              "apply and any compaction)")
                     .shard(0);
   o.grace_ns = &reg.histogram("rib_version_grace_ns",
                               "Nanoseconds waiting for readers to drain the "

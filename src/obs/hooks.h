@@ -65,7 +65,7 @@ struct WorkerObs {
 // never takes the registry mutex.
 struct ChurnObs {
   CounterCell* swaps = nullptr;          // versions published
-  CounterCell* full_rebuilds = nullptr;  // publishes past the churn threshold
+  CounterCell* full_rebuilds = nullptr;  // publishes that compacted clues
   CounterCell* retired_validated = nullptr;  // check::validate runs (debug)
   Gauge* live_seq = nullptr;             // sequence number of the live version
   HistogramCell* apply_ns = nullptr;     // delta apply + build, per publish

@@ -8,13 +8,16 @@
 //     pointer, immutable by contract, read by every worker. The other is the
 //     *shadow*, owned exclusively by the updater thread.
 //   * publishLocal()/publishNeighbor() apply a FibDelta to the shadow
-//     (incrementally — one engine rebuild per batch, not per route — or via
-//     full rebuild past the churn threshold), stamp a fresh sequence number,
-//     and swap the live pointer. The retired buffer then waits out a grace
-//     period, is validated against the invariant checkers in debug builds,
-//     and finally catches up by replaying the same delta — becoming the next
-//     shadow. Steady-state cost per publish is O(delta + affected clue
-//     entries), never O(two full tables).
+//     (one engine rebuild per batch, not per route, and the one clue refresh
+//     rule, core::followDelta), stamp a fresh sequence number, and swap the
+//     live pointer. The retired buffer then waits out a grace period, is
+//     validated against the invariant checkers in debug builds, and finally
+//     catches up by replaying the same delta — becoming the next shadow.
+//     Steady-state cost per publish is O(delta + affected clue entries),
+//     never O(two full tables). The one rebuild is the sender side's
+//     compaction: a publish that leaves more §3.4-inactive clue entries than
+//     live ones rebuilds the hashed entries from the sender table, so the
+//     clue table stays within a constant factor of it.
 //   * Workers pin a version per PacketBatch with pin(worker): the per-worker
 //     epoch counter goes odd (pinned) before the live pointer is read, and
 //     even again when the ReadGuard drops. The grace period waits only for
@@ -125,10 +128,6 @@ class VersionedTables {
   struct Options {
     lookup::Method method = lookup::Method::kPatricia;
     lookup::ClueMode mode = lookup::ClueMode::kSimple;
-    // Deltas touching more than this fraction of the receiver table fall
-    // back to a full rebuild: past that point re-deriving everything is
-    // cheaper than patching, and it sheds accumulated §3.4-inactive slots.
-    double full_rebuild_fraction = 0.25;
     // Run validateVersion() on every retired version (defaults on in debug
     // builds, off in NDEBUG — it re-derives every clue entry).
 #ifdef NDEBUG
@@ -152,7 +151,7 @@ class VersionedTables {
       churn_obs_ = obs::ChurnObs::bind(*options_.registry);
     }
     for (auto& buf : buf_) {
-      buildFull(buf, local, neighbor, FibDelta<A>{});
+      build(buf, local, neighbor);
       buf.seq = 1;
     }
     epoch_.storeLive(&buf_[0]);
@@ -182,7 +181,10 @@ class VersionedTables {
   // the new sequence number (unchanged when the delta is empty).
   std::uint64_t publishLocal(const FibDelta<A>& d) {
     if (d.empty()) return seq_;
-    return publishWith([&](TableVersion<A>& v) { return applyLocal(v, d); });
+    return publishWith([&](TableVersion<A>& v) {
+      applyLocal(v, d);
+      return false;  // a local delta adds no clue entry: nothing to compact
+    });
   }
 
   // Sender-side counterpart: maintains the neighbor view and the §3.4
@@ -198,23 +200,24 @@ class VersionedTables {
   const TableVersion<A>& liveVersion() const { return *epoch_.loadLive(); }
 
   std::uint64_t swaps() const { return swaps_; }
+  // Publishes that compacted the clue table (applyNeighbor).
   std::uint64_t fullRebuilds() const { return full_rebuilds_; }
 
  private:
   // The one publication cycle every update goes through. `apply` mutates a
-  // buffer and reports whether it took the full-rebuild path.
+  // buffer and reports whether it compacted the clue table.
   template <typename ApplyFn>
   std::uint64_t publishWith(ApplyFn&& apply) {
     TableVersion<A>& next = buf_[shadow_];
     const std::uint64_t t0 = steadyNs();
-    const bool full = apply(next);
+    const bool compacted = apply(next);
     next.seq = ++seq_;
     const std::uint64_t t1 = steadyNs();
 
     TableVersion<A>* retired = epoch_.exchangeLive(&next);
     shadow_ ^= 1;
     ++swaps_;
-    if (full) ++full_rebuilds_;
+    if (compacted) ++full_rebuilds_;
     if (options_.on_publish) options_.on_publish(next);
 
     epoch_.waitForReaders();
@@ -235,7 +238,7 @@ class VersionedTables {
 
     if (churn_obs_.enabled()) {
       churn_obs_.swaps->inc();
-      if (full) churn_obs_.full_rebuilds->inc();
+      if (compacted) churn_obs_.full_rebuilds->inc();
       churn_obs_.live_seq->set(static_cast<double>(next.seq));
       churn_obs_.apply_ns->observe(t1 - t0);
       churn_obs_.grace_ns->observe(t2 - t1);
@@ -243,11 +246,9 @@ class VersionedTables {
     return next.seq;
   }
 
-  // `local_delta` turns the receiver table `v` was built over into `local`
-  // (empty for a sender-side rebuild): the self slots it keeps rebuild only
-  // what that changed, and what the new suite's anchors replace.
-  void buildFull(TableVersion<A>& v, const Fib<A>& local,
-                 const Fib<A>& neighbor, const FibDelta<A>& local_delta) {
+  // The one full build, each buffer's at construction: the receiver's suite,
+  // then the clue table over it.
+  void build(TableVersion<A>& v, const Fib<A>& local, const Fib<A>& neighbor) {
     v.method = options_.method;
     v.mode = options_.mode;
     v.local = local;
@@ -267,44 +268,28 @@ class VersionedTables {
     if (v.mode == lookup::ClueMode::kAdvance) {
       v.suite->annotateNeighbor(kVersionNeighbor, v.neighbor_trie);
     }
-    // Fresh clue table over the sender's prefix universe. §3.4-inactive
-    // entries are *dropped* here, not carried over: a missing entry is a
-    // miss, and a miss routes correctly via the common lookup. The self
-    // slots (core::kSelfClueBits) are the receiver's alone, kept across the
-    // reset.
-    const bool kept = v.clues.keepsSelfSlots();
-    v.clues.reset(neighbor.size() + 16);
-    for (const PrefixT& c : neighbor.prefixes()) {
+    fillClues(v);
+    core::buildSelfClues(v.clues, *v.suite, v.method);
+  }
+
+  // Builds the hashed clue entries afresh over the sender's prefix universe
+  // (§3.3.2), from the version's own suite: at construction, and to compact
+  // the table. §3.4-inactive entries are *dropped* here, not carried over: a
+  // missing entry is a miss, and a miss routes correctly via the common
+  // lookup. The self slots read no sender view, so they stay as they are.
+  void fillClues(TableVersion<A>& v) {
+    v.clues.reset(v.neighbor.size() + 16);
+    for (const PrefixT& c : v.neighbor.prefixes()) {
       v.clues.insert(core::buildClueEntry<A>(*v.suite, senderTrie(v),
                                              v.method, v.mode, c,
                                              &v.clues.candidates()));
     }
-    if (kept) {
-      core::rebuildSelfCluesAfterReset(v.clues, *v.suite, v.method,
-                                       local_delta);
-    } else {
-      core::buildSelfClues(v.clues, *v.suite, v.method);
-    }
   }
 
-  bool wantsFullRebuild(const TableVersion<A>& v,
-                        const FibDelta<A>& d) const {
-    const double threshold =
-        options_.full_rebuild_fraction *
-        static_cast<double>(v.local.size() > 0 ? v.local.size() : 1);
-    return static_cast<double>(d.size()) > threshold;
-  }
-
-  // Receiver-side apply. Returns true when it took the full-rebuild path.
-  bool applyLocal(TableVersion<A>& v, const FibDelta<A>& d) {
-    if (wantsFullRebuild(v, d)) {
-      Fib<A> local = v.local;
-      applyDelta(local, d);
-      buildFull(v, local, v.neighbor, d);
-      return true;
-    }
+  // Receiver-side apply: one engine rebuild for the whole batch, then the
+  // one refresh rule.
+  void applyLocal(TableVersion<A>& v, const FibDelta<A>& d) {
     applyDelta(v.local, d);
-    // One engine rebuild for the whole batch, then the one refresh rule.
     v.suite->applyRouteDelta(d.removed, d.upserts());
     core::followDelta(v.clues, d, core::DeltaSide::kLocal, *v.suite,
                       senderTrie(v), v.method, v.mode);
@@ -312,20 +297,17 @@ class VersionedTables {
     // worker's §3.5 cache copies of its entries are stamped with an older
     // sequence number, so released candidate sets are unreachable.
     v.clues.candidates().reclaim();
-    return false;
   }
 
   // Sender-side apply: update the neighbor view (under Advance also its trie
   // and the Claim-1 continue bits on the suite's tries — in place, so engine
   // anchors stay valid), then the one refresh rule marks, installs and
-  // refreshes.
+  // refreshes. Every sender prefix holds one active entry, so a table of
+  // more than 2·|neighbor| + 16 entries holds more §3.4-inactive entries
+  // than live ones: then the hashed entries are rebuilt, which bounds the
+  // table and its key index under steady churn of fresh prefixes. Both
+  // buffers see the same sizes, so both compact on the same publish.
   bool applyNeighbor(TableVersion<A>& v, const FibDelta<A>& d) {
-    if (wantsFullRebuild(v, d)) {
-      Fib<A> neighbor = v.neighbor;
-      applyDelta(neighbor, d);
-      buildFull(v, v.local, neighbor, FibDelta<A>{});
-      return true;
-    }
     applyDelta(v.neighbor, d);
     if (v.mode == lookup::ClueMode::kAdvance) {
       applyDelta(v.neighbor_trie, d);
@@ -333,8 +315,10 @@ class VersionedTables {
     }
     core::followDelta(v.clues, d, core::DeltaSide::kNeighbor, *v.suite,
                       senderTrie(v), v.method, v.mode);
+    const bool compact = v.clues.size() > 2 * v.neighbor.size() + 16;
+    if (compact) fillClues(v);
     v.clues.candidates().reclaim();  // as in applyLocal
-    return false;
+    return compact;
   }
 
   Options options_;

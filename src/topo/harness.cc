@@ -85,7 +85,7 @@ HarnessStats runTopoScenario(const TopoScenario& s,
                              const HarnessOptions& opt) {
   CLUERT_CHECK(s.mode != lookup::ClueMode::kCommon)
       << "topology harness needs a clue mode";
-  RipNetwork rip(s.topology(), opt.rip);
+  RipNetwork rip(s.topology(), RipOptions{});
   // The one copy of the link state: setLink flips it, and the forward loop
   // reads it.
   const Topology& topo = rip.topology();

@@ -39,7 +39,6 @@ struct HarnessOptions {
   // each final live version. Expensive; tests keep it on, bench turns it
   // off for the big packet counts.
   bool validate_publishes = true;
-  RipOptions rip;
 };
 
 struct HarnessStats {

@@ -176,6 +176,66 @@ TEST(Network, TruncatedCluesWithSimpleModeStayCorrect) {
   }
 }
 
+// A port builds self slots (core::kSelfClueBits) only where a clue-less
+// packet can arrive. Router 3 holds the routes and hears from a clue router
+// (0), which stamps every packet it routes, a legacy router (1), which
+// relays a host's packet clue-less, a clue router whose export filter
+// withholds every clue (2), and a clue router with a default route (4),
+// whose /0 matches no header can carry. Only the last three links' ports
+// hold self slots, and there a clue-less packet reaches its BMP through one
+// self-slot probe.
+TEST(Network, SelfSlotsOnlyWhereClueLessPacketsArrive) {
+  Rng rng(9);
+  auto owned = testutil::randomTable4(rng, 300);
+  for (auto& e : owned) e.next_hop = 3;
+  const rib::Fib4 halves({{testutil::p4("0.0.0.0/1"), 3},
+                          {testutil::p4("128.0.0.0/1"), 3}});
+  auto filtering = clueConfig();
+  filtering.clue_export_filter = [](const ip::Prefix4&) { return false; };
+  Network4 net;
+  net.addRouter(0, halves, clueConfig());
+  net.addRouter(1, halves, legacyConfig());
+  net.addRouter(2, halves, filtering);
+  net.addRouter(3, rib::Fib4{std::vector<trie::Match<ip::Ip4Addr>>(owned)},
+                clueConfig());
+  net.addRouter(4, rib::Fib4({{ip::Prefix4(), 3}}), clueConfig());
+  for (const RouterId r : {0u, 1u, 2u, 4u}) net.link(r, 3);
+
+  auto& owner = net.router(3);
+  EXPECT_FALSE(owner.portFor(0)->hashTable().hasSelfClues());
+  for (const RouterId from : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "from router " << from);
+    core::CluePort<ip::Ip4Addr>& port = *owner.portFor(from);
+    ASSERT_TRUE(port.hashTable().hasSelfClues());
+    for (int i = 0; i < 200; ++i) {
+      const auto dest =
+          testutil::coveredAddress(owned, rng, testutil::randomAddr4);
+      const auto want = check::bruteForceBmp(owned, dest);
+      const auto sent = net.send(dest, from);
+      ASSERT_EQ(sent.trace.size(), 2u);
+      ASSERT_EQ(sent.delivered, want.has_value()) << dest.toString();
+      ASSERT_EQ(sent.trace.back().bmp_length,
+                want ? want->prefix.length() : -1)
+          << dest.toString();
+      mem::AccessCounter acc;
+      ASSERT_EQ(port.process(dest, core::ClueField::none(), acc).match, want)
+          << dest.toString();
+      ASSERT_EQ(acc.count(mem::Region::kClueTable), 1u);
+    }
+    EXPECT_EQ(port.stats().no_clue, 400u);
+    EXPECT_EQ(port.stats().table_hits + port.stats().table_misses, 0u);
+  }
+  // The stamping router's packets all arrive with clues and route right.
+  for (int i = 0; i < 50; ++i) {
+    const auto dest =
+        testutil::coveredAddress(owned, rng, testutil::randomAddr4);
+    EXPECT_EQ(net.send(dest, 0).delivered,
+              check::bruteForceBmp(owned, dest).has_value());
+  }
+  EXPECT_EQ(owner.portFor(0)->stats().no_clue, 0u);
+  EXPECT_EQ(owner.portFor(0)->stats().packets, 50u);
+}
+
 TEST(Network, TtlExpiryTerminates) {
   const rib::SyntheticInternet internet(smallInternet());
   auto net = buildNetwork(internet, [](RouterId) { return clueConfig(); });

@@ -369,42 +369,9 @@ TEST(CluePortUpdate, ReactivateRecomputesEntry) {
 // The one refresh rule, held to itself: a learn-off, precomputed CluePort
 // fed batched deltas must end every step entry-for-entry equal, self slots
 // included, to the live version of a VersionedTables fed the same deltas
-// (the full-rebuild fallback disabled, so both stay incremental; retired
-// versions validated).
+// (too few sender withdrawals to compact it; retired versions validated).
 // Both directions are compared, so a missed install or a leftover entry
 // fails as surely as a stale field.
-void expectSameEntries(const core::HashClueTable<A>& port,
-                       const core::HashClueTable<A>& versioned) {
-  mem::AccessCounter scratch;
-  const auto same = [&](const core::ClueEntry<A>& e,
-                        const core::HashClueTable<A>& other,
-                        const char* missing_from) {
-    const auto* o = other.find(e.clue, scratch);
-    ASSERT_NE(o, nullptr) << e.clue.toString() << " missing from "
-                          << missing_from;
-    EXPECT_EQ(e.active, o->active) << e.clue.toString();
-    EXPECT_EQ(e.ptr_empty, o->ptr_empty) << e.clue.toString();
-    EXPECT_EQ(e.kase, o->kase) << e.clue.toString();
-    EXPECT_EQ(e.claim1_pruned, o->claim1_pruned) << e.clue.toString();
-    EXPECT_EQ(e.fd(), o->fd()) << e.clue.toString();
-  };
-  port.forEach([&](const auto& e) { same(e, versioned, "the version"); });
-  versioned.forEach([&](const auto& e) { same(e, port, "the port"); });
-  // The self slots follow the local deltas by the same rule on both sides.
-  ASSERT_TRUE(port.hasSelfClues());
-  ASSERT_TRUE(versioned.hasSelfClues());
-  for (std::size_t i = 0; i < core::kSelfClueSlots; ++i) {
-    const core::ClueEntry<A>& e = port.selfSlotAt(i);
-    const core::ClueEntry<A>& o = versioned.selfSlotAt(i);
-    if (e.clue != o.clue || e.ptr_empty != o.ptr_empty || e.kase != o.kase ||
-        e.fd() != o.fd()) {
-      ADD_FAILURE() << "self slot " << i << ": " << e.clue.toString()
-                    << " differs between the port and the version";
-      return;
-    }
-  }
-}
-
 TEST(CluePortUpdate, FollowsDeltasEntryForEntryLikeVersionedTables) {
   constexpr int kDeltas = 30;
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
@@ -422,7 +389,6 @@ TEST(CluePortUpdate, FollowsDeltasEntryForEntryLikeVersionedTables) {
         rib::VersionedTables4::Options vopt;
         vopt.method = method;
         vopt.mode = mode;
-        vopt.full_rebuild_fraction = 1e9;
         vopt.validate_retired = true;
         rib::VersionedTables4 tables(local, neighbor, vopt);
 
@@ -435,7 +401,8 @@ TEST(CluePortUpdate, FollowsDeltasEntryForEntryLikeVersionedTables) {
         popt.expected_clues = sender.size() + 16;
         CluePort<A> port(suite, &t1, popt);
         port.precompute(neighbor.prefixes());
-        expectSameEntries(port.hashTable(), tables.liveVersion().clues);
+        testutil::expectSameClueTables(port.hashTable(),
+                                       tables.liveVersion().clues, method);
 
         std::vector<MatchT> withdrawn_local;
         std::vector<MatchT> withdrawn_neighbor;
@@ -454,7 +421,8 @@ TEST(CluePortUpdate, FollowsDeltasEntryForEntryLikeVersionedTables) {
             tables.publishLocal(d);
           }
           SCOPED_TRACE(testing::Message() << "after delta " << step);
-          expectSameEntries(port.hashTable(), tables.liveVersion().clues);
+          testutil::expectSameClueTables(port.hashTable(),
+                                         tables.liveVersion().clues, method);
           if (HasFatalFailure() || HasNonfatalFailure()) return;
         }
       }

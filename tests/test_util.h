@@ -2,6 +2,8 @@
 // builders. The brute-force reference BMP is check::bruteForceBmp.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -9,6 +11,7 @@
 
 #include "check/fib_check.h"
 #include "common/random.h"
+#include "core/clue_table.h"
 #include "ip/prefix.h"
 #include "rib/fib.h"
 #include "rib/table_gen.h"
@@ -83,6 +86,84 @@ inline ip::Ip4Addr a4(const std::string& text) {
   const auto a = ip::Ip4Addr::parse(text);
   if (!a) throw std::runtime_error("bad address literal: " + text);
   return *a;
+}
+
+// `got` is `want` field for field. A Binary or Multiway candidate set is
+// compared by content: the two live in different stores. Another method's
+// anchor, a node of the suite the entry was built over, is compared by
+// address only when both entries were built over one suite (`same_suite`);
+// otherwise check::validate is what holds it to its suite.
+template <typename A>
+::testing::AssertionResult sameClueEntry(const core::ClueEntry<A>& got,
+                                         const core::ClueEntry<A>& want,
+                                         lookup::Method method,
+                                         bool same_suite = true) {
+  const auto differs = [&](const char* what) {
+    return ::testing::AssertionFailure()
+           << got.clue.toString() << " vs " << want.clue.toString() << ": "
+           << what << " differs";
+  };
+  if (got.clue != want.clue || got.valid != want.valid ||
+      got.active != want.active) {
+    return differs("the slot");
+  }
+  if (got.fd() != want.fd()) return differs("the FD");
+  if (got.ptr_empty != want.ptr_empty || got.kase != want.kase ||
+      got.claim1_pruned != want.claim1_pruned) {
+    return differs("the case");
+  }
+  if (got.cont.n != want.cont.n ||
+      (got.cont.anchor == nullptr) != (want.cont.anchor == nullptr)) {
+    return differs("the continuation");
+  }
+  if (method != lookup::Method::kBinary &&
+      method != lookup::Method::kMultiway) {
+    return !same_suite || got.cont == want.cont
+               ? ::testing::AssertionSuccess()
+               : differs("the continuation");
+  }
+  if (got.cont.anchor == nullptr) return ::testing::AssertionSuccess();
+  const auto segments = [](const core::ClueEntry<A>& e) {
+    return static_cast<const lookup::SegmentTable<A>*>(e.cont.anchor)
+        ->segments();
+  };
+  const auto g = segments(got);
+  const auto w = segments(want);
+  if (g.size() != w.size()) return differs("the candidate set");
+  for (std::size_t k = 0; k < g.size(); ++k) {
+    if (g[k].start != w[k].start || g[k].has_match != w[k].has_match ||
+        (g[k].has_match && g[k].match != w[k].match)) {
+      return differs("the candidate set");
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// `got` holds what `want` holds, two clue tables that followed equal
+// deltas or were built over equal tables, each over its own suite: the
+// hashed entries by key, both ways, and the self slots slot by slot.
+template <typename A>
+void expectSameClueTables(const core::HashClueTable<A>& got,
+                          const core::HashClueTable<A>& want,
+                          lookup::Method method) {
+  mem::AccessCounter scratch;
+  ASSERT_EQ(got.size(), want.size());
+  got.forEach([&](const core::ClueEntry<A>& e) {
+    const auto* w = want.find(e.clue, scratch);
+    ASSERT_NE(w, nullptr) << e.clue.toString() << " missing from `want`";
+    EXPECT_TRUE(sameClueEntry(e, *w, method, false));
+  });
+  want.forEach([&](const core::ClueEntry<A>& e) {
+    EXPECT_NE(got.find(e.clue, scratch), nullptr)
+        << e.clue.toString() << " missing from `got`";
+  });
+  ASSERT_TRUE(got.hasSelfClues());
+  ASSERT_TRUE(want.hasSelfClues());
+  for (std::size_t i = 0; i < core::kSelfClueSlots; ++i) {
+    ASSERT_TRUE(sameClueEntry(got.selfSlotAt(i), want.selfSlotAt(i), method,
+                              false))
+        << "self slot " << i;
+  }
 }
 
 }  // namespace cluert::testutil

@@ -300,11 +300,8 @@ TopoScenario smokeScenario(Shape shape, lookup::ClueMode mode) {
 }
 
 TEST(Topo, HarnessLineZeroStrictMismatches) {
-  HarnessOptions opt;
-  opt.rip = fastRip();
   const HarnessStats stats =
-      runTopoScenario(smokeScenario(Shape::kLine, lookup::ClueMode::kAdvance),
-                      opt);
+      runTopoScenario(smokeScenario(Shape::kLine, lookup::ClueMode::kAdvance));
   EXPECT_TRUE(stats.ok()) << stats.summary() << "\n" << stats.first_mismatch;
   EXPECT_GT(stats.forwarded_hops, 0u);
   EXPECT_GT(stats.delivered, 0u);
@@ -312,17 +309,15 @@ TEST(Topo, HarnessLineZeroStrictMismatches) {
   EXPECT_FALSE(stats.convergence_samples.empty());
   // Every recorded transient respected the count-to-infinity bound.
   for (const int c : stats.convergence_samples) {
-    EXPECT_LE(c, opt.rip.convergenceBound());
+    EXPECT_LE(c, RipOptions{}.convergenceBound());
   }
 }
 
 TEST(Topo, HarnessRingZeroStrictMismatchesBothModes) {
   for (const auto mode :
        {lookup::ClueMode::kSimple, lookup::ClueMode::kAdvance}) {
-    HarnessOptions opt;
-    opt.rip = fastRip();
     const HarnessStats stats =
-        runTopoScenario(smokeScenario(Shape::kRing, mode), opt);
+        runTopoScenario(smokeScenario(Shape::kRing, mode));
     EXPECT_TRUE(stats.ok())
         << lookup::clueModeName(mode) << ": " << stats.summary() << "\n"
         << stats.first_mismatch;
@@ -335,21 +330,16 @@ TEST(Topo, HarnessClassifiesStaleCluesDuringConvergence) {
   // The flap in the smoke scenario forces reconvergence while packets
   // flow; the lagged clue views must produce classified stale clues and
   // zero unclassified (strict) misroutes.
-  HarnessOptions opt;
-  opt.rip = fastRip();
   const HarnessStats stats =
-      runTopoScenario(smokeScenario(Shape::kRing, lookup::ClueMode::kAdvance),
-                      opt);
+      runTopoScenario(smokeScenario(Shape::kRing, lookup::ClueMode::kAdvance));
   EXPECT_TRUE(stats.ok()) << stats.summary();
   EXPECT_GT(stats.stale_clue_hops, 0u) << stats.summary();
 }
 
 TEST(Topo, HarnessIsDeterministic) {
-  HarnessOptions opt;
-  opt.rip = fastRip();
   const TopoScenario s = smokeScenario(Shape::kRing, lookup::ClueMode::kAdvance);
-  const HarnessStats a = runTopoScenario(s, opt);
-  const HarnessStats b = runTopoScenario(s, opt);
+  const HarnessStats a = runTopoScenario(s);
+  const HarnessStats b = runTopoScenario(s);
   EXPECT_EQ(a.forwarded_hops, b.forwarded_hops);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.stale_clue_hops, b.stale_clue_hops);
@@ -363,9 +353,7 @@ TEST(Topo, HarnessAllShapesSmoke) {
     s.shape = static_cast<Shape>(i);
     if (s.shape == Shape::kFatTree && s.nodes < 6) s.nodes = 6;
     s.ticks = std::min(s.ticks, 60);
-    HarnessOptions opt;
-    opt.rip = fastRip();
-    const HarnessStats stats = runTopoScenario(s, opt);
+    const HarnessStats stats = runTopoScenario(s);
     EXPECT_TRUE(stats.ok()) << shapeName(s.shape) << ": " << stats.summary()
                             << "\n" << stats.first_mismatch;
   }
@@ -414,9 +402,7 @@ TEST(Topo, ScenarioParserRejectsMalformed) {
 TEST(Topo, GeneratedScenariosReplayClean) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const TopoScenario s = generateTopoScenario(seed);
-    HarnessOptions opt;
-    opt.rip = fastRip();
-    const HarnessStats stats = runTopoScenario(s, opt);
+    const HarnessStats stats = runTopoScenario(s);
     EXPECT_TRUE(stats.ok()) << "seed " << seed << ": " << stats.summary()
                             << "\n" << stats.first_mismatch;
   }
@@ -456,7 +442,6 @@ TEST(Topo, ShrunkHarnessPredicateStaysFailing) {
   TopoScenario s = smokeScenario(Shape::kRing, lookup::ClueMode::kAdvance);
   s.ticks = 80;
   HarnessOptions opt;
-  opt.rip = fastRip();
   opt.validate_publishes = false;  // speed: predicate is about staleness
   const TopoFailPredicate fails = [&](const TopoScenario& c) {
     const HarnessStats st = runTopoScenario(c, opt);

@@ -1,10 +1,13 @@
 // Epoch-versioned table publication (rib::VersionedTables) and the updater
-// thread (rib::RouteUpdater): lifecycle, incremental-vs-rebuild equivalence,
-// §3.4 inactive marking across versions, grace-period blocking, and
-// retired-version validation.
+// thread (rib::RouteUpdater): lifecycle, incremental-vs-fresh-build
+// equivalence, §3.4 inactive marking across versions and the compaction
+// that bounds it, grace-period blocking, and retired-version validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -178,25 +181,140 @@ TEST(VersionedTables, IncrementalChurnMatchesFreshBuild) {
     ASSERT_EQ(churned, expect ? expect->next_hop : kNoNextHop)
         << dest.toString();
   }
-  EXPECT_EQ(vt.fullRebuilds(), 0u);  // all deltas stayed incremental
+  EXPECT_EQ(vt.fullRebuilds(), 0u);  // too few withdrawals to compact
   const auto report = check::validate(vt.liveVersion());
   EXPECT_TRUE(report.ok()) << report.toString();
 }
 
-TEST(VersionedTables, LargeDeltaFallsBackToFullRebuild) {
-  VersionedTables4::Options opt;
-  opt.full_rebuild_fraction = 0.25;
-  opt.validate_retired = true;
-  VersionedTables4 vt(smallLocal(), smallNeighbor(), opt);
+// A delta that replaces over half the receiver table patches like any
+// other: no compaction, a valid version, and the same clue table, entry for
+// entry, as a fresh build over the final tables. For every method and mode.
+TEST(VersionedTables, LargeLocalDeltaEqualsAFreshBuild) {
+  for (const lookup::Method method : lookup::kExtendedMethods) {
+    for (const lookup::ClueMode mode :
+         {lookup::ClueMode::kSimple, lookup::ClueMode::kAdvance}) {
+      SCOPED_TRACE(testing::Message() << lookup::methodName(method) << "/"
+                                      << lookup::clueModeName(mode));
+      Rng rng(90 + static_cast<std::uint64_t>(method));
+      const auto local_entries = testutil::randomTable4(rng, 160);
+      const auto neighbor_entries =
+          testutil::neighborOf(local_entries, rng, 0.8, 20, 0.5);
+      const Fib4 local{std::vector<Entry>(local_entries)};
+      const Fib4 neighbor{std::vector<Entry>(neighbor_entries)};
 
-  // 2 changes on a 4-entry table = 50% churn > 25% threshold.
-  FibDelta4 d;
-  d.removed.push_back(p4("10.1.0.0/16"));
-  d.added.push_back(Entry{p4("50.0.0.0/8"), 5});
-  vt.publishLocal(d);
-  EXPECT_EQ(vt.fullRebuilds(), 1u);
-  EXPECT_EQ(resolveAt(vt, a4("50.1.1.1"), core::ClueField::none()), 5u);
-  EXPECT_EQ(resolveAt(vt, a4("10.1.2.3"), core::ClueField::of(16)), 1u);
+      VersionedTables4::Options opt;
+      opt.method = method;
+      opt.mode = mode;
+      opt.validate_retired = true;
+      VersionedTables4 vt(local, neighbor, opt);
+
+      // Withdraw three of every five routes, reroute one, and announce as
+      // many fresh prefixes as were withdrawn.
+      FibDelta4 d;
+      for (std::size_t i = 0; i < local_entries.size(); ++i) {
+        if (i % 5 < 3) {
+          d.removed.push_back(local_entries[i].prefix);
+        } else if (i % 5 == 3) {
+          d.rerouted.push_back(Entry{local_entries[i].prefix, 33});
+        }
+      }
+      std::set<ip::Prefix4> announced;
+      for (const Entry& e : testutil::randomTable4(rng, 3 * d.removed.size())) {
+        if (announced.size() == d.removed.size()) break;
+        if (!local.contains(e.prefix) && announced.insert(e.prefix).second) {
+          d.added.push_back(e);
+        }
+      }
+      ASSERT_GT(2 * d.removed.size(), local.size());
+      ASSERT_EQ(d.added.size(), d.removed.size());
+
+      vt.publishLocal(d);
+      EXPECT_EQ(vt.fullRebuilds(), 0u);
+      const auto report = check::validate(vt.liveVersion());
+      ASSERT_TRUE(report.ok()) << report.toString();
+
+      Fib4 final_local = local;
+      applyDelta(final_local, d);
+      const VersionedTables4 fresh(final_local, neighbor, opt);
+      testutil::expectSameClueTables(vt.liveVersion().clues,
+                                     fresh.liveVersion().clues, method);
+    }
+  }
+}
+
+// Steady sender churn of fresh prefixes, each delta far below a quarter of
+// either table: the §3.4-inactive entries it leaves would grow the clue
+// table and its key index without bound, so a publish that leaves more of
+// them than live entries compacts the table. A compaction rebuilds the
+// hashed entries only: the self slots of the buffer that compacted are bit
+// for bit what they were, and every version validates.
+TEST(VersionedTables, SenderChurnCompactsTheClueTable) {
+  constexpr int kRounds = 120;
+  for (const lookup::Method method : lookup::kExtendedMethods) {
+    for (const lookup::ClueMode mode :
+         {lookup::ClueMode::kSimple, lookup::ClueMode::kAdvance}) {
+      SCOPED_TRACE(testing::Message() << lookup::methodName(method) << "/"
+                                      << lookup::clueModeName(mode));
+      Rng rng(70 + static_cast<std::uint64_t>(method));
+      const auto local_entries = testutil::randomTable4(rng, 60);
+      const auto neighbor_entries =
+          testutil::neighborOf(local_entries, rng, 0.8, 10, 0.5);
+      const Fib4 local{std::vector<Entry>(local_entries)};
+      Fib4 neighbor{std::vector<Entry>(neighbor_entries)};
+
+      VersionedTables4::Options opt;
+      opt.method = method;
+      opt.mode = mode;
+      opt.validate_retired = true;
+      VersionedTables4 vt(local, neighbor, opt);
+
+      std::uint64_t compactions = 0;
+      std::uint32_t fresh = 0;
+      std::vector<unsigned char> before(core::kSelfClueSlots *
+                                        sizeof(core::ClueEntry<A>));
+      for (int round = 0; round < kRounds; ++round) {
+        // Two routes withdrawn, two never-seen /24s under 100.0.0.0/8
+        // announced: 4 changes against tables of ~60 routes.
+        FibDelta4 d;
+        const auto entries = neighbor.entries();
+        d.removed.push_back(entries[rng.index(entries.size())].prefix);
+        const ip::Prefix4 other = entries[rng.index(entries.size())].prefix;
+        if (other != d.removed[0]) d.removed.push_back(other);
+        for (int k = 0; k < 2; ++k) {
+          d.added.push_back(Entry{
+              ip::Prefix4(ip::Ip4Addr((100u << 24) | (++fresh << 8)), 24),
+              5});
+        }
+        ASSERT_LT(4 * d.size(), local.size());
+
+        const TableVersion<A>& was_live = vt.liveVersion();
+        std::memcpy(before.data(), &was_live.clues.selfSlotAt(0),
+                    before.size());
+        const std::uint64_t rebuilt = vt.fullRebuilds();
+        vt.publishNeighbor(d);
+        applyDelta(neighbor, d);
+
+        const TableVersion<A>& live = vt.liveVersion();
+        ASSERT_LE(live.clues.size(), 2 * live.neighbor.size() + 16);
+        if (vt.fullRebuilds() == rebuilt) continue;
+        ++compactions;
+        ASSERT_EQ(live.clues.size(), live.neighbor.size());
+        // `was_live` has caught up with the same publish, compaction
+        // included.
+        ASSERT_EQ(was_live.clues.size(), live.clues.size());
+        ASSERT_EQ(std::memcmp(before.data(), &was_live.clues.selfSlotAt(0),
+                              before.size()),
+                  0)
+            << "a compaction moved a self slot";
+        const auto report = check::validate(live);
+        ASSERT_TRUE(report.ok()) << report.toString();
+      }
+      EXPECT_GE(compactions, 2u);
+      EXPECT_EQ(vt.fullRebuilds(), compactions);
+      const auto report = check::validate(vt.liveVersion());
+      EXPECT_TRUE(report.ok()) << report.toString();
+    }
+  }
 }
 
 TEST(VersionedTables, AdvanceModeSurvivesChurn) {
@@ -298,19 +416,32 @@ TEST(VersionedTables, ChurnObsCountersPublish) {
   FibDelta4 d;
   d.rerouted.push_back(Entry{p4("20.0.0.0/8"), 6});
   vt.publishLocal(d);
-  FibDelta4 big;
-  big.removed.push_back(p4("10.1.0.0/16"));
-  big.added.push_back(Entry{p4("60.0.0.0/8"), 6});
-  vt.publishLocal(big);
+  // The sender flaps a fresh /16 per publish, each withdrawing the last:
+  // inactive entries pile up until they outnumber the live ones and a
+  // publish compacts the clue table.
+  std::uint64_t publishes = 1;
+  for (std::uint32_t k = 1; vt.fullRebuilds() == 0 && k < 64; ++k) {
+    FibDelta4 flap;
+    flap.added.push_back(
+        Entry{ip::Prefix4(ip::Ip4Addr((60u << 24) | (k << 16)), 16), 6});
+    if (k > 1) {
+      flap.removed.push_back(
+          ip::Prefix4(ip::Ip4Addr((60u << 24) | ((k - 1) << 16)), 16));
+    }
+    vt.publishNeighbor(flap);
+    ++publishes;
+  }
+  ASSERT_EQ(vt.fullRebuilds(), 1u);
 
   const std::string prom = obs::toPrometheus(registry.snapshot());
-  EXPECT_NE(prom.find("rib_version_swaps_total 2"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("rib_version_live_seq 3"), std::string::npos) << prom;
-  EXPECT_NE(prom.find("rib_version_full_rebuilds_total 1"), std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("rib_version_retired_validated_total 2"),
-            std::string::npos)
-      << prom;
+  const auto has = [&](const std::string& line) {
+    EXPECT_NE(prom.find(line + "\n"), std::string::npos) << line << "\n"
+                                                          << prom;
+  };
+  has("rib_version_swaps_total " + std::to_string(publishes));
+  has("rib_version_live_seq " + std::to_string(publishes + 1));
+  has("rib_version_full_rebuilds_total 1");
+  has("rib_version_retired_validated_total " + std::to_string(publishes));
 }
 
 TEST(VersionedUpdater, DrainsQueueInOrderAndMeasuresLatency) {

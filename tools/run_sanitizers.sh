@@ -58,9 +58,12 @@ cd "$(dirname "$0")/.."
 # must stay readable until reclaimed (ASan's proof of that lifetime rule).
 # SelfClue covers a clue table's self slots (core::kSelfClueBits): slots
 # that hold continuations and Binary/Multiway candidate sets, rebuilt range
-# by range as local deltas follow one another, so its run is the proof that
-# every rebuild releases the set it replaces into the table's store and
-# that no walk reads one reclaimed.
+# by range as local deltas follow one another and kept through a compaction
+# (HashClueTable::reset and refill), so its run is the proof that every
+# rebuild releases the set it replaces into the table's store, that a
+# compaction releases only the hashed entries' sets, and that no walk reads
+# one reclaimed. Versioned reaches the same compaction through
+# rib::VersionedTables' sender-side publishes.
 # BinaryTrie/Patricia/SuiteUpdate/NodePool cover the tries and their node
 # pools (src/trie/, mem/node_pool.h): inserts, erases that prune and splice
 # along the recorded path, in-place suite updates, and the slot reuse behind
